@@ -19,7 +19,7 @@ from .diagnostics import (
 )
 from .gaussian import PrecisionGaussian
 from .jtest import JtestDomain, JtestOptions, jtest
-from .kernel import BackoffPolicy, BackoffTrajectory, CubicData, cubic_minimizer
+from .kernel import BackoffPolicy
 from .model import (
     ExpSeriesArgs,
     ModelEval,
@@ -33,7 +33,7 @@ from .model import (
     simple2d_handle,
     simple2d_model,
 )
-from .posterior import GaussianPrior, PointState, gn_proposal, log_posterior
+from .posterior import GaussianPrior
 from .sampler import Sampler
 
 __version__ = "0.1.0"
@@ -41,8 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AcorResult",
     "BackoffPolicy",
-    "BackoffTrajectory",
-    "CubicData",
     "ExpSeriesArgs",
     "GaussianPrior",
     "HistogramResult",
@@ -50,21 +48,17 @@ __all__ = [
     "JtestOptions",
     "ModelEval",
     "ModelHandle",
-    "PointState",
     "PrecisionGaussian",
     "Sampler",
     "acor",
     "autocovariance",
-    "cubic_minimizer",
     "error_bars",
     "error_bars_2d",
     "exp_series_handle",
     "exp_series_model",
-    "gn_proposal",
     "jtest",
     "linear_handle",
     "linear_model",
-    "log_posterior",
     "quickstart_handle",
     "quickstart_model",
     "simple2d_handle",

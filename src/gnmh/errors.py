@@ -22,7 +22,7 @@ class NotPSD(GnmhError):
 
 
 class InvalidDilation(GnmhError):
-    """Dilation factor outside (0, 1]."""
+    """Dilation factor not positive."""
 
 
 class SingularProposal(GnmhError):

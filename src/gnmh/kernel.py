@@ -4,9 +4,14 @@ A transition starts from the undilated Gauss-Newton proposal. Each rejection
 contracts the kernel toward the current point (by a fixed factor, or by a
 factor chosen from a cubic line-search model of ||f||^2) and proposes again,
 up to a stage limit. Acceptance probabilities balance whole trajectories: the
-ratio pits the reverse trajectory (from the candidate back through the same
-intermediates) against the forward one, with each side carrying its kernel
-densities and the complements of its nested acceptance probabilities.
+ratio pits the reverse trajectory z -> y1 -> ... -> x (the same
+intermediates, in the same order) against the forward one
+x -> y1 -> ... -> z. Both sides are one path weight, ``_log_path``: the
+anchor's density, its kernel densities, and the complements of its nested
+acceptance probabilities. The reverse side is that weight with the anchor
+and the candidate swapped, so its kernels sit at z and its dilation factors
+are recomputed there. Kernels and nested acceptances are memoized per
+transition, keyed by anchor and visited points, so each is computed once.
 
 All ratio arithmetic is in log space; log 0 is -inf and propagates to an
 acceptance probability of 0.
@@ -15,8 +20,8 @@ acceptance probability of 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,57 +140,6 @@ def dynamic_gamma(x_state: PointState, z_state: PointState, policy: BackoffPolic
     return min(max(t, policy.t_lo), policy.t_hi)
 
 
-@dataclass(frozen=True)
-class Stage:
-    """One back-off stage: the kernel used, the point drawn, and the
-    cumulative dilation scale of the kernel relative to stage 1."""
-
-    kernel: PrecisionGaussian
-    point: PointState
-    gamma: float
-
-
-@dataclass
-class BackoffTrajectory:
-    """A back-off path: origin, policy, and the ordered proposal stages.
-
-    Stage 1 always carries the undilated Gauss-Newton proposal at the origin
-    (gamma = 1); later stages carry strictly shrinking cumulative scales.
-    The last stage's point is the candidate under consideration.
-    """
-
-    origin: PointState
-    policy: BackoffPolicy
-    stages: List[Stage] = field(default_factory=list)
-
-
-def stage_multiplier(policy: BackoffPolicy, origin: PointState, last: PointState) -> float:
-    """Per-stage dilation multiplier after ``last`` was rejected."""
-    if policy.mode == "static":
-        return policy.factor
-    return dynamic_gamma(origin, last, policy)
-
-
-def trajectory(origin: PointState, policy: BackoffPolicy,
-               points: List[PointState]) -> BackoffTrajectory:
-    """Build the trajectory visiting ``points`` in order from ``origin``.
-
-    Kernels and cumulative scales are a deterministic function of the visit
-    order, which is what makes the reverse-trajectory densities in the
-    acceptance ratio well defined.
-    """
-    traj = BackoffTrajectory(origin=origin, policy=policy, stages=[])
-    scale = 1.0
-    for i, pt in enumerate(points):
-        if i == 0:
-            kern = origin.proposal
-        else:
-            scale *= stage_multiplier(policy, origin, points[i - 1])
-            kern = origin.proposal.dilate(origin.x, scale)
-        traj.stages.append(Stage(kernel=kern, point=pt, gamma=scale))
-    return traj
-
-
 def _log1m_exp(log_a: float) -> float:
     """log(1 - exp(log_a)) for log_a <= 0."""
     if log_a >= 0.0:
@@ -195,73 +149,90 @@ def _log1m_exp(log_a: float) -> float:
     return float(np.log1p(-np.exp(log_a)))
 
 
-def _log_accept(traj: BackoffTrajectory, counters: Optional[dict]) -> float:
-    """log acceptance probability of the trajectory's final stage."""
-    cand = traj.stages[-1].point
+def _kernel(anchor: PointState, points: Tuple[PointState, ...], policy: BackoffPolicy,
+            memo: dict) -> Tuple[float, PrecisionGaussian]:
+    """Cumulative dilation scale and proposal kernel at ``anchor`` for the
+    stage after ``points`` were rejected, in order.
+
+    With no rejected points this is the undilated Gauss-Newton proposal at
+    scale 1. Each rejection multiplies the scale by the static factor, or by
+    the dynamic factor chosen from the anchor and the rejected point.
+    """
+    if not points:
+        return 1.0, anchor.proposal
+    key = ("kernel", id(anchor), *map(id, points))
+    if key not in memo:
+        scale, _ = _kernel(anchor, points[:-1], policy, memo)
+        if policy.mode == "static":
+            scale *= policy.factor
+        else:
+            scale *= dynamic_gamma(anchor, points[-1], policy)
+        memo[key] = scale, anchor.proposal.dilate(anchor.x, scale)
+    return memo[key]
+
+
+def _log_path(anchor: PointState, points: Tuple[PointState, ...], policy: BackoffPolicy,
+              memo: dict) -> float:
+    """log density of the back-off path from ``anchor`` through ``points``.
+
+    That is log p(anchor) plus, for each stage, the log kernel density of
+    its point and, for every stage but the last, log(1 - A) of that stage's
+    acceptance probability.
+    """
+    total = anchor.log_post
+    for i, pt in enumerate(points):
+        _, kern = _kernel(anchor, points[:i], policy, memo)
+        total += kern.log_pdf(pt.x)
+        if i < len(points) - 1:
+            total += _log1m_exp(_log_accept(anchor, points[: i + 1], policy, memo))
+    return total
+
+
+def _log_accept(origin: PointState, points: Tuple[PointState, ...], policy: BackoffPolicy,
+                memo: dict) -> float:
+    """log acceptance probability of the last of ``points``, reached from
+    ``origin`` after the others were rejected."""
+    cand = points[-1]
     if cand.log_post == -np.inf:
         return -np.inf
     if cand.proposal is None:
         # in-domain point whose Gauss-Newton precision was singular: the
         # reverse kernels cannot be built, so the move is never accepted
-        if counters is not None:
-            counters["singular_proposals"] = counters.get("singular_proposals", 0) + 1
         return -np.inf
-
-    # forward side: density of reaching the candidate from the origin
-    log_fwd = traj.origin.log_post
-    k = len(traj.stages)
-    for i, st in enumerate(traj.stages):
-        log_fwd += st.kernel.log_pdf(st.point.x)
-        if i < k - 1:
-            prefix = BackoffTrajectory(traj.origin, traj.policy, traj.stages[: i + 1])
-            log_fwd += _log1m_exp(_log_accept(prefix, counters))
-
-    # reverse side: from the candidate through the same intermediates,
-    # ending at the origin, with kernels anchored at the candidate and
-    # dilation scales recomputed by the same rule in the reverse context
-    rev_points = [st.point for st in traj.stages[:-1]] + [traj.origin]
-    log_rev = cand.log_post
-    scale = 1.0
-    rev_stages: List[Stage] = []
-    for i, pt in enumerate(rev_points):
-        if i == 0:
-            kern = cand.proposal
-        else:
-            scale *= stage_multiplier(traj.policy, cand, rev_points[i - 1])
-            kern = cand.proposal.dilate(cand.x, scale)
-        log_rev += kern.log_pdf(pt.x)
-        rev_stages.append(Stage(kernel=kern, point=pt, gamma=scale))
-        if i < len(rev_points) - 1:
-            rev_prefix = BackoffTrajectory(cand, traj.policy, list(rev_stages))
-            log_rev += _log1m_exp(_log_accept(rev_prefix, counters))
-
+    key = ("accept", id(origin), *map(id, points))
+    if key in memo:
+        return memo[key]
+    log_fwd = _log_path(origin, points, policy, memo)
+    log_rev = _log_path(cand, points[:-1] + (origin,), policy, memo)
     if log_rev == -np.inf:
         # reverse trajectory carries no flow, whatever the forward side
-        return -np.inf
-    if log_fwd == -np.inf:
-        return 0.0
-    log_ratio = log_rev - log_fwd
-    if math.isnan(log_ratio):
-        return -np.inf
-    return min(0.0, log_ratio)
+        log_a = -np.inf
+    elif log_fwd == -np.inf:
+        log_a = 0.0
+    else:
+        log_ratio = log_rev - log_fwd
+        log_a = -np.inf if math.isnan(log_ratio) else min(0.0, log_ratio)
+    memo[key] = log_a
+    return log_a
 
 
-def accept_prob(prior: GaussianPrior, traj: BackoffTrajectory,
-                counters: Optional[dict] = None) -> float:
-    """Acceptance probability in [0, 1] for the trajectory's candidate.
+def accept_prob(origin: PointState, points: Sequence[PointState], policy: BackoffPolicy,
+                memo: Optional[dict] = None) -> float:
+    """Acceptance probability in [0, 1] of the last of ``points``, proposed
+    from ``origin`` after the others were rejected in order.
 
-    With a single stage this is the plain Metropolis-Hastings ratio
-    min{1, p(z) K(z,x) / (p(x) K(x,z))}; with more stages it is the
+    With a single point this is the plain Metropolis-Hastings ratio
+    min{1, p(z) K(z,x) / (p(x) K(x,z))}; with more it is the
     trajectory-balanced ratio described in the module docstring. Every
-    density is read from evaluations already cached in the trajectory's
-    PointStates, so the computation costs no model calls. ``counters``, if
-    given, accumulates a count under "singular_proposals" whenever an
-    unbuildable reverse kernel forced an acceptance of 0.
+    density is read from evaluations already cached in the PointStates, so
+    the computation costs no model calls. ``memo`` caches kernels and
+    sub-acceptances across calls within one transition; None starts a fresh
+    one. The result is the same with or without it. Its keys are object
+    ids, so a memo must not outlive the points it has seen.
     """
-    # prior enters through the cached log_post values and proposals; it is
-    # accepted here so call sites read naturally
-    del prior
-    return float(np.exp(_log_accept(traj, counters)))
+    if memo is None:
+        memo = {}
+    return float(np.exp(_log_accept(origin, tuple(points), policy, memo)))
 
 
 def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
@@ -273,25 +244,23 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
     redraws until acceptance or until ``policy.max_steps`` back-offs are
     exhausted. Returns the next state and the stage index at which it was
     accepted (1 is the undilated proposal), or ``(current, -1)`` when every
-    stage rejected.
+    stage rejected. ``counters``, if given, counts under
+    "singular_proposals" each drawn in-domain point whose Gauss-Newton
+    proposal was singular (such a point is never accepted).
 
     Per stage the generator is consumed in a fixed order: the proposal's
     standard normals first, then one uniform for the accept test.
     """
     n = current.x.shape[0]
-    stages: List[Stage] = []
-    scale = 1.0
+    memo: dict = {}
+    points: Tuple[PointState, ...] = ()
     for stage_idx in range(1, policy.n_stages + 1):
-        if stage_idx == 1:
-            kern = current.proposal
-        else:
-            scale *= stage_multiplier(policy, current, stages[-1].point)
-            kern = current.proposal.dilate(current.x, scale)
-        z = kern.sample(rng.standard_normal(n))
-        z_state = point_state(prior, model, z)
-        stages.append(Stage(kernel=kern, point=z_state, gamma=scale))
-        traj = BackoffTrajectory(current, policy, list(stages))
-        a = accept_prob(prior, traj, counters)
+        _, kern = _kernel(current, points, policy, memo)
+        z_state = point_state(prior, model, kern.sample(rng.standard_normal(n)))
+        if z_state.proposal_failed and counters is not None:
+            counters["singular_proposals"] = counters.get("singular_proposals", 0) + 1
+        points += (z_state,)
+        a = accept_prob(current, points, policy, memo)
         if rng.random() < a:
             return z_state, stage_idx
     return current, -1

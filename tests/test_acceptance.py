@@ -16,12 +16,10 @@ from gnmh.cli import exp_series_datagen, quadrature_1d
 from gnmh.jtest import JtestDomain, JtestOptions, jtest
 from gnmh.kernel import (
     BackoffPolicy,
-    BackoffTrajectory,
     CubicData,
-    _log1m_exp,
     _log_accept,
+    _log_path,
     cubic_minimizer,
-    trajectory,
 )
 from gnmh.model import (
     ModelHandle,
@@ -160,16 +158,10 @@ def test_criterion_3_backoff_trends():
 
 
 def _log_flow(origin, mids, cand, policy):
-    traj = trajectory(origin, policy, mids + [cand])
-    log_a = _log_accept(traj, None)
-    total = traj.origin.log_post
-    k = len(traj.stages)
-    for i, st in enumerate(traj.stages):
-        total += st.kernel.log_pdf(st.point.x)
-        if i < k - 1:
-            prefix = BackoffTrajectory(traj.origin, policy, traj.stages[: i + 1])
-            total += _log1m_exp(_log_accept(prefix, None))
-    return total + log_a
+    points = tuple(mids) + (cand,)
+    memo = {}
+    return (_log_path(origin, points, policy, memo)
+            + _log_accept(origin, points, policy, memo))
 
 
 def test_criterion_4_very_detailed_balance():

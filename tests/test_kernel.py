@@ -6,15 +6,15 @@ from gnmh.cli import exp_series_datagen
 from gnmh.gaussian import PrecisionGaussian
 from gnmh.kernel import (
     BackoffPolicy,
-    BackoffTrajectory,
     CubicData,
+    _kernel,
     _log1m_exp,
     _log_accept,
+    _log_path,
     accept_prob,
     cubic_minimizer,
     dynamic_gamma,
     step,
-    trajectory,
 )
 from gnmh.errors import InvalidPolicy
 from gnmh.model import ModelHandle, exp_series_handle, linear_handle, quickstart_handle
@@ -168,7 +168,7 @@ def test_single_stage_linear_model_always_one():
     for _ in range(100):
         x = point_state(prior, h, rng.normal(size=2))
         z = point_state(prior, h, rng.normal(size=2))
-        a = accept_prob(prior, trajectory(x, policy, [z]))
+        a = accept_prob(x, [z], policy)
         assert abs(a - 1.0) < 1e-12
 
 
@@ -176,7 +176,7 @@ def test_single_stage_self_move_accepts():
     h = quickstart_handle()
     prior = GaussianPrior.create([0.0], [[1.0]])
     x = point_state(prior, h, [0.7])
-    assert accept_prob(prior, trajectory(x, BackoffPolicy.none(), [x])) == 1.0
+    assert accept_prob(x, [x], BackoffPolicy.none()) == 1.0
 
 
 def test_candidate_outside_domain_rejected():
@@ -184,7 +184,7 @@ def test_candidate_outside_domain_rejected():
     prior = GaussianPrior.flat([0.0])
     x = point_state(prior, h, [1.0])
     z = point_state(prior, h, [-1.0])
-    assert accept_prob(prior, trajectory(x, BackoffPolicy.none(), [z])) == 0.0
+    assert accept_prob(x, [z], BackoffPolicy.none()) == 0.0
 
 
 def test_singular_candidate_rejected_with_warning():
@@ -192,9 +192,7 @@ def test_singular_candidate_rejected_with_warning():
     prior = GaussianPrior.flat([0.0])
     x = point_state(prior, h, [1.0])
     z = point_state(prior, h, [0.0])  # J=0 under flat prior: singular
-    counters = {}
-    assert accept_prob(prior, trajectory(x, BackoffPolicy.none(), [z]), counters) == 0.0
-    assert counters["singular_proposals"] == 1
+    assert accept_prob(x, [z], BackoffPolicy.none()) == 0.0
 
 
 def _transcribed_two_stage(prior_mean, prior_prec, handle, x, z1, z2, gamma2):
@@ -256,7 +254,7 @@ def test_two_stage_matches_transcribed_formula_static():
         )
         if want is None:
             continue
-        got = accept_prob(prior, trajectory(pts[0], policy, pts[1:]))
+        got = accept_prob(pts[0], pts[1:], policy)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
         compared += 1
     assert compared >= 20
@@ -281,7 +279,7 @@ def test_two_stage_matches_transcribed_formula_dynamic():
         )
         if want is None:
             continue
-        got = accept_prob(prior, trajectory(pts[0], policy, pts[1:]))
+        got = accept_prob(pts[0], pts[1:], policy)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
         compared += 1
     assert compared >= 5
@@ -296,24 +294,18 @@ def test_detailed_balance_single_stage():
         a = point_state(prior, h, rng.uniform(-2, 2, 1))
         b = point_state(prior, h, rng.uniform(-2, 2, 1))
         lhs = (a.log_post + a.proposal.log_pdf(b.x)
-               + np.log(accept_prob(prior, trajectory(a, policy, [b]))))
+               + np.log(accept_prob(a, [b], policy)))
         rhs = (b.log_post + b.proposal.log_pdf(a.x)
-               + np.log(accept_prob(prior, trajectory(b, policy, [a]))))
+               + np.log(accept_prob(b, [a], policy)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def _log_flow(origin, mids, cand, policy, prior):
-    """log of p(origin) * K1(origin, z1)[1 - A] ... Kk(origin, cand) * A(...)."""
-    traj = trajectory(origin, policy, mids + [cand])
-    log_a = _log_accept(traj, None)
-    total = traj.origin.log_post
-    k = len(traj.stages)
-    for i, st in enumerate(traj.stages):
-        total += st.kernel.log_pdf(st.point.x)
-        if i < k - 1:
-            prefix = BackoffTrajectory(traj.origin, policy, traj.stages[: i + 1])
-            total += _log1m_exp(_log_accept(prefix, None))
-    return total + log_a
+def _log_flow(origin, mids, cand, policy):
+    """log of p(origin) K1(origin, z1)[1 - A] ... Kk(origin, cand) A(...)."""
+    points = tuple(mids) + (cand,)
+    memo = {}
+    return (_log_path(origin, points, policy, memo)
+            + _log_accept(origin, points, policy, memo))
 
 
 @pytest.mark.parametrize("policy", [BackoffPolicy.static(1, 0.3), BackoffPolicy.dynamic(1)])
@@ -323,8 +315,8 @@ def test_flow_balance_two_stage_quickstart(policy):
     prior = GaussianPrior.create([0.0], [[1.0]])
     for _ in range(50):
         pts = [point_state(prior, h, rng.uniform(-2, 2, 1)) for _ in range(3)]
-        fwd = _log_flow(pts[0], [pts[1]], pts[2], policy, prior)
-        rev = _log_flow(pts[2], [pts[1]], pts[0], policy, prior)
+        fwd = _log_flow(pts[0], [pts[1]], pts[2], policy)
+        rev = _log_flow(pts[2], [pts[1]], pts[0], policy)
         if fwd == -np.inf and rev == -np.inf:
             continue
         assert fwd == pytest.approx(rev, abs=1e-10)
@@ -337,11 +329,122 @@ def test_flow_balance_two_stage_exp_series(policy):
     prior = GaussianPrior.create([4.0, 2.0, 0.5, 1.0], 0.5 * np.eye(4))
     for _ in range(50):
         pts = [point_state(prior, h, rng.uniform(0.3, 3.0, 4)) for _ in range(3)]
-        fwd = _log_flow(pts[0], [pts[1]], pts[2], policy, prior)
-        rev = _log_flow(pts[2], [pts[1]], pts[0], policy, prior)
+        fwd = _log_flow(pts[0], [pts[1]], pts[2], policy)
+        rev = _log_flow(pts[2], [pts[1]], pts[0], policy)
         if fwd == -np.inf and rev == -np.inf:
             continue
         assert fwd == pytest.approx(rev, abs=1e-10)
+
+
+def _problem(name):
+    """(handle, prior, x0) of a bundled example."""
+    if name == "quickstart":
+        return quickstart_handle(), GaussianPrior.create([0.0], [[1.0]]), [0.5]
+    x0 = [4.0, 2.0, 0.5, 1.0]
+    return (exp_series_handle(exp_series_datagen(seed=14), n_terms=2),
+            GaussianPrior.create(x0, 0.5 * np.eye(4)), x0)
+
+
+def _chain_trajectories(name, policy, n_stages, count, seed):
+    """``count`` back-off trajectories of ``n_stages`` points each.
+
+    Origins are states of a short dynamic(2) chain; each stage's point is
+    drawn from the kernel the sampler would use there, so the points sit
+    where the sampler actually proposes (uniform box draws rarely give a
+    finite flow beyond two stages).
+    """
+    h, prior, x0 = _problem(name)
+    rng = np.random.default_rng(seed)
+    cur = point_state(prior, h, x0)
+    origins = []
+    for _ in range(100):
+        cur, stage = step(cur, BackoffPolicy.dynamic(2), prior, h, rng)
+        if stage != -1:
+            origins.append(cur)
+    out = []
+    for _ in range(count):
+        origin = origins[rng.integers(len(origins))]
+        points = ()
+        for _ in range(n_stages):
+            _, kern = _kernel(origin, points, policy, {})
+            z = kern.sample(rng.standard_normal(origin.x.shape[0]))
+            points += (point_state(prior, h, z),)
+        out.append((origin, points))
+    return out
+
+
+@pytest.mark.parametrize("n_stages", [3, 4])
+@pytest.mark.parametrize("policy", [BackoffPolicy.static(3, 0.3), BackoffPolicy.dynamic(3)],
+                         ids=["static", "dynamic"])
+@pytest.mark.parametrize("name", ["quickstart", "expseries"])
+def test_flow_balance_deep_backoff(name, policy, n_stages):
+    # x -> y1 -> ... -> z balances z -> y1 -> ... -> x, same intermediate order
+    finite = 0
+    for origin, points in _chain_trajectories(name, policy, n_stages, 60, seed=n_stages):
+        fwd = _log_flow(origin, points[:-1], points[-1], policy)
+        rev = _log_flow(points[-1], points[:-1], origin, policy)
+        if fwd == -np.inf and rev == -np.inf:
+            continue
+        assert fwd == pytest.approx(rev, abs=1e-10)
+        finite += 1
+    assert finite >= 10
+
+
+def _reference_log_accept(origin, points, policy):
+    """Unmemoized trajectory-balanced log acceptance: every kernel is rebuilt
+    and every nested acceptance recomputed from scratch, forward and reverse
+    sides written out separately."""
+
+    def kernels(anchor, visited):
+        out, scale = [anchor.proposal], 1.0
+        for pt in visited[:-1]:
+            if policy.mode == "static":
+                scale *= policy.factor
+            else:
+                scale *= dynamic_gamma(anchor, pt, policy)
+            out.append(anchor.proposal.dilate(anchor.x, scale))
+        return out
+
+    cand = points[-1]
+    if cand.log_post == -np.inf or cand.proposal is None:
+        return -np.inf
+    k = len(points)
+    log_fwd = origin.log_post
+    for i, (kern, pt) in enumerate(zip(kernels(origin, points), points)):
+        log_fwd += kern.log_pdf(pt.x)
+        if i < k - 1:
+            log_fwd += _log1m_exp(_reference_log_accept(origin, points[: i + 1], policy))
+    rev_points = points[:-1] + (origin,)
+    log_rev = cand.log_post
+    for i, (kern, pt) in enumerate(zip(kernels(cand, rev_points), rev_points)):
+        log_rev += kern.log_pdf(pt.x)
+        if i < k - 1:
+            log_rev += _log1m_exp(_reference_log_accept(cand, rev_points[: i + 1], policy))
+    if log_rev == -np.inf:
+        return -np.inf
+    if log_fwd == -np.inf:
+        return 0.0
+    log_ratio = log_rev - log_fwd
+    if np.isnan(log_ratio):
+        return -np.inf
+    return min(0.0, log_ratio)
+
+
+@pytest.mark.parametrize("policy", [BackoffPolicy.none(), BackoffPolicy.static(3, 0.3),
+                                    BackoffPolicy.dynamic(3)],
+                         ids=["none", "static", "dynamic"])
+@pytest.mark.parametrize("name", ["quickstart", "expseries"])
+def test_memoized_acceptance_equals_reference(name, policy):
+    n_stages = policy.n_stages
+    finite_last = 0
+    for origin, points in _chain_trajectories(name, policy, n_stages, 30, seed=5):
+        # one memo across the stages, as a transition shares it
+        memo = {}
+        for j in range(1, n_stages + 1):
+            got = _log_accept(origin, points[:j], policy, memo)
+            assert got == _reference_log_accept(origin, points[:j], policy)
+        finite_last += got > -np.inf
+    assert finite_last >= 3
 
 
 def test_static_stage_scales_exact():
@@ -350,13 +453,13 @@ def test_static_stage_scales_exact():
     policy = BackoffPolicy.static(3, 0.25)
     rng = np.random.default_rng(2)
     pts = [point_state(prior, h, rng.uniform(-1.5, 1.5, 1)) for _ in range(4)]
-    traj = trajectory(pts[0], policy, pts[1:])
     base = pts[0].proposal
-    for i, st in enumerate(traj.stages):
-        assert st.gamma == 0.25 ** i
+    for i in range(3):
+        scale, kern = _kernel(pts[0], tuple(pts[1:i + 1]), policy, {})
+        assert scale == 0.25 ** i
         ref = base if i == 0 else base.dilate(pts[0].x, 0.25 ** i)
-        np.testing.assert_array_equal(st.kernel.mean, ref.mean)
-        np.testing.assert_array_equal(st.kernel.precision, ref.precision)
+        np.testing.assert_array_equal(kern.mean, ref.mean)
+        np.testing.assert_array_equal(kern.precision, ref.precision)
 
 
 def test_acceptance_never_nan_on_fuzzed_inputs():
@@ -369,7 +472,7 @@ def test_acceptance_never_nan_on_fuzzed_inputs():
             k = 1 + int(rng.integers(0, policy.n_stages))
             pts = [point_state(prior, h, rng.uniform(-30, 30, 1))
                    for _ in range(k + 1)]
-            a = accept_prob(prior, trajectory(pts[0], policy, pts[1:]))
+            a = accept_prob(pts[0], pts[1:], policy)
             assert 0.0 <= a <= 1.0
             assert not np.isnan(a)
 
@@ -420,9 +523,27 @@ def test_step_consumes_normals_then_uniform():
     rng2 = np.random.default_rng(123)
     z = cur.proposal.sample(rng2.standard_normal(1))
     u = rng2.random()
-    a = accept_prob(prior, trajectory(cur, BackoffPolicy.none(),
-                                      [point_state(prior, h, z)]))
+    a = accept_prob(cur, [point_state(prior, h, z)], BackoffPolicy.none())
     if u < a:
         np.testing.assert_array_equal(nxt.x, z)
     else:
         assert stage == -1
+
+
+def test_step_counts_each_singular_proposal_once():
+    # stage 1 draws x <= 0, where J = 0 under a flat prior makes the
+    # Gauss-Newton precision singular; stage 2 re-tests that point inside
+    # the nested acceptances, and must not count it again
+    def kinked(x, args):
+        if x[0] > 0:
+            return 1, [x[0]], [[1.0]]
+        return 1, [0.0], [[0.0]]
+
+    h = ModelHandle(kinked, None, dim_in=1)
+    prior = GaussianPrior.flat([0.0])
+    cur = point_state(prior, h, [0.2])
+    counters = {}
+    _, stage = step(cur, BackoffPolicy.static(1, 0.5), prior, h,
+                    np.random.default_rng(4), counters)
+    assert stage == 2
+    assert counters["singular_proposals"] == 1
