@@ -10,11 +10,50 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import DimensionMismatch, InvalidDilation, NotPositiveDefinite
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _factor(precision: np.ndarray):
+    """Cholesky factor L (L L^T = precision) and the log normalization
+    constant 0.5*logdet(precision) - (n/2)*log(2*pi) of a symmetric matrix.
+
+    No validation: callers pass a square, exactly symmetric float array.
+    Non-finite entries are not detected; they give a non-finite factor and
+    log_norm, or a failed factorization.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If the Cholesky factorization fails.
+    """
+    try:
+        chol = np.linalg.cholesky(precision)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return chol, 0.5 * log_det - 0.5 * precision.shape[0] * _LOG_2PI
+
+
+def _solve_lower(chol: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve L u = b (``trans=0``) or L^T u = b (``trans=1``) for
+    lower-triangular L, with LAPACK ``dtrtrs`` and no input validation.
+
+    Dispatches on memory order exactly as ``scipy.linalg.solve_triangular``
+    does, so the results are bit-identical to it: LAPACK wants Fortran order,
+    so a C-ordered L is passed as the upper-triangular L^T with the
+    transpose flag flipped.
+    """
+    if chol.flags.f_contiguous:
+        u, info = dtrtrs(chol, b, lower=1, trans=trans)
+    else:
+        u, info = dtrtrs(chol.T, b, lower=0, trans=1 - trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (dtrtrs info {info})")
+    return u
 
 
 @dataclass(frozen=True)
@@ -64,12 +103,7 @@ class PrecisionGaussian:
         if not np.allclose(precision, precision.T, rtol=1e-10, atol=1e-10):
             raise ValueError("precision matrix is not symmetric")
         precision = 0.5 * (precision + precision.T)
-        try:
-            chol = np.linalg.cholesky(precision)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(str(exc)) from exc
-        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        log_norm = 0.5 * log_det - 0.5 * n * _LOG_2PI
+        chol, log_norm = _factor(precision)
         return cls(mean=mean, precision=precision, chol=chol, log_norm=log_norm)
 
     def log_pdf(self, x) -> float:
@@ -94,8 +128,7 @@ class PrecisionGaussian:
             raise DimensionMismatch(
                 f"got {z.shape[0]} normals for dimension {self.dim}"
             )
-        u = solve_triangular(self.chol, z, lower=True, trans="T", check_finite=False)
-        return self.mean + u
+        return self.mean + _solve_lower(self.chol, z, trans=1)
 
     def dilate(self, center, gamma: float) -> "PrecisionGaussian":
         """Contract the distribution toward ``center`` by factor ``gamma``.

@@ -5,6 +5,12 @@ A model is a callable ``fn(x, args) -> (inside, residual, jacobian)`` where
 f(x) of length m, and ``jacobian`` is the m-by-n matrix of partials. The
 sampler targets densities proportional to
 ``indicator(x) * prior(x) * exp(-||f(x)||^2 / 2)``.
+
+In the domain the outputs must be numbers. When the sampler builds its
+state at a point (``posterior.point_state``), a NaN in the residual or a
+NaN or infinite Jacobian entry raises ``UserFunctionFailure`` naming that
+point; a residual of +-inf is zero density there, and the point is rejected.
+``ModelHandle.evaluate`` itself checks shapes only.
 """
 
 from __future__ import annotations

@@ -7,14 +7,20 @@ a Gaussian whose precision is H + J'J; completing the square gives its mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NotPSD, SingularProposal
-from .gaussian import PrecisionGaussian
+from .errors import (
+    DimensionMismatch,
+    NotPositiveDefinite,
+    NotPSD,
+    SingularProposal,
+    UserFunctionFailure,
+)
+from .gaussian import PrecisionGaussian, _factor, _solve_lower
 from .model import ModelEval, ModelHandle
 
 
@@ -80,6 +86,14 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval, x) -> PrecisionGaussian:
     completing the square in the linearized target. Requires an in-domain
     evaluation.
 
+    This is the per-point hot path: one Cholesky factorization and two
+    triangular solves, with no validation. The prior was validated by
+    ``GaussianPrior.create`` and the shapes of J and f by
+    ``ModelHandle.evaluate``; P is symmetric by construction. Non-finite
+    model output is not checked here: it gives a non-finite log-posterior
+    or ``log_norm``, which ``point_state_from_eval`` turns into a
+    ``UserFunctionFailure``.
+
     Raises
     ------
     SingularProposal
@@ -92,16 +106,14 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval, x) -> PrecisionGaussian:
     P = prior.precision + JtJ
     P = 0.5 * (P + P.T)
     try:
-        shell = PrecisionGaussian.from_precision(np.zeros_like(x), P)
+        chol, log_norm = _factor(P)
     except NotPositiveDefinite as exc:
         raise SingularProposal(
             "Gauss-Newton precision H + J'J is not positive definite"
         ) from exc
     rhs = prior.precision @ prior.mean - J.T @ f + JtJ @ x
-    half = solve_triangular(shell.chol, rhs, lower=True, check_finite=False)
-    mu = solve_triangular(shell.chol, half, lower=True, trans="T", check_finite=False)
-    return PrecisionGaussian(mean=mu, precision=shell.precision,
-                             chol=shell.chol, log_norm=shell.log_norm)
+    mu = _solve_lower(chol, _solve_lower(chol, rhs), trans=1)
+    return PrecisionGaussian(mean=mu, precision=P, chol=chol, log_norm=log_norm)
 
 
 @dataclass
@@ -125,16 +137,34 @@ class PointState:
 
 
 def point_state_from_eval(prior: GaussianPrior, x, ev: ModelEval) -> PointState:
-    """Assemble a PointState from a cached evaluation (no model call)."""
+    """Assemble a PointState from a cached evaluation (no model call).
+
+    Raises
+    ------
+    UserFunctionFailure
+        If the model output at ``x`` is NaN or its Jacobian is not finite
+        (seen as a NaN log-posterior or a non-finite proposal ``log_norm``;
+        the Jacobian is scanned only when the proposal is singular).
+        An infinite residual is not an error: it is zero density.
+    """
     x = np.asarray(x, dtype=float).reshape(-1)
     lp = log_posterior(prior, ev, x)
     proposal = None
     failed = False
+    non_finite = math.isnan(lp)
     if ev.inside:
         try:
             proposal = gn_proposal(prior, ev, x)
+            non_finite = non_finite or not math.isfinite(proposal.log_norm)
         except SingularProposal:
             failed = True
+            # an infinite Jacobian entry can also fail the factorization
+            non_finite = non_finite or not np.isfinite(ev.jacobian).all()
+    if non_finite:
+        raise UserFunctionFailure(
+            f"non-finite model output at x = {x.tolist()}: "
+            "a NaN residual, or a Jacobian J with J'J not finite"
+        )
     return PointState(x=x, eval=ev, log_post=lp, proposal=proposal, proposal_failed=failed)
 
 

@@ -86,15 +86,15 @@ def _assemble_document(dim: int, chain_rows: List[np.ndarray], n_samples: int,
     }
 
 
-def _canonical_checksum(doc: dict) -> str:
-    body = _serialize(doc)
+def _canonical_checksum(body: str) -> str:
+    """CRC-32, as 8 hex digits, of a document's canonical serialization
+    (``_serialize``; the document without its checksum field)."""
     return format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x")
 
 
 def _checkpoint_text(doc: dict) -> str:
     body = _serialize(doc)
-    checksum = format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x")
-    return body[:-1] + ',"checksum":' + json.dumps(checksum) + "}\n"
+    return body[:-1] + ',"checksum":' + json.dumps(_canonical_checksum(body)) + "}\n"
 
 
 def _rng_state_strings(rng: np.random.Generator) -> tuple:
@@ -375,13 +375,13 @@ class Sampler:
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise CorruptCheckpoint(f"malformed checkpoint field: {exc}") from exc
 
-        rebuilt_checksum = _canonical_checksum(_assemble_document(
+        rebuilt_checksum = _canonical_checksum(_serialize(_assemble_document(
             dim=dim, chain_rows=chain_rows, n_samples=n_samples,
             n_accepted=n_accepted, call_count=call_count, burned=burned,
             step_count=step_count, policy=policy, prior=prior,
             current_x=current_x, rng_algorithm=rng_algorithm,
             rng_state=rng_state,
-        ))
+        )))
         if rebuilt_checksum != stored_checksum:
             raise CorruptCheckpoint("checksum mismatch")
         if n_samples != len(chain_rows):

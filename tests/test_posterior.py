@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
-from gnmh.errors import NotPSD, SingularProposal
+from gnmh.errors import NotPSD, SingularProposal, UserFunctionFailure
 from gnmh.gaussian import PrecisionGaussian
-from gnmh.model import ModelHandle, linear_handle, quickstart_handle
+from gnmh.model import ModelEval, ModelHandle, linear_handle, quickstart_handle
 from gnmh.posterior import (
     GaussianPrior,
     gn_proposal,
@@ -174,3 +175,87 @@ def test_point_state_outside_domain():
     h = ModelHandle(lambda x, a: (x[0] > 0, [x[0]], [[1.0]]), None, dim_in=1)
     st = point_state(GaussianPrior.flat([0.0]), h, [-2.0])
     assert st.log_post == -np.inf and st.proposal is None and not st.proposal_failed
+
+
+def _reference_gn_proposal(prior, ev, x):
+    # the validated construction: from_precision plus scipy's triangular solves
+    J, f = ev.jacobian, ev.residual
+    JtJ = J.T @ J
+    P = prior.precision + JtJ
+    P = 0.5 * (P + P.T)
+    shell = PrecisionGaussian.from_precision(np.zeros_like(x), P)
+    rhs = prior.precision @ prior.mean - J.T @ f + JtJ @ x
+    half = solve_triangular(shell.chol, rhs, lower=True, check_finite=False)
+    mu = solve_triangular(shell.chol, half, lower=True, trans="T", check_finite=False)
+    return PrecisionGaussian(mean=mu, precision=shell.precision,
+                             chol=shell.chol, log_norm=shell.log_norm)
+
+
+def _reference_sample(g, z):
+    return g.mean + solve_triangular(g.chol, z, lower=True, trans="T", check_finite=False)
+
+
+def _assert_same_gaussian(got, ref):
+    np.testing.assert_array_equal(got.mean, ref.mean)
+    np.testing.assert_array_equal(got.precision, ref.precision)
+    np.testing.assert_array_equal(got.chol, ref.chol)
+    assert got.log_norm == ref.log_norm
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_gn_proposal_and_sample_bit_identical_to_validated_path(n):
+    rng = np.random.default_rng(100 + n)
+    for prior in (GaussianPrior.flat(rng.normal(size=n)),
+                  GaussianPrior.create(rng.normal(size=n), _random_spd(rng, n))):
+        for _ in range(20):
+            x = rng.normal(size=n)
+            ev = ModelEval(inside=True, residual=rng.normal(size=n + 2),
+                           jacobian=rng.normal(size=(n + 2, n)))
+            g = gn_proposal(prior, ev, x)
+            _assert_same_gaussian(g, _reference_gn_proposal(prior, ev, x))
+            center = rng.normal(size=n)
+            dilated = [g.dilate(center, gamma) for gamma in (1.0, 0.5, 0.13)]
+            f_ordered = PrecisionGaussian(mean=g.mean, precision=g.precision,
+                                          chol=np.asfortranarray(g.chol),
+                                          log_norm=g.log_norm)
+            for kern in [g, f_ordered] + dilated:
+                for _ in range(3):
+                    z = rng.standard_normal(n)
+                    np.testing.assert_array_equal(kern.sample(z), _reference_sample(kern, z))
+
+
+def _nan_residual(x, a):
+    return 1, [np.nan], [[1.0]]
+
+
+def _nan_jacobian(x, a):
+    return 1, [x[0]], [[np.nan]]
+
+
+def _inf_jacobian(x, a):
+    return 1, [x[0]], [[np.inf]]
+
+
+def _neg_inf_jacobian(x, a):
+    # under the flat prior J'J fails the factorization instead of giving inf
+    return 1, [x[0]], [[-np.inf, 1.0, 1.0]]
+
+
+@pytest.mark.parametrize("fn,n", [(_nan_residual, 1), (_nan_jacobian, 1),
+                                  (_inf_jacobian, 1), (_neg_inf_jacobian, 3)])
+@pytest.mark.parametrize("informative", [False, True])
+def test_point_state_non_finite_output_raises_naming_x(fn, n, informative):
+    h = ModelHandle(fn, None, dim_in=n)
+    x = [0.625] * n
+    prior = (GaussianPrior.create(np.zeros(n), np.eye(n)) if informative
+             else GaussianPrior.flat(n))
+    with pytest.raises(UserFunctionFailure, match=r"x = \[0\.625"):
+        point_state(prior, h, x)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_point_state_infinite_residual_is_zero_density(sign):
+    h = ModelHandle(lambda x, a: (1, [sign * np.inf], [[1.0]]), None, dim_in=1)
+    st = point_state(GaussianPrior.create([0.0], [[1.0]]), h, [0.5])
+    assert st.log_post == -np.inf
+    assert st.proposal is not None and np.isfinite(st.proposal.log_norm)

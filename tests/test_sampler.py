@@ -12,6 +12,7 @@ from gnmh.errors import (
     IOFailure,
     NotPSD,
     SingularProposal,
+    UserFunctionFailure,
 )
 from gnmh.model import ModelHandle, linear_handle, quickstart_handle
 from gnmh.sampler import Sampler
@@ -93,6 +94,40 @@ def test_chain_rows_always_inside_domain():
     s.set_prior([0.0], [[1.0]])
     s.run_sample(2000)
     assert np.all(s.chain[:, 0] > 0)
+
+
+def _bad_past_one(bad_residual, bad_jacobian):
+    """f(x) = x (posterior N(0, 1)), with the given output once x > 1;
+    records each point where the bad output was returned."""
+    seen = []
+
+    def fn(x, args):
+        if x[0] <= 1.0:
+            return 1, [x[0]], [[1.0]]
+        seen.append(x.copy())
+        return 1, [x[0] if bad_residual is None else bad_residual], [[bad_jacobian]]
+
+    return fn, seen
+
+
+@pytest.mark.parametrize("bad_residual,bad_jacobian", [
+    (np.nan, 1.0), (None, np.nan), (None, np.inf), (None, -np.inf),
+])
+def test_run_sample_non_finite_output_raises_naming_x(bad_residual, bad_jacobian):
+    fn, seen = _bad_past_one(bad_residual, bad_jacobian)
+    s = Sampler([0.0], ModelHandle(fn, None, dim_in=1), seed=3)
+    with pytest.raises(UserFunctionFailure) as info:
+        s.run_sample(2000)
+    assert len(seen) == 1
+    assert f"x = {seen[0].tolist()}" in str(info.value)
+
+
+def test_run_sample_infinite_residual_is_rejected():
+    fn, seen = _bad_past_one(np.inf, 1.0)
+    s = Sampler([0.0], ModelHandle(fn, None, dim_in=1), seed=3)
+    s.run_sample(2000)
+    assert len(seen) > 0
+    assert np.all(s.chain[:, 0] <= 1.0)
 
 
 def test_resume_matches_single_run():
