@@ -32,7 +32,7 @@ from .model import (
     simple2d_handle,
 )
 from .posterior import GaussianPrior, log_posterior
-from .sampler import Sampler
+from .sampler import Sampler, format_rows, g17
 
 
 def quadrature_1d(log_density: Callable[[float], float], lo: float, hi: float,
@@ -149,16 +149,12 @@ _EXAMPLES = ("quickstart", "well", "simple2d", "expseries", "badjac")
 # ---------------------------------------------------------------------------
 
 
-def _g17(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _write_chain_csv(path: str, chain: np.ndarray) -> None:
     n = chain.shape[1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(f"x{j + 1}" for j in range(n)) + "\n")
-        for row in chain:
-            fh.write(",".join(_g17(v) for v in row) + "\n")
+        for lo in range(0, chain.shape[0], 4096):
+            fh.write(format_rows(chain[lo:lo + 4096], after="\n", sep=""))
 
 
 def _write_histogram_csv(path: str, hist: diagnostics.HistogramResult) -> None:
@@ -166,7 +162,7 @@ def _write_histogram_csv(path: str, hist: diagnostics.HistogramResult) -> None:
     for j in range(hist.centers.shape[0]):
         lines = ["center,density,err"]
         for c, d, e in zip(hist.centers[j], hist.density[j], hist.err[j]):
-            lines.append(f"{_g17(c)},{_g17(d)},{_g17(e)}")
+            lines.append(f"{g17(c)},{g17(d)},{g17(e)}")
         blocks.append("\n".join(lines))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n\n".join(blocks) + "\n")
@@ -177,14 +173,14 @@ def _write_marginal_csv(path: str, ci, cj, density, err) -> None:
         fh.write("ci,cj,density,err\n")
         for a in range(len(ci)):
             for b in range(len(cj)):
-                fh.write(f"{_g17(ci[a])},{_g17(cj[b])},{_g17(density[a, b])},{_g17(err[a, b])}\n")
+                fh.write(f"{g17(ci[a])},{g17(cj[b])},{g17(density[a, b])},{g17(err[a, b])}\n")
 
 
 def _write_quadrature_csv(path: str, grid, density) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,density\n")
         for x, d in zip(grid, density):
-            fh.write(f"{_g17(x)},{_g17(d)}\n")
+            fh.write(f"{g17(x)},{g17(d)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +367,7 @@ def _cmd_jtest(args: argparse.Namespace) -> int:
     if error == 0.0:
         print("0")
         return 0
-    print(_g17(error))
+    print(g17(error))
     return 1
 
 

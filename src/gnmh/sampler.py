@@ -1,14 +1,19 @@
 """Chain orchestration: initialization, prior and back-off configuration,
 sampling in divisions with optional checkpointing, burn-in, and counters.
 
-The checkpoint file is a single JSON document with a fixed field order,
-17-significant-digit numbers, and a CRC-32 checksum over the canonical
-serialization, so a resumed run continues bit-identically.
+The chain is one growing float64 array. The checkpoint file is a single
+JSON document with a fixed field order, 17-significant-digit numbers, and
+a CRC-32 checksum over its own text (the document without its checksum
+field), so a resumed run continues bit-identically. The sampler keeps the
+text of the chain section and its running CRC, so a save formats only the
+rows added since the last one plus the small state that follows them; it
+is fsynced before it replaces the previous file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
 from typing import Dict, List, Optional, Union
@@ -24,12 +29,30 @@ from .errors import (
     InitialGuessOutsideDomain,
     IOFailure,
     SingularProposal,
+    UserFunctionFailure,
 )
 from .kernel import BackoffPolicy
 from .model import ModelHandle
 from .posterior import GaussianPrior, log_posterior, point_state_from_eval
 
 _CHECKPOINT_VERSION = 1
+_CHECKSUM_KEY = b',"checksum":'
+_CHAIN_END = b'],"counters":'
+
+
+def g17(v) -> str:
+    """``v`` at 17 significant digits, enough to round-trip a float64: the
+    number format of checkpoints and of the CLI's output files."""
+    return "%.17g" % float(v)
+
+
+def format_rows(rows: np.ndarray, before: str = "", after: str = "",
+                sep: str = ",") -> str:
+    """Each row of a 2-D float array as its numbers in ``g17`` format,
+    comma-separated and wrapped in ``before``/``after``; rows joined by
+    ``sep``."""
+    template = before + ",".join(["%.17g"] * rows.shape[1]) + after
+    return sep.join([template % tuple(row) for row in rows.tolist()])
 
 
 def _fmt_number(v) -> str:
@@ -37,7 +60,7 @@ def _fmt_number(v) -> str:
         raise TypeError("no boolean fields in checkpoints")
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return format(float(v), ".17g")
+    return g17(v)
 
 
 def _serialize(v) -> str:
@@ -53,48 +76,15 @@ def _serialize(v) -> str:
     return _fmt_number(v)
 
 
-def _assemble_document(dim: int, chain_rows: List[np.ndarray], n_samples: int,
-                       n_accepted: int, call_count: int, burned: int,
-                       step_count: Dict[int, int], policy: BackoffPolicy,
-                       prior: GaussianPrior, current_x: np.ndarray,
-                       rng_algorithm: str, rng_state: List[str]) -> dict:
-    stage_order = [-1] + sorted(k for k in step_count if k != -1)
-    return {
-        "format_version": _CHECKPOINT_VERSION,
-        "dim": int(dim),
-        "chain": [[float(v) for v in row] for row in chain_rows],
-        "counters": {
-            "n_samples": int(n_samples),
-            "n_accepted": int(n_accepted),
-            "call_count": int(call_count),
-            "burned": int(burned),
-        },
-        "step_count": {str(k): int(step_count[k]) for k in stage_order},
-        "policy": {
-            "mode": policy.mode,
-            "max_steps": int(policy.max_steps),
-            "factor": float(policy.factor),
-            "t_lo": float(policy.t_lo),
-            "t_hi": float(policy.t_hi),
-        },
-        "prior": {
-            "mean": [float(v) for v in prior.mean],
-            "precision": [float(v) for v in prior.precision.ravel()],
-        },
-        "current_x": [float(v) for v in current_x],
-        "rng": {"algorithm_id": rng_algorithm, "state": list(rng_state)},
-    }
+def _chain_head(dim: int) -> bytes:
+    """Checkpoint text up to the first chain row."""
+    return f'{{"format_version":{_CHECKPOINT_VERSION},"dim":{int(dim)},"chain":['.encode()
 
 
-def _canonical_checksum(body: str) -> str:
-    """CRC-32, as 8 hex digits, of a document's canonical serialization
-    (``_serialize``; the document without its checksum field)."""
-    return format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x")
-
-
-def _checkpoint_text(doc: dict) -> str:
-    body = _serialize(doc)
-    return body[:-1] + ',"checksum":' + json.dumps(_canonical_checksum(body)) + "}\n"
+def _checksum_field(crc: int) -> bytes:
+    """The checksum field and the end of the file, for the CRC-32 ``crc`` of
+    the document text without that field."""
+    return _CHECKSUM_KEY + b'"%08x"}\n' % crc
 
 
 def _rng_state_strings(rng: np.random.Generator) -> tuple:
@@ -175,7 +165,7 @@ class Sampler:
             raise SingularProposal("Gauss-Newton proposal undefined at the initial guess")
         self.policy = BackoffPolicy.none()
         self.rng = np.random.default_rng(seed)
-        self._rows: List[np.ndarray] = []
+        self._set_chain(np.empty((0, self.dim)))
         self.n_accepted = 0
         self.burned = 0
         self._step_count: Dict[int, int] = {-1: 0, 1: 0}
@@ -222,13 +212,11 @@ class Sampler:
 
     @property
     def chain(self) -> np.ndarray:
-        if not self._rows:
-            return np.empty((0, self.dim))
-        return np.array(self._rows)
+        return self._buf[:self._n].copy()
 
     @property
     def n_samples(self) -> int:
-        return len(self._rows)
+        return self._n
 
     @property
     def accept_rate(self) -> float:
@@ -261,6 +249,7 @@ class Sampler:
             raise ValueError("n_samples must be at least 1")
         if divs < 1:
             raise ValueError("divs must be at least 1")
+        self._reserve(n_samples)
         base, rem = divmod(n_samples, divs)
         done = 0
         for i in range(divs):
@@ -270,7 +259,8 @@ class Sampler:
                     self.current, self.policy, self.prior, self.model,
                     self.rng, self.warnings,
                 )
-                self._rows.append(nxt.x.copy())
+                self._buf[self._n] = nxt.x
+                self._n += 1
                 if stage == -1:
                     self._step_count[-1] += 1
                 else:
@@ -292,36 +282,118 @@ class Sampler:
             raise BurnTooLarge(
                 f"cannot burn {n_burned} of {self.n_samples} samples"
             )
-        del self._rows[:n_burned]
+        self._set_chain(self._buf[n_burned:self._n].copy())
         self.burned += n_burned
 
     def posterior_at(self, x) -> float:
         """Unnormalized posterior density at ``x`` (one fresh model call).
-        Returns 0 outside the domain."""
+        Returns 0 outside the domain or for an infinite residual.
+
+        Raises
+        ------
+        UserFunctionFailure
+            If the residual at ``x`` is NaN.
+        """
         x = np.asarray(x, dtype=float).reshape(-1)
-        ev = self.model.evaluate(x)
-        return float(np.exp(log_posterior(self.prior, ev, x)))
+        lp = log_posterior(self.prior, self.model.evaluate(x), x)
+        if math.isnan(lp):
+            raise UserFunctionFailure(
+                f"non-finite model output at x = {x.tolist()}: a NaN residual"
+            )
+        return float(np.exp(lp))
+
+    # -- chain storage ------------------------------------------------------
+
+    def _set_chain(self, rows: np.ndarray, text: Optional[bytes] = None,
+                   crc: int = 0) -> None:
+        """Make ``rows`` (owned by the sampler) the whole chain. ``text`` is
+        their checkpoint text from the head through the last row, with its
+        CRC-32 ``crc``, when known; otherwise the next save formats them."""
+        self._buf = rows
+        self._n = rows.shape[0]
+        # checkpoint text through row ``_text_rows``, as chunks, and the
+        # running CRC-32 of that text
+        self._text: Optional[List[bytes]] = None if text is None else [text]
+        self._text_rows = 0 if text is None else self._n
+        self._text_crc = crc
+
+    def _reserve(self, extra: int) -> None:
+        """Make room for ``extra`` more rows, at least doubling the buffer
+        when it grows."""
+        need = self._n + extra
+        if need > self._buf.shape[0]:
+            grown = np.empty((max(need, 2 * self._buf.shape[0]), self.dim))
+            grown[:self._n] = self._buf[:self._n]
+            self._buf = grown
 
     # -- checkpointing ----------------------------------------------------
 
-    def _document(self) -> dict:
+    def _checkpoint_chunks(self) -> List[bytes]:
+        """The checkpoint file's bytes, formatting only the rows added since
+        the last save."""
+        if self._text is None:
+            head = _chain_head(self.dim)
+            self._text, self._text_rows, self._text_crc = [head], 0, zlib.crc32(head)
+        if self._n > self._text_rows:
+            rows = format_rows(self._buf[self._text_rows:self._n], "[", "]")
+            new = (("," if self._text_rows else "") + rows).encode("ascii")
+            self._text.append(new)
+            self._text_crc = zlib.crc32(new, self._text_crc)
+            self._text_rows = self._n
+        tail = self._state_tail()
+        crc = zlib.crc32(tail, self._text_crc)
+        return self._text + [tail[:-1], _checksum_field(crc)]
+
+    def _state_tail(self) -> bytes:
+        """Checkpoint text after the last chain row, through the closing
+        brace of the document without its checksum field."""
         algorithm, state = _rng_state_strings(self.rng)
-        return _assemble_document(
-            dim=self.dim, chain_rows=self._rows, n_samples=self.n_samples,
-            n_accepted=self.n_accepted, call_count=self.call_count,
-            burned=self.burned, step_count=self._step_count,
-            policy=self.policy, prior=self.prior, current_x=self.current.x,
-            rng_algorithm=algorithm, rng_state=state,
-        )
+        policy, prior = self.policy, self.prior
+        return ("]," + _serialize({
+            "counters": {
+                "n_samples": self.n_samples,
+                "n_accepted": self.n_accepted,
+                "call_count": self.call_count,
+                "burned": self.burned,
+            },
+            "step_count": {str(k): v for k, v in self.step_count.items()},
+            "policy": {
+                "mode": policy.mode,
+                "max_steps": int(policy.max_steps),
+                "factor": float(policy.factor),
+                "t_lo": float(policy.t_lo),
+                "t_hi": float(policy.t_hi),
+            },
+            "prior": {
+                "mean": [float(v) for v in prior.mean],
+                "precision": [float(v) for v in prior.precision.ravel()],
+            },
+            "current_x": [float(v) for v in self.current.x],
+            "rng": {"algorithm_id": algorithm, "state": state},
+        })[1:]).encode("utf-8")
 
     def save_checkpoint(self, path: Union[str, os.PathLike]) -> None:
-        """Write the full sampler state atomically (temp file + rename)."""
-        text = _checkpoint_text(self._document())
+        """Write the full sampler state atomically and durably: a temp file,
+        fsynced, renamed over ``path``, then the directory fsynced.
+
+        Only the rows added since the last save (or since :meth:`burn`) are
+        formatted, so a save costs O(new rows) in Python work plus writing
+        the file. The bytes equal a full canonical serialization of the
+        state.
+        """
+        chunks = self._checkpoint_chunks()
         tmp = str(path) + ".tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(tmp, "wb") as fh:
+                fh.writelines(chunks)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
+            dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
         except OSError as exc:
             raise CheckpointWriteFailure(f"could not write checkpoint: {exc}") from exc
 
@@ -330,29 +402,44 @@ class Sampler:
                         model: ModelHandle) -> "Sampler":
         """Rebuild a sampler from a checkpoint file.
 
+        The CRC-32 is checked on the file's own bytes, so any changed byte
+        is refused with ``CorruptCheckpoint``, including a re-formatted file
+        that holds the same values. The chain is read in one pass and its
+        verified text seeds the save cache, so the first save after a resume
+        formats only new rows.
+
         The model is re-evaluated once at the stored current point to
         rebuild cached quantities; that call is not added to the restored
         call count, so a resumed run reports the same totals as an
         uninterrupted one.
         """
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise IOFailure(f"could not read checkpoint: {exc}") from exc
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(data)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CorruptCheckpoint(f"checkpoint is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format_version") != _CHECKPOINT_VERSION:
             raise CorruptCheckpoint("unsupported checkpoint format version")
-        stored_checksum = doc.pop("checksum", None)
-        if stored_checksum is None:
+        if "checksum" not in doc:
             raise CorruptCheckpoint("checkpoint has no checksum")
+        # the CRC of the text before the checksum field, closed with "}";
+        # the chain section's share of it is kept for the save cache
+        end = data.rfind(_CHECKSUM_KEY)
+        split = data.find(_CHAIN_END, 0, end)
+        if end < 0 or split < 0:
+            raise CorruptCheckpoint("checkpoint is not in the canonical layout")
+        chain_crc = zlib.crc32(memoryview(data)[:split])
+        crc = zlib.crc32(b"}", zlib.crc32(memoryview(data)[split:end], chain_crc))
+        if data[end:] != _checksum_field(crc):
+            raise CorruptCheckpoint("checksum mismatch")
 
         try:
             dim = int(doc["dim"])
-            chain_rows = [np.asarray(row, dtype=float) for row in doc["chain"]]
+            chain = np.array(doc["chain"], dtype=float).reshape(-1, dim)
             counters = doc["counters"]
             n_samples = int(counters["n_samples"])
             n_accepted = int(counters["n_accepted"])
@@ -374,17 +461,7 @@ class Sampler:
             rng_state = [str(s) for s in doc["rng"]["state"]]
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise CorruptCheckpoint(f"malformed checkpoint field: {exc}") from exc
-
-        rebuilt_checksum = _canonical_checksum(_serialize(_assemble_document(
-            dim=dim, chain_rows=chain_rows, n_samples=n_samples,
-            n_accepted=n_accepted, call_count=call_count, burned=burned,
-            step_count=step_count, policy=policy, prior=prior,
-            current_x=current_x, rng_algorithm=rng_algorithm,
-            rng_state=rng_state,
-        )))
-        if rebuilt_checksum != stored_checksum:
-            raise CorruptCheckpoint("checksum mismatch")
-        if n_samples != len(chain_rows):
+        if n_samples != chain.shape[0]:
             raise CorruptCheckpoint("counter n_samples disagrees with chain length")
 
         if model.dim_in != dim:
@@ -409,7 +486,7 @@ class Sampler:
             )
         sampler.policy = policy
         sampler.rng = _rng_from_strings(rng_algorithm, rng_state)
-        sampler._rows = chain_rows
+        sampler._set_chain(chain, data[:split], chain_crc)
         sampler.n_accepted = n_accepted
         sampler.burned = burned
         sampler._step_count = step_count

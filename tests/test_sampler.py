@@ -1,11 +1,15 @@
 import json
+import os
+import zlib
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from gnmh.cli import exp_series_datagen
 from gnmh.errors import (
     BurnTooLarge,
+    CheckpointWriteFailure,
     CorruptCheckpoint,
     DimensionMismatch,
     InitialGuessOutsideDomain,
@@ -14,8 +18,15 @@ from gnmh.errors import (
     SingularProposal,
     UserFunctionFailure,
 )
-from gnmh.model import ModelHandle, linear_handle, quickstart_handle
-from gnmh.sampler import Sampler
+from gnmh.model import (
+    ModelHandle,
+    exp_series_handle,
+    linear_handle,
+    quickstart_handle,
+    simple2d_handle,
+)
+from gnmh.posterior import GaussianPrior
+from gnmh.sampler import Sampler, _rng_state_strings
 
 
 def make_quickstart(seed=0):
@@ -218,6 +229,23 @@ def test_posterior_at_outside_domain_is_zero():
     assert s.posterior_at([-1.0]) == 0.0
 
 
+def test_posterior_at_nan_residual_raises_naming_x():
+    fn, _ = _bad_past_one(np.nan, 1.0)
+    s = Sampler([0.0], ModelHandle(fn, None, dim_in=1), seed=0)
+    assert s.posterior_at([0.5]) == pytest.approx(np.exp(-0.125))
+    with pytest.raises(UserFunctionFailure) as info:
+        s.posterior_at([2.0])
+    assert "x = [2.0]" in str(info.value)
+
+
+@pytest.mark.parametrize("bad_residual", [np.inf, -np.inf])
+def test_posterior_at_infinite_residual_is_zero(bad_residual):
+    fn, seen = _bad_past_one(bad_residual, 1.0)
+    s = Sampler([0.0], ModelHandle(fn, None, dim_in=1), seed=0)
+    assert s.posterior_at([2.0]) == 0.0
+    assert len(seen) == 1
+
+
 # ---------------------------------------------------------------------------
 # exactness on the linear model
 # ---------------------------------------------------------------------------
@@ -396,3 +424,158 @@ def test_interrupted_safe_run_resumes_bit_identically(tmp_path):
     np.testing.assert_array_equal(a.chain, c.chain)
     assert a.chain.tobytes() == c.chain.tobytes()
     assert path_b.read_bytes() == final_a
+
+
+def test_checkpoint_write_failure_is_typed(tmp_path):
+    s = make_quickstart(seed=1)
+    s.run_sample(10)
+    with pytest.raises(CheckpointWriteFailure):
+        s.save_checkpoint(tmp_path / "missing" / "state.json")
+
+
+def test_save_fsyncs_file_and_directory(tmp_path, monkeypatch):
+    synced = []
+    real_fsync = os.fsync
+
+    def recording(fd):
+        synced.append(os.path.realpath(f"/proc/self/fd/{fd}"))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording)
+    s = make_quickstart(seed=1)
+    s.run_sample(10)
+    s.save_checkpoint(tmp_path / "state.json")
+    assert synced == [str(tmp_path / "state.json.tmp"), str(tmp_path)]
+
+
+def test_chain_is_a_copy():
+    s = make_quickstart(seed=4)
+    s.run_sample(30)
+    chain = s.chain
+    chain[:] = 0.0
+    assert np.all(s.chain != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint bytes against a full canonical serialization
+# ---------------------------------------------------------------------------
+
+
+def _reference_fmt(v):
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+def _reference_serialize(v):
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_reference_serialize(val)}"
+                              for k, val in v.items()) + "}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ",".join(_reference_serialize(item) for item in v) + "]"
+    return _reference_fmt(v)
+
+
+def _reference_checkpoint_bytes(s):
+    """The whole checkpoint serialized from scratch: the document built
+    field by field, every number formatted one at a time, the CRC-32 taken
+    over the full text."""
+    algorithm, state = _rng_state_strings(s.rng)
+    steps = s.step_count
+    doc = {
+        "format_version": 1,
+        "dim": s.dim,
+        "chain": [[float(v) for v in row] for row in s.chain],
+        "counters": {"n_samples": s.n_samples, "n_accepted": s.n_accepted,
+                     "call_count": s.call_count, "burned": s.burned},
+        "step_count": {str(k): steps[k] for k in [-1] + sorted(k for k in steps if k != -1)},
+        "policy": {"mode": s.policy.mode, "max_steps": s.policy.max_steps,
+                   "factor": float(s.policy.factor), "t_lo": float(s.policy.t_lo),
+                   "t_hi": float(s.policy.t_hi)},
+        "prior": {"mean": [float(v) for v in s.prior.mean],
+                  "precision": [float(v) for v in s.prior.precision.ravel()]},
+        "current_x": [float(v) for v in s.current.x],
+        "rng": {"algorithm_id": algorithm, "state": list(state)},
+    }
+    body = _reference_serialize(doc)
+    checksum = format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x")
+    return (body[:-1] + ',"checksum":' + json.dumps(checksum) + "}\n").encode("utf-8")
+
+
+def _example(name):
+    if name == "quickstart":
+        return [0.5], quickstart_handle, GaussianPrior.create([0.0], [[1.0]])
+    if name == "simple2d":
+        return [1.0, 0.0], simple2d_handle, GaussianPrior.create([0.0, 0.0], np.eye(2))
+    args = exp_series_datagen(seed=14)
+    return ([4.0, 2.0, 0.5, 1.0], lambda: exp_series_handle(args, n_terms=2),
+            GaussianPrior.create([4.0, 2.0, 0.5, 1.0], 0.5 * np.eye(4)))
+
+
+@pytest.mark.parametrize("name,policy", [
+    ("quickstart", "none"), ("quickstart", "static"),
+    ("simple2d", "none"), ("simple2d", "dynamic"),
+    ("expseries", "dynamic"),
+])
+def test_checkpoint_bytes_equal_full_serialization(tmp_path, monkeypatch, name, policy):
+    x0, build, prior = _example(name)
+    path = tmp_path / "state.json"
+    checked = []
+    original = Sampler.save_checkpoint
+
+    def checking(self, p):
+        original(self, p)
+        assert p.read_bytes() == _reference_checkpoint_bytes(self)
+        checked.append(self.n_samples)
+
+    monkeypatch.setattr(Sampler, "save_checkpoint", checking)
+    s = Sampler(x0, build(), seed=21, prior=prior)
+    if policy == "static":
+        s.set_static(2, 0.4)
+    elif policy == "dynamic":
+        s.set_dynamic(2)
+    s.save_checkpoint(path)  # empty chain
+    s.run_sample(30)
+    s.save_checkpoint(path)  # plain save
+    s.run_sample(70, divs=7, safe=path)  # every division's save
+    s.burn(45)  # rows leave the front: the cached text is stale
+    s.save_checkpoint(path)
+    s.run_sample(20, divs=2, safe=path)
+    resumed = Sampler.load_checkpoint(path, build())
+    resumed.save_checkpoint(path)
+    resumed.run_sample(33, divs=3, safe=path)
+    resumed.burn(resumed.n_samples)
+    resumed.run_sample(5, divs=2, safe=path)
+    assert checked == ([0, 30] + list(range(40, 101, 10)) + [100]
+                       + [55, 65, 75, 75] + [75, 86, 97, 108, 108] + [3, 5, 5])
+
+
+def test_checkpoint_one_digit_changed_in_chain_detected(tmp_path):
+    path = tmp_path / "state.json"
+    s = make_quickstart(seed=6)
+    s.run_sample(50)
+    s.save_checkpoint(path)
+    text = path.read_text()
+    start = text.index('"chain":[[') + len('"chain":[[')
+    pos = next(i for i in range(start, len(text)) if text[i] in "123456789")
+    digit = "8" if text[pos] == "9" else chr(ord(text[pos]) + 1)
+    path.write_text(text[:pos] + digit + text[pos + 1:])
+    changed = json.loads(path.read_text())
+    assert changed["chain"] != json.loads(text)["chain"]
+    with pytest.raises(CorruptCheckpoint, match="checksum"):
+        Sampler.load_checkpoint(path, quickstart_handle())
+
+
+def test_checkpoint_reformatted_equal_values_refused(tmp_path):
+    # the CRC covers the file's text, not the values it parses to
+    path = tmp_path / "state.json"
+    s = make_quickstart(seed=6)
+    s.run_sample(20)
+    s.save_checkpoint(path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    assert json.loads(path.read_text()) == doc
+    with pytest.raises(CorruptCheckpoint):
+        Sampler.load_checkpoint(path, quickstart_handle())
