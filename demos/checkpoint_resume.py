@@ -15,7 +15,6 @@ import gnmh
 from gnmh.posterior import GaussianPrior
 
 prior = GaussianPrior.create([0.0], [[1.0]])
-path = os.path.join(tempfile.mkdtemp(), "chain_state.json")
 
 
 def fresh_sampler():
@@ -28,17 +27,21 @@ def fresh_sampler():
 reference = fresh_sampler()
 reference.run_sample(5000, divs=10)
 
-# the "crashed" run: only 3 of the 10 divisions complete before the
-# process dies, but each division saved a checkpoint
-crashed = fresh_sampler()
-crashed.run_sample(1500, divs=3, safe=path)
-print(f"crashed after {crashed.n_samples} samples; checkpoint on disk")
+# the checkpoint lives in a directory that is removed at the end
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "chain_state.json")
 
-# resume from the file and finish the remaining divisions
-resumed = gnmh.Sampler.load_checkpoint(path, gnmh.quickstart_handle())
-print(f"loaded checkpoint: {resumed.n_samples} samples, "
-      f"call_count={resumed.call_count}")
-resumed.run_sample(3500, divs=7, safe=path)
+    # the "crashed" run: only 3 of the 10 divisions complete before the
+    # process dies, but each division saved a checkpoint
+    crashed = fresh_sampler()
+    crashed.run_sample(1500, divs=3, safe=path)
+    print(f"crashed after {crashed.n_samples} samples; checkpoint on disk")
+
+    # resume from the file and finish the remaining divisions
+    resumed = gnmh.Sampler.load_checkpoint(path, gnmh.quickstart_handle())
+    print(f"loaded checkpoint: {resumed.n_samples} samples, "
+          f"call_count={resumed.call_count}")
+    resumed.run_sample(3500, divs=7, safe=path)
 
 identical = np.array_equal(reference.chain, resumed.chain)
 print(f"resumed chain identical to uninterrupted run: {identical}")

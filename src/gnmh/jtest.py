@@ -4,17 +4,21 @@ Points are drawn uniformly in a user-supplied box. At each point the
 numerical Jacobian is formed column by column from symmetric difference
 quotients and compared to the analytic one under an entrywise p-norm. A
 point that fails has its perturbations shrunk geometrically and is retried;
-a point that never converges ends the test with its final error norm.
+a point that never converges ends the test with its final error norm. A NaN
+or inf in the Jacobian, or in the residuals around a test point, raises
+``UserFunctionFailure`` naming that point; the entries are scanned only
+once the error norm is not finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, PointOutsideDomain
+from .errors import DimensionMismatch, PointOutsideDomain, UserFunctionFailure
 from .model import ModelHandle
 
 
@@ -84,6 +88,9 @@ def jtest(model: ModelHandle, domain: JtestDomain,
         indicator-0 points (the box should sit inside the model's domain).
     DimensionMismatch
         If the box does not match the model's input dimension.
+    UserFunctionFailure
+        If the analytic Jacobian at a test point, or the residual around it,
+        is not finite (NaN or inf); the message names the point.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -134,4 +141,23 @@ def _check_point(model: ModelHandle, x_k: np.ndarray, delta0: np.ndarray,
         eps = float(np.linalg.norm((numeric - analytic).ravel(), ord=options.p))
         if eps <= options.eps_max:
             return None
+        if not math.isfinite(eps):
+            _raise_non_finite(x_k, analytic, numeric)
     return eps
+
+
+def _raise_non_finite(x_k: np.ndarray, analytic: np.ndarray, numeric: np.ndarray) -> None:
+    """Name the non-finite model output behind a non-finite error norm.
+
+    Returns only when every entry is finite, i.e. the norm itself overflowed.
+    """
+    if not np.all(np.isfinite(analytic)):
+        raise UserFunctionFailure(
+            f"non-finite model output at jtest point x = {x_k.tolist()}: "
+            "NaN or inf in the Jacobian"
+        )
+    if not np.all(np.isfinite(numeric)):
+        raise UserFunctionFailure(
+            f"non-finite model output at jtest point x = {x_k.tolist()}: "
+            "the residual differences around it are NaN or inf"
+        )

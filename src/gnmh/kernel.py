@@ -6,12 +6,18 @@ factor chosen from a cubic line-search model of ||f||^2) and proposes again,
 up to a stage limit. Acceptance probabilities balance whole trajectories: the
 ratio pits the reverse trajectory z -> y1 -> ... -> x (the same
 intermediates, in the same order) against the forward one
-x -> y1 -> ... -> z. Both sides are one path weight, ``_log_path``: the
-anchor's density, its kernel densities, and the complements of its nested
-acceptance probabilities. The reverse side is that weight with the anchor
-and the candidate swapped, so its kernels sit at z and its dilation factors
-are recomputed there. Kernels and nested acceptances are memoized per
-transition, keyed by anchor and visited points, so each is computed once.
+x -> y1 -> ... -> z. Both sides are one path weight: the anchor's density,
+its kernel densities, and the complements of its nested acceptance
+probabilities. The reverse side is that weight with the anchor and the
+candidate swapped, so its kernels sit at z and its dilation factors are
+recomputed there.
+
+One table per transition, ``_Transition``, holds the points
+``[x, y1, y2, ...]`` and memoizes the only shapes this recursion reaches,
+keyed by indices into those points: kernels (anchor, g), path weights
+(anchor, h, tail) and acceptances (anchor, h). A path weight is its prefix
+path plus one log(1 - A) and one kernel density, so each density, dilated
+kernel and acceptance is computed once per transition.
 
 All ratio arithmetic is in log space; log 0 is -inf and propagates to an
 acceptance probability of 0.
@@ -26,7 +32,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidPolicy
-from .gaussian import PrecisionGaussian
+from .gaussian import PrecisionGaussian, _solve_lower
 from .model import ModelHandle
 from .posterior import GaussianPrior, PointState, point_state
 
@@ -149,75 +155,147 @@ def _log1m_exp(log_a: float) -> float:
     return float(np.log1p(-np.exp(log_a)))
 
 
+class _Transition:
+    """Back-off table of one transition.
+
+    ``pts`` is ``[origin, y1, y2, ...]``, the origin followed by the points
+    drawn so far. The trajectory-balanced recursion only reaches three
+    shapes, each memoized under small-int keys into ``pts``:
+
+    - kernel ``(a, g)``: the proposal at ``pts[a]`` after ``pts[1..g]`` were
+      rejected, stored as ``(scale, mean, precision, log_norm)``;
+    - path ``(a, h, b)``: log weight of the path from the anchor ``pts[a]``
+      through ``pts[1..h-1]``, then the tail ``pts[b]``;
+    - acceptance ``(a, h)``: log acceptance of ``pts[h]`` reached from
+      ``pts[a]`` after ``pts[1..h-1]`` were rejected.
+
+    Appending to ``pts`` leaves every stored entry valid.
+    """
+
+    __slots__ = ("pts", "policy", "kernels", "paths", "accepts")
+
+    def __init__(self, origin: PointState, policy: BackoffPolicy,
+                 points: Sequence[PointState] = ()):
+        self.pts = [origin, *points]
+        self.policy = policy
+        self.kernels: dict = {}
+        self.paths: dict = {}
+        self.accepts: dict = {}
+
+    def kernel(self, a: int, g: int) -> tuple:
+        """Cumulative scale, mean, precision and log normalization of the
+        kernel at ``pts[a]`` for the stage after ``pts[1..g]`` were rejected.
+
+        With ``g = 0`` this is the undilated Gauss-Newton proposal at scale
+        1. Each rejection multiplies the scale by the static factor, or by
+        the dynamic factor chosen from the anchor and the rejected point; the
+        kernel is the proposal dilated toward the anchor by that scale, with
+        the arithmetic of :meth:`PrecisionGaussian.dilate`.
+        """
+        kern = self.kernels.get((a, g))
+        if kern is None:
+            anchor = self.pts[a]
+            prop = anchor.proposal
+            if g == 0:
+                kern = 1.0, prop.mean, prop.precision, prop.log_norm
+            else:
+                scale = self.kernel(a, g - 1)[0]
+                if self.policy.mode == "static":
+                    scale *= self.policy.factor
+                else:
+                    scale *= dynamic_gamma(anchor, self.pts[g], self.policy)
+                kern = (scale, anchor.x + scale * (prop.mean - anchor.x),
+                        prop.precision / (scale * scale),
+                        prop.log_norm - prop.mean.shape[0] * np.log(scale))
+            self.kernels[a, g] = kern
+        return kern
+
+    def path(self, a: int, h: int, b: int) -> float:
+        """log weight of the back-off path from ``pts[a]`` through
+        ``pts[1..h-1]``, then ``pts[b]``.
+
+        That is log p(pts[a]) plus, for each stage, the log kernel density
+        of its point and, for every stage but the last, log(1 - A) of that
+        stage's acceptance probability, summed stage by stage: the weight of
+        the prefix path ``(a, h-1, h-1)``, its log(1 - A), then one density.
+        """
+        w = self.paths.get((a, h, b))
+        if w is None:
+            if h == 1:
+                w = self.pts[a].log_post
+            else:
+                w = self.path(a, h - 1, h - 1) + _log1m_exp(self.log_accept(a, h - 1))
+            _, mean, precision, log_norm = self.kernel(a, h - 1)
+            d = self.pts[b].x - mean
+            w += log_norm - 0.5 * float(d @ precision @ d)
+            self.paths[a, h, b] = w
+        return w
+
+    def log_accept(self, a: int, h: int) -> float:
+        """log acceptance probability of ``pts[h]``, reached from ``pts[a]``
+        after ``pts[1..h-1]`` were rejected."""
+        cand = self.pts[h]
+        if cand.log_post == -np.inf:
+            return -np.inf
+        if cand.proposal is None:
+            # in-domain point whose Gauss-Newton precision was singular: the
+            # reverse kernels cannot be built, so the move is never accepted
+            return -np.inf
+        log_a = self.accepts.get((a, h))
+        if log_a is None:
+            log_fwd = self.path(a, h, h)
+            log_rev = self.path(h, h, a)
+            if log_rev == -np.inf:
+                # reverse trajectory carries no flow, whatever the forward side
+                log_a = -np.inf
+            elif log_fwd == -np.inf:
+                log_a = 0.0
+            else:
+                log_ratio = log_rev - log_fwd
+                log_a = -np.inf if math.isnan(log_ratio) else min(0.0, log_ratio)
+            self.accepts[a, h] = log_a
+        return log_a
+
+
+def _transition(origin: PointState, points: Tuple[PointState, ...], policy: BackoffPolicy,
+                memo: dict) -> _Transition:
+    """The table in ``memo`` whose ``pts`` start with ``origin`` and then
+    ``points``, extended or replaced as needed."""
+    table = memo.get(id(origin))
+    if (table is None or table.policy != policy
+            or not all(p is q for p, q in zip(table.pts[1:], points))):
+        table = memo[id(origin)] = _Transition(origin, policy)
+    table.pts.extend(points[len(table.pts) - 1:])
+    return table
+
+
 def _kernel(anchor: PointState, points: Tuple[PointState, ...], policy: BackoffPolicy,
             memo: dict) -> Tuple[float, PrecisionGaussian]:
     """Cumulative dilation scale and proposal kernel at ``anchor`` for the
-    stage after ``points`` were rejected, in order.
-
-    With no rejected points this is the undilated Gauss-Newton proposal at
-    scale 1. Each rejection multiplies the scale by the static factor, or by
-    the dynamic factor chosen from the anchor and the rejected point.
-    """
-    if not points:
-        return 1.0, anchor.proposal
-    key = ("kernel", id(anchor), *map(id, points))
-    if key not in memo:
-        scale, _ = _kernel(anchor, points[:-1], policy, memo)
-        if policy.mode == "static":
-            scale *= policy.factor
-        else:
-            scale *= dynamic_gamma(anchor, points[-1], policy)
-        memo[key] = scale, anchor.proposal.dilate(anchor.x, scale)
-    return memo[key]
+    stage after ``points`` were rejected, in order (see
+    :meth:`_Transition.kernel`)."""
+    scale, mean, precision, log_norm = _transition(anchor, points, policy, memo).kernel(
+        0, len(points))
+    return scale, PrecisionGaussian(mean, precision, anchor.proposal.chol / scale, log_norm)
 
 
 def _log_path(anchor: PointState, points: Tuple[PointState, ...], policy: BackoffPolicy,
               memo: dict) -> float:
-    """log density of the back-off path from ``anchor`` through ``points``.
-
-    That is log p(anchor) plus, for each stage, the log kernel density of
-    its point and, for every stage but the last, log(1 - A) of that stage's
-    acceptance probability.
-    """
-    total = anchor.log_post
-    for i, pt in enumerate(points):
-        _, kern = _kernel(anchor, points[:i], policy, memo)
-        total += kern.log_pdf(pt.x)
-        if i < len(points) - 1:
-            total += _log1m_exp(_log_accept(anchor, points[: i + 1], policy, memo))
-    return total
+    """log density of the back-off path from ``anchor`` through ``points``
+    (see :meth:`_Transition.path`)."""
+    h = len(points)
+    return _transition(anchor, points, policy, memo).path(0, h, h)
 
 
 def _log_accept(origin: PointState, points: Tuple[PointState, ...], policy: BackoffPolicy,
                 memo: dict) -> float:
     """log acceptance probability of the last of ``points``, reached from
     ``origin`` after the others were rejected."""
-    cand = points[-1]
-    if cand.log_post == -np.inf:
-        return -np.inf
-    if cand.proposal is None:
-        # in-domain point whose Gauss-Newton precision was singular: the
-        # reverse kernels cannot be built, so the move is never accepted
-        return -np.inf
-    key = ("accept", id(origin), *map(id, points))
-    if key in memo:
-        return memo[key]
-    log_fwd = _log_path(origin, points, policy, memo)
-    log_rev = _log_path(cand, points[:-1] + (origin,), policy, memo)
-    if log_rev == -np.inf:
-        # reverse trajectory carries no flow, whatever the forward side
-        log_a = -np.inf
-    elif log_fwd == -np.inf:
-        log_a = 0.0
-    else:
-        log_ratio = log_rev - log_fwd
-        log_a = -np.inf if math.isnan(log_ratio) else min(0.0, log_ratio)
-    memo[key] = log_a
-    return log_a
+    return _transition(origin, points, policy, memo).log_accept(0, len(points))
 
 
-def accept_prob(origin: PointState, points: Sequence[PointState], policy: BackoffPolicy,
-                memo: Optional[dict] = None) -> float:
+def accept_prob(origin: PointState, points: Sequence[PointState],
+                policy: BackoffPolicy) -> float:
     """Acceptance probability in [0, 1] of the last of ``points``, proposed
     from ``origin`` after the others were rejected in order.
 
@@ -225,14 +303,11 @@ def accept_prob(origin: PointState, points: Sequence[PointState], policy: Backof
     min{1, p(z) K(z,x) / (p(x) K(x,z))}; with more it is the
     trajectory-balanced ratio described in the module docstring. Every
     density is read from evaluations already cached in the PointStates, so
-    the computation costs no model calls. ``memo`` caches kernels and
-    sub-acceptances across calls within one transition; None starts a fresh
-    one. The result is the same with or without it. Its keys are object
-    ids, so a memo must not outlive the points it has seen.
+    the computation costs no model calls. Each call builds its own
+    per-transition table; :func:`step` keeps one table across its stages.
     """
-    if memo is None:
-        memo = {}
-    return float(np.exp(_log_accept(origin, tuple(points), policy, memo)))
+    points = tuple(points)
+    return float(np.exp(_Transition(origin, policy, points).log_accept(0, len(points))))
 
 
 def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
@@ -249,18 +324,20 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
     proposal was singular (such a point is never accepted).
 
     Per stage the generator is consumed in a fixed order: the proposal's
-    standard normals first, then one uniform for the accept test.
+    standard normals first, then one uniform for the accept test. All
+    stages share one ``_Transition`` table.
     """
     n = current.x.shape[0]
-    memo: dict = {}
-    points: Tuple[PointState, ...] = ()
+    table = _Transition(current, policy)
     for stage_idx in range(1, policy.n_stages + 1):
-        _, kern = _kernel(current, points, policy, memo)
-        z_state = point_state(prior, model, kern.sample(rng.standard_normal(n)))
+        # dilating the factor, chol(P / s^2) = L / s, needs no factorization
+        scale, mean, _, _ = table.kernel(0, stage_idx - 1)
+        u = _solve_lower(current.proposal.chol / scale, rng.standard_normal(n), trans=1)
+        z_state = point_state(prior, model, mean + u)
         if z_state.proposal_failed and counters is not None:
             counters["singular_proposals"] = counters.get("singular_proposals", 0) + 1
-        points += (z_state,)
-        a = accept_prob(current, points, policy, memo)
+        table.pts.append(z_state)
+        a = float(np.exp(table.log_accept(0, stage_idx)))
         if rng.random() < a:
             return z_state, stage_idx
     return current, -1

@@ -241,9 +241,9 @@ class Sampler:
 
         Successive calls continue the same chain. ``divs`` splits the work
         into near-equal divisions; after each one, progress is printed when
-        ``visual`` and a checkpoint is written when ``safe`` names a path
-        (and once more at completion). Divisions do not affect the sampled
-        values.
+        ``visual`` and a checkpoint is written when ``safe`` names a path,
+        so the last division's checkpoint holds the finished run. Divisions
+        do not affect the sampled values.
         """
         if n_samples < 1:
             raise ValueError("n_samples must be at least 1")
@@ -272,8 +272,6 @@ class Sampler:
                 print(f"{100.0 * done / n_samples:.1f}% complete", flush=True)
             if safe is not None:
                 self.save_checkpoint(safe)
-        if safe is not None:
-            self.save_checkpoint(safe)
 
     def burn(self, n_burned: int) -> None:
         """Discard the first ``n_burned`` chain rows. Counters are not

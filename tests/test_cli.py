@@ -226,6 +226,16 @@ def test_jtest_empty_box_usage_error():
     assert code == 2
 
 
+def test_jtest_non_finite_model_output_exit_code(capsys):
+    # sigma = 0 divides the residual and the Jacobian by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code = run_cli("jtest", "--example", "quickstart", "--sigma", "0",
+                       "--seed", "0")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "non-finite model output at jtest point x = " in err
+
+
 def test_jtest_expseries(capsys):
     code = run_cli("jtest", "--example", "expseries", "-N", "40",
                    "--seed", "1")

@@ -17,3 +17,4 @@ def test_checkpoint_resume_demo_resumes_bit_identically(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "resumed chain identical to uninterrupted run: True" in done.stdout
     assert "counters identical: True" in done.stdout
+    assert list(tmp_path.iterdir()) == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gnmh.cli import exp_series_datagen
-from gnmh.errors import DimensionMismatch, PointOutsideDomain
+from gnmh.errors import DimensionMismatch, PointOutsideDomain, UserFunctionFailure
 from gnmh.jtest import JtestDomain, JtestOptions, jtest
 from gnmh.model import (
     ModelHandle,
@@ -111,3 +111,24 @@ def test_box_dimension_must_match_model():
     h = quickstart_handle()
     with pytest.raises(DimensionMismatch):
         jtest(h, JtestDomain.create([-1.0, -1.0], [1.0, 1.0]), rng=0)
+
+
+@pytest.mark.parametrize("output", ["residual", "jacobian"])
+def test_non_finite_model_output_raises_naming_the_point(output):
+    # finite everywhere except a NaN residual or Jacobian entry past x = 0.5
+    def model(x, args):
+        f, jac = x[0], 1.0
+        if x[0] > 0.5:
+            if output == "residual":
+                f = np.nan
+            else:
+                jac = np.nan
+        return True, [f], [[jac]]
+
+    h = ModelHandle(model, None, dim_in=1)
+    with pytest.raises(UserFunctionFailure, match="jtest point x = ") as info:
+        jtest(h, JtestDomain.create([0.0], [1.0]), JtestOptions(N=50), rng=0)
+    x = float(str(info.value).split("x = [")[1].split("]")[0])
+    assert 0.5 - 1e-3 < x < 1.0
+    # stops at the first non-finite error norm instead of shrinking 50 times
+    assert h.call_count < 200

@@ -4,9 +4,11 @@ from scipy.stats import multivariate_normal
 
 from gnmh.cli import exp_series_datagen
 from gnmh.gaussian import PrecisionGaussian
+import gnmh.kernel
 from gnmh.kernel import (
     BackoffPolicy,
     CubicData,
+    _Transition,
     _kernel,
     _log1m_exp,
     _log_accept,
@@ -447,6 +449,22 @@ def test_memoized_acceptance_equals_reference(name, policy):
     assert finite_last >= 3
 
 
+@pytest.mark.parametrize("policy", [BackoffPolicy.static(4, 0.5), BackoffPolicy.dynamic(4)],
+                         ids=["static", "dynamic"])
+@pytest.mark.parametrize("name", ["quickstart", "expseries"])
+def test_table_acceptance_equals_reference_five_stages(name, policy):
+    # the benchmark's depth: one table grows stage by stage, as in step
+    finite = [0] * 5
+    for origin, points in _chain_trajectories(name, policy, 5, 30, seed=8):
+        table = _Transition(origin, policy)
+        for j, pt in enumerate(points, start=1):
+            table.pts.append(pt)
+            got = table.log_accept(0, j)
+            assert got == _reference_log_accept(origin, points[:j], policy)
+            finite[j - 1] += got > -np.inf
+    assert min(finite) >= 1
+
+
 def test_static_stage_scales_exact():
     h = quickstart_handle()
     prior = GaussianPrior.create([0.0], [[1.0]])
@@ -547,3 +565,51 @@ def test_step_counts_each_singular_proposal_once():
                     np.random.default_rng(4), counters)
     assert stage == 2
     assert counters["singular_proposals"] == 1
+
+
+@pytest.mark.parametrize("policy", [BackoffPolicy.static(4, 0.5), BackoffPolicy.dynamic(4)],
+                         ids=["static", "dynamic"])
+@pytest.mark.parametrize("name", ["quickstart", "expseries"])
+def test_step_draws_equal_dilated_proposal_samples(name, policy, monkeypatch):
+    # every candidate is the proposal dilated by its stage's cumulative
+    # scale, then sampled, bit for bit
+    h, prior, x0 = _problem(name)
+    drawn, normals = [], []
+
+    def recording_point_state(prior_, model_, x):
+        drawn.append(point_state(prior_, model_, x))
+        return drawn[-1]
+
+    class RecordingRng:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, n):
+            normals.append(self.rng.standard_normal(n))
+            return normals[-1]
+
+        def random(self):
+            return self.rng.random()
+
+    monkeypatch.setattr(gnmh.kernel, "point_state", recording_point_state)
+    rng = RecordingRng(np.random.default_rng(3))
+    cur = point_state(prior, h, x0)
+    stages_seen = set()
+    for _ in range(150):
+        drawn.clear()
+        normals.clear()
+        nxt, _ = step(cur, policy, prior, h, rng)
+        scale = 1.0
+        for j, (z, y) in enumerate(zip(normals, drawn)):
+            if j == 0:
+                ref = cur.proposal
+            else:
+                if policy.mode == "static":
+                    scale *= policy.factor
+                else:
+                    scale *= dynamic_gamma(cur, drawn[j - 1], policy)
+                ref = cur.proposal.dilate(cur.x, scale)
+            np.testing.assert_array_equal(y.x, ref.sample(z))
+            stages_seen.add(j + 1)
+        cur = nxt
+    assert stages_seen == {1, 2, 3, 4, 5}
