@@ -149,38 +149,21 @@ _EXAMPLES = ("quickstart", "well", "simple2d", "expseries", "badjac")
 # ---------------------------------------------------------------------------
 
 
-def _write_chain_csv(path: str, chain: np.ndarray) -> None:
-    n = chain.shape[1]
+def _write_csv(path: str, header: str, rows: np.ndarray) -> None:
+    """``header``, then each row of ``rows`` as ``format_rows`` writes it,
+    formatted 4096 rows at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{j + 1}" for j in range(n)) + "\n")
-        for lo in range(0, chain.shape[0], 4096):
-            fh.write(format_rows(chain[lo:lo + 4096], after="\n", sep=""))
+        fh.write(header + "\n")
+        for lo in range(0, rows.shape[0], 4096):
+            fh.write(format_rows(rows[lo:lo + 4096], after="\n", sep=""))
 
 
 def _write_histogram_csv(path: str, hist: diagnostics.HistogramResult) -> None:
-    blocks = []
-    for j in range(hist.centers.shape[0]):
-        lines = ["center,density,err"]
-        for c, d, e in zip(hist.centers[j], hist.density[j], hist.err[j]):
-            lines.append(f"{g17(c)},{g17(d)},{g17(e)}")
-        blocks.append("\n".join(lines))
+    # one block per dimension, blocks separated by a blank line
+    blocks = ["center,density,err\n" + format_rows(np.column_stack(cols), after="\n", sep="")
+              for cols in zip(hist.centers, hist.density, hist.err)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n\n".join(blocks) + "\n")
-
-
-def _write_marginal_csv(path: str, ci, cj, density, err) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ci,cj,density,err\n")
-        for a in range(len(ci)):
-            for b in range(len(cj)):
-                fh.write(f"{g17(ci[a])},{g17(cj[b])},{g17(density[a, b])},{g17(err[a, b])}\n")
-
-
-def _write_quadrature_csv(path: str, grid, density) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,density\n")
-        for x, d in zip(grid, density):
-            fh.write(f"{g17(x)},{g17(d)}\n")
+        fh.write("\n".join(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +259,8 @@ def _run_one_chain(example: _Example, cfg: dict, name: str, n_samples: int,
         sampler.burn(n_burn)
     chain = sampler.chain
 
-    _write_chain_csv(os.path.join(out_dir, f"chain{suffix}.csv"), chain)
+    _write_csv(os.path.join(out_dir, f"chain{suffix}.csv"),
+               ",".join(f"x{j + 1}" for j in range(example.dim)), chain)
 
     lo, hi = _range_from_cfg(cfg, example)
     d_min = np.full(example.dim, lo) if np.ndim(lo) == 0 else np.asarray(lo, float)
@@ -287,8 +271,10 @@ def _run_one_chain(example: _Example, cfg: dict, name: str, n_samples: int,
     for pair in cfg.get("marginal", []) or []:
         i, j = int(pair[0]), int(pair[1])
         ci, cj, density, err = diagnostics.error_bars_2d(chain, i, j, n_bins, d_min, d_max)
-        _write_marginal_csv(os.path.join(out_dir, f"marginal_{i}_{j}{suffix}.csv"),
-                            ci, cj, density, err)
+        # a-major: row a * len(cj) + b is (ci[a], cj[b])
+        _write_csv(os.path.join(out_dir, f"marginal_{i}_{j}{suffix}.csv"), "ci,cj,density,err",
+                   np.column_stack([np.repeat(ci, len(cj)), np.tile(cj, len(ci)),
+                                    density.ravel(), err.ravel()]))
 
     if example.dim == 1:
         oracle_handle = example.build_handle()  # separate call counter
@@ -298,8 +284,8 @@ def _run_one_chain(example: _Example, cfg: dict, name: str, n_samples: int,
             return log_posterior(prior, oracle_handle.evaluate([x]), [x])
 
         grid, density = quadrature_1d(log_density, float(d_min[0]), float(d_max[0]))
-        _write_quadrature_csv(os.path.join(out_dir, f"quadrature{suffix}.csv"),
-                              grid, density)
+        _write_csv(os.path.join(out_dir, f"quadrature{suffix}.csv"), "x,density",
+                   np.column_stack([grid, density]))
 
     taus: List[Optional[float]] = []
     ess: List[Optional[float]] = []

@@ -13,11 +13,11 @@ candidate swapped, so its kernels sit at z and its dilation factors are
 recomputed there.
 
 One table per transition, ``_Transition``, holds the points
-``[x, y1, y2, ...]`` and memoizes the only shapes this recursion reaches,
-keyed by indices into those points: kernels (anchor, g), path weights
-(anchor, h, tail) and acceptances (anchor, h). A path weight is its prefix
-path plus one log(1 - A) and one kernel density, so each density, dilated
-kernel and acceptance is computed once per transition.
+``[x, y1, y2, ...]`` and stores each quantity this recursion reaches under
+indices into those points: kernels (anchor, g), path weights (anchor, h,
+tail) and acceptances (anchor, h). A path weight is its prefix path plus
+one log(1 - A) and one kernel density, so each density, dilated kernel and
+acceptance is computed once per transition; ``step`` grows one table.
 
 All ratio arithmetic is in log space; log 0 is -inf and propagates to an
 acceptance probability of 0.
@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidPolicy
-from .gaussian import PrecisionGaussian, _solve_lower
+from .gaussian import _solve_lower
 from .model import ModelHandle
 from .posterior import GaussianPrior, PointState, point_state
 
@@ -160,7 +160,7 @@ class _Transition:
 
     ``pts`` is ``[origin, y1, y2, ...]``, the origin followed by the points
     drawn so far. The trajectory-balanced recursion only reaches three
-    shapes, each memoized under small-int keys into ``pts``:
+    shapes, each computed once and stored under small-int keys into ``pts``:
 
     - kernel ``(a, g)``: the proposal at ``pts[a]`` after ``pts[1..g]`` were
       rejected, stored as ``(scale, mean, precision, log_norm)``;
@@ -257,43 +257,6 @@ class _Transition:
         return log_a
 
 
-def _transition(origin: PointState, points: Tuple[PointState, ...], policy: BackoffPolicy,
-                memo: dict) -> _Transition:
-    """The table in ``memo`` whose ``pts`` start with ``origin`` and then
-    ``points``, extended or replaced as needed."""
-    table = memo.get(id(origin))
-    if (table is None or table.policy != policy
-            or not all(p is q for p, q in zip(table.pts[1:], points))):
-        table = memo[id(origin)] = _Transition(origin, policy)
-    table.pts.extend(points[len(table.pts) - 1:])
-    return table
-
-
-def _kernel(anchor: PointState, points: Tuple[PointState, ...], policy: BackoffPolicy,
-            memo: dict) -> Tuple[float, PrecisionGaussian]:
-    """Cumulative dilation scale and proposal kernel at ``anchor`` for the
-    stage after ``points`` were rejected, in order (see
-    :meth:`_Transition.kernel`)."""
-    scale, mean, precision, log_norm = _transition(anchor, points, policy, memo).kernel(
-        0, len(points))
-    return scale, PrecisionGaussian(mean, precision, anchor.proposal.chol / scale, log_norm)
-
-
-def _log_path(anchor: PointState, points: Tuple[PointState, ...], policy: BackoffPolicy,
-              memo: dict) -> float:
-    """log density of the back-off path from ``anchor`` through ``points``
-    (see :meth:`_Transition.path`)."""
-    h = len(points)
-    return _transition(anchor, points, policy, memo).path(0, h, h)
-
-
-def _log_accept(origin: PointState, points: Tuple[PointState, ...], policy: BackoffPolicy,
-                memo: dict) -> float:
-    """log acceptance probability of the last of ``points``, reached from
-    ``origin`` after the others were rejected."""
-    return _transition(origin, points, policy, memo).log_accept(0, len(points))
-
-
 def accept_prob(origin: PointState, points: Sequence[PointState],
                 policy: BackoffPolicy) -> float:
     """Acceptance probability in [0, 1] of the last of ``points``, proposed
@@ -303,8 +266,8 @@ def accept_prob(origin: PointState, points: Sequence[PointState],
     min{1, p(z) K(z,x) / (p(x) K(x,z))}; with more it is the
     trajectory-balanced ratio described in the module docstring. Every
     density is read from evaluations already cached in the PointStates, so
-    the computation costs no model calls. Each call builds its own
-    per-transition table; :func:`step` keeps one table across its stages.
+    the computation costs no model calls. Each call builds a fresh
+    :class:`_Transition` holding ``origin`` and ``points``.
     """
     points = tuple(points)
     return float(np.exp(_Transition(origin, policy, points).log_accept(0, len(points))))

@@ -406,10 +406,11 @@ class Sampler:
         verified text seeds the save cache, so the first save after a resume
         formats only new rows.
 
-        The model is re-evaluated once at the stored current point to
-        rebuild cached quantities; that call is not added to the restored
-        call count, so a resumed run reports the same totals as an
-        uninterrupted one.
+        The sampler is built by the constructor at the stored current point
+        and prior, so that point must pass the constructor's checks
+        (``InitialGuessOutsideDomain``, ``SingularProposal``). The
+        constructor's model call is not added to the restored call count,
+        so a resumed run reports the same totals as an uninterrupted one.
         """
         try:
             with open(path, "rb") as fh:
@@ -469,26 +470,13 @@ class Sampler:
         if current_x.shape[0] != dim:
             raise CorruptCheckpoint("current point has wrong dimension")
 
-        sampler = cls.__new__(cls)
-        sampler.model = model
-        ev = model.evaluate(current_x)
-        if not ev.inside:
-            raise InitialGuessOutsideDomain(
-                "model indicator is 0 at the checkpointed current point"
-            )
-        sampler.prior = prior
-        sampler.current = point_state_from_eval(prior, current_x, ev)
-        if sampler.current.proposal is None:
-            raise SingularProposal(
-                "Gauss-Newton proposal undefined at the checkpointed current point"
-            )
+        sampler = cls(current_x, model, prior=prior)
         sampler.policy = policy
         sampler.rng = _rng_from_strings(rng_algorithm, rng_state)
         sampler._set_chain(chain, data[:split], chain_crc)
         sampler.n_accepted = n_accepted
         sampler.burned = burned
         sampler._step_count = step_count
-        sampler.warnings = {"singular_proposals": 0}
         # the reload evaluation recomputes a cached value; keep the counters
         # identical to an uninterrupted run
         sampler._call_base = call_count

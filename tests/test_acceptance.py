@@ -17,8 +17,7 @@ from gnmh.jtest import JtestDomain, JtestOptions, jtest
 from gnmh.kernel import (
     BackoffPolicy,
     CubicData,
-    _log_accept,
-    _log_path,
+    _Transition,
     cubic_minimizer,
 )
 from gnmh.model import (
@@ -158,10 +157,9 @@ def test_criterion_3_backoff_trends():
 
 
 def _log_flow(origin, mids, cand, policy):
-    points = tuple(mids) + (cand,)
-    memo = {}
-    return (_log_path(origin, points, policy, memo)
-            + _log_accept(origin, points, policy, memo))
+    h = len(mids) + 1
+    t = _Transition(origin, policy, (*mids, cand))
+    return t.path(0, h, h) + t.log_accept(0, h)
 
 
 def test_criterion_4_very_detailed_balance():

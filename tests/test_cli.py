@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from gnmh import diagnostics
 from gnmh.cli import exp_series_datagen, main, quadrature_1d
 from gnmh.errors import NonFiniteDensity
+from gnmh.model import quickstart_handle
+from gnmh.posterior import GaussianPrior, log_posterior
 
 
 def run_cli(*argv):
@@ -117,6 +120,46 @@ def test_sample_marginal_grid_shape(tmp_path):
     lines = (tmp_path / "marginal_0_1.csv").read_text().splitlines()
     assert lines[0] == "ci,cj,density,err"
     assert len(lines) == 1 + 64
+
+
+def _floats(lines):
+    return [[float(v) for v in line.split(",")] for line in lines]
+
+
+def test_sample_csv_values_equal_diagnostics_on_the_chain(tmp_path):
+    d2, d1 = tmp_path / "simple2d", tmp_path / "quickstart"
+    assert run_cli("sample", "--example", "simple2d", "--samples", "300", "--seed", "5",
+                   "--bins", "6", "--range", "-2", "2", "--marginal", "0", "1",
+                   "--out-dir", str(d2)) == 0
+    assert run_cli("sample", "--example", "quickstart", "--samples", "300", "--seed", "5",
+                   "--bins", "6", "--range", "-3", "3", "--out-dir", str(d1)) == 0
+
+    chain = np.array(_floats((d2 / "chain.csv").read_text().splitlines()[1:]))
+    lo, hi = np.full(2, -2.0), np.full(2, 2.0)
+    hist = diagnostics.error_bars(chain, 6, lo, hi)
+    text = (d2 / "histogram.csv").read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    # one block per dimension, separated by one blank line
+    blocks = text[:-1].split("\n\n")
+    assert len(blocks) == 2
+    for j, block in enumerate(blocks):
+        header, *rows = block.split("\n")
+        assert header == "center,density,err"
+        assert _floats(rows) == [[c, d, e] for c, d, e in
+                                 zip(hist.centers[j], hist.density[j], hist.err[j])]
+
+    ci, cj, density, err = diagnostics.error_bars_2d(chain, 0, 1, 6, lo, hi)
+    header, *rows = (d2 / "marginal_0_1.csv").read_text().splitlines()
+    assert header == "ci,cj,density,err"
+    assert _floats(rows) == [[ci[a], cj[b], density[a, b], err[a, b]]
+                             for a in range(len(ci)) for b in range(len(cj))]
+
+    handle, prior = quickstart_handle(), GaussianPrior.create([0.0], [[1.0]])
+    grid, dens = quadrature_1d(lambda x: log_posterior(prior, handle.evaluate([x]), [x]),
+                               -3.0, 3.0)
+    header, *rows = (d1 / "quadrature.csv").read_text().splitlines()
+    assert header == "x,density"
+    assert _floats(rows) == [[x, d] for x, d in zip(grid, dens)]
 
 
 def test_sample_expseries_with_backoff(tmp_path):

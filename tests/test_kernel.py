@@ -3,16 +3,13 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from gnmh.cli import exp_series_datagen
-from gnmh.gaussian import PrecisionGaussian
+from gnmh.gaussian import _solve_lower
 import gnmh.kernel
 from gnmh.kernel import (
     BackoffPolicy,
     CubicData,
     _Transition,
-    _kernel,
     _log1m_exp,
-    _log_accept,
-    _log_path,
     accept_prob,
     cubic_minimizer,
     dynamic_gamma,
@@ -304,10 +301,9 @@ def test_detailed_balance_single_stage():
 
 def _log_flow(origin, mids, cand, policy):
     """log of p(origin) K1(origin, z1)[1 - A] ... Kk(origin, cand) A(...)."""
-    points = tuple(mids) + (cand,)
-    memo = {}
-    return (_log_path(origin, points, policy, memo)
-            + _log_accept(origin, points, policy, memo))
+    h = len(mids) + 1
+    t = _Transition(origin, policy, (*mids, cand))
+    return t.path(0, h, h) + t.log_accept(0, h)
 
 
 @pytest.mark.parametrize("policy", [BackoffPolicy.static(1, 0.3), BackoffPolicy.dynamic(1)])
@@ -368,9 +364,10 @@ def _chain_trajectories(name, policy, n_stages, count, seed):
         origin = origins[rng.integers(len(origins))]
         points = ()
         for _ in range(n_stages):
-            _, kern = _kernel(origin, points, policy, {})
-            z = kern.sample(rng.standard_normal(origin.x.shape[0]))
-            points += (point_state(prior, h, z),)
+            scale, mean, _, _ = _Transition(origin, policy, points).kernel(0, len(points))
+            u = _solve_lower(origin.proposal.chol / scale,
+                             rng.standard_normal(origin.x.shape[0]), trans=1)
+            points += (point_state(prior, h, mean + u),)
         out.append((origin, points))
     return out
 
@@ -440,10 +437,11 @@ def test_memoized_acceptance_equals_reference(name, policy):
     n_stages = policy.n_stages
     finite_last = 0
     for origin, points in _chain_trajectories(name, policy, n_stages, 30, seed=5):
-        # one memo across the stages, as a transition shares it
-        memo = {}
+        # one table grows stage by stage, as in step
+        table = _Transition(origin, policy)
         for j in range(1, n_stages + 1):
-            got = _log_accept(origin, points[:j], policy, memo)
+            table.pts.append(points[j - 1])
+            got = table.log_accept(0, j)
             assert got == _reference_log_accept(origin, points[:j], policy)
         finite_last += got > -np.inf
     assert finite_last >= 3
@@ -473,11 +471,11 @@ def test_static_stage_scales_exact():
     pts = [point_state(prior, h, rng.uniform(-1.5, 1.5, 1)) for _ in range(4)]
     base = pts[0].proposal
     for i in range(3):
-        scale, kern = _kernel(pts[0], tuple(pts[1:i + 1]), policy, {})
+        scale, mean, precision, _ = _Transition(pts[0], policy, pts[1:i + 1]).kernel(0, i)
         assert scale == 0.25 ** i
         ref = base if i == 0 else base.dilate(pts[0].x, 0.25 ** i)
-        np.testing.assert_array_equal(kern.mean, ref.mean)
-        np.testing.assert_array_equal(kern.precision, ref.precision)
+        np.testing.assert_array_equal(mean, ref.mean)
+        np.testing.assert_array_equal(precision, ref.precision)
 
 
 def test_acceptance_never_nan_on_fuzzed_inputs():

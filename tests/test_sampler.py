@@ -357,6 +357,21 @@ def test_checkpoint_missing_file(tmp_path):
         Sampler.load_checkpoint(tmp_path / "nope.json", quickstart_handle())
 
 
+def test_checkpoint_load_rechecks_current_point(tmp_path):
+    # saved under the default flat prior, so J = 0 leaves no proposal
+    path = tmp_path / "state.json"
+    s = Sampler([0.5], quickstart_handle(), seed=3)
+    s.run_sample(30)
+    s.save_checkpoint(path)
+    assert Sampler.load_checkpoint(path, quickstart_handle()).call_count == s.call_count
+    outside = ModelHandle(lambda x, a: (0, [x[0]], [[1.0]]), None, dim_in=1)
+    with pytest.raises(InitialGuessOutsideDomain):
+        Sampler.load_checkpoint(path, outside)
+    zero_jacobian = ModelHandle(lambda x, a: (1, [0.0], [[0.0]]), None, dim_in=1)
+    with pytest.raises(SingularProposal):
+        Sampler.load_checkpoint(path, zero_jacobian)
+
+
 def test_checkpoint_numbers_have_17_significant_digits(tmp_path):
     path = tmp_path / "state.json"
     s = make_quickstart(seed=2)
