@@ -29,9 +29,14 @@ hist = gnmh.error_bars(sampler.chain, 100, [-3.0], [3.0])
 
 # the 1D quadrature oracle for the same density
 oracle = gnmh.quickstart_handle(y=1.0, sigma=0.5)
-grid, density = quadrature_1d(
-    lambda x: log_posterior(prior, oracle.evaluate([x]), [x]), -3.0, 3.0
-)
+
+
+def log_density(x):
+    point = np.array([x])
+    return log_posterior(prior, oracle.evaluate(point), point)
+
+
+grid, density = quadrature_1d(log_density, -3.0, 3.0)
 q_at_centers = np.interp(hist.centers[0], grid, density)
 
 frac_within = np.mean(

@@ -281,7 +281,8 @@ def _run_one_chain(example: _Example, cfg: dict, name: str, n_samples: int,
         prior = sampler.prior
 
         def log_density(x: float) -> float:
-            return log_posterior(prior, oracle_handle.evaluate([x]), [x])
+            point = np.array([x])
+            return log_posterior(prior, oracle_handle.evaluate(point), point)
 
         grid, density = quadrature_1d(log_density, float(d_min[0]), float(d_max[0]))
         _write_csv(os.path.join(out_dir, f"quadrature{suffix}.csv"), "x,density",

@@ -123,10 +123,11 @@ def cubic_minimizer(c: CubicData) -> Optional[float]:
 def dynamic_gamma(x_state: PointState, z_state: PointState, policy: BackoffPolicy) -> float:
     """Dilation factor from a cubic model of phi(t) = ||f(x + t(z-x))||^2.
 
-    The endpoint values and slopes come from the two cached evaluations, so
-    no model calls are spent. The minimizer is clamped to
-    [policy.t_lo, policy.t_hi]; if the cubic has no interior minimum or ``z``
-    is outside the domain, the clamp midpoint is returned.
+    The endpoint values and slopes come from the two cached evaluations and
+    the stored ||f||^2 of each point, so no model calls are spent. The
+    minimizer is clamped to [policy.t_lo, policy.t_hi]; if the cubic has no
+    interior minimum or ``z`` is outside the domain, the clamp midpoint is
+    returned.
     """
     fallback = 0.5 * (policy.t_lo + policy.t_hi)
     if not z_state.inside:
@@ -135,8 +136,8 @@ def dynamic_gamma(x_state: PointState, z_state: PointState, policy: BackoffPolic
     fx, Jx = x_state.eval.residual, x_state.eval.jacobian
     fz, Jz = z_state.eval.residual, z_state.eval.jacobian
     c = CubicData(
-        phi0=float(fx @ fx),
-        phi1=float(fz @ fz),
+        phi0=x_state.residual_sq,
+        phi1=z_state.residual_sq,
         dphi0=2.0 * float(fx @ (Jx @ direction)),
         dphi1=2.0 * float(fz @ (Jz @ direction)),
     )
@@ -291,11 +292,14 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
     stages share one ``_Transition`` table.
     """
     n = current.x.shape[0]
+    chol = current.proposal.chol
     table = _Transition(current, policy)
     for stage_idx in range(1, policy.n_stages + 1):
-        # dilating the factor, chol(P / s^2) = L / s, needs no factorization
+        # dilating the factor, chol(P / s^2) = L / s, needs no factorization;
+        # stage 1 is undilated (s = 1)
         scale, mean, _, _ = table.kernel(0, stage_idx - 1)
-        u = _solve_lower(current.proposal.chol / scale, rng.standard_normal(n), trans=1)
+        dilated = chol if stage_idx == 1 else chol / scale
+        u = _solve_lower(dilated, rng.standard_normal(n), trans=1)
         z_state = point_state(prior, model, mean + u)
         if z_state.proposal_failed and counters is not None:
             counters["singular_proposals"] = counters.get("singular_proposals", 0) + 1

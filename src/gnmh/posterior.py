@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -28,7 +29,8 @@ from .model import ModelEval, ModelHandle
 class GaussianPrior:
     """Gaussian prior with mean ``mean`` and precision matrix ``precision``.
 
-    A zero precision matrix is the flat (improper) prior.
+    A zero precision matrix is the flat (improper) prior. ``mean`` and
+    ``precision`` are 1-D and 2-D float arrays and are never modified.
     """
 
     mean: np.ndarray
@@ -64,19 +66,30 @@ class GaussianPrior:
     def dim(self) -> int:
         return self.mean.shape[0]
 
+    @cached_property
+    def precision_mean(self) -> np.ndarray:
+        """H m, the prior's term of every Gauss-Newton right-hand side,
+        computed on first use."""
+        return self.precision @ self.mean
+
+
+def _log_target(prior: GaussianPrior, x: np.ndarray, residual_sq: float) -> float:
+    """-(x-m)'H(x-m)/2 - ||f(x)||^2/2 from ``residual_sq`` = ||f(x)||^2."""
+    d = x - prior.mean
+    return -0.5 * float(d @ prior.precision @ d) - 0.5 * residual_sq
+
 
 def log_posterior(prior: GaussianPrior, ev: ModelEval, x) -> float:
     """Unnormalized log target at ``x`` given its model evaluation.
 
     Returns -inf outside the domain; otherwise
     -(x-m)'H(x-m)/2 - ||f(x)||^2/2. The normalization constant is omitted
-    (it cancels in every ratio the sampler forms).
+    (it cancels in every ratio the sampler forms). ``x`` is not coerced:
+    pass a 1-D float array of the prior's dimension.
     """
     if not ev.inside:
         return -np.inf
-    x = np.asarray(x, dtype=float).reshape(-1)
-    d = x - prior.mean
-    return -0.5 * float(d @ prior.precision @ d) - 0.5 * float(ev.residual @ ev.residual)
+    return _log_target(prior, x, float(ev.residual @ ev.residual))
 
 
 def gn_proposal(prior: GaussianPrior, ev: ModelEval, x) -> PrecisionGaussian:
@@ -86,20 +99,20 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval, x) -> PrecisionGaussian:
     completing the square in the linearized target. Requires an in-domain
     evaluation.
 
-    This is the per-point hot path: one Cholesky factorization and two
-    triangular solves, with no validation. The prior was validated by
-    ``GaussianPrior.create`` and the shapes of J and f by
-    ``ModelHandle.evaluate``; P is symmetric by construction. Non-finite
-    model output is not checked here: it gives a non-finite log-posterior
-    or ``log_norm``, which ``point_state_from_eval`` turns into a
-    ``UserFunctionFailure``.
+    This is the per-point hot path: one Cholesky factorization (LAPACK
+    ``dpotrf``) and two triangular solves, with no validation or coercion.
+    Internal callers pass ``x`` as a 1-D float array; the prior was
+    validated by ``GaussianPrior.create``, whose H m is computed once, and
+    the shapes of J and f by ``ModelHandle.evaluate``; P is symmetric by
+    construction. Non-finite model output is not checked here: it gives a
+    non-finite ``log_norm`` or a ``SingularProposal``, which
+    ``point_state_from_eval`` turns into a ``UserFunctionFailure``.
 
     Raises
     ------
     SingularProposal
         If H + J'J is not positive definite.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
     J = ev.jacobian
     f = ev.residual
     JtJ = J.T @ J
@@ -111,7 +124,7 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval, x) -> PrecisionGaussian:
         raise SingularProposal(
             "Gauss-Newton precision H + J'J is not positive definite"
         ) from exc
-    rhs = prior.precision @ prior.mean - J.T @ f + JtJ @ x
+    rhs = prior.precision_mean - J.T @ f + JtJ @ x
     mu = _solve_lower(chol, _solve_lower(chol, rhs), trans=1)
     return PrecisionGaussian(mean=mu, precision=P, chol=chol, log_norm=log_norm)
 
@@ -122,12 +135,15 @@ class PointState:
 
     ``proposal`` is the Gauss-Newton proposal anchored here; it is None when
     the point is outside the domain, or when the proposal precision was
-    singular (``proposal_failed`` distinguishes the two).
+    singular (``proposal_failed`` distinguishes the two). ``residual_sq`` is
+    ||f(x)||^2, computed once for the log-posterior and the dynamic
+    dilation factor; it is inf outside the domain.
     """
 
     x: np.ndarray
     eval: ModelEval
     log_post: float
+    residual_sq: float
     proposal: Optional[PrecisionGaussian]
     proposal_failed: bool = False
 
@@ -136,8 +152,12 @@ class PointState:
         return self.eval.inside
 
 
-def point_state_from_eval(prior: GaussianPrior, x, ev: ModelEval) -> PointState:
+def point_state_from_eval(prior: GaussianPrior, x: np.ndarray,
+                          ev: ModelEval) -> PointState:
     """Assemble a PointState from a cached evaluation (no model call).
+
+    ``x`` is not coerced: callers pass the 1-D float array that ``ev`` was
+    evaluated at. The proposal is factored with LAPACK ``dpotrf``.
 
     Raises
     ------
@@ -147,25 +167,27 @@ def point_state_from_eval(prior: GaussianPrior, x, ev: ModelEval) -> PointState:
         the Jacobian is scanned only when the proposal is singular).
         An infinite residual is not an error: it is zero density.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    lp = log_posterior(prior, ev, x)
+    if not ev.inside:
+        return PointState(x=x, eval=ev, log_post=-np.inf, residual_sq=np.inf,
+                          proposal=None)
+    residual_sq = float(ev.residual @ ev.residual)
+    lp = _log_target(prior, x, residual_sq)
     proposal = None
     failed = False
-    non_finite = math.isnan(lp)
-    if ev.inside:
-        try:
-            proposal = gn_proposal(prior, ev, x)
-            non_finite = non_finite or not math.isfinite(proposal.log_norm)
-        except SingularProposal:
-            failed = True
-            # an infinite Jacobian entry can also fail the factorization
-            non_finite = non_finite or not np.isfinite(ev.jacobian).all()
+    try:
+        proposal = gn_proposal(prior, ev, x)
+        non_finite = math.isnan(lp) or not math.isfinite(proposal.log_norm)
+    except SingularProposal:
+        failed = True
+        # an infinite Jacobian entry can also fail the factorization
+        non_finite = math.isnan(lp) or not np.isfinite(ev.jacobian).all()
     if non_finite:
         raise UserFunctionFailure(
             f"non-finite model output at x = {x.tolist()}: "
             "a NaN residual, or a Jacobian J with J'J not finite"
         )
-    return PointState(x=x, eval=ev, log_post=lp, proposal=proposal, proposal_failed=failed)
+    return PointState(x=x, eval=ev, log_post=lp, residual_sq=residual_sq,
+                      proposal=proposal, proposal_failed=failed)
 
 
 def point_state(prior: GaussianPrior, model: ModelHandle, x) -> PointState:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gnmh.errors import DimensionMismatch, InvalidDilation, NotPositiveDefinite
-from gnmh.gaussian import PrecisionGaussian
+from gnmh.gaussian import _LOG_2PI, PrecisionGaussian, _factor
 
 
 def test_log_norm_1d():
@@ -134,3 +134,50 @@ def test_dilate_composition_law():
         np.testing.assert_allclose(twice.mean, once.mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(twice.precision, once.precision, rtol=1e-12)
         assert twice.log_norm == pytest.approx(once.log_norm, rel=1e-12)
+
+
+def _random_spd_matrices(rng, n, count):
+    for _ in range(count):
+        A = rng.normal(size=(n, n))
+        P = A @ A.T + rng.uniform(0.01, n) * np.eye(n)
+        yield 0.5 * (P + P.T)
+
+
+def _old_log_norm(chol):
+    n = chol.shape[0]
+    return 0.5 * (2.0 * float(np.sum(np.log(np.diag(chol))))) - 0.5 * n * _LOG_2PI
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factor_bit_identical_to_numpy_cholesky_small_n(n):
+    rng = np.random.default_rng(500 + n)
+    for P in _random_spd_matrices(rng, n, 500):
+        chol, log_norm = _factor(P)
+        assert chol.flags.c_contiguous
+        np.testing.assert_array_equal(chol, np.linalg.cholesky(P))
+        assert log_norm == _old_log_norm(chol)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_factor_matches_numpy_cholesky_large_n(n):
+    # numpy and scipy bundle different OpenBLAS builds, which may differ in
+    # the last bits from n = 5 on
+    rng = np.random.default_rng(500 + n)
+    for P in _random_spd_matrices(rng, n, 500):
+        chol, log_norm = _factor(P)
+        assert chol.flags.c_contiguous
+        L = np.linalg.cholesky(P)
+        np.testing.assert_allclose(chol, L, rtol=1e-12, atol=1e-12 * np.abs(L).max())
+        assert log_norm == _old_log_norm(chol)
+
+
+@pytest.mark.parametrize("P", [
+    [[1.0, 2.0], [2.0, 1.0]],            # eigenvalues 3 and -1
+    [[0.0]],
+    [[np.nan]],
+    [[1.0, np.nan], [np.nan, 2.0]],
+    [[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, np.nan]],
+])
+def test_factor_refuses_indefinite_and_nan(P):
+    with pytest.raises(NotPositiveDefinite):
+        _factor(np.array(P))

@@ -175,6 +175,23 @@ def test_point_state_outside_domain():
     h = ModelHandle(lambda x, a: (x[0] > 0, [x[0]], [[1.0]]), None, dim_in=1)
     st = point_state(GaussianPrior.flat([0.0]), h, [-2.0])
     assert st.log_post == -np.inf and st.proposal is None and not st.proposal_failed
+    assert st.residual_sq == np.inf
+
+
+def test_point_state_computes_residual_norm_and_log_post_once_bit_identically():
+    # the stored ||f||^2 and log-posterior equal the public function's, and
+    # the prior's H m is computed once and reused
+    rng = np.random.default_rng(11)
+    h = linear_handle(rng.normal(size=(4, 3)), rng.normal(size=4))
+    prior = GaussianPrior.create(rng.normal(size=3), _random_spd(rng, 3))
+    for _ in range(20):
+        x = rng.normal(size=3)
+        st = point_state(prior, h, x)
+        f = st.eval.residual
+        assert st.residual_sq == float(f @ f)
+        assert st.log_post == log_posterior(prior, h.evaluate(x), x)
+    np.testing.assert_array_equal(prior.precision_mean, prior.precision @ prior.mean)
+    assert prior.precision_mean is prior.precision_mean
 
 
 def _reference_gn_proposal(prior, ev, x):
