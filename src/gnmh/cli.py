@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .model import (
     ModelHandle,
     exp_series_handle,
     exp_series_model,
-    quickstart_handle,
     quickstart_model,
     simple2d_handle,
 )
@@ -88,57 +87,48 @@ def _badjac_model(x, args):
     return inside, f, [[jac[0][0] + 0.01]]
 
 
-class _Example:
-    def __init__(self, dim, build_handle, x0, prior_mean, prior_precision,
-                 hist_range, jtest_box):
-        self.dim = dim
-        self.build_handle = build_handle
-        self.x0 = x0
-        self.prior_mean = prior_mean
-        self.prior_precision = prior_precision
-        self.hist_range = hist_range
-        self.jtest_box = jtest_box
+class _Example(NamedTuple):
+    """A bundled model, with ``--y``, ``--sigma`` and ``--data-seed`` applied.
+
+    ``x0``, ``prior_mean``, ``prior_precision`` and ``range`` are named
+    after the ``sample`` settings they stand in for when left at None.
+    """
+
+    dim: int
+    build_handle: Callable[[], ModelHandle]
+    x0: list
+    prior_mean: list
+    prior_precision: list
+    range: Tuple[float, float]
+    jtest_box: Tuple[list, list]
 
 
-def _make_example(name: str, opts: dict) -> _Example:
-    y = float(opts.get("y", 1.0 if name != "well" else 4.0))
-    sigma = float(opts.get("sigma", 0.5))
-    if name in ("quickstart", "well"):
-        return _Example(
-            dim=1,
-            build_handle=lambda: quickstart_handle(y=y, sigma=sigma),
-            x0=[0.5] if name == "quickstart" else [float(np.sqrt(y))],
-            prior_mean=[0.0], prior_precision=[[1.0]],
-            hist_range=(-3.0, 3.0), jtest_box=([-2.0], [2.0]),
-        )
+def _make_example(args: argparse.Namespace) -> _Example:
+    name = args.example
+    y = args.y if args.y is not None else (4.0 if name == "well" else 1.0)
+    sigma = args.sigma if args.sigma is not None else 0.5
     if name == "simple2d":
         return _Example(
-            dim=2,
-            build_handle=lambda: simple2d_handle(y=y, sigma=sigma),
-            x0=[1.0, 0.0],
-            prior_mean=[0.0, 0.0], prior_precision=np.eye(2).tolist(),
-            hist_range=(-2.0, 2.0), jtest_box=([-2.0, -2.0], [2.0, 2.0]),
+            dim=2, build_handle=lambda: simple2d_handle(y=y, sigma=sigma),
+            x0=[1.0, 0.0], prior_mean=[0.0, 0.0], prior_precision=np.eye(2).tolist(),
+            range=(-2.0, 2.0), jtest_box=([-2.0, -2.0], [2.0, 2.0]),
         )
     if name == "expseries":
-        data_seed = int(opts.get("data_seed", 14))
-        args = exp_series_datagen(seed=data_seed)
+        data = exp_series_datagen(seed=args.data_seed if args.data_seed is not None else 14)
         return _Example(
-            dim=4,
-            build_handle=lambda: exp_series_handle(args, n_terms=2),
-            x0=[4.0, 2.0, 0.5, 1.0],
-            prior_mean=[4.0, 2.0, 0.5, 1.0],
+            dim=4, build_handle=lambda: exp_series_handle(data, n_terms=2),
+            x0=[4.0, 2.0, 0.5, 1.0], prior_mean=[4.0, 2.0, 0.5, 1.0],
             prior_precision=(0.5 * np.eye(4)).tolist(),
-            hist_range=(0.0, 5.0),
-            jtest_box=([0.1] * 4, [5.0] * 4),
+            range=(0.0, 5.0), jtest_box=([0.1] * 4, [5.0] * 4),
         )
-    if name == "badjac":
-        return _Example(
-            dim=1,
-            build_handle=lambda: ModelHandle(_badjac_model, {"y": y, "sigma": sigma}, dim_in=1),
-            x0=[0.5], prior_mean=[0.0], prior_precision=[[1.0]],
-            hist_range=(-3.0, 3.0), jtest_box=([-2.0], [2.0]),
-        )
-    raise ValueError(f"unknown example {name!r}")
+    # quickstart, well and badjac: the 1D double well
+    model = _badjac_model if name == "badjac" else quickstart_model
+    return _Example(
+        dim=1, build_handle=lambda: ModelHandle(model, {"y": y, "sigma": sigma}, dim_in=1),
+        x0=[float(np.sqrt(y))] if name == "well" else [0.5],
+        prior_mean=[0.0], prior_precision=[[1.0]],
+        range=(-3.0, 3.0), jtest_box=([-2.0], [2.0]),
+    )
 
 
 _EXAMPLES = ("quickstart", "well", "simple2d", "expseries", "badjac")
@@ -171,114 +161,59 @@ def _write_histogram_csv(path: str, hist: diagnostics.HistogramResult) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _merged_config(args: argparse.Namespace) -> dict:
-    cfg = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    for key in ("example", "samples", "burn", "divs", "seed", "bins", "range",
-                "backoff", "max_steps", "factor", "prior_mean",
-                "prior_precision", "marginal", "out_dir", "checkpoint",
-                "visual", "chains", "y", "sigma", "x0", "data_seed"):
-        flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
-            cfg[key] = flag
-    return cfg
-
-
 def _cmd_sample(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
-    name = cfg.get("example", "quickstart")
-    if name not in _EXAMPLES:
-        print(f"error: unknown example {name!r}", file=sys.stderr)
-        return 2
-    n_samples = int(cfg.get("samples", 10000))
-    if n_samples < 1:
-        print("error: --samples must be at least 1", file=sys.stderr)
-        return 2
-    n_burn = int(cfg.get("burn", 0))
-    divs = int(cfg.get("divs", 1))
-    seed = int(cfg.get("seed", 0))
-    n_bins = int(cfg.get("bins", 100))
-    n_chains = int(cfg.get("chains", 1))
-    if n_chains < 1:
-        print("error: --chains must be at least 1", file=sys.stderr)
-        return 2
-    if not 0 <= n_burn < n_samples:
-        print("error: --burn must lie in [0, samples)", file=sys.stderr)
-        return 2
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
+    if args.chains < 1:
+        raise ValueError("--chains must be at least 1")
+    if not 0 <= args.burn < args.samples:
+        raise ValueError("--burn must lie in [0, samples)")
 
-    example = _make_example(name, cfg)
-    out_dir = cfg.get("out_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
+    # a setting left at None takes the example's value
+    example = _make_example(args)._replace(**{
+        key: getattr(args, key) for key in ("x0", "prior_mean", "prior_precision", "range")
+        if getattr(args, key) is not None})
+    os.makedirs(args.out_dir, exist_ok=True)
 
-    for c in range(n_chains):
-        suffix = f"_{c}" if n_chains > 1 else ""
-        code = _run_one_chain(example, cfg, name, n_samples, n_burn, divs,
-                              seed + c, n_bins, out_dir, suffix)
-        if code != 0:
-            return code
+    for c in range(args.chains):
+        _run_one_chain(args, example, args.seed + c, f"_{c}" if args.chains > 1 else "")
     return 0
 
 
-def _resolve_prior(cfg: dict, example: _Example, dim: int):
-    mean = cfg.get("prior_mean", example.prior_mean)
-    precision = cfg.get("prior_precision", example.prior_precision)
-    if precision == "flat" or list(precision) == ["flat"]:
-        precision = np.zeros((dim, dim))
-    precision = np.asarray(precision, dtype=float)
-    if precision.ndim == 1:
-        precision = precision.reshape(dim, dim)
-    return np.asarray(mean, dtype=float), precision
+def _run_one_chain(args: argparse.Namespace, example: _Example, seed: int, suffix: str) -> None:
+    dim, out_dir = example.dim, args.out_dir
+    flat = example.prior_precision == ["flat"]
+    precision = np.zeros(dim * dim) if flat else np.asarray(example.prior_precision, dtype=float)
+    prior = GaussianPrior.create(example.prior_mean, precision.reshape(dim, dim))
+    sampler = Sampler(np.asarray(example.x0, dtype=float), example.build_handle(),
+                      seed=seed, prior=prior)
+    if args.backoff == "static":
+        sampler.set_static(args.max_steps, args.factor)
+    elif args.backoff == "dynamic":
+        sampler.set_dynamic(args.max_steps)
 
-
-def _run_one_chain(example: _Example, cfg: dict, name: str, n_samples: int,
-                   n_burn: int, divs: int, seed: int, n_bins: int,
-                   out_dir: str, suffix: str) -> int:
-    handle = example.build_handle()
-    x0 = np.asarray(cfg.get("x0", example.x0), dtype=float)
-    prior_mean, prior_precision = _resolve_prior(cfg, example, example.dim)
-    sampler = Sampler(x0, handle, seed=seed,
-                      prior=GaussianPrior.create(prior_mean, prior_precision))
-
-    backoff = cfg.get("backoff", "none")
-    if backoff == "static":
-        sampler.set_static(int(cfg.get("max_steps", 1)), float(cfg.get("factor", 0.1)))
-    elif backoff == "dynamic":
-        sampler.set_dynamic(int(cfg.get("max_steps", 1)))
-    elif backoff != "none":
-        print(f"error: unknown back-off mode {backoff!r}", file=sys.stderr)
-        return 2
-
-    checkpoint = cfg.get("checkpoint")
-    if checkpoint is not None and suffix:
-        checkpoint = str(checkpoint) + suffix
-    sampler.run_sample(n_samples, divs=divs, visual=bool(cfg.get("visual", False)),
-                       safe=checkpoint)
-    if n_burn:
-        sampler.burn(n_burn)
+    checkpoint = args.checkpoint + suffix if args.checkpoint is not None else None
+    sampler.run_sample(args.samples, divs=args.divs, visual=args.visual, safe=checkpoint)
+    if args.burn:
+        sampler.burn(args.burn)
     chain = sampler.chain
 
     _write_csv(os.path.join(out_dir, f"chain{suffix}.csv"),
-               ",".join(f"x{j + 1}" for j in range(example.dim)), chain)
+               ",".join(f"x{j + 1}" for j in range(dim)), chain)
 
-    lo, hi = _range_from_cfg(cfg, example)
-    d_min = np.full(example.dim, lo) if np.ndim(lo) == 0 else np.asarray(lo, float)
-    d_max = np.full(example.dim, hi) if np.ndim(hi) == 0 else np.asarray(hi, float)
-    hist = diagnostics.error_bars(chain, n_bins, d_min, d_max)
+    d_min, d_max = np.full(dim, example.range[0]), np.full(dim, example.range[1])
+    hist = diagnostics.error_bars(chain, args.bins, d_min, d_max)
     _write_histogram_csv(os.path.join(out_dir, f"histogram{suffix}.csv"), hist)
 
-    for pair in cfg.get("marginal", []) or []:
-        i, j = int(pair[0]), int(pair[1])
-        ci, cj, density, err = diagnostics.error_bars_2d(chain, i, j, n_bins, d_min, d_max)
+    for i, j in args.marginal:
+        ci, cj, density, err = diagnostics.error_bars_2d(chain, i, j, args.bins, d_min, d_max)
         # a-major: row a * len(cj) + b is (ci[a], cj[b])
         _write_csv(os.path.join(out_dir, f"marginal_{i}_{j}{suffix}.csv"), "ci,cj,density,err",
                    np.column_stack([np.repeat(ci, len(cj)), np.tile(cj, len(ci)),
                                     density.ravel(), err.ravel()]))
 
-    if example.dim == 1:
+    if dim == 1:
         oracle_handle = example.build_handle()  # separate call counter
-        prior = sampler.prior
 
         def log_density(x: float) -> float:
             point = np.array([x])
@@ -290,7 +225,7 @@ def _run_one_chain(example: _Example, cfg: dict, name: str, n_samples: int,
 
     taus: List[Optional[float]] = []
     ess: List[Optional[float]] = []
-    for j in range(example.dim):
+    for j in range(dim):
         try:
             res = diagnostics.acor(chain[:, j])
             taus.append(res.tau)
@@ -299,7 +234,7 @@ def _run_one_chain(example: _Example, cfg: dict, name: str, n_samples: int,
             taus.append(None)
             ess.append(None)
     summary = {
-        "example": name,
+        "example": args.example,
         "seed": seed,
         "n_samples": sampler.n_samples,
         "n_accepted": sampler.n_accepted,
@@ -313,16 +248,6 @@ def _run_one_chain(example: _Example, cfg: dict, name: str, n_samples: int,
     with open(os.path.join(out_dir, f"summary{suffix}.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    return 0
-
-
-def _range_from_cfg(cfg: dict, example: _Example):
-    rng = cfg.get("range")
-    if rng is None:
-        return example.hist_range
-    if len(rng) != 2:
-        raise ValueError("--range needs exactly two numbers")
-    return float(rng[0]), float(rng[1])
 
 
 # ---------------------------------------------------------------------------
@@ -331,25 +256,14 @@ def _range_from_cfg(cfg: dict, example: _Example):
 
 
 def _cmd_jtest(args: argparse.Namespace) -> int:
-    opts = {}
-    if args.y is not None:
-        opts["y"] = args.y
-    if args.sigma is not None:
-        opts["sigma"] = args.sigma
-    if args.data_seed is not None:
-        opts["data_seed"] = args.data_seed
-    example = _make_example(args.example, opts)
+    example = _make_example(args)
     x_min = args.min if args.min is not None else example.jtest_box[0]
     x_max = args.max if args.max is not None else example.jtest_box[1]
     if len(x_min) != len(x_max) or not all(a < b for a, b in zip(x_min, x_max)):
-        print("error: empty box, need min < max componentwise", file=sys.stderr)
-        return 2
-    options = JtestOptions(
-        dx=args.dx, N=args.n_points, eps_max=args.eps_max,
-        p=args.p, l_max=args.l_max, r=args.r,
-    )
-    handle = example.build_handle()
-    error = jtest(handle, JtestDomain.create(x_min, x_max), options,
+        raise ValueError("empty box, need min < max componentwise")
+    options = JtestOptions(dx=args.dx, N=args.n_points, eps_max=args.eps_max,
+                           p=args.p, l_max=args.l_max, r=args.r)
+    error = jtest(example.build_handle(), JtestDomain.create(x_min, x_max), options,
                   rng=args.seed)
     if error == 0.0:
         print("0")
@@ -363,67 +277,112 @@ def _cmd_jtest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _config_words(key: str, value) -> List[str]:
+    """The command-line words for one config value, lists flattened."""
+    if isinstance(value, list):
+        return [word for item in value for word in _config_words(key, item)]
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config setting {key!r} holds {json.dumps(value)}, "
+                         "not a number, a string or a list of them")
+    # positional notation, so that a negative float is not read as a flag
+    return [np.format_float_positional(value, trim="-") if isinstance(value, float)
+            else str(value)]
+
+
+def _with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                 argv: List[str]) -> argparse.Namespace:
+    """Parse ``argv`` again with the settings in ``args.config`` as flags in
+    front of the command line's, so the parser checks both and flags win."""
+    with open(args.config, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {args.config} does not hold a JSON object")
+    words = []
+    for key, value in cfg.items():
+        if key == "config" or key not in vars(args):
+            raise ValueError(f"config file {args.config}: {key!r} is not a config setting")
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            words += [flag] if value else []
+        elif key == "marginal" and isinstance(value, list):
+            for pair in value:
+                words += [flag, *_config_words(key, pair)]
+        else:
+            words += [flag, *_config_words(key, value)]
+    at = argv.index("sample") + 1
+    merged = parser.parse_args(argv[:at] + words + argv[at:])
+    if args.marginal:  # --marginal appends, so the command line's pairs replace the file's here
+        merged.marginal = args.marginal
+    return merged
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gnmh",
         description="Gauss-Newton Metropolis sampler with back-off",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = argparse.ArgumentDefaultsHelpFormatter
 
-    ps = sub.add_parser("sample", help="run a bundled example and emit data files")
-    ps.add_argument("--example", choices=_EXAMPLES)
-    ps.add_argument("--samples", type=int)
-    ps.add_argument("--burn", type=int)
-    ps.add_argument("--divs", type=int)
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--bins", type=int)
-    ps.add_argument("--range", type=float, nargs=2, metavar=("LO", "HI"))
-    ps.add_argument("--backoff", choices=("none", "static", "dynamic"))
-    ps.add_argument("--max-steps", type=int, dest="max_steps")
-    ps.add_argument("--factor", type=float)
-    ps.add_argument("--prior-mean", type=float, nargs="+", dest="prior_mean")
-    ps.add_argument("--prior-precision", nargs="+", dest="prior_precision",
+    ps = sub.add_parser("sample", help="run a bundled example and emit data files",
+                        description="Settings whose default is None take the example's value.",
+                        formatter_class=defaults)
+    ps.add_argument("--example", choices=_EXAMPLES, default="quickstart", help="bundled model")
+    ps.add_argument("--samples", type=int, default=10000, help="transitions to run")
+    ps.add_argument("--burn", type=int, default=0, help="leading rows dropped after the run")
+    ps.add_argument("--divs", type=int, default=1, help="checkpoint and progress divisions")
+    ps.add_argument("--seed", type=int, default=0, help="seed of the first chain")
+    ps.add_argument("--bins", type=int, default=100, help="histogram bins per coordinate")
+    ps.add_argument("--range", type=float, nargs=2, metavar=("LO", "HI"), help="histogram range")
+    ps.add_argument("--backoff", choices=("none", "static", "dynamic"), default="none",
+                    help="how a rejected proposal is contracted")
+    ps.add_argument("--max-steps", type=int, default=1, help="proposals after the first one")
+    ps.add_argument("--factor", type=float, default=0.1, help="static back-off dilation factor")
+    ps.add_argument("--prior-mean", type=float, nargs="+")
+    ps.add_argument("--prior-precision", nargs="+",
                     help="row-major entries, or the single word 'flat'")
-    ps.add_argument("--marginal", type=int, nargs=2, action="append",
-                    metavar=("I", "J"))
-    ps.add_argument("--out-dir", dest="out_dir")
+    ps.add_argument("--marginal", type=int, nargs=2, action="append", default=[],
+                    metavar=("I", "J"), help="write the 2D marginal of x_I and x_J")
+    ps.add_argument("--out-dir", default=".", help="directory of the output files")
     ps.add_argument("--checkpoint", help="enables safe mode, writing here")
-    ps.add_argument("--visual", action="store_true")
-    ps.add_argument("--chains", type=int)
+    ps.add_argument("--visual", action="store_true", help="print progress after each division")
+    ps.add_argument("--chains", type=int, default=1, help="chains, seeded seed, seed + 1, ...")
     ps.add_argument("--x0", type=float, nargs="+")
     ps.add_argument("--y", type=float)
     ps.add_argument("--sigma", type=float)
-    ps.add_argument("--data-seed", type=int, dest="data_seed")
+    ps.add_argument("--data-seed", type=int)
     ps.add_argument("--config", help="JSON file of settings; flags override it")
     ps.set_defaults(func=_cmd_sample)
 
-    pj = sub.add_parser("jtest", help="check a bundled model's Jacobian")
-    pj.add_argument("--example", choices=_EXAMPLES, default="quickstart")
+    pj = sub.add_parser("jtest", help="check a bundled model's Jacobian", formatter_class=defaults)
+    pj.add_argument("--example", choices=_EXAMPLES, default="quickstart", help="bundled model")
     pj.add_argument("--min", type=float, nargs="+")
     pj.add_argument("--max", type=float, nargs="+")
-    pj.add_argument("--dx", type=float, default=2e-4)
-    pj.add_argument("-N", "--n-points", type=int, default=1000, dest="n_points")
-    pj.add_argument("--eps-max", type=float, default=1e-4, dest="eps_max")
-    pj.add_argument("--p", type=float, default=2.0)
-    pj.add_argument("--l-max", type=int, default=50, dest="l_max")
-    pj.add_argument("--r", type=float, default=0.5)
+    pj.add_argument("--dx", type=float, default=JtestOptions.dx, help="first step / box width")
+    pj.add_argument("-N", "--n-points", type=int, default=JtestOptions.N, help="test points")
+    pj.add_argument("--eps-max", type=float, default=JtestOptions.eps_max, help="pass threshold")
+    pj.add_argument("--p", type=float, default=JtestOptions.p, help="order of the error norm")
+    pj.add_argument("--l-max", type=int, default=JtestOptions.l_max, help="shrinks per point")
+    pj.add_argument("--r", type=float, default=JtestOptions.r, help="shrink ratio")
     pj.add_argument("--y", type=float)
     pj.add_argument("--sigma", type=float)
-    pj.add_argument("--data-seed", type=int, dest="data_seed")
-    pj.add_argument("--seed", type=int, default=0)
+    pj.add_argument("--data-seed", type=int)
+    pj.add_argument("--seed", type=int, default=0, help="seed of the test points")
     pj.set_defaults(func=_cmd_jtest)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        if getattr(args, "config", None) is not None:
+            args = _with_config(parser, args, argv)
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return int(exc.code) if exc.code else 0
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GnmhError as exc:

@@ -41,6 +41,14 @@ class JtestOptions:
     l_max: int = 50
     r: float = 0.5
 
+    def __post_init__(self):
+        rules = {"dx > 0": self.dx > 0.0, "N >= 1": self.N >= 1,
+                 "eps_max > 0": self.eps_max > 0.0, "p >= 1": self.p >= 1.0,
+                 "l_max >= 0": self.l_max >= 0, "0 < r < 1": 0.0 < self.r < 1.0}
+        broken = [rule for rule, holds in rules.items() if not holds]
+        if broken:
+            raise ValueError(f"jtest options need {', '.join(broken)}; got {self}")
+
 
 @dataclass(frozen=True)
 class JtestDomain:

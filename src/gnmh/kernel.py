@@ -87,18 +87,9 @@ class BackoffPolicy:
         return self.max_steps + 1
 
 
-@dataclass(frozen=True)
-class CubicData:
-    """Endpoint values and slopes of a function on [0, 1]."""
-
-    phi0: float
-    phi1: float
-    dphi0: float
-    dphi1: float
-
-
-def cubic_minimizer(c: CubicData) -> Optional[float]:
-    """Location in (0, 1) of the Hermite cubic interpolant's local minimum.
+def cubic_minimizer(phi0: float, phi1: float, dphi0: float, dphi1: float) -> Optional[float]:
+    """Location in (0, 1) of the local minimum of the Hermite cubic on [0, 1]
+    with end values phi0, phi1 and end slopes dphi0, dphi1.
 
     Uses the closed form
     d1 = dphi0 + dphi1 - 3(phi1 - phi0), d2 = sqrt(d1^2 - dphi0*dphi1),
@@ -106,15 +97,15 @@ def cubic_minimizer(c: CubicData) -> Optional[float]:
     Returns None when the square root is imaginary or the minimizer is not
     strictly interior. None is an ordinary outcome, not an error.
     """
-    d1 = c.dphi0 + c.dphi1 - 3.0 * (c.phi1 - c.phi0)
-    disc = d1 * d1 - c.dphi0 * c.dphi1
+    d1 = dphi0 + dphi1 - 3.0 * (phi1 - phi0)
+    disc = d1 * d1 - dphi0 * dphi1
     if disc < 0.0:
         return None
     d2 = math.sqrt(disc)
-    denom = c.dphi1 - c.dphi0 + 2.0 * d2
+    denom = dphi1 - dphi0 + 2.0 * d2
     if denom == 0.0:
         return None
-    t = 1.0 - (c.dphi1 + d2 - d1) / denom
+    t = 1.0 - (dphi1 + d2 - d1) / denom
     if not 0.0 < t < 1.0 or not math.isfinite(t):
         return None
     return t
@@ -135,13 +126,8 @@ def dynamic_gamma(x_state: PointState, z_state: PointState, policy: BackoffPolic
     direction = z_state.x - x_state.x
     fx, Jx = x_state.eval.residual, x_state.eval.jacobian
     fz, Jz = z_state.eval.residual, z_state.eval.jacobian
-    c = CubicData(
-        phi0=x_state.residual_sq,
-        phi1=z_state.residual_sq,
-        dphi0=2.0 * float(fx @ (Jx @ direction)),
-        dphi1=2.0 * float(fz @ (Jz @ direction)),
-    )
-    t = cubic_minimizer(c)
+    t = cubic_minimizer(x_state.residual_sq, z_state.residual_sq,
+                        2.0 * float(fx @ (Jx @ direction)), 2.0 * float(fz @ (Jz @ direction)))
     if t is None:
         return fallback
     return min(max(t, policy.t_lo), policy.t_hi)

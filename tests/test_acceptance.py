@@ -16,7 +16,6 @@ from gnmh.cli import exp_series_datagen, quadrature_1d
 from gnmh.jtest import JtestDomain, JtestOptions, jtest
 from gnmh.kernel import (
     BackoffPolicy,
-    CubicData,
     _Transition,
     cubic_minimizer,
 )
@@ -243,9 +242,8 @@ def test_criterion_6_cubic_minimizer():
     checked = 0
     while checked < 1000:
         a, b, c, d = rng.normal(size=4) * 2.0
-        data = CubicData(phi0=d, phi1=a + b + c + d, dphi0=c,
-                         dphi1=3 * a + 2 * b + c)
-        t = cubic_minimizer(data)
+        t = cubic_minimizer(phi0=d, phi1=a + b + c + d, dphi0=c,
+                            dphi1=3 * a + 2 * b + c)
         if t is None:
             continue
         vals = ((a * grid + b) * grid + c) * grid + d

@@ -283,3 +283,71 @@ def test_jtest_expseries(capsys):
     code = run_cli("jtest", "--example", "expseries", "-N", "40",
                    "--seed", "1")
     assert code == 0
+
+
+def test_jtest_invalid_option_usage_error(capsys):
+    assert run_cli("jtest", "--example", "quickstart", "--dx", "0") == 2
+    err = capsys.readouterr().err
+    assert "dx > 0" in err and "model output" not in err
+
+
+# ---------------------------------------------------------------------------
+# --config and --help
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("content", [
+    "[1, 2]",                               # not an object
+    '{"samples": null}',                    # null value
+    '{"sampels": 50}',                      # misspelled key
+    '{"samp": 50}',                         # a prefix of a flag is no key either
+    '{"config": "other.json"}',             # a config cannot name another
+    '{"out_dir": {"a": 1}}',                # neither a number, a string nor a list
+    '{"samples": "many"}',                  # the parser's type check
+    '{"backoff": "weird"}',                 # the parser's choices
+    '{"range": [1, 2, 3]}',                 # the parser's nargs
+])
+def test_sample_bad_config_usage_error(tmp_path, capsys, content):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(content)
+    assert run_cli("sample", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sample_config_writes_what_the_same_flags_write(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "example": "simple2d", "samples": 200, "seed": 5, "bins": 7,
+        "prior_precision": [[2, 0], [0, 3]], "prior_mean": [-1e-7, 0.25],
+        "marginal": [[0, 1], [1, 0]], "visual": True, "range": [-1.5, 1.5],
+        "backoff": "dynamic", "max_steps": 2, "out_dir": str(tmp_path / "config"),
+    }))
+    assert run_cli("sample", "--config", str(cfg)) == 0
+    assert run_cli("sample", "--example", "simple2d", "--samples", "200", "--seed", "5",
+                   "--bins", "7", "--prior-precision", "2", "0", "0", "3",
+                   "--prior-mean", "-0.0000001", "0.25", "--marginal", "0", "1",
+                   "--marginal", "1", "0", "--visual", "--range", "-1.5", "1.5",
+                   "--backoff", "dynamic", "--max-steps", "2",
+                   "--out-dir", str(tmp_path / "flags")) == 0
+    names = sorted(p.name for p in (tmp_path / "flags").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "config").iterdir())
+    assert "marginal_1_0.csv" in names
+    for name in names:
+        assert (tmp_path / "config" / name).read_bytes() == \
+            (tmp_path / "flags" / name).read_bytes(), name
+
+
+def test_sample_marginal_flag_replaces_config_pairs(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"example": "simple2d", "samples": 100, "bins": 5,
+                               "marginal": [[0, 1]], "out_dir": str(tmp_path / "out")}))
+    assert run_cli("sample", "--config", str(cfg), "--marginal", "1", "0") == 0
+    assert not (tmp_path / "out" / "marginal_0_1.csv").exists()
+    assert (tmp_path / "out" / "marginal_1_0.csv").exists()
+
+
+def test_sample_help_shows_defaults(capsys):
+    assert run_cli("sample", "--help") == 0
+    out = capsys.readouterr().out
+    assert "10000" in out

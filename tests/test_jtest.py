@@ -19,6 +19,16 @@ def test_defaults_match_standard_values():
     assert (o.dx, o.N, o.eps_max, o.p, o.l_max, o.r) == (2e-4, 1000, 1e-4, 2.0, 50, 0.5)
 
 
+@pytest.mark.parametrize("field, bad, rule", [
+    ("dx", 0.0, "dx > 0"), ("N", 0, "N >= 1"), ("eps_max", 0.0, "eps_max > 0"),
+    ("p", 0.5, "p >= 1"), ("l_max", -1, "l_max >= 0"), ("r", 1.0, "0 < r < 1"),
+])
+def test_options_validation(field, bad, rule):
+    with pytest.raises(ValueError, match=f"need {rule};") as info:
+        JtestOptions(**{field: bad})
+    assert f"{field}={bad!r}" in str(info.value)
+
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         JtestDomain.create([0.0, 0.0], [1.0, 0.0])

@@ -7,7 +7,6 @@ from gnmh.gaussian import _solve_lower
 import gnmh.kernel
 from gnmh.kernel import (
     BackoffPolicy,
-    CubicData,
     _Transition,
     _log1m_exp,
     accept_prob,
@@ -20,14 +19,16 @@ from gnmh.model import ModelHandle, exp_series_handle, linear_handle, quickstart
 from gnmh.posterior import GaussianPrior, point_state
 
 
-def hermite(c: CubicData, t):
-    """Independent cubic Hermite evaluation on [0, 1]."""
+def hermite(c, t):
+    """Independent cubic Hermite evaluation on [0, 1]; ``c`` is
+    ``(phi0, phi1, dphi0, dphi1)``."""
     t = np.asarray(t)
     h00 = 2 * t**3 - 3 * t**2 + 1
     h10 = t**3 - 2 * t**2 + t
     h01 = -2 * t**3 + 3 * t**2
     h11 = t**3 - t**2
-    return c.phi0 * h00 + c.dphi0 * h10 + c.phi1 * h01 + c.dphi1 * h11
+    phi0, phi1, dphi0, dphi1 = c
+    return phi0 * h00 + dphi0 * h10 + phi1 * h01 + dphi1 * h11
 
 
 # ---------------------------------------------------------------------------
@@ -54,16 +55,16 @@ def test_policy_validation():
 
 
 def test_cubic_minimum_at_right_endpoint_rejected():
-    assert cubic_minimizer(CubicData(1.0, 0.0, -2.0, 0.0)) is None
+    assert cubic_minimizer(1.0, 0.0, -2.0, 0.0) is None
 
 
 def test_cubic_symmetric_quadratic():
-    assert cubic_minimizer(CubicData(0.25, 0.25, -1.0, 1.0)) == pytest.approx(0.5)
+    assert cubic_minimizer(0.25, 0.25, -1.0, 1.0) == pytest.approx(0.5)
 
 
 def test_cubic_t3_minus_2t2_plus_t():
     # stationary points at 1/3 (max) and 1 (min); 1 is not interior
-    assert cubic_minimizer(CubicData(0.0, 0.0, 1.0, 0.0)) is None
+    assert cubic_minimizer(0.0, 0.0, 1.0, 0.0) is None
 
 
 def test_cubic_against_grid_oracle():
@@ -72,9 +73,8 @@ def test_cubic_against_grid_oracle():
     checked = 0
     while checked < 200:
         a, b, c_, d = rng.normal(size=4) * 2
-        data = CubicData(phi0=d, phi1=a + b + c_ + d, dphi0=c_,
-                         dphi1=3 * a + 2 * b + c_)
-        t = cubic_minimizer(data)
+        t = cubic_minimizer(phi0=d, phi1=a + b + c_ + d, dphi0=c_,
+                            dphi1=3 * a + 2 * b + c_)
         if t is None:
             continue
         vals = ((a * grid + b) * grid + c_) * grid + d
@@ -90,8 +90,8 @@ def test_cubic_result_is_local_minimum_of_interpolant():
     rng = np.random.default_rng(9)
     found = 0
     while found < 100:
-        data = CubicData(*rng.normal(size=4))
-        t = cubic_minimizer(data)
+        data = rng.normal(size=4)
+        t = cubic_minimizer(*data)
         if t is None:
             continue
         v = hermite(data, t)
