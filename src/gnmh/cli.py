@@ -20,8 +20,9 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import diagnostics
-from .errors import GnmhError, NonFiniteDensity
+from .errors import GnmhError, InvalidPolicy, NonFiniteDensity
 from .jtest import JtestDomain, JtestOptions, jtest
+from .kernel import BackoffPolicy
 from .model import (
     ExpSeriesArgs,
     ModelHandle,
@@ -168,29 +169,50 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError("--chains must be at least 1")
     if not 0 <= args.burn < args.samples:
         raise ValueError("--burn must lie in [0, samples)")
+    if args.bins < 1:
+        raise ValueError("--bins must be at least 1")
+    policy = _backoff_policy(args)
 
     # a setting left at None takes the example's value
     example = _make_example(args)._replace(**{
         key: getattr(args, key) for key in ("x0", "prior_mean", "prior_precision", "range")
         if getattr(args, key) is not None})
+    for pair in args.marginal:
+        if not all(0 <= k < example.dim for k in pair):
+            raise ValueError(f"--marginal {pair[0]} {pair[1]}: indices must lie in "
+                             f"[0, {example.dim})")
     os.makedirs(args.out_dir, exist_ok=True)
 
     for c in range(args.chains):
-        _run_one_chain(args, example, args.seed + c, f"_{c}" if args.chains > 1 else "")
+        _run_one_chain(args, example, policy, args.seed + c,
+                       f"_{c}" if args.chains > 1 else "")
     return 0
 
 
-def _run_one_chain(args: argparse.Namespace, example: _Example, seed: int, suffix: str) -> None:
+def _backoff_policy(args: argparse.Namespace) -> BackoffPolicy:
+    """The back-off settings as a policy; invalid ones are a usage error."""
+    try:
+        if args.backoff == "static":
+            return BackoffPolicy.static(args.max_steps, args.factor)
+        if args.backoff == "dynamic":
+            return BackoffPolicy.dynamic(args.max_steps)
+        return BackoffPolicy.none()
+    except InvalidPolicy as exc:
+        raise ValueError(f"--backoff {args.backoff}: {exc}") from exc
+
+
+def _run_one_chain(args: argparse.Namespace, example: _Example, policy: BackoffPolicy,
+                   seed: int, suffix: str) -> None:
     dim, out_dir = example.dim, args.out_dir
     flat = example.prior_precision == ["flat"]
     precision = np.zeros(dim * dim) if flat else np.asarray(example.prior_precision, dtype=float)
     prior = GaussianPrior.create(example.prior_mean, precision.reshape(dim, dim))
     sampler = Sampler(np.asarray(example.x0, dtype=float), example.build_handle(),
                       seed=seed, prior=prior)
-    if args.backoff == "static":
-        sampler.set_static(args.max_steps, args.factor)
-    elif args.backoff == "dynamic":
-        sampler.set_dynamic(args.max_steps)
+    if policy.mode == "static":
+        sampler.set_static(policy.max_steps, policy.factor)
+    elif policy.mode == "dynamic":
+        sampler.set_dynamic(policy.max_steps)
 
     checkpoint = args.checkpoint + suffix if args.checkpoint is not None else None
     sampler.run_sample(args.samples, divs=args.divs, visual=args.visual, safe=checkpoint)
@@ -344,7 +366,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--marginal", type=int, nargs=2, action="append", default=[],
                     metavar=("I", "J"), help="write the 2D marginal of x_I and x_J")
     ps.add_argument("--out-dir", default=".", help="directory of the output files")
-    ps.add_argument("--checkpoint", help="enables safe mode, writing here")
+    ps.add_argument("--checkpoint", metavar="PATH",
+                    help="enables safe mode: the state document goes to PATH and the "
+                         "chain rows to PATH.chain or PATH.chain-b beside it")
     ps.add_argument("--visual", action="store_true", help="print progress after each division")
     ps.add_argument("--chains", type=int, default=1, help="chains, seeded seed, seed + 1, ...")
     ps.add_argument("--x0", type=float, nargs="+")

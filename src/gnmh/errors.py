@@ -42,7 +42,8 @@ class BurnTooLarge(GnmhError):
 
 
 class CorruptCheckpoint(GnmhError):
-    """Checkpoint file failed version or checksum validation."""
+    """A checkpoint failed validation: its version, a checksum, or a chain
+    file that is missing or shorter than the document says."""
 
 
 class IOFailure(GnmhError):

@@ -1,13 +1,21 @@
 """Chain orchestration: initialization, prior and back-off configuration,
 sampling in divisions with optional checkpointing, burn-in, and counters.
 
-The chain is one growing float64 array. The checkpoint file is a single
-JSON document with a fixed field order, 17-significant-digit numbers, and
-a CRC-32 checksum over its own text (the document without its checksum
-field), so a resumed run continues bit-identically. The sampler keeps the
-text of the chain section and its running CRC, so a save formats only the
-rows added since the last one plus the small state that follows them; it
-is fsynced before it replaces the previous file.
+The chain is one growing float64 array. A checkpoint is two files:
+
+- the state document at the checkpoint path: one JSON document with a fixed
+  field order, 17-significant-digit numbers, and a CRC-32 checksum over its
+  own text (the document without its checksum field). It holds everything
+  but the chain rows, so a resumed run continues bit-identically, and it
+  names the chain file, its row count and the rows' CRC-32;
+- the chain file beside it, the document's path plus ``.chain`` or
+  ``.chain-b``: the rows as raw little-endian float64, append-only.
+
+A save appends the rows added since the last save to the chain file and
+fsyncs it, then replaces the document through a temp file, fsynced and
+renamed, and fsyncs the directory. A save that must write the whole chain
+writes it to the chain file the current document does not name, so the
+previous checkpoint stays loadable until the new document replaces it.
 """
 
 from __future__ import annotations
@@ -15,8 +23,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import zlib
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -35,9 +44,13 @@ from .kernel import BackoffPolicy
 from .model import ModelHandle
 from .posterior import GaussianPrior, log_posterior, point_state_from_eval
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 _CHECKSUM_KEY = b',"checksum":'
-_CHAIN_END = b'],"counters":'
+# the two chain file names, as suffixes of the document's path
+_CHAIN_SUFFIXES = (".chain", ".chain-b")
+# the document's fields up to the chain file's CRC-32, as every save writes them
+_DOC_HEAD = re.compile(rb'\{"format_version":%d,"dim":(\d+),"chain_file":"(\.chain(?:-b)?)",'
+                       rb'"chain_rows":(\d+),"chain_crc":"([0-9a-f]{8})",' % _CHECKPOINT_VERSION)
 
 
 def g17(v) -> str:
@@ -76,15 +89,90 @@ def _serialize(v) -> str:
     return _fmt_number(v)
 
 
-def _chain_head(dim: int) -> bytes:
-    """Checkpoint text up to the first chain row."""
-    return f'{{"format_version":{_CHECKPOINT_VERSION},"dim":{int(dim)},"chain":['.encode()
-
-
 def _checksum_field(crc: int) -> bytes:
     """The checksum field and the end of the file, for the CRC-32 ``crc`` of
     the document text without that field."""
     return _CHECKSUM_KEY + b'"%08x"}\n' % crc
+
+
+class _ChainFile(NamedTuple):
+    """The chain file a state document names: the suffix that makes its
+    name from the document's, and the CRC-32 of its first ``rows`` rows of
+    ``dim`` numbers."""
+
+    dim: int
+    suffix: str
+    rows: int
+    crc: int
+
+
+def _named_chain(path: str) -> Optional[_ChainFile]:
+    """The chain file that the document at ``path`` names, read from the
+    head of its text; None when no version-2 document is there."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(256)
+    except FileNotFoundError:
+        return None
+    m = _DOC_HEAD.match(head)
+    if m is None:
+        return None
+    return _ChainFile(int(m[1]), m[2].decode("ascii"), int(m[3]), int(m[4], 16))
+
+
+def _raw_rows(rows: np.ndarray) -> memoryview:
+    """The bytes of ``rows`` as little-endian float64, row after row."""
+    return memoryview(np.ascontiguousarray(rows, dtype="<f8").reshape(-1).view(np.uint8))
+
+
+def _write_synced(path: str, data, offset: int, create: bool) -> None:
+    """Write the bytes ``data`` at ``offset`` in the file at ``path``, cut
+    the file after them and fsync it."""
+    fd = os.open(path, os.O_WRONLY | (os.O_CREAT if create else 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            written = os.pwrite(fd, view, offset)
+            view, offset = view[written:], offset + written
+        os.ftruncate(fd, offset)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _replace_synced(path: str, data: bytes) -> None:
+    """Replace the file at ``path`` by ``data`` atomically and durably: a
+    temp file, fsynced, renamed over ``path``, then the directory fsynced."""
+    tmp = path + ".tmp"
+    _write_synced(tmp, data, 0, create=True)
+    os.replace(tmp, path)
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
+def _read_chain(path: str, chain: _ChainFile) -> np.ndarray:
+    """The first ``chain.rows`` rows of the chain file at ``path``, checked
+    against ``chain.crc``. Bytes after them, left by a save that stopped
+    between its append and its document replace, are not read."""
+    size = chain.rows * chain.dim * 8
+    try:
+        with open(path, "rb") as fh:
+            # a file too short for the rows allocates nothing
+            buf = bytearray(size if os.fstat(fh.fileno()).st_size >= size else 0)
+            got = fh.readinto(buf)
+    except FileNotFoundError as exc:
+        raise CorruptCheckpoint(f"chain file {path} is missing") from exc
+    except OSError as exc:
+        raise IOFailure(f"could not read chain file: {exc}") from exc
+    if got < size:
+        raise CorruptCheckpoint(f"chain file {path} holds fewer than the "
+                                f"checkpoint's {chain.rows} rows")
+    if zlib.crc32(buf) != chain.crc:
+        raise CorruptCheckpoint(f"chain file {path}: checksum mismatch")
+    return np.frombuffer(buf, dtype="<f8").reshape(chain.rows, chain.dim)
 
 
 def _rng_state_strings(rng: np.random.Generator) -> tuple:
@@ -302,18 +390,14 @@ class Sampler:
 
     # -- chain storage ------------------------------------------------------
 
-    def _set_chain(self, rows: np.ndarray, text: Optional[bytes] = None,
-                   crc: int = 0) -> None:
-        """Make ``rows`` (owned by the sampler) the whole chain. ``text`` is
-        their checkpoint text from the head through the last row, with its
-        CRC-32 ``crc``, when known; otherwise the next save formats them."""
+    def _set_chain(self, rows: np.ndarray) -> None:
+        """Make ``rows`` (owned by the sampler) the whole chain; the next
+        save writes all of it."""
         self._buf = rows
         self._n = rows.shape[0]
-        # checkpoint text through row ``_text_rows``, as chunks, and the
-        # running CRC-32 of that text
-        self._text: Optional[List[bytes]] = None if text is None else [text]
-        self._text_rows = 0 if text is None else self._n
-        self._text_crc = crc
+        # the chain file of the document this sampler last saved or loaded;
+        # its rows are the first rows of this chain
+        self._on_disk: Optional[_ChainFile] = None
 
     def _reserve(self, extra: int) -> None:
         """Make room for ``extra`` more rows, at least doubling the buffer
@@ -326,28 +410,16 @@ class Sampler:
 
     # -- checkpointing ----------------------------------------------------
 
-    def _checkpoint_chunks(self) -> List[bytes]:
-        """The checkpoint file's bytes, formatting only the rows added since
-        the last save."""
-        if self._text is None:
-            head = _chain_head(self.dim)
-            self._text, self._text_rows, self._text_crc = [head], 0, zlib.crc32(head)
-        if self._n > self._text_rows:
-            rows = format_rows(self._buf[self._text_rows:self._n], "[", "]")
-            new = (("," if self._text_rows else "") + rows).encode("ascii")
-            self._text.append(new)
-            self._text_crc = zlib.crc32(new, self._text_crc)
-            self._text_rows = self._n
-        tail = self._state_tail()
-        crc = zlib.crc32(tail, self._text_crc)
-        return self._text + [tail[:-1], _checksum_field(crc)]
-
-    def _state_tail(self) -> bytes:
-        """Checkpoint text after the last chain row, through the closing
-        brace of the document without its checksum field."""
+    def _document(self, chain: _ChainFile) -> bytes:
+        """The state document's bytes, naming ``chain`` as its chain file."""
         algorithm, state = _rng_state_strings(self.rng)
         policy, prior = self.policy, self.prior
-        return ("]," + _serialize({
+        body = _serialize({
+            "format_version": _CHECKPOINT_VERSION,
+            "dim": self.dim,
+            "chain_file": chain.suffix,
+            "chain_rows": chain.rows,
+            "chain_crc": "%08x" % chain.crc,
             "counters": {
                 "n_samples": self.n_samples,
                 "n_accepted": self.n_accepted,
@@ -355,6 +427,7 @@ class Sampler:
                 "burned": self.burned,
             },
             "step_count": {str(k): v for k, v in self.step_count.items()},
+            "warnings": dict(self.warnings),
             "policy": {
                 "mode": policy.mode,
                 "max_steps": int(policy.max_steps),
@@ -368,43 +441,67 @@ class Sampler:
             },
             "current_x": [float(v) for v in self.current.x],
             "rng": {"algorithm_id": algorithm, "state": state},
-        })[1:]).encode("utf-8")
+        }).encode("utf-8")
+        return body[:-1] + _checksum_field(zlib.crc32(body))
 
     def save_checkpoint(self, path: Union[str, os.PathLike]) -> None:
-        """Write the full sampler state atomically and durably: a temp file,
-        fsynced, renamed over ``path``, then the directory fsynced.
+        """Write the full sampler state atomically and durably.
 
-        Only the rows added since the last save (or since :meth:`burn`) are
-        formatted, so a save costs O(new rows) in Python work plus writing
-        the file. The bytes equal a full canonical serialization of the
-        state.
+        The state document goes to ``path``, and the chain rows to a chain
+        file beside it (``path`` plus ``.chain`` or ``.chain-b``) that the
+        document names. When the document at ``path`` is the one this
+        sampler last saved or loaded, the save appends the rows added since
+        then at the end of their chain file, cutting off anything a stopped
+        save left after them, and fsyncs it. Otherwise (the first save to
+        ``path``, or the first after :meth:`burn`) it writes the whole chain
+        to the chain file that the document at ``path`` does not name. Then
+        the document is replaced: a temp file, fsynced, renamed over
+        ``path``, then the directory fsynced. Only after that is the other
+        chain file removed, so a save stopped at any point leaves the
+        previous checkpoint or the new one.
+
+        The document's bytes depend only on the sampler's state and on
+        which chain file it names.
         """
-        chunks = self._checkpoint_chunks()
-        tmp = str(path) + ".tmp"
+        path = os.fspath(path)
         try:
-            with open(tmp, "wb") as fh:
-                fh.writelines(chunks)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
+            named = _named_chain(path)
+            start = self._on_disk
+            if start is None or named != start:
+                # whole chain, to the file the document at ``path`` does not name
+                other = named is not None and named.suffix == _CHAIN_SUFFIXES[0]
+                start = _ChainFile(self.dim, _CHAIN_SUFFIXES[other], 0, 0)
+            rows = _raw_rows(self._buf[start.rows:self._n])
+            saved = start._replace(rows=self._n, crc=zlib.crc32(rows, start.crc))
+            # an empty chain still gets its chain file; an append of no
+            # rows leaves the file alone
+            if start.rows == 0 or rows:
+                _write_synced(path + saved.suffix, rows, start.rows * self.dim * 8,
+                              create=start.rows == 0)
+            _replace_synced(path, self._document(saved))
+            self._on_disk = saved
+            stale = path + _CHAIN_SUFFIXES[saved.suffix == _CHAIN_SUFFIXES[0]]
+            if os.path.exists(stale):
+                os.remove(stale)
         except OSError as exc:
             raise CheckpointWriteFailure(f"could not write checkpoint: {exc}") from exc
 
     @classmethod
     def load_checkpoint(cls, path: Union[str, os.PathLike],
                         model: ModelHandle) -> "Sampler":
-        """Rebuild a sampler from a checkpoint file.
+        """Rebuild a sampler from a checkpoint: the state document at
+        ``path`` and the chain file it names.
 
-        The CRC-32 is checked on the file's own bytes, so any changed byte
-        is refused with ``CorruptCheckpoint``, including a re-formatted file
-        that holds the same values. The chain is read in one pass and its
-        verified text seeds the save cache, so the first save after a resume
-        formats only new rows.
+        The document's CRC-32 is checked on its own bytes, so any changed
+        byte is refused with ``CorruptCheckpoint``, including a re-formatted
+        document that holds the same values. A document of another format
+        version is refused, naming its version; this release reads only
+        version 2, so checkpoints of version 1, which held the chain in the
+        document, do not load. Exactly the document's ``chain_rows`` rows
+        are read from the chain file and checked against its ``chain_crc``;
+        a missing or short chain file is refused, and bytes after those
+        rows are ignored. The next save to ``path`` appends to that chain
+        file.
 
         The sampler is built by the constructor at the stored current point
         and prior, so that point must pass the constructor's checks
@@ -412,6 +509,7 @@ class Sampler:
         constructor's model call is not added to the restored call count,
         so a resumed run reports the same totals as an uninterrupted one.
         """
+        path = os.fspath(path)
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -421,30 +519,29 @@ class Sampler:
             doc = json.loads(data)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CorruptCheckpoint(f"checkpoint is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("format_version") != _CHECKPOINT_VERSION:
-            raise CorruptCheckpoint("unsupported checkpoint format version")
-        if "checksum" not in doc:
-            raise CorruptCheckpoint("checkpoint has no checksum")
-        # the CRC of the text before the checksum field, closed with "}";
-        # the chain section's share of it is kept for the save cache
+        version = doc.get("format_version") if isinstance(doc, dict) else None
+        if version != _CHECKPOINT_VERSION:
+            raise CorruptCheckpoint(f"checkpoint format version {version} is not "
+                                    f"supported; this release reads version "
+                                    f"{_CHECKPOINT_VERSION}")
+        # the CRC of the text before the checksum field, closed with "}"
         end = data.rfind(_CHECKSUM_KEY)
-        split = data.find(_CHAIN_END, 0, end)
-        if end < 0 or split < 0:
-            raise CorruptCheckpoint("checkpoint is not in the canonical layout")
-        chain_crc = zlib.crc32(memoryview(data)[:split])
-        crc = zlib.crc32(b"}", zlib.crc32(memoryview(data)[split:end], chain_crc))
-        if data[end:] != _checksum_field(crc):
+        if end < 0:
+            raise CorruptCheckpoint("checkpoint has no checksum")
+        if data[end:] != _checksum_field(zlib.crc32(b"}", zlib.crc32(memoryview(data)[:end]))):
             raise CorruptCheckpoint("checksum mismatch")
 
         try:
             dim = int(doc["dim"])
-            chain = np.array(doc["chain"], dtype=float).reshape(-1, dim)
+            chain_file = _ChainFile(dim, doc["chain_file"], int(doc["chain_rows"]),
+                                    int(doc["chain_crc"], 16))
             counters = doc["counters"]
             n_samples = int(counters["n_samples"])
             n_accepted = int(counters["n_accepted"])
             call_count = int(counters["call_count"])
             burned = int(counters["burned"])
             step_count = {int(k): int(v) for k, v in doc["step_count"].items()}
+            warnings = {str(k): int(v) for k, v in doc["warnings"].items()}
             pol = doc["policy"]
             policy = BackoffPolicy(
                 mode=pol["mode"], max_steps=int(pol["max_steps"]),
@@ -458,9 +555,11 @@ class Sampler:
             current_x = np.asarray(doc["current_x"], dtype=float)
             rng_algorithm = doc["rng"]["algorithm_id"]
             rng_state = [str(s) for s in doc["rng"]["state"]]
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
             raise CorruptCheckpoint(f"malformed checkpoint field: {exc}") from exc
-        if n_samples != chain.shape[0]:
+        if chain_file.suffix not in _CHAIN_SUFFIXES:
+            raise CorruptCheckpoint(f"unknown chain file {chain_file.suffix!r}")
+        if n_samples != chain_file.rows:
             raise CorruptCheckpoint("counter n_samples disagrees with chain length")
 
         if model.dim_in != dim:
@@ -469,14 +568,17 @@ class Sampler:
             )
         if current_x.shape[0] != dim:
             raise CorruptCheckpoint("current point has wrong dimension")
+        chain = _read_chain(path + chain_file.suffix, chain_file)
 
         sampler = cls(current_x, model, prior=prior)
         sampler.policy = policy
         sampler.rng = _rng_from_strings(rng_algorithm, rng_state)
-        sampler._set_chain(chain, data[:split], chain_crc)
+        sampler._set_chain(chain)
+        sampler._on_disk = chain_file
         sampler.n_accepted = n_accepted
         sampler.burned = burned
         sampler._step_count = step_count
+        sampler.warnings = warnings
         # the reload evaluation recomputes a cached value; keep the counters
         # identical to an uninterrupted run
         sampler._call_base = call_count

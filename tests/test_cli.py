@@ -177,6 +177,21 @@ def test_sample_zero_samples_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ("--backoff", "static", "--factor", "1.5"),
+    ("--backoff", "dynamic", "--max-steps", "-1"),
+    ("--bins", "0"),
+    ("--marginal", "0", "5"),
+])
+def test_sample_usage_error_before_any_sampling(tmp_path, capsys, flags):
+    code = run_cli("sample", "--example", "simple2d", "--samples", "200",
+                   "--checkpoint", str(tmp_path / "state.json"),
+                   "--out-dir", str(tmp_path / "out"), *flags)
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # neither the out-dir nor a checkpoint
+
+
 def test_sample_unknown_flag_usage_error():
     assert run_cli("sample", "--no-such-flag") == 2
 
@@ -190,6 +205,7 @@ def test_sample_checkpoint_flag_enables_safe_mode(tmp_path):
     assert ck.exists()
     doc = json.loads(ck.read_text())
     assert doc["counters"]["n_samples"] == 100
+    assert (tmp_path / ("state.json" + doc["chain_file"])).stat().st_size == 8 * 100
 
 
 def test_sample_multiple_chains_suffixed(tmp_path):

@@ -318,16 +318,30 @@ def test_checkpoint_file_bytes_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _with_checksum(body):
+    """A document text, as JSON without its checksum field, with that field
+    holding the CRC-32 of ``body``."""
+    crc = format(zlib.crc32(body.encode("utf-8")), "08x")
+    return body[:-1] + ',"checksum":' + json.dumps(crc) + "}\n"
+
+
 def test_checkpoint_wrong_version_rejected(tmp_path):
     path = tmp_path / "state.json"
     s = make_quickstart(seed=1)
     s.run_sample(10)
     s.save_checkpoint(path)
     doc = json.loads(path.read_text())
-    doc["format_version"] = 2
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CorruptCheckpoint):
-        Sampler.load_checkpoint(path, quickstart_handle())
+    del doc["checksum"]
+    # version 1 held the chain in the document
+    v1 = {"format_version": 1, "dim": 1, "chain": s.chain.tolist()}
+    v1.update((k, v) for k, v in doc.items()
+              if k not in ("format_version", "dim", "chain_file", "chain_rows",
+                           "chain_crc", "warnings"))
+    v3 = dict(doc, format_version=3)
+    for version, content in ((1, v1), (3, v3)):
+        path.write_text(_with_checksum(_reference_serialize(content)))
+        with pytest.raises(CorruptCheckpoint, match=f"format version {version} is not supported"):
+            Sampler.load_checkpoint(path, quickstart_handle())
 
 
 def test_checkpoint_tampering_detected(tmp_path):
@@ -375,13 +389,19 @@ def test_checkpoint_load_rechecks_current_point(tmp_path):
 def test_checkpoint_numbers_have_17_significant_digits(tmp_path):
     path = tmp_path / "state.json"
     s = make_quickstart(seed=2)
+    s.set_static(1, 0.3)
     s.run_sample(5)
     s.save_checkpoint(path)
     text = path.read_text()
-    # a third of the double-well samples sit near 0.94...; check a row
     doc = json.loads(text)
-    row = np.asarray(doc["chain"], dtype=float)
-    np.testing.assert_array_equal(row, s.chain)
+    # the document's floats are written at 17 significant digits
+    assert '"factor":0.29999999999999999,"t_lo":0.050000000000000003,' in text
+    assert f'"current_x":[{s.current.x[0]:.17g}]' in text
+    assert doc["current_x"] == s.current.x.tolist()
+    # the chain rows are stored as their float64 bits
+    rows = np.frombuffer((tmp_path / "state.json.chain").read_bytes(), dtype="<f8")
+    assert rows.tobytes() == s.chain.astype("<f8").tobytes()
+    np.testing.assert_array_equal(rows.reshape(-1, 1), s.chain)
 
 
 def test_safe_mode_writes_checkpoint_every_division(tmp_path):
@@ -457,10 +477,17 @@ def test_save_fsyncs_file_and_directory(tmp_path, monkeypatch):
         real_fsync(fd)
 
     monkeypatch.setattr(os, "fsync", recording)
+    path = tmp_path / "state.json"
+    chain, tmp = str(tmp_path / "state.json.chain"), str(tmp_path / "state.json.tmp")
     s = make_quickstart(seed=1)
     s.run_sample(10)
-    s.save_checkpoint(tmp_path / "state.json")
-    assert synced == [str(tmp_path / "state.json.tmp"), str(tmp_path)]
+    s.save_checkpoint(path)  # the whole chain
+    assert synced == [chain, tmp, str(tmp_path)]
+    s.run_sample(5)
+    s.save_checkpoint(path)  # the appended rows
+    assert synced[3:] == [chain, tmp, str(tmp_path)]
+    s.save_checkpoint(path)  # no new rows: the chain file is not touched
+    assert synced[6:] == [tmp, str(tmp_path)]
 
 
 def test_chain_is_a_copy():
@@ -493,19 +520,22 @@ def _reference_serialize(v):
     return _reference_fmt(v)
 
 
-def _reference_checkpoint_bytes(s):
-    """The whole checkpoint serialized from scratch: the document built
-    field by field, every number formatted one at a time, the CRC-32 taken
-    over the full text."""
+def _reference_checkpoint_bytes(s, chain_file):
+    """The state document serialized from scratch, naming ``chain_file``:
+    the document built field by field, every number formatted one at a
+    time, the CRC-32s taken over the full chain and the full text."""
     algorithm, state = _rng_state_strings(s.rng)
     steps = s.step_count
     doc = {
-        "format_version": 1,
+        "format_version": 2,
         "dim": s.dim,
-        "chain": [[float(v) for v in row] for row in s.chain],
+        "chain_file": chain_file,
+        "chain_rows": s.n_samples,
+        "chain_crc": format(zlib.crc32(s.chain.astype("<f8").tobytes()), "08x"),
         "counters": {"n_samples": s.n_samples, "n_accepted": s.n_accepted,
                      "call_count": s.call_count, "burned": s.burned},
         "step_count": {str(k): steps[k] for k in [-1] + sorted(k for k in steps if k != -1)},
+        "warnings": {"singular_proposals": s.warnings["singular_proposals"]},
         "policy": {"mode": s.policy.mode, "max_steps": s.policy.max_steps,
                    "factor": float(s.policy.factor), "t_lo": float(s.policy.t_lo),
                    "t_hi": float(s.policy.t_hi)},
@@ -514,9 +544,7 @@ def _reference_checkpoint_bytes(s):
         "current_x": [float(v) for v in s.current.x],
         "rng": {"algorithm_id": algorithm, "state": list(state)},
     }
-    body = _reference_serialize(doc)
-    checksum = format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x")
-    return (body[:-1] + ',"checksum":' + json.dumps(checksum) + "}\n").encode("utf-8")
+    return _with_checksum(_reference_serialize(doc)).encode("utf-8")
 
 
 def _example(name):
@@ -538,11 +566,17 @@ def test_checkpoint_bytes_equal_full_serialization(tmp_path, monkeypatch, name, 
     x0, build, prior = _example(name)
     path = tmp_path / "state.json"
     checked = []
+    # the chain file each save names: the whole chain goes to the one the
+    # document at the path does not name
+    named = [".chain"]
     original = Sampler.save_checkpoint
 
     def checking(self, p):
         original(self, p)
-        assert p.read_bytes() == _reference_checkpoint_bytes(self)
+        assert p.read_bytes() == _reference_checkpoint_bytes(self, named[0])
+        rows = self.chain.astype("<f8").tobytes()
+        assert (tmp_path / ("state.json" + named[0])).read_bytes()[:len(rows)] == rows
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["state.json", "state.json" + named[0]]
         checked.append(self.n_samples)
 
     monkeypatch.setattr(Sampler, "save_checkpoint", checking)
@@ -556,13 +590,15 @@ def test_checkpoint_bytes_equal_full_serialization(tmp_path, monkeypatch, name, 
     s.save_checkpoint(path)  # plain save
     s.run_sample(70, divs=7, safe=path)  # every division's save
     s.save_checkpoint(path)  # again, with no new rows
-    s.burn(45)  # rows leave the front: the cached text is stale
+    s.burn(45)  # rows leave the front: the chain file is stale
+    named[0] = ".chain-b"
     s.save_checkpoint(path)
     s.run_sample(20, divs=2, safe=path)
     resumed = Sampler.load_checkpoint(path, build())
     resumed.save_checkpoint(path)
     resumed.run_sample(33, divs=3, safe=path)
     resumed.burn(resumed.n_samples)
+    named[0] = ".chain"
     resumed.run_sample(5, divs=2, safe=path)
     assert checked == ([0, 30] + list(range(40, 101, 10)) + [100]
                        + [55, 65, 75] + [75, 86, 97, 108] + [3, 5])
@@ -573,13 +609,10 @@ def test_checkpoint_one_digit_changed_in_chain_detected(tmp_path):
     s = make_quickstart(seed=6)
     s.run_sample(50)
     s.save_checkpoint(path)
-    text = path.read_text()
-    start = text.index('"chain":[[') + len('"chain":[[')
-    pos = next(i for i in range(start, len(text)) if text[i] in "123456789")
-    digit = "8" if text[pos] == "9" else chr(ord(text[pos]) + 1)
-    path.write_text(text[:pos] + digit + text[pos + 1:])
-    changed = json.loads(path.read_text())
-    assert changed["chain"] != json.loads(text)["chain"]
+    chain_file = tmp_path / "state.json.chain"
+    data = bytearray(chain_file.read_bytes())
+    data[8 * 17 + 3] ^= 0x01  # one bit of row 17
+    chain_file.write_bytes(bytes(data))
     with pytest.raises(CorruptCheckpoint, match="checksum"):
         Sampler.load_checkpoint(path, quickstart_handle())
 
@@ -595,3 +628,196 @@ def test_checkpoint_reformatted_equal_values_refused(tmp_path):
     assert json.loads(path.read_text()) == doc
     with pytest.raises(CorruptCheckpoint):
         Sampler.load_checkpoint(path, quickstart_handle())
+
+
+# ---------------------------------------------------------------------------
+# the chain file: damage, interrupted saves, stale files
+# ---------------------------------------------------------------------------
+
+
+def _saved_state(s):
+    """Everything a checkpoint restores, for comparing loaded samplers."""
+    return (s.chain.tobytes(), s.n_samples, s.n_accepted, s.call_count, s.burned,
+            s.step_count, dict(s.warnings), _rng_state_strings(s.rng))
+
+
+@pytest.mark.parametrize("damage", ["missing", "short"])
+def test_checkpoint_missing_or_short_chain_file_refused(tmp_path, damage):
+    path = tmp_path / "state.json"
+    s = make_quickstart(seed=6)
+    s.run_sample(50)
+    s.save_checkpoint(path)
+    chain_file = tmp_path / "state.json.chain"
+    if damage == "missing":
+        chain_file.unlink()
+    else:
+        chain_file.write_bytes(chain_file.read_bytes()[:-1])
+    with pytest.raises(CorruptCheckpoint, match="chain file"):
+        Sampler.load_checkpoint(path, quickstart_handle())
+
+
+def test_checkpoint_rows_after_chain_rows_are_ignored(tmp_path, monkeypatch):
+    # a save stopped between its append and its document replace
+    path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+    a = make_quickstart(seed=99)
+    a.set_static(1, 0.3)
+    a.run_sample(1000, divs=10, safe=path_a)
+
+    b = make_quickstart(seed=99)
+    b.set_static(1, 0.3)
+    b.run_sample(300, divs=3, safe=path_b)
+    before = _saved_state(Sampler.load_checkpoint(path_b, quickstart_handle()))
+
+    class Stopped(RuntimeError):
+        pass
+
+    def stop(src, dst):
+        raise Stopped
+
+    b.run_sample(100)
+    monkeypatch.setattr(os, "replace", stop)
+    with pytest.raises(Stopped):
+        b.save_checkpoint(path_b)
+    monkeypatch.undo()
+    assert (tmp_path / "b.json.chain").stat().st_size == 8 * 400
+
+    c = Sampler.load_checkpoint(path_b, quickstart_handle())
+    assert _saved_state(c) == before
+    c.run_sample(700, divs=7, safe=path_b)
+    assert a.chain.tobytes() == c.chain.tobytes()
+    assert path_b.read_bytes() == path_a.read_bytes()
+    assert (tmp_path / "b.json.chain").read_bytes() == (tmp_path / "a.json.chain").read_bytes()
+
+
+class _Crash(Exception):
+    pass
+
+
+class _CrashingOs:
+    """The ``os`` module as the sampler sees it, stopping the save with
+    ``_Crash`` at the ``crash_at``-th file operation. A stopped write has
+    written half its bytes; a stopped close has closed its file."""
+
+    OPS = ("open", "pwrite", "ftruncate", "fsync", "close", "replace", "remove")
+
+    def __init__(self, crash_at=0):
+        self.crash_at, self.ops = crash_at, 0
+
+    def __getattr__(self, name):
+        real = getattr(os, name)
+        if name not in self.OPS:
+            return real
+
+        def op(*args, **kwargs):
+            self.ops += 1
+            if self.ops != self.crash_at:
+                return real(*args, **kwargs)
+            if name == "pwrite":
+                fd, data, offset = args
+                real(fd, data[:len(data) // 2], offset)
+            elif name == "close":
+                real(*args)
+            raise _Crash(name)
+
+        return op
+
+
+def _before_save(kind, path):
+    """A sampler about to make a save of ``kind`` to ``path``."""
+    if kind == "append":
+        s = make_quickstart(seed=31)
+        s.run_sample(40, divs=2, safe=path)
+        s.run_sample(25)
+    elif kind == "over another run":
+        make_quickstart(seed=32).run_sample(40, divs=2, safe=path)
+        s = make_quickstart(seed=33)
+        s.set_static(1, 0.3)
+        s.run_sample(30)
+    else:  # "after burn"
+        s = make_quickstart(seed=34)
+        s.run_sample(40, divs=2, safe=path)
+        s.run_sample(10)
+        s.burn(15)
+    return s
+
+
+@pytest.mark.parametrize("kind", ["append", "over another run", "after burn"])
+def test_save_stopped_at_any_file_operation_leaves_a_checkpoint(tmp_path, monkeypatch, kind):
+    import gnmh.sampler as sampler_module
+
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    s = _before_save(kind, ref / "state.json")
+    pre = _saved_state(Sampler.load_checkpoint(ref / "state.json", quickstart_handle()))
+    counting = _CrashingOs()
+    monkeypatch.setattr(sampler_module, "os", counting)
+    s.save_checkpoint(ref / "state.json")
+    monkeypatch.setattr(sampler_module, "os", os)
+    post = _saved_state(Sampler.load_checkpoint(ref / "state.json", quickstart_handle()))
+    assert pre != post and counting.ops >= 13
+
+    outcomes = []
+    for k in range(1, counting.ops + 1):
+        run = tmp_path / str(k)
+        run.mkdir()
+        path = run / "state.json"
+        s = _before_save(kind, path)
+        monkeypatch.setattr(sampler_module, "os", _CrashingOs(k))
+        with pytest.raises(_Crash):
+            s.save_checkpoint(path)
+        monkeypatch.setattr(sampler_module, "os", os)
+        loaded = _saved_state(Sampler.load_checkpoint(path, quickstart_handle()))
+        assert loaded in (pre, post), f"stopped at file operation {k}"
+        outcomes.append(loaded == post)
+        # the same sampler's next save completes the checkpoint
+        s.save_checkpoint(path)
+        assert _saved_state(Sampler.load_checkpoint(path, quickstart_handle())) == post
+        # one chain file: a save stopped after its document replace is
+        # redone as a whole-chain save, to either name
+        names = sorted(p.name for p in run.iterdir())
+        assert names in (["state.json", "state.json.chain"], ["state.json", "state.json.chain-b"])
+    assert not outcomes[0] and outcomes[-1]
+
+
+def test_whole_chain_save_leaves_no_stale_chain_file(tmp_path):
+    path = tmp_path / "state.json"
+    other = make_quickstart(seed=1)
+    other.run_sample(30, divs=3, safe=path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.chain"]
+    s = make_quickstart(seed=2)
+    s.run_sample(20)
+    s.save_checkpoint(path)  # another run's checkpoint is replaced
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.chain-b"]
+    s.burn(5)
+    s.save_checkpoint(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.chain"]
+    np.testing.assert_array_equal(Sampler.load_checkpoint(path, quickstart_handle()).chain,
+                                  s.chain)
+
+
+def _flat_beyond_two(x, args):
+    """f(x) = x, held at +-2 where |x| >= 2, so the Jacobian is 0 there."""
+    if abs(x[0]) < 2.0:
+        return 1, [x[0]], [[1.0]]
+    return 1, [2.0 * np.sign(x[0])], [[0.0]]
+
+
+def test_singular_proposal_count_survives_resume(tmp_path):
+    # under the default flat prior every drawn point with |x| >= 2 has a
+    # singular Gauss-Newton proposal
+    def fresh():
+        return Sampler([0.5], ModelHandle(_flat_beyond_two, None, dim_in=1), seed=12)
+
+    path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+    a = fresh()
+    a.run_sample(1000, divs=10, safe=path_a)
+    assert a.warnings["singular_proposals"] > 0
+
+    b = fresh()
+    b.run_sample(300, divs=3, safe=path_b)
+    c = Sampler.load_checkpoint(path_b, ModelHandle(_flat_beyond_two, None, dim_in=1))
+    assert c.warnings == b.warnings
+    c.run_sample(700, divs=7, safe=path_b)
+    assert c.warnings == a.warnings
+    assert a.chain.tobytes() == c.chain.tobytes()
+    assert path_b.read_bytes() == path_a.read_bytes()
