@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
@@ -298,6 +299,20 @@ def _cmd_jtest(args: argparse.Namespace) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a word like ``-1e-5`` or ``-2.5E+3`` as a
+    negative number, not as an option; argparse itself takes only ``-N``
+    and ``-N.N``. The pattern replaces argparse's ``_negative_number_matcher``,
+    which it reads to classify each word. Its subparsers are of this class
+    too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
 
 def _config_words(key: str, value) -> List[str]:
     """The command-line words for one config value, lists flattened."""
@@ -306,9 +321,7 @@ def _config_words(key: str, value) -> List[str]:
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ValueError(f"config setting {key!r} holds {json.dumps(value)}, "
                          "not a number, a string or a list of them")
-    # positional notation, so that a negative float is not read as a flag
-    return [np.format_float_positional(value, trim="-") if isinstance(value, float)
-            else str(value)]
+    return [str(value)]
 
 
 def _with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
@@ -339,7 +352,7 @@ def _with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gnmh",
         description="Gauss-Newton Metropolis sampler with back-off",
     )

@@ -127,7 +127,8 @@ def dynamic_gamma(x_state: PointState, z_state: PointState, policy: BackoffPolic
     fx, Jx = x_state.eval.residual, x_state.eval.jacobian
     fz, Jz = z_state.eval.residual, z_state.eval.jacobian
     t = cubic_minimizer(x_state.residual_sq, z_state.residual_sq,
-                        2.0 * float(fx @ (Jx @ direction)), 2.0 * float(fz @ (Jz @ direction)))
+                        2.0 * float(fx.dot(Jx.dot(direction))),
+                        2.0 * float(fz.dot(Jz.dot(direction))))
     if t is None:
         return fallback
     return min(max(t, policy.t_lo), policy.t_hi)
@@ -214,7 +215,7 @@ class _Transition:
                 w = self.path(a, h - 1, h - 1) + _log1m_exp(self.log_accept(a, h - 1))
             _, mean, precision, log_norm = self.kernel(a, h - 1)
             d = self.pts[b].x - mean
-            w += log_norm - 0.5 * float(d @ precision @ d)
+            w += log_norm - 0.5 * float(d.dot(precision).dot(d))
             self.paths[a, h, b] = w
         return w
 

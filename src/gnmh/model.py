@@ -183,14 +183,16 @@ def exp_series_model(x, args: ExpSeriesArgs):
     d = x.shape[0] // 2
     w = x[:d]
     rates = x[d:]
-    t = args.times
-    decay = np.exp(-np.outer(t, rates))  # (m, d)
-    g = decay @ w
+    t = args.times[:, None]
+    decay = np.exp(-(t * rates))  # (m, d)
+    g = decay.dot(w)
     inv_sd = 1.0 / args.noise_sd
     f = (g - args.data) * inv_sd
-    jac_w = decay * inv_sd[:, None]
-    jac_rate = -(w[None, :] * decay) * t[:, None] * inv_sd[:, None]
-    return True, f, np.hstack([jac_w, jac_rate])
+    inv_sd_col = inv_sd[:, None]
+    jac = np.empty((t.shape[0], 2 * d))
+    np.multiply(decay, inv_sd_col, out=jac[:, :d])
+    np.multiply(-(w * decay) * t, inv_sd_col, out=jac[:, d:])
+    return True, f, jac
 
 
 def quickstart_handle(y: float = 1.0, sigma: float = 0.5) -> ModelHandle:

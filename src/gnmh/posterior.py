@@ -31,10 +31,18 @@ class GaussianPrior:
 
     A zero precision matrix is the flat (improper) prior. ``mean`` and
     ``precision`` are 1-D and 2-D float arrays and are never modified.
+    ``precision`` is exactly symmetric however the prior is built: the
+    constructor stores (P + P^T)/2 of the matrix it is given, so H + J'J
+    in :func:`gn_proposal` is exactly symmetric too. Only :meth:`create`
+    checks that the given matrix was symmetric to within 1e-10.
     """
 
     mean: np.ndarray
     precision: np.ndarray
+
+    def __post_init__(self):
+        precision = self.precision
+        object.__setattr__(self, "precision", 0.5 * (precision + precision.T))
 
     @classmethod
     def create(cls, mean, precision) -> "GaussianPrior":
@@ -48,10 +56,10 @@ class GaussianPrior:
             )
         if not np.allclose(precision, precision.T, rtol=1e-10, atol=1e-10):
             raise NotPSD("prior precision is not symmetric")
-        precision = 0.5 * (precision + precision.T)
-        if n > 0 and float(np.linalg.eigvalsh(precision).min()) < -1e-10:
+        prior = cls(mean=mean, precision=precision)
+        if n > 0 and float(np.linalg.eigvalsh(prior.precision).min()) < -1e-10:
             raise NotPSD("prior precision has a negative eigenvalue")
-        return cls(mean=mean, precision=precision)
+        return prior
 
     @classmethod
     def flat(cls, n_or_mean) -> "GaussianPrior":
@@ -76,7 +84,7 @@ class GaussianPrior:
 def _log_target(prior: GaussianPrior, x: np.ndarray, residual_sq: float) -> float:
     """-(x-m)'H(x-m)/2 - ||f(x)||^2/2 from ``residual_sq`` = ||f(x)||^2."""
     d = x - prior.mean
-    return -0.5 * float(d @ prior.precision @ d) - 0.5 * residual_sq
+    return -0.5 * float(d.dot(prior.precision).dot(d)) - 0.5 * residual_sq
 
 
 def log_posterior(prior: GaussianPrior, ev: ModelEval, x) -> float:
@@ -89,7 +97,7 @@ def log_posterior(prior: GaussianPrior, ev: ModelEval, x) -> float:
     """
     if not ev.inside:
         return -np.inf
-    return _log_target(prior, x, float(ev.residual @ ev.residual))
+    return _log_target(prior, x, float(ev.residual.dot(ev.residual)))
 
 
 def gn_proposal(prior: GaussianPrior, ev: ModelEval, x) -> PrecisionGaussian:
@@ -103,10 +111,18 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval, x) -> PrecisionGaussian:
     ``dpotrf``) and two triangular solves, with no validation or coercion.
     Internal callers pass ``x`` as a 1-D float array; the prior was
     validated by ``GaussianPrior.create``, whose H m is computed once, and
-    the shapes of J and f by ``ModelHandle.evaluate``; P is symmetric by
-    construction. Non-finite model output is not checked here: it gives a
-    non-finite ``log_norm`` or a ``SingularProposal``, which
-    ``point_state_from_eval`` turns into a ``UserFunctionFailure``.
+    the shapes of J and f by ``ModelHandle.evaluate``. Non-finite model
+    output is not checked here: it gives a non-finite ``log_norm`` or a
+    ``SingularProposal``, which ``point_state_from_eval`` turns into a
+    ``UserFunctionFailure``.
+
+    P is exactly symmetric without a symmetrizing step: H is exactly
+    symmetric (a ``GaussianPrior`` invariant), and ``J.T @ J`` is too, for
+    C-ordered, F-ordered and strided J alike, so their sum is. J'J stays
+    on ``@``: ``J.T.dot(J)`` of a strided J can differ between its two
+    triangles in the low bits. The vector products use ``ndarray.dot``,
+    which on these small operands costs about half of ``@``; for a
+    contiguous J it gives the same bits.
 
     Raises
     ------
@@ -117,14 +133,13 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval, x) -> PrecisionGaussian:
     f = ev.residual
     JtJ = J.T @ J
     P = prior.precision + JtJ
-    P = 0.5 * (P + P.T)
     try:
         chol, log_norm = _factor(P)
     except NotPositiveDefinite as exc:
         raise SingularProposal(
             "Gauss-Newton precision H + J'J is not positive definite"
         ) from exc
-    rhs = prior.precision_mean - J.T @ f + JtJ @ x
+    rhs = prior.precision_mean - J.T.dot(f) + JtJ.dot(x)
     mu = _solve_lower(chol, _solve_lower(chol, rhs), trans=1)
     return PrecisionGaussian(mean=mu, precision=P, chol=chol, log_norm=log_norm)
 
@@ -170,7 +185,7 @@ def point_state_from_eval(prior: GaussianPrior, x: np.ndarray,
     if not ev.inside:
         return PointState(x=x, eval=ev, log_post=-np.inf, residual_sq=np.inf,
                           proposal=None)
-    residual_sq = float(ev.residual @ ev.residual)
+    residual_sq = float(ev.residual.dot(ev.residual))
     lp = _log_target(prior, x, residual_sq)
     proposal = None
     failed = False

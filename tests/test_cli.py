@@ -354,6 +354,22 @@ def test_sample_config_writes_what_the_same_flags_write(tmp_path):
             (tmp_path / "flags" / name).read_bytes(), name
 
 
+def test_sample_negative_values_in_exponent_notation(tmp_path):
+    # argparse alone reads -1e-5 as an unknown option; the same values in
+    # positional notation give the same files
+    common = ("sample", "--example", "simple2d", "--samples", "200", "--seed", "3",
+              "--bins", "9")
+    assert run_cli(*common, "--prior-mean", "-1e-5", "-2.5E+3", "--x0", "-1e-1", "2.5E-1",
+                   "--range", "-2.5E+0", "2", "--out-dir", str(tmp_path / "exp")) == 0
+    assert run_cli(*common, "--prior-mean", "-0.00001", "-2500", "--x0", "-0.1", "0.25",
+                   "--range", "-2.5", "2", "--out-dir", str(tmp_path / "pos")) == 0
+    names = sorted(p.name for p in (tmp_path / "pos").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "exp").iterdir())
+    for name in names:
+        assert (tmp_path / "exp" / name).read_bytes() == \
+            (tmp_path / "pos" / name).read_bytes(), name
+
+
 def test_sample_marginal_flag_replaces_config_pairs(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"example": "simple2d", "samples": 100, "bins": 5,

@@ -69,6 +69,36 @@ def test_exp_series_single_term_values():
     np.testing.assert_allclose(ev.jacobian, [[1.0, -2.0]])
 
 
+def _reference_exp_series(x, args):
+    # the formula as first written, with np.outer and np.hstack
+    d = x.shape[0] // 2
+    w = x[:d]
+    rates = x[d:]
+    t = args.times
+    decay = np.exp(-np.outer(t, rates))
+    g = decay @ w
+    inv_sd = 1.0 / args.noise_sd
+    f = (g - args.data) * inv_sd
+    jac_w = decay * inv_sd[:, None]
+    jac_rate = -(w[None, :] * decay) * t[:, None] * inv_sd[:, None]
+    return True, f, np.hstack([jac_w, jac_rate])
+
+
+@pytest.mark.parametrize("d,m", [(1, 1), (2, 10), (2, 37), (3, 5), (4, 16)])
+def test_exp_series_bit_identical_to_reference_formula(d, m):
+    rng = np.random.default_rng(50 + 7 * d + m)
+    args = ExpSeriesArgs(times=rng.uniform(0.0, 8.0, m), data=rng.normal(size=m),
+                         noise_sd=rng.uniform(0.05, 2.0, m))
+    for _ in range(400):
+        x = rng.normal(size=2 * d) * rng.uniform(0.1, 3.0)
+        inside, f, jac = exp_series_model(x, args)
+        _, f_ref, jac_ref = _reference_exp_series(x, args)
+        assert inside
+        np.testing.assert_array_equal(f, f_ref)
+        np.testing.assert_array_equal(jac, jac_ref)
+        assert jac.flags.c_contiguous
+
+
 def test_exp_series_args_validation():
     with pytest.raises(DimensionMismatch):
         ExpSeriesArgs(times=[0.0, 1.0], data=[1.0], noise_sd=[1.0, 1.0])

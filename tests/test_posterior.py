@@ -241,6 +241,56 @@ def test_gn_proposal_and_sample_bit_identical_to_validated_path(n):
                     np.testing.assert_array_equal(kern.sample(z), _reference_sample(kern, z))
 
 
+def _jacobian_in_layout(J, layout):
+    if layout == "C":
+        return np.ascontiguousarray(J)
+    if layout == "F":
+        return np.asfortranarray(J)
+    # a strided view into a larger array, neither C- nor F-contiguous
+    m, n = J.shape
+    big = np.zeros((2 * m, 3 * n))
+    big[::2, ::3] = J
+    return big[::2, ::3]
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_gn_proposal_precision_exactly_symmetric_for_any_jacobian_layout(layout):
+    # gn_proposal does not symmetrize H + J'J: H is exactly symmetric and
+    # J.T @ J is too, so P equals the symmetrized formula bit for bit
+    rng = np.random.default_rng({"C": 61, "F": 62, "strided": 63}[layout])
+    # J.T.dot(J) of a strided 16x12 or 30x12 J is not exactly symmetric
+    for n, m in [(n, m) for n in range(1, 13) for m in (n + 1, n + 4, 30)]:
+        H = _random_spd(rng, n)
+        H[0, -1] += 1e-13  # a prior built with the constructor may be asymmetric
+        for prior in (GaussianPrior.flat(n), GaussianPrior(rng.normal(size=n), H)):
+            for _ in range(5):
+                J = _jacobian_in_layout(rng.normal(size=(m, n)), layout)
+                h = ModelHandle(lambda x, a, J=J: (1, rng.normal(size=m), J), None, dim_in=n)
+                x = rng.normal(size=n)
+                ev = h.evaluate(x)
+                flags = ev.jacobian.flags  # evaluate kept the model's layout
+                assert {"C": flags.c_contiguous, "F": flags.f_contiguous,
+                        "strided": not (flags.c_contiguous or flags.f_contiguous)}[layout]
+                P = gn_proposal(prior, ev, x).precision
+                np.testing.assert_array_equal(P, P.T)
+                ref = prior.precision + ev.jacobian.T @ ev.jacobian
+                np.testing.assert_array_equal(P, 0.5 * (ref + ref.T))
+
+
+def test_prior_constructor_makes_precision_exactly_symmetric():
+    rng = np.random.default_rng(64)
+    for n in (2, 3, 5):
+        given = _random_spd(rng, n)
+        given[0, 1] += 1e-12
+        kept = given.copy()
+        prior = GaussianPrior(np.zeros(n), given)
+        np.testing.assert_array_equal(prior.precision, prior.precision.T)
+        np.testing.assert_array_equal(prior.precision, 0.5 * (kept + kept.T))
+        np.testing.assert_array_equal(given, kept)  # the caller's matrix is not modified
+        np.testing.assert_array_equal(GaussianPrior.create(np.zeros(n), given).precision,
+                                      prior.precision)
+
+
 def _nan_residual(x, a):
     return 1, [np.nan], [[1.0]]
 
