@@ -33,13 +33,9 @@ class HistogramResult:
     err: np.ndarray
 
 
-def error_bars(chain, n_bins: int, d_min, d_max) -> HistogramResult:
-    """Bin each coordinate of the chain on an even grid.
-
-    Counts c in a bin of width w give density c/(N*w) and error bar
-    sqrt(c)/(N*w), with N the total number of rows. Samples outside
-    [d_min, d_max] in a given coordinate are ignored for that coordinate.
-    """
+def _histogram_inputs(chain, n_bins: int, d_min, d_max):
+    """The chain as a 2-D float array (a 1-D chain is one coordinate) and
+    the range vectors as 1-D float arrays, checked for both histograms."""
     chain = np.asarray(chain, dtype=float)
     if chain.ndim == 1:
         chain = chain[:, None]
@@ -47,14 +43,24 @@ def error_bars(chain, n_bins: int, d_min, d_max) -> HistogramResult:
         raise EmptyChain("cannot histogram an empty chain")
     if n_bins < 1:
         raise ValueError("n_bins must be at least 1")
-    n_samples, n_dims = chain.shape
     d_min = np.asarray(d_min, dtype=float).reshape(-1)
     d_max = np.asarray(d_max, dtype=float).reshape(-1)
-    if d_min.shape[0] != n_dims or d_max.shape[0] != n_dims:
+    if d_min.shape[0] != chain.shape[1] or d_max.shape[0] != chain.shape[1]:
         raise DimensionMismatch("range vectors must match the chain dimension")
     if not np.all(d_min < d_max):
         raise ValueError("need d_min < d_max componentwise")
+    return chain, d_min, d_max
 
+
+def error_bars(chain, n_bins: int, d_min, d_max) -> HistogramResult:
+    """Bin each coordinate of the chain on an even grid.
+
+    Counts c in a bin of width w give density c/(N*w) and error bar
+    sqrt(c)/(N*w), with N the total number of rows. Samples outside
+    [d_min, d_max] in a given coordinate are ignored for that coordinate.
+    """
+    chain, d_min, d_max = _histogram_inputs(chain, n_bins, d_min, d_max)
+    n_samples, n_dims = chain.shape
     centers = np.empty((n_dims, n_bins))
     density = np.empty((n_dims, n_bins))
     err = np.empty((n_dims, n_bins))
@@ -73,16 +79,12 @@ def error_bars_2d(chain, i: int, j: int, n_bins: int, d_min, d_max
 
     Returns (centers_i, centers_j, density, err) where the grids have length
     n_bins and the matrices have shape (n_bins, n_bins), row index along
-    coordinate i.
+    coordinate i. The inputs are checked as by :func:`error_bars`.
     """
-    chain = np.asarray(chain, dtype=float)
-    if chain.shape[0] == 0:
-        raise EmptyChain("cannot histogram an empty chain")
+    chain, d_min, d_max = _histogram_inputs(chain, n_bins, d_min, d_max)
     n_samples, n_dims = chain.shape
     if not (0 <= i < n_dims and 0 <= j < n_dims):
         raise DimensionMismatch(f"coordinate pair ({i}, {j}) out of range")
-    d_min = np.asarray(d_min, dtype=float).reshape(-1)
-    d_max = np.asarray(d_max, dtype=float).reshape(-1)
     counts, ei, ej = np.histogram2d(
         chain[:, i], chain[:, j], bins=n_bins,
         range=[(d_min[i], d_max[i]), (d_min[j], d_max[j])],

@@ -26,23 +26,23 @@ def _factor(precision: np.ndarray):
     float array, and only its lower triangle is read. The factor comes from
     LAPACK ``dpotrf`` and is copied to C order, so :func:`_solve_lower`
     takes the same ``dtrtrs`` branch as for numpy's factor; for n <= 4 it
-    equals ``np.linalg.cholesky`` bit for bit. An infinite entry gives a
-    non-finite factor and log_norm, or this function's error.
+    equals ``np.linalg.cholesky`` bit for bit.
 
     Raises
     ------
     NotPositiveDefinite
-        If the factorization fails, or the factor's diagonal holds a NaN
-        (which any NaN in the lower triangle leads to).
+        If the factorization fails, or the log-determinant is not finite:
+        a NaN or infinite entry in the lower triangle leads to one or the
+        other, so a returned log_norm is finite.
     """
     chol, info = dpotrf(precision, lower=1, clean=1)
     if info != 0:
         raise NotPositiveDefinite(f"matrix is not positive definite (dpotrf info {info})")
     chol = np.ascontiguousarray(chol)
     log_det = 2.0 * float(np.log(chol.diagonal()).sum())
-    if math.isnan(log_det):
-        # dpotrf does not check for NaN
-        raise NotPositiveDefinite("matrix has a NaN entry")
+    if not math.isfinite(log_det):
+        # dpotrf does not check for NaN or inf
+        raise NotPositiveDefinite("matrix has a non-finite entry")
     return chol, 0.5 * log_det - 0.5 * precision.shape[0] * _LOG_2PI
 
 

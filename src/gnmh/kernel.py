@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,16 +43,16 @@ class BackoffPolicy:
 
     ``mode`` is "none", "static" or "dynamic". ``max_steps`` is the number of
     extra proposals after the first one (0 means plain Metropolis).
-    ``factor`` is the per-stage dilation in static mode. ``t_lo``/``t_hi``
-    clamp the dynamically chosen factor; their midpoint is the fallback when
-    the cubic model has no interior minimum.
+    ``factor`` is the per-stage dilation in static mode. The constants
+    ``t_lo``/``t_hi`` clamp the dynamically chosen factor; their midpoint is
+    the fallback when the cubic model has no interior minimum.
     """
 
     mode: str = "none"
     max_steps: int = 0
     factor: float = 0.5
-    t_lo: float = 0.05
-    t_hi: float = 0.95
+    t_lo: ClassVar[float] = 0.05
+    t_hi: ClassVar[float] = 0.95
 
     def __post_init__(self):
         if self.mode not in ("none", "static", "dynamic"):
@@ -63,8 +63,6 @@ class BackoffPolicy:
             raise InvalidPolicy("mode 'none' if and only if max_steps == 0")
         if self.mode == "static" and not 0.0 < self.factor < 1.0:
             raise InvalidPolicy("static dilation factor must lie in (0, 1)")
-        if not 0.0 < self.t_lo < self.t_hi < 1.0:
-            raise InvalidPolicy("need 0 < t_lo < t_hi < 1")
 
     @classmethod
     def none(cls) -> "BackoffPolicy":
@@ -223,11 +221,8 @@ class _Transition:
         """log acceptance probability of ``pts[h]``, reached from ``pts[a]``
         after ``pts[1..h-1]`` were rejected."""
         cand = self.pts[h]
-        if cand.log_post == -np.inf:
-            return -np.inf
-        if cand.proposal is None:
-            # in-domain point whose Gauss-Newton precision was singular: the
-            # reverse kernels cannot be built, so the move is never accepted
+        if cand.log_post == -np.inf or cand.proposal is None:
+            # zero density, or no reverse kernels to build: never accepted
             return -np.inf
         log_a = self.accepts.get((a, h))
         if log_a is None:

@@ -7,9 +7,10 @@ sampler targets densities proportional to
 ``indicator(x) * prior(x) * exp(-||f(x)||^2 / 2)``.
 
 In the domain the outputs must be numbers. When the sampler builds its
-state at a point (``posterior.point_state``), a NaN in the residual or a
-NaN or infinite Jacobian entry raises ``UserFunctionFailure`` naming that
-point; a residual of +-inf is zero density there, and the point is rejected.
+state at a point (``posterior.point_state``), a NaN in the residual, or a
+Jacobian J whose J'J is not finite (a NaN or infinite entry, or an
+overflow), raises ``UserFunctionFailure`` naming that point; a residual of
++-inf is zero density there, and the point is rejected.
 ``ModelHandle.evaluate`` itself checks shapes only.
 """
 

@@ -82,9 +82,14 @@ class GaussianPrior:
 
 
 def _log_target(prior: GaussianPrior, x: np.ndarray, residual_sq: float) -> float:
-    """-(x-m)'H(x-m)/2 - ||f(x)||^2/2 from ``residual_sq`` = ||f(x)||^2."""
+    """-(x-m)'H(x-m)/2 - ||f(x)||^2/2 from ``residual_sq`` = ||f(x)||^2.
+    A NaN value, that is a NaN residual, raises ``UserFunctionFailure``."""
     d = x - prior.mean
-    return -0.5 * float(d.dot(prior.precision).dot(d)) - 0.5 * residual_sq
+    lp = -0.5 * float(d.dot(prior.precision).dot(d)) - 0.5 * residual_sq
+    if math.isnan(lp):
+        raise UserFunctionFailure(f"non-finite model output at x = "
+                                  f"{np.asarray(x).tolist()}: a NaN residual")
+    return lp
 
 
 def log_posterior(prior: GaussianPrior, ev: ModelEval, x) -> float:
@@ -93,7 +98,8 @@ def log_posterior(prior: GaussianPrior, ev: ModelEval, x) -> float:
     Returns -inf outside the domain; otherwise
     -(x-m)'H(x-m)/2 - ||f(x)||^2/2. The normalization constant is omitted
     (it cancels in every ratio the sampler forms). ``x`` is not coerced:
-    pass a 1-D float array of the prior's dimension.
+    pass a 1-D float array of the prior's dimension. A NaN residual raises
+    ``UserFunctionFailure``; a residual of +-inf is zero density.
     """
     if not ev.inside:
         return -np.inf
@@ -111,10 +117,10 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval, x) -> PrecisionGaussian:
     ``dpotrf``) and two triangular solves, with no validation or coercion.
     Internal callers pass ``x`` as a 1-D float array; the prior was
     validated by ``GaussianPrior.create``, whose H m is computed once, and
-    the shapes of J and f by ``ModelHandle.evaluate``. Non-finite model
-    output is not checked here: it gives a non-finite ``log_norm`` or a
-    ``SingularProposal``, which ``point_state_from_eval`` turns into a
-    ``UserFunctionFailure``.
+    the shapes of J and f by ``ModelHandle.evaluate``. The factorization
+    is the only check: a NaN or infinite entry in H + J'J is refused as
+    singular before the right-hand side is formed, so a returned proposal
+    has a finite ``log_norm``.
 
     P is exactly symmetric without a symmetrizing step: H is exactly
     symmetric (a ``GaussianPrior`` invariant), and ``J.T @ J`` is too, for
@@ -127,7 +133,7 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval, x) -> PrecisionGaussian:
     Raises
     ------
     SingularProposal
-        If H + J'J is not positive definite.
+        If H + J'J is not positive definite or not finite.
     """
     J = ev.jacobian
     f = ev.residual
@@ -150,9 +156,9 @@ class PointState:
 
     ``proposal`` is the Gauss-Newton proposal anchored here; it is None when
     the point is outside the domain, or when the proposal precision was
-    singular (``proposal_failed`` distinguishes the two). ``residual_sq`` is
-    ||f(x)||^2, computed once for the log-posterior and the dynamic
-    dilation factor; it is inf outside the domain.
+    singular (``proposal_failed``). ``residual_sq`` is ||f(x)||^2, computed
+    once for the log-posterior and the dynamic dilation factor; it is inf
+    outside the domain.
     """
 
     x: np.ndarray
@@ -160,11 +166,15 @@ class PointState:
     log_post: float
     residual_sq: float
     proposal: Optional[PrecisionGaussian]
-    proposal_failed: bool = False
 
     @property
     def inside(self) -> bool:
         return self.eval.inside
+
+    @property
+    def proposal_failed(self) -> bool:
+        """In the domain, but with a singular proposal precision."""
+        return self.eval.inside and self.proposal is None
 
 
 def point_state_from_eval(prior: GaussianPrior, x: np.ndarray,
@@ -177,9 +187,8 @@ def point_state_from_eval(prior: GaussianPrior, x: np.ndarray,
     Raises
     ------
     UserFunctionFailure
-        If the model output at ``x`` is NaN or its Jacobian is not finite
-        (seen as a NaN log-posterior or a non-finite proposal ``log_norm``;
-        the Jacobian is scanned only when the proposal is singular).
+        If the residual at ``x`` holds a NaN (refused by the log-target), or
+        J'J is not finite there (refused as singular by the factorization).
         An infinite residual is not an error: it is zero density.
     """
     if not ev.inside:
@@ -187,22 +196,17 @@ def point_state_from_eval(prior: GaussianPrior, x: np.ndarray,
                           proposal=None)
     residual_sq = float(ev.residual.dot(ev.residual))
     lp = _log_target(prior, x, residual_sq)
-    proposal = None
-    failed = False
     try:
         proposal = gn_proposal(prior, ev, x)
-        non_finite = math.isnan(lp) or not math.isfinite(proposal.log_norm)
     except SingularProposal:
-        failed = True
-        # an infinite Jacobian entry can also fail the factorization
-        non_finite = math.isnan(lp) or not np.isfinite(ev.jacobian).all()
-    if non_finite:
-        raise UserFunctionFailure(
-            f"non-finite model output at x = {x.tolist()}: "
-            "a NaN residual, or a Jacobian J with J'J not finite"
-        )
+        J = ev.jacobian
+        if not np.isfinite(J.T @ J).all():
+            raise UserFunctionFailure(
+                f"non-finite model output at x = {x.tolist()}: J'J is not finite"
+            ) from None
+        proposal = None
     return PointState(x=x, eval=ev, log_post=lp, residual_sq=residual_sq,
-                      proposal=proposal, proposal_failed=failed)
+                      proposal=proposal)
 
 
 def point_state(prior: GaussianPrior, model: ModelHandle, x) -> PointState:

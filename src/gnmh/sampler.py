@@ -21,7 +21,6 @@ previous checkpoint stays loadable until the new document replaces it.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import zlib
@@ -38,10 +37,9 @@ from .errors import (
     InitialGuessOutsideDomain,
     IOFailure,
     SingularProposal,
-    UserFunctionFailure,
 )
 from .kernel import BackoffPolicy
-from .model import ModelHandle
+from .model import ModelEval, ModelHandle
 from .posterior import GaussianPrior, log_posterior, point_state_from_eval
 
 _CHECKPOINT_VERSION = 2
@@ -232,25 +230,10 @@ class Sampler:
 
     def __init__(self, x0, model: ModelHandle, seed: Optional[int] = None,
                  prior: Optional[GaussianPrior] = None):
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if x0.shape[0] != model.dim_in:
-            raise DimensionMismatch(
-                f"x0 has length {x0.shape[0]}, model expects {model.dim_in}"
-            )
-        if prior is not None and prior.dim != model.dim_in:
-            raise DimensionMismatch(
-                f"prior dimension {prior.dim}, model expects {model.dim_in}"
-            )
         self.model = model
         self._calls_before = model.call_count
         self._call_base = 0
-        ev = model.evaluate(x0)
-        if not ev.inside:
-            raise InitialGuessOutsideDomain("model indicator is 0 at the initial guess")
-        self.prior = GaussianPrior.flat(x0) if prior is None else prior
-        self.current = point_state_from_eval(self.prior, x0, ev)
-        if self.current.proposal is None:
-            raise SingularProposal("Gauss-Newton proposal undefined at the initial guess")
+        self._set_state(prior, np.asarray(x0, dtype=float).reshape(-1))
         self.policy = BackoffPolicy.none()
         self.rng = np.random.default_rng(seed)
         self._set_chain(np.empty((0, self.dim)))
@@ -264,17 +247,32 @@ class Sampler:
     def set_prior(self, mean, precision) -> None:
         """Replace the prior and refresh the cached state at the current
         point (no model call is spent)."""
-        prior = GaussianPrior.create(mean, precision)
-        if prior.dim != self.model.dim_in:
+        self._set_state(GaussianPrior.create(mean, precision), self.current.x,
+                        self.current.eval)
+
+    def _set_state(self, prior: Optional[GaussianPrior], x: np.ndarray,
+                   ev: Optional[ModelEval] = None) -> None:
+        """Make ``prior`` (flat about ``x`` when None) the prior and ``x`` the
+        current point, calling the model at ``x`` unless its evaluation
+        ``ev`` is given. The prior's dimension is checked before any model
+        call, and every check before the assignment, so a refused prior or
+        point leaves the sampler as it was."""
+        if prior is not None and prior.dim != self.model.dim_in:
             raise DimensionMismatch(
                 f"prior dimension {prior.dim}, model expects {self.model.dim_in}"
             )
-        self.prior = prior
-        self.current = point_state_from_eval(prior, self.current.x, self.current.eval)
-        if self.current.proposal is None:
+        if ev is None:
+            ev = self.model.evaluate(x)
+            if not ev.inside:
+                raise InitialGuessOutsideDomain("model indicator is 0 at the initial guess")
+        if prior is None:
+            prior = GaussianPrior.flat(x)
+        state = point_state_from_eval(prior, x, ev)
+        if state.proposal is None:
             raise SingularProposal(
-                "Gauss-Newton proposal undefined at the current point under this prior"
+                f"Gauss-Newton proposal undefined at x = {x.tolist()} under this prior"
             )
+        self.prior, self.current = prior, state
 
     def set_static(self, max_steps: int, factor: float) -> None:
         """Back off up to ``max_steps`` times, dilating by ``factor`` each
@@ -381,12 +379,7 @@ class Sampler:
             If the residual at ``x`` is NaN.
         """
         x = np.asarray(x, dtype=float).reshape(-1)
-        lp = log_posterior(self.prior, self.model.evaluate(x), x)
-        if math.isnan(lp):
-            raise UserFunctionFailure(
-                f"non-finite model output at x = {x.tolist()}: a NaN residual"
-            )
-        return float(np.exp(lp))
+        return float(np.exp(log_posterior(self.prior, self.model.evaluate(x), x)))
 
     # -- chain storage ------------------------------------------------------
 
@@ -543,11 +536,9 @@ class Sampler:
             step_count = {int(k): int(v) for k, v in doc["step_count"].items()}
             warnings = {str(k): int(v) for k, v in doc["warnings"].items()}
             pol = doc["policy"]
-            policy = BackoffPolicy(
-                mode=pol["mode"], max_steps=int(pol["max_steps"]),
-                factor=float(pol["factor"]), t_lo=float(pol["t_lo"]),
-                t_hi=float(pol["t_hi"]),
-            )
+            policy = BackoffPolicy(mode=pol["mode"], max_steps=int(pol["max_steps"]),
+                                   factor=float(pol["factor"]))
+            clamp = (float(pol["t_lo"]), float(pol["t_hi"]))
             prior = GaussianPrior.create(
                 doc["prior"]["mean"],
                 np.asarray(doc["prior"]["precision"], dtype=float).reshape(dim, dim),
@@ -557,6 +548,9 @@ class Sampler:
             rng_state = [str(s) for s in doc["rng"]["state"]]
         except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
             raise CorruptCheckpoint(f"malformed checkpoint field: {exc}") from exc
+        if clamp != (BackoffPolicy.t_lo, BackoffPolicy.t_hi):
+            raise CorruptCheckpoint(f"dynamic clamp bounds {clamp} are not "
+                                    f"({BackoffPolicy.t_lo}, {BackoffPolicy.t_hi})")
         if chain_file.suffix not in _CHAIN_SUFFIXES:
             raise CorruptCheckpoint(f"unknown chain file {chain_file.suffix!r}")
         if n_samples != chain_file.rows:

@@ -80,6 +80,27 @@ def test_error_bars_validation():
         error_bars(np.zeros((5, 1)), 2, [1.0], [0.0])
 
 
+@pytest.mark.parametrize("call,error", [
+    (lambda: error_bars_2d(np.empty((0, 2)), 0, 1, 10, [0.0] * 2, [1.0] * 2), EmptyChain),
+    (lambda: error_bars_2d(np.zeros((5, 2)), 0, 1, 10, [0.0], [1.0]), DimensionMismatch),
+    (lambda: error_bars_2d(np.zeros((5, 2)), 0, 1, 0, [0.0] * 2, [1.0] * 2), ValueError),
+    (lambda: error_bars_2d(np.zeros((5, 2)), 0, 1, 10, [0.0, 1.0], [1.0] * 2), ValueError),
+    (lambda: error_bars_2d(np.zeros((5, 2)), 0, 2, 10, [0.0] * 2, [1.0] * 2), DimensionMismatch),
+], ids=["empty", "short-range", "no-bins", "reversed-range", "pair-out-of-range"])
+def test_error_bars_2d_validation(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_error_bars_2d_accepts_1d_chain_like_error_bars():
+    chain = np.array([0.25, 0.75, 0.75, 5.0])
+    ci, cj, density, err = error_bars_2d(chain, 0, 0, 2, [0.0], [1.0])
+    np.testing.assert_array_equal(ci, error_bars(chain, 2, [0.0], [1.0]).centers[0])
+    np.testing.assert_array_equal(cj, ci)
+    # counts [[1, 0], [0, 2]] over N * w * w = 4 * 0.5 * 0.5; the row at 5 is out
+    np.testing.assert_array_equal(density, [[1.0, 0.0], [0.0, 2.0]])
+
+
 def test_error_bars_2d_mass_and_shape():
     rng = np.random.default_rng(3)
     chain = rng.normal(size=(20_000, 3))

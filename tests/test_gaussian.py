@@ -177,6 +177,9 @@ def test_factor_matches_numpy_cholesky_large_n(n):
     [[np.nan]],
     [[1.0, np.nan], [np.nan, 2.0]],
     [[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, np.nan]],
+    # dpotrf factors these; the infinite log-determinant is refused
+    [[np.inf]],
+    [[2.0, 0.5], [0.5, np.inf]],
 ])
 def test_factor_refuses_indefinite_and_nan(P):
     with pytest.raises(NotPositiveDefinite):

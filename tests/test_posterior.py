@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -308,16 +310,32 @@ def _neg_inf_jacobian(x, a):
     return 1, [x[0]], [[-np.inf, 1.0, 1.0]]
 
 
+def _overflow_jacobian(x, a):
+    # finite, but J'J overflows; under the flat prior at n = 3 the
+    # factorization fails instead of giving an infinite log-determinant
+    return 1, [x[0]], [[-1e200] + [1.0] * (x.shape[0] - 1)]
+
+
 @pytest.mark.parametrize("fn,n", [(_nan_residual, 1), (_nan_jacobian, 1),
-                                  (_inf_jacobian, 1), (_neg_inf_jacobian, 3)])
+                                  (_inf_jacobian, 1), (_neg_inf_jacobian, 3),
+                                  (_overflow_jacobian, 1), (_overflow_jacobian, 3)])
 @pytest.mark.parametrize("informative", [False, True])
 def test_point_state_non_finite_output_raises_naming_x(fn, n, informative):
     h = ModelHandle(fn, None, dim_in=n)
     x = [0.625] * n
     prior = (GaussianPrior.create(np.zeros(n), np.eye(n)) if informative
              else GaussianPrior.flat(n))
-    with pytest.raises(UserFunctionFailure, match=r"x = \[0\.625"):
+    # the model's own J'J overflows; no other case may warn
+    overflow = (pytest.warns(RuntimeWarning, match="overflow")
+                if fn is _overflow_jacobian else contextlib.nullcontext())
+    with overflow, pytest.raises(UserFunctionFailure, match=r"x = \[0\.625"):
         point_state(prior, h, x)
+
+
+def test_log_posterior_nan_residual_raises_naming_x():
+    h = ModelHandle(_nan_residual, None, dim_in=1)
+    with pytest.raises(UserFunctionFailure, match=r"x = \[0\.625\]"):
+        log_posterior(GaussianPrior.flat(1), h.evaluate([0.625]), np.array([0.625]))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -65,6 +65,21 @@ def test_set_prior_validation():
         s.set_prior([0.0, 0.0], np.eye(2))
 
 
+def test_refused_set_prior_leaves_sampler_unchanged():
+    # at x = 0 the quickstart Jacobian is 0, so a flat prior leaves no proposal
+    prior = GaussianPrior.create([0.0], [[1.0]])
+    a = Sampler([0.0], quickstart_handle(), seed=8, prior=prior)
+    b = Sampler([0.0], quickstart_handle(), seed=8, prior=prior)
+    with pytest.raises(SingularProposal):
+        a.set_prior([0.0], [[0.0]])
+    assert a.prior is prior
+    assert a.current == b.current
+    a.run_sample(10)
+    b.run_sample(10)
+    np.testing.assert_array_equal(a.chain, b.chain)
+    assert a.step_count == b.step_count and a.call_count == b.call_count
+
+
 def test_set_prior_costs_no_model_call():
     s = make_quickstart()
     before = s.call_count
@@ -341,6 +356,22 @@ def test_checkpoint_wrong_version_rejected(tmp_path):
     for version, content in ((1, v1), (3, v3)):
         path.write_text(_with_checksum(_reference_serialize(content)))
         with pytest.raises(CorruptCheckpoint, match=f"format version {version} is not supported"):
+            Sampler.load_checkpoint(path, quickstart_handle())
+
+
+def test_checkpoint_other_dynamic_clamp_rejected(tmp_path):
+    # the clamp bounds are constants, written to every document
+    path = tmp_path / "state.json"
+    s = make_quickstart(seed=1)
+    s.set_dynamic(2)
+    s.run_sample(10)
+    s.save_checkpoint(path)
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    for key, value in (("t_lo", 0.1), ("t_hi", 0.9)):
+        changed = dict(doc, policy=dict(doc["policy"], **{key: value}))
+        path.write_text(_with_checksum(_reference_serialize(changed)))
+        with pytest.raises(CorruptCheckpoint, match="clamp"):
             Sampler.load_checkpoint(path, quickstart_handle())
 
 
