@@ -32,8 +32,7 @@ oracle = gnmh.quickstart_handle(y=1.0, sigma=0.5)
 
 
 def log_density(x):
-    point = np.array([x])
-    return log_posterior(prior, oracle.evaluate(point), point)
+    return log_posterior(prior, oracle.evaluate([x]))
 
 
 grid, density = quadrature_1d(log_density, -3.0, 3.0)

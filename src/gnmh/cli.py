@@ -208,8 +208,7 @@ def _run_one_chain(args: argparse.Namespace, example: _Example, policy: BackoffP
     flat = example.prior_precision == ["flat"]
     precision = np.zeros(dim * dim) if flat else np.asarray(example.prior_precision, dtype=float)
     prior = GaussianPrior.create(example.prior_mean, precision.reshape(dim, dim))
-    sampler = Sampler(np.asarray(example.x0, dtype=float), example.build_handle(),
-                      seed=seed, prior=prior)
+    sampler = Sampler(example.x0, example.build_handle(), seed=seed, prior=prior)
     if policy.mode == "static":
         sampler.set_static(policy.max_steps, policy.factor)
     elif policy.mode == "dynamic":
@@ -239,8 +238,7 @@ def _run_one_chain(args: argparse.Namespace, example: _Example, policy: BackoffP
         oracle_handle = example.build_handle()  # separate call counter
 
         def log_density(x: float) -> float:
-            point = np.array([x])
-            return log_posterior(prior, oracle_handle.evaluate(point), point)
+            return log_posterior(prior, oracle_handle.evaluate([x]))
 
         grid, density = quadrature_1d(log_density, float(d_min[0]), float(d_max[0]))
         _write_csv(os.path.join(out_dir, f"quadrature{suffix}.csv"), "x,density",

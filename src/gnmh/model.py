@@ -26,12 +26,13 @@ from .errors import DimensionMismatch, UserFunctionFailure
 
 @dataclass
 class ModelEval:
-    """Result of one model-function call.
+    """Result of one model-function call at the 1-D float64 point ``x``.
 
     When ``inside`` is False the point is outside the model's domain and
     ``residual``/``jacobian`` are None; callers must not read them.
     """
 
+    x: np.ndarray
     inside: bool
     residual: Optional[np.ndarray]
     jacobian: Optional[np.ndarray]
@@ -62,7 +63,8 @@ class ModelHandle:
         self.call_count = 0
 
     def evaluate(self, x) -> ModelEval:
-        """Call the model once at ``x``, coercing outputs to dense arrays.
+        """Call the model once at ``x``, coercing outputs to dense arrays
+        and ``x`` to the 1-D float64 array that ``ModelEval.x`` holds.
 
         Raises
         ------
@@ -90,7 +92,7 @@ class ModelHandle:
             ) from exc
         inside = bool(inside_raw)
         if not inside:
-            return ModelEval(inside=False, residual=None, jacobian=None)
+            return ModelEval(x=x, inside=False, residual=None, jacobian=None)
 
         try:
             residual = np.asarray(residual_raw, dtype=float)
@@ -113,7 +115,7 @@ class ModelHandle:
         jacobian = jacobian.reshape(m, self.dim_in)
         if self.dim_out is None:
             self.dim_out = m
-        return ModelEval(inside=True, residual=residual, jacobian=jacobian)
+        return ModelEval(x=x, inside=True, residual=residual, jacobian=jacobian)
 
 
 # ---------------------------------------------------------------------------

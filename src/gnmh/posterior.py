@@ -88,26 +88,25 @@ def _log_target(prior: GaussianPrior, x: np.ndarray, residual_sq: float) -> floa
     lp = -0.5 * float(d.dot(prior.precision).dot(d)) - 0.5 * residual_sq
     if math.isnan(lp):
         raise UserFunctionFailure(f"non-finite model output at x = "
-                                  f"{np.asarray(x).tolist()}: a NaN residual")
+                                  f"{x.tolist()}: a NaN residual")
     return lp
 
 
-def log_posterior(prior: GaussianPrior, ev: ModelEval, x) -> float:
-    """Unnormalized log target at ``x`` given its model evaluation.
+def log_posterior(prior: GaussianPrior, ev: ModelEval) -> float:
+    """Unnormalized log target at ``ev.x`` given its model evaluation.
 
     Returns -inf outside the domain; otherwise
     -(x-m)'H(x-m)/2 - ||f(x)||^2/2. The normalization constant is omitted
-    (it cancels in every ratio the sampler forms). ``x`` is not coerced:
-    pass a 1-D float array of the prior's dimension. A NaN residual raises
+    (it cancels in every ratio the sampler forms). A NaN residual raises
     ``UserFunctionFailure``; a residual of +-inf is zero density.
     """
     if not ev.inside:
         return -np.inf
-    return _log_target(prior, x, float(ev.residual.dot(ev.residual)))
+    return _log_target(prior, ev.x, float(ev.residual.dot(ev.residual)))
 
 
-def gn_proposal(prior: GaussianPrior, ev: ModelEval, x) -> PrecisionGaussian:
-    """Gauss-Newton proposal distribution anchored at ``x``.
+def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> PrecisionGaussian:
+    """Gauss-Newton proposal distribution anchored at ``ev.x``.
 
     Precision P = H + J'J and mean mu = P^-1 (H m - J'f + J'J x), from
     completing the square in the linearized target. Requires an in-domain
@@ -115,25 +114,27 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval, x) -> PrecisionGaussian:
 
     This is the per-point hot path: one Cholesky factorization (LAPACK
     ``dpotrf``) and two triangular solves, with no validation or coercion.
-    Internal callers pass ``x`` as a 1-D float array; the prior was
-    validated by ``GaussianPrior.create``, whose H m is computed once, and
-    the shapes of J and f by ``ModelHandle.evaluate``. The factorization
-    is the only check: a NaN or infinite entry in H + J'J is refused as
-    singular before the right-hand side is formed, so a returned proposal
-    has a finite ``log_norm``.
+    The prior was validated by ``GaussianPrior.create``, whose H m is
+    computed once, and x and the shapes of J and f by
+    ``ModelHandle.evaluate``. The factorization is the only check: a NaN or
+    infinite entry in H + J'J is refused before the right-hand side is
+    formed, so a returned proposal has a finite ``log_norm``. Only when it
+    refuses is J'J itself judged.
 
     P is exactly symmetric without a symmetrizing step: H is exactly
-    symmetric (a ``GaussianPrior`` invariant), and ``J.T @ J`` is too, for
-    C-ordered, F-ordered and strided J alike, so their sum is. J'J stays
-    on ``@``: ``J.T.dot(J)`` of a strided J can differ between its two
-    triangles in the low bits. The vector products use ``ndarray.dot``,
+    symmetric (a ``GaussianPrior`` invariant), and J'J formed with ``@``
+    is too, for C-ordered, F-ordered and strided J alike, so their sum is.
+    J'J stays on ``@``: ``J.T.dot(J)`` of a strided J can differ between
+    its two triangles in the low bits. The vector products use ``ndarray.dot``,
     which on these small operands costs about half of ``@``; for a
     contiguous J it gives the same bits.
 
     Raises
     ------
+    UserFunctionFailure
+        If J'J is not finite (a NaN, infinite or overflowing entry), naming x.
     SingularProposal
-        If H + J'J is not positive definite or not finite.
+        If H + J'J is not positive definite.
     """
     J = ev.jacobian
     f = ev.residual
@@ -142,10 +143,13 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval, x) -> PrecisionGaussian:
     try:
         chol, log_norm = _factor(P)
     except NotPositiveDefinite as exc:
+        if not np.isfinite(JtJ).all():
+            raise UserFunctionFailure(f"non-finite model output at x = "
+                                      f"{ev.x.tolist()}: J'J is not finite") from None
         raise SingularProposal(
             "Gauss-Newton precision H + J'J is not positive definite"
         ) from exc
-    rhs = prior.precision_mean - J.T.dot(f) + JtJ.dot(x)
+    rhs = prior.precision_mean - J.T.dot(f) + JtJ.dot(ev.x)
     mu = _solve_lower(chol, _solve_lower(chol, rhs), trans=1)
     return PrecisionGaussian(mean=mu, precision=P, chol=chol, log_norm=log_norm)
 
@@ -177,39 +181,30 @@ class PointState:
         return self.eval.inside and self.proposal is None
 
 
-def point_state_from_eval(prior: GaussianPrior, x: np.ndarray,
-                          ev: ModelEval) -> PointState:
-    """Assemble a PointState from a cached evaluation (no model call).
-
-    ``x`` is not coerced: callers pass the 1-D float array that ``ev`` was
-    evaluated at. The proposal is factored with LAPACK ``dpotrf``.
+def point_state_from_eval(prior: GaussianPrior, ev: ModelEval) -> PointState:
+    """Assemble the PointState at ``ev.x`` from its evaluation (no model
+    call). The proposal is factored with LAPACK ``dpotrf``.
 
     Raises
     ------
     UserFunctionFailure
-        If the residual at ``x`` holds a NaN (refused by the log-target), or
-        J'J is not finite there (refused as singular by the factorization).
-        An infinite residual is not an error: it is zero density.
+        If the residual at x holds a NaN (refused by the log-target), or
+        J'J is not finite there (refused by :func:`gn_proposal`). An
+        infinite residual is not an error: it is zero density.
     """
     if not ev.inside:
-        return PointState(x=x, eval=ev, log_post=-np.inf, residual_sq=np.inf,
+        return PointState(x=ev.x, eval=ev, log_post=-np.inf, residual_sq=np.inf,
                           proposal=None)
     residual_sq = float(ev.residual.dot(ev.residual))
-    lp = _log_target(prior, x, residual_sq)
+    lp = _log_target(prior, ev.x, residual_sq)
     try:
-        proposal = gn_proposal(prior, ev, x)
+        proposal = gn_proposal(prior, ev)
     except SingularProposal:
-        J = ev.jacobian
-        if not np.isfinite(J.T @ J).all():
-            raise UserFunctionFailure(
-                f"non-finite model output at x = {x.tolist()}: J'J is not finite"
-            ) from None
         proposal = None
-    return PointState(x=x, eval=ev, log_post=lp, residual_sq=residual_sq,
+    return PointState(x=ev.x, eval=ev, log_post=lp, residual_sq=residual_sq,
                       proposal=proposal)
 
 
 def point_state(prior: GaussianPrior, model: ModelHandle, x) -> PointState:
     """Evaluate the model once at ``x`` and assemble the PointState."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return point_state_from_eval(prior, x, model.evaluate(x))
+    return point_state_from_eval(prior, model.evaluate(x))

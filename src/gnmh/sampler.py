@@ -34,6 +34,7 @@ from .errors import (
     CheckpointWriteFailure,
     CorruptCheckpoint,
     DimensionMismatch,
+    GnmhError,
     InitialGuessOutsideDomain,
     IOFailure,
     SingularProposal,
@@ -233,11 +234,10 @@ class Sampler:
         self.model = model
         self._calls_before = model.call_count
         self._call_base = 0
-        self._set_state(prior, np.asarray(x0, dtype=float).reshape(-1))
+        self._set_state(prior, x0)
         self.policy = BackoffPolicy.none()
         self.rng = np.random.default_rng(seed)
         self._set_chain(np.empty((0, self.dim)))
-        self.n_accepted = 0
         self.burned = 0
         self._step_count: Dict[int, int] = {-1: 0, 1: 0}
         self.warnings: Dict[str, int] = {"singular_proposals": 0}
@@ -247,30 +247,27 @@ class Sampler:
     def set_prior(self, mean, precision) -> None:
         """Replace the prior and refresh the cached state at the current
         point (no model call is spent)."""
-        self._set_state(GaussianPrior.create(mean, precision), self.current.x,
-                        self.current.eval)
+        self._set_state(GaussianPrior.create(mean, precision), self.current.eval)
 
-    def _set_state(self, prior: Optional[GaussianPrior], x: np.ndarray,
-                   ev: Optional[ModelEval] = None) -> None:
-        """Make ``prior`` (flat about ``x`` when None) the prior and ``x`` the
-        current point, calling the model at ``x`` unless its evaluation
-        ``ev`` is given. The prior's dimension is checked before any model
-        call, and every check before the assignment, so a refused prior or
-        point leaves the sampler as it was."""
+    def _set_state(self, prior: Optional[GaussianPrior], point) -> None:
+        """Make ``prior`` (flat about the point when None) the prior and
+        ``point`` the current point: either its ``ModelEval``, or a point at
+        which the model is called. The prior's dimension is checked before
+        any model call, and every check before the assignment, so a refused
+        prior or point leaves the sampler as it was."""
         if prior is not None and prior.dim != self.model.dim_in:
             raise DimensionMismatch(
                 f"prior dimension {prior.dim}, model expects {self.model.dim_in}"
             )
-        if ev is None:
-            ev = self.model.evaluate(x)
-            if not ev.inside:
-                raise InitialGuessOutsideDomain("model indicator is 0 at the initial guess")
+        ev = point if isinstance(point, ModelEval) else self.model.evaluate(point)
+        if not ev.inside:
+            raise InitialGuessOutsideDomain("model indicator is 0 at the initial guess")
         if prior is None:
-            prior = GaussianPrior.flat(x)
-        state = point_state_from_eval(prior, x, ev)
+            prior = GaussianPrior.flat(ev.x)
+        state = point_state_from_eval(prior, ev)
         if state.proposal is None:
             raise SingularProposal(
-                f"Gauss-Newton proposal undefined at x = {x.tolist()} under this prior"
+                f"Gauss-Newton proposal undefined at x = {ev.x.tolist()} under this prior"
             )
         self.prior, self.current = prior, state
 
@@ -303,6 +300,11 @@ class Sampler:
     @property
     def n_samples(self) -> int:
         return self._n
+
+    @property
+    def n_accepted(self) -> int:
+        """Transitions that accepted a candidate, burned ones included."""
+        return self.n_samples + self.burned - self._step_count[-1]
 
     @property
     def accept_rate(self) -> float:
@@ -347,12 +349,9 @@ class Sampler:
                 )
                 self._buf[self._n] = nxt.x
                 self._n += 1
-                if stage == -1:
-                    self._step_count[-1] += 1
-                else:
-                    self.n_accepted += 1
-                    self._step_count[stage] = self._step_count.get(stage, 0) + 1
-                    self.current = nxt
+                # a rejecting step returns the current state
+                self._step_count[stage] += 1
+                self.current = nxt
             done += size
             if visual:
                 print(f"{100.0 * done / n_samples:.1f}% complete", flush=True)
@@ -378,8 +377,7 @@ class Sampler:
         UserFunctionFailure
             If the residual at ``x`` is NaN.
         """
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return float(np.exp(log_posterior(self.prior, self.model.evaluate(x), x)))
+        return float(np.exp(log_posterior(self.prior, self.model.evaluate(x))))
 
     # -- chain storage ------------------------------------------------------
 
@@ -530,10 +528,13 @@ class Sampler:
                                     int(doc["chain_crc"], 16))
             counters = doc["counters"]
             n_samples = int(counters["n_samples"])
-            n_accepted = int(counters["n_accepted"])
             call_count = int(counters["call_count"])
             burned = int(counters["burned"])
             step_count = {int(k): int(v) for k, v in doc["step_count"].items()}
+            transitions = n_samples + burned
+            if (sum(step_count.values()) != transitions
+                    or int(counters["n_accepted"]) != transitions - step_count[-1]):
+                raise ValueError("step counts disagree with the counters")
             warnings = {str(k): int(v) for k, v in doc["warnings"].items()}
             pol = doc["policy"]
             policy = BackoffPolicy(mode=pol["mode"], max_steps=int(pol["max_steps"]),
@@ -546,7 +547,8 @@ class Sampler:
             current_x = np.asarray(doc["current_x"], dtype=float)
             rng_algorithm = doc["rng"]["algorithm_id"]
             rng_state = [str(s) for s in doc["rng"]["state"]]
-        except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
+        # GnmhError: a value the validators refuse, such as an invalid policy
+        except (AttributeError, KeyError, TypeError, ValueError, IndexError, GnmhError) as exc:
             raise CorruptCheckpoint(f"malformed checkpoint field: {exc}") from exc
         if clamp != (BackoffPolicy.t_lo, BackoffPolicy.t_hi):
             raise CorruptCheckpoint(f"dynamic clamp bounds {clamp} are not "
@@ -569,9 +571,9 @@ class Sampler:
         sampler.rng = _rng_from_strings(rng_algorithm, rng_state)
         sampler._set_chain(chain)
         sampler._on_disk = chain_file
-        sampler.n_accepted = n_accepted
         sampler.burned = burned
         sampler._step_count = step_count
+        sampler._resize_step_count()
         sampler.warnings = warnings
         # the reload evaluation recomputes a cached value; keep the counters
         # identical to an uninterrupted run

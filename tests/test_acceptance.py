@@ -58,7 +58,7 @@ def test_criterion_1_quickstart_vs_quadrature():
     oracle = quickstart_handle(y=1.0, sigma=0.5)
     prior = GaussianPrior.create([0.0], [[1.0]])
     grid, q = quadrature_1d(
-        lambda x: log_posterior(prior, oracle.evaluate([x]), [x]), lo, hi, 10_001
+        lambda x: log_posterior(prior, oracle.evaluate([x])), lo, hi, 10_001
     )
     q_centers = np.interp(hist.centers[0], grid, q)
     q_mass = q_centers * width

@@ -155,11 +155,22 @@ def test_sample_csv_values_equal_diagnostics_on_the_chain(tmp_path):
                              for a in range(len(ci)) for b in range(len(cj))]
 
     handle, prior = quickstart_handle(), GaussianPrior.create([0.0], [[1.0]])
-    grid, dens = quadrature_1d(lambda x: log_posterior(prior, handle.evaluate([x]), [x]),
+    grid, dens = quadrature_1d(lambda x: log_posterior(prior, handle.evaluate([x])),
                                -3.0, 3.0)
     header, *rows = (d1 / "quadrature.csv").read_text().splitlines()
     assert header == "x,density"
     assert _floats(rows) == [[x, d] for x, d in zip(grid, dens)]
+
+
+def test_sample_summary_tau_and_ess_equal_acor_of_the_chain(tmp_path):
+    # long enough for acor's window on both coordinates
+    assert run_cli("sample", "--example", "simple2d", "--samples", "3000", "--seed", "1",
+                   "--out-dir", str(tmp_path)) == 0
+    chain = np.array(_floats((tmp_path / "chain.csv").read_text().splitlines()[1:]))
+    taus = [diagnostics.acor(chain[:, j]).tau for j in range(2)]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["tau"] == taus
+    assert summary["ess"] == [chain.shape[0] / tau for tau in taus]
 
 
 def test_sample_expseries_with_backoff(tmp_path):

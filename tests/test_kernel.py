@@ -372,8 +372,8 @@ def _chain_trajectories(name, policy, n_stages, count, seed):
     return out
 
 
-@pytest.mark.parametrize("n_stages", [3, 4])
-@pytest.mark.parametrize("policy", [BackoffPolicy.static(3, 0.3), BackoffPolicy.dynamic(3)],
+@pytest.mark.parametrize("n_stages", [3, 4, 5, 6])
+@pytest.mark.parametrize("policy", [BackoffPolicy.static(5, 0.3), BackoffPolicy.dynamic(5)],
                          ids=["static", "dynamic"])
 @pytest.mark.parametrize("name", ["quickstart", "expseries"])
 def test_flow_balance_deep_backoff(name, policy, n_stages):

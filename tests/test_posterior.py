@@ -1,4 +1,4 @@
-import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -26,21 +26,21 @@ def test_prior_validation():
 def test_log_posterior_outside_domain():
     h = ModelHandle(lambda x, a: (x[0] > 0, [x[0]], [[1.0]]), None, dim_in=1)
     prior = GaussianPrior.flat([0.0])
-    assert log_posterior(prior, h.evaluate([-1.0]), [-1.0]) == -np.inf
+    assert log_posterior(prior, h.evaluate([-1.0])) == -np.inf
 
 
 def test_log_posterior_quickstart_at_zero():
     # prior term 0, residual -2: log p = -2
     h = quickstart_handle(y=1.0, sigma=0.5)
     prior = GaussianPrior.create([0.0], [[1.0]])
-    assert log_posterior(prior, h.evaluate([0.0]), [0.0]) == pytest.approx(-2.0)
+    assert log_posterior(prior, h.evaluate([0.0])) == pytest.approx(-2.0)
 
 
 def test_flat_prior_zero_residual_gives_zero():
     h = ModelHandle(lambda x, a: (1, [0.0], [[1.0]]), None, dim_in=1)
     prior = GaussianPrior.flat([0.0])
     for x in (-3.0, 0.0, 7.5):
-        assert log_posterior(prior, h.evaluate([x]), [x]) == 0.0
+        assert log_posterior(prior, h.evaluate([x])) == 0.0
 
 
 def test_gn_proposal_identity_residual():
@@ -48,7 +48,7 @@ def test_gn_proposal_identity_residual():
     h = ModelHandle(lambda x, a: (1, [x[0]], [[1.0]]), None, dim_in=1)
     prior = GaussianPrior.create([0.0], [[1.0]])
     for x in (-2.0, 0.5, 3.0):
-        g = gn_proposal(prior, h.evaluate([x]), [x])
+        g = gn_proposal(prior, h.evaluate([x]))
         assert g.precision[0, 0] == pytest.approx(2.0)
         assert g.mean[0] == pytest.approx(0.0)
 
@@ -58,7 +58,7 @@ def test_gn_proposal_flat_prior_shifted_line():
     c = 1.7
     h = ModelHandle(lambda x, a: (1, [x[0] - c], [[1.0]]), None, dim_in=1)
     prior = GaussianPrior.flat([0.0])
-    g = gn_proposal(prior, h.evaluate([5.0]), [5.0])
+    g = gn_proposal(prior, h.evaluate([5.0]))
     assert g.precision[0, 0] == pytest.approx(1.0)
     assert g.mean[0] == pytest.approx(c)
 
@@ -66,7 +66,7 @@ def test_gn_proposal_flat_prior_shifted_line():
 def test_gn_proposal_quickstart_at_one():
     h = quickstart_handle(y=1.0, sigma=0.5)
     prior = GaussianPrior.create([0.0], [[1.0]])
-    g = gn_proposal(prior, h.evaluate([1.0]), [1.0])
+    g = gn_proposal(prior, h.evaluate([1.0]))
     assert g.precision[0, 0] == pytest.approx(17.0)
     assert g.mean[0] == pytest.approx(16.0 / 17.0)
 
@@ -75,7 +75,7 @@ def test_gn_proposal_singular_when_flat_and_zero_jacobian():
     h = quickstart_handle(y=1.0, sigma=0.5)
     prior = GaussianPrior.flat([0.0])
     with pytest.raises(SingularProposal):
-        gn_proposal(prior, h.evaluate([0.0]), [0.0])
+        gn_proposal(prior, h.evaluate([0.0]))
 
 
 def _random_spd(rng, n):
@@ -97,7 +97,7 @@ def test_affine_exactness_linear_model():
     mu_true = np.linalg.solve(P_true, H @ m + A.T @ b)
     for _ in range(20):
         x = rng.normal(size=2)
-        g = gn_proposal(prior, h.evaluate(x), x)
+        g = gn_proposal(prior, h.evaluate(x))
         np.testing.assert_allclose(g.precision, P_true, rtol=1e-12)
         np.testing.assert_allclose(g.mean, mu_true, rtol=1e-10, atol=1e-12)
 
@@ -131,8 +131,8 @@ def test_affine_covariance_of_proposal():
         )
 
         x = rng.normal(size=n)
-        g = gn_proposal(prior, h.evaluate(B @ x + b), B @ x + b)
-        g_tilde = gn_proposal(prior_tilde, h_tilde.evaluate(x), x)
+        g = gn_proposal(prior, h.evaluate(B @ x + b))
+        g_tilde = gn_proposal(prior_tilde, h_tilde.evaluate(x))
         np.testing.assert_allclose(g_tilde.precision, B.T @ g.precision @ B, rtol=1e-10)
         np.testing.assert_allclose(
             g_tilde.mean, np.linalg.solve(B, g.mean - b), rtol=1e-10, atol=1e-10
@@ -146,7 +146,7 @@ def test_completed_square_matches_linearized_target():
     prior = GaussianPrior.create([0.0], [[1.0]])
     x = np.array([0.8])
     ev = h.evaluate(x)
-    g = gn_proposal(prior, ev, x)
+    g = gn_proposal(prior, ev)
     f, J = ev.residual, ev.jacobian
 
     diffs = []
@@ -191,7 +191,7 @@ def test_point_state_computes_residual_norm_and_log_post_once_bit_identically():
         st = point_state(prior, h, x)
         f = st.eval.residual
         assert st.residual_sq == float(f @ f)
-        assert st.log_post == log_posterior(prior, h.evaluate(x), x)
+        assert st.log_post == log_posterior(prior, h.evaluate(x))
     np.testing.assert_array_equal(prior.precision_mean, prior.precision @ prior.mean)
     assert prior.precision_mean is prior.precision_mean
 
@@ -228,9 +228,9 @@ def test_gn_proposal_and_sample_bit_identical_to_validated_path(n):
                   GaussianPrior.create(rng.normal(size=n), _random_spd(rng, n))):
         for _ in range(20):
             x = rng.normal(size=n)
-            ev = ModelEval(inside=True, residual=rng.normal(size=n + 2),
+            ev = ModelEval(x=x, inside=True, residual=rng.normal(size=n + 2),
                            jacobian=rng.normal(size=(n + 2, n)))
-            g = gn_proposal(prior, ev, x)
+            g = gn_proposal(prior, ev)
             _assert_same_gaussian(g, _reference_gn_proposal(prior, ev, x))
             center = rng.normal(size=n)
             dilated = [g.dilate(center, gamma) for gamma in (1.0, 0.5, 0.13)]
@@ -273,7 +273,7 @@ def test_gn_proposal_precision_exactly_symmetric_for_any_jacobian_layout(layout)
                 flags = ev.jacobian.flags  # evaluate kept the model's layout
                 assert {"C": flags.c_contiguous, "F": flags.f_contiguous,
                         "strided": not (flags.c_contiguous or flags.f_contiguous)}[layout]
-                P = gn_proposal(prior, ev, x).precision
+                P = gn_proposal(prior, ev).precision
                 np.testing.assert_array_equal(P, P.T)
                 ref = prior.precision + ev.jacobian.T @ ev.jacobian
                 np.testing.assert_array_equal(P, 0.5 * (ref + ref.T))
@@ -325,17 +325,31 @@ def test_point_state_non_finite_output_raises_naming_x(fn, n, informative):
     x = [0.625] * n
     prior = (GaussianPrior.create(np.zeros(n), np.eye(n)) if informative
              else GaussianPrior.flat(n))
-    # the model's own J'J overflows; no other case may warn
-    overflow = (pytest.warns(RuntimeWarning, match="overflow")
-                if fn is _overflow_jacobian else contextlib.nullcontext())
-    with overflow, pytest.raises(UserFunctionFailure, match=r"x = \[0\.625"):
-        point_state(prior, h, x)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(UserFunctionFailure, match=r"x = \[0\.625"):
+            point_state(prior, h, x)
+    # J'J is formed once, so an overflowing one warns once; no other case warns
+    overflows = 1 if fn is _overflow_jacobian else 0
+    assert [(w.category, "overflow" in str(w.message)) for w in caught] == \
+        [(RuntimeWarning, True)] * overflows
+
+
+@pytest.mark.parametrize("fn,n", [(_nan_jacobian, 1), (_inf_jacobian, 1),
+                                  (_neg_inf_jacobian, 3), (_overflow_jacobian, 3)])
+def test_gn_proposal_non_finite_jtj_raises_naming_x(fn, n):
+    # the proposal judges its own J'J when the factorization refuses H + J'J
+    ev = ModelHandle(fn, None, dim_in=n).evaluate([0.625] * n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(UserFunctionFailure, match=r"x = \[0\.625.*J'J is not finite"):
+            gn_proposal(GaussianPrior.flat(n), ev)
 
 
 def test_log_posterior_nan_residual_raises_naming_x():
     h = ModelHandle(_nan_residual, None, dim_in=1)
     with pytest.raises(UserFunctionFailure, match=r"x = \[0\.625\]"):
-        log_posterior(GaussianPrior.flat(1), h.evaluate([0.625]), np.array([0.625]))
+        log_posterior(GaussianPrior.flat(1), h.evaluate([0.625]))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -387,6 +387,62 @@ def test_checkpoint_tampering_detected(tmp_path):
         Sampler.load_checkpoint(path, quickstart_handle())
 
 
+def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
+    # same length, same checksum field: only the CRC comparison refuses it
+    path = tmp_path / "state.json"
+    s = make_quickstart(seed=1)
+    s.run_sample(10)
+    s.save_checkpoint(path)
+    data = bytearray(path.read_bytes())
+    at = data.index(b'"call_count":') + len(b'"call_count":')
+    data[at] = ord("7") if data[at] != ord("7") else ord("8")
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptCheckpoint, match="checksum mismatch"):
+        Sampler.load_checkpoint(path, quickstart_handle())
+
+
+@pytest.mark.parametrize("change", [
+    lambda doc: doc["policy"].update(mode="weird"),
+    lambda doc: doc["policy"].update(factor=1.5),
+    lambda doc: doc["policy"].update(max_steps=-1),
+    lambda doc: doc["prior"].update(precision=[-1.0]),
+    lambda doc: doc["counters"].update(n_accepted=doc["counters"]["n_accepted"] + 1),
+    lambda doc: doc["step_count"].update({"2": doc["step_count"]["2"] + 1}),
+], ids=["mode", "static-factor", "max-steps", "prior-precision", "n-accepted", "step-count"])
+def test_checkpoint_invalid_value_with_valid_checksum_refused(tmp_path, change):
+    # a document whose checksum holds but whose values no sampler can have
+    path = tmp_path / "state.json"
+    s = make_quickstart(seed=1)
+    s.set_static(2, 0.4)
+    s.run_sample(10)
+    s.save_checkpoint(path)
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    change(doc)
+    path.write_text(_with_checksum(_reference_serialize(doc)))
+    with pytest.raises(CorruptCheckpoint):
+        Sampler.load_checkpoint(path, quickstart_handle())
+
+
+def test_checkpoint_without_zero_stage_counts_loads_and_runs(tmp_path):
+    # a stage that never accepted needs no entry to be counted later
+    path = tmp_path / "state.json"
+    s = make_quickstart(seed=1)
+    s.set_static(2, 0.4)
+    s.run_sample(10)
+    s.save_checkpoint(path)
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    assert doc["step_count"]["3"] == 0
+    del doc["step_count"]["3"]
+    path.write_text(_with_checksum(_reference_serialize(doc)))
+    b = Sampler.load_checkpoint(path, quickstart_handle())
+    assert b.step_count == s.step_count
+    s.run_sample(300)
+    b.run_sample(300)
+    assert b.step_count == s.step_count and b.step_count[3] > 0
+
+
 def test_checkpoint_dimension_mismatch(tmp_path):
     path = tmp_path / "state.json"
     s = make_quickstart(seed=1)
