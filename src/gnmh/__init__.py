@@ -9,7 +9,6 @@ acceptance rule that balances whole proposal trajectories.
 """
 
 from .diagnostics import (
-    AcorResult,
     HistogramResult,
     acor,
     autocovariance,
@@ -22,16 +21,12 @@ from .jtest import JtestDomain, JtestOptions, jtest
 from .kernel import BackoffPolicy
 from .model import (
     ExpSeriesArgs,
-    ModelEval,
     ModelHandle,
     exp_series_handle,
     exp_series_model,
-    linear_handle,
-    linear_model,
     quickstart_handle,
     quickstart_model,
     simple2d_handle,
-    simple2d_model,
 )
 from .posterior import GaussianPrior
 from .sampler import Sampler
@@ -39,14 +34,12 @@ from .sampler import Sampler
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcorResult",
     "BackoffPolicy",
     "ExpSeriesArgs",
     "GaussianPrior",
     "HistogramResult",
     "JtestDomain",
     "JtestOptions",
-    "ModelEval",
     "ModelHandle",
     "PrecisionGaussian",
     "Sampler",
@@ -57,11 +50,8 @@ __all__ = [
     "exp_series_handle",
     "exp_series_model",
     "jtest",
-    "linear_handle",
-    "linear_model",
     "quickstart_handle",
     "quickstart_model",
     "simple2d_handle",
-    "simple2d_model",
     "step_percentages",
 ]

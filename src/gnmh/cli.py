@@ -33,7 +33,7 @@ from .model import (
     simple2d_handle,
 )
 from .posterior import GaussianPrior, log_posterior
-from .sampler import Sampler, format_rows, g17
+from .sampler import Sampler, g17
 
 
 def quadrature_1d(log_density: Callable[[float], float], lo: float, hi: float,
@@ -141,18 +141,24 @@ _EXAMPLES = ("quickstart", "well", "simple2d", "expseries", "badjac")
 # ---------------------------------------------------------------------------
 
 
+def _format_rows(rows: np.ndarray) -> str:
+    """Each row of a 2-D float array as a line of its numbers in ``g17``
+    format, comma-separated."""
+    template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "".join([template % tuple(row) for row in rows.tolist()])
+
+
 def _write_csv(path: str, header: str, rows: np.ndarray) -> None:
-    """``header``, then each row of ``rows`` as ``format_rows`` writes it,
-    formatted 4096 rows at a time."""
+    """``header``, then the rows of ``rows``, formatted 4096 at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for lo in range(0, rows.shape[0], 4096):
-            fh.write(format_rows(rows[lo:lo + 4096], after="\n", sep=""))
+            fh.write(_format_rows(rows[lo:lo + 4096]))
 
 
 def _write_histogram_csv(path: str, hist: diagnostics.HistogramResult) -> None:
     # one block per dimension, blocks separated by a blank line
-    blocks = ["center,density,err\n" + format_rows(np.column_stack(cols), after="\n", sep="")
+    blocks = ["center,density,err\n" + _format_rows(np.column_stack(cols))
               for cols in zip(hist.centers, hist.density, hist.err)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(blocks))
@@ -209,10 +215,7 @@ def _run_one_chain(args: argparse.Namespace, example: _Example, policy: BackoffP
     precision = np.zeros(dim * dim) if flat else np.asarray(example.prior_precision, dtype=float)
     prior = GaussianPrior.create(example.prior_mean, precision.reshape(dim, dim))
     sampler = Sampler(example.x0, example.build_handle(), seed=seed, prior=prior)
-    if policy.mode == "static":
-        sampler.set_static(policy.max_steps, policy.factor)
-    elif policy.mode == "dynamic":
-        sampler.set_dynamic(policy.max_steps)
+    sampler.policy = policy
 
     checkpoint = args.checkpoint + suffix if args.checkpoint is not None else None
     sampler.run_sample(args.samples, divs=args.divs, visual=args.visual, safe=checkpoint)

@@ -115,11 +115,6 @@ def autocovariance(series, max_lag: int) -> np.ndarray:
     n = series.shape[0]
     if max_lag >= n:
         raise LagTooLarge(f"max_lag {max_lag} not below series length {n}")
-    return _autocov_fft(series, max_lag)
-
-
-def _autocov_fft(series: np.ndarray, max_lag: int) -> np.ndarray:
-    n = series.shape[0]
     centered = series - series.mean()
     size = 1
     while size < 2 * n:
@@ -148,7 +143,7 @@ def acor(series, k: int = 5) -> AcorResult:
         raise SeriesTooShort(f"need at least {100 * k} samples, got {n}")
     mean = float(series.mean())
     max_lag = n // 10
-    cov = _autocov_fft(series, max_lag)
+    cov = autocovariance(series, max_lag)
     var = cov[0]
     if var == 0.0:
         return AcorResult(tau=1.0, mean=mean, sigma=0.0)

@@ -89,31 +89,6 @@ class PrecisionGaussian:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    @classmethod
-    def from_precision(cls, mean, precision) -> "PrecisionGaussian":
-        """Build the distribution, factoring the precision matrix once.
-
-        ``precision`` must be square and symmetric to within 1e-10; it is
-        symmetrized as (P + P^T)/2 before factoring.
-
-        Raises
-        ------
-        NotPositiveDefinite
-            If the Cholesky factorization fails.
-        """
-        mean = np.asarray(mean, dtype=float).reshape(-1)
-        precision = np.asarray(precision, dtype=float)
-        n = mean.shape[0]
-        if precision.shape != (n, n):
-            raise DimensionMismatch(
-                f"precision shape {precision.shape} does not match mean length {n}"
-            )
-        if not np.allclose(precision, precision.T, rtol=1e-10, atol=1e-10):
-            raise ValueError("precision matrix is not symmetric")
-        precision = 0.5 * (precision + precision.T)
-        chol, log_norm = _factor(precision)
-        return cls(mean=mean, precision=precision, chol=chol, log_norm=log_norm)
-
     def log_pdf(self, x) -> float:
         """Exact log-density at ``x``, normalization included."""
         x = np.asarray(x, dtype=float).reshape(-1)

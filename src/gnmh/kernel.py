@@ -109,16 +109,17 @@ def cubic_minimizer(phi0: float, phi1: float, dphi0: float, dphi1: float) -> Opt
     return t
 
 
-def dynamic_gamma(x_state: PointState, z_state: PointState, policy: BackoffPolicy) -> float:
+def dynamic_gamma(x_state: PointState, z_state: PointState) -> float:
     """Dilation factor from a cubic model of phi(t) = ||f(x + t(z-x))||^2.
 
     The endpoint values and slopes come from the two cached evaluations and
     the stored ||f||^2 of each point, so no model calls are spent. The
-    minimizer is clamped to [policy.t_lo, policy.t_hi]; if the cubic has no
-    interior minimum or ``z`` is outside the domain, the clamp midpoint is
-    returned.
+    minimizer is clamped to [BackoffPolicy.t_lo, BackoffPolicy.t_hi]; if the
+    cubic has no interior minimum or ``z`` is outside the domain, the clamp
+    midpoint is returned.
     """
-    fallback = 0.5 * (policy.t_lo + policy.t_hi)
+    lo, hi = BackoffPolicy.t_lo, BackoffPolicy.t_hi
+    fallback = 0.5 * (lo + hi)
     if not z_state.inside:
         return fallback
     direction = z_state.x - x_state.x
@@ -129,7 +130,7 @@ def dynamic_gamma(x_state: PointState, z_state: PointState, policy: BackoffPolic
                         2.0 * float(fz.dot(Jz.dot(direction))))
     if t is None:
         return fallback
-    return min(max(t, policy.t_lo), policy.t_hi)
+    return min(max(t, lo), hi)
 
 
 def _log1m_exp(log_a: float) -> float:
@@ -189,7 +190,7 @@ class _Transition:
                 if self.policy.mode == "static":
                     scale *= self.policy.factor
                 else:
-                    scale *= dynamic_gamma(anchor, self.pts[g], self.policy)
+                    scale *= dynamic_gamma(anchor, self.pts[g])
                 kern = (scale, anchor.x + scale * (prop.mean - anchor.x),
                         prop.precision / (scale * scale),
                         prop.log_norm - prop.mean.shape[0] * np.log(scale))

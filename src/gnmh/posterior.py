@@ -62,12 +62,9 @@ class GaussianPrior:
         return prior
 
     @classmethod
-    def flat(cls, n_or_mean) -> "GaussianPrior":
-        """Flat prior: zero precision about an arbitrary mean."""
-        if np.ndim(n_or_mean) == 0:
-            mean = np.zeros(int(n_or_mean))
-        else:
-            mean = np.asarray(n_or_mean, dtype=float).reshape(-1)
+    def flat(cls, mean) -> "GaussianPrior":
+        """Flat prior: zero precision about ``mean``."""
+        mean = np.asarray(mean, dtype=float).reshape(-1)
         return cls(mean=mean, precision=np.zeros((mean.shape[0], mean.shape[0])))
 
     @property

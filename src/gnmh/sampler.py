@@ -58,15 +58,6 @@ def g17(v) -> str:
     return "%.17g" % float(v)
 
 
-def format_rows(rows: np.ndarray, before: str = "", after: str = "",
-                sep: str = ",") -> str:
-    """Each row of a 2-D float array as its numbers in ``g17`` format,
-    comma-separated and wrapped in ``before``/``after``; rows joined by
-    ``sep``."""
-    template = before + ",".join(["%.17g"] * rows.shape[1]) + after
-    return sep.join([template % tuple(row) for row in rows.tolist()])
-
-
 def _fmt_number(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         raise TypeError("no boolean fields in checkpoints")
@@ -218,7 +209,8 @@ class Sampler:
         the flat-prior proposal precision J'J is rank deficient.
 
     The back-off policy defaults to none; see :meth:`set_prior`,
-    :meth:`set_static`, :meth:`set_dynamic`.
+    :meth:`set_static`, :meth:`set_dynamic`, or assign a ``BackoffPolicy``
+    to ``policy``.
 
     Raises
     ------
@@ -232,14 +224,14 @@ class Sampler:
     def __init__(self, x0, model: ModelHandle, seed: Optional[int] = None,
                  prior: Optional[GaussianPrior] = None):
         self.model = model
-        self._calls_before = model.call_count
-        self._call_base = 0
+        # call_count is the handle's count plus this offset
+        self._call_offset = -model.call_count
         self._set_state(prior, x0)
         self.policy = BackoffPolicy.none()
         self.rng = np.random.default_rng(seed)
         self._set_chain(np.empty((0, self.dim)))
         self.burned = 0
-        self._step_count: Dict[int, int] = {-1: 0, 1: 0}
+        self._step_count: Dict[int, int] = {-1: 0}
         self.warnings: Dict[str, int] = {"singular_proposals": 0}
 
     # -- configuration ------------------------------------------------
@@ -275,17 +267,11 @@ class Sampler:
         """Back off up to ``max_steps`` times, dilating by ``factor`` each
         time. ``max_steps=0`` disables back-off."""
         self.policy = BackoffPolicy.static(max_steps, factor)
-        self._resize_step_count()
 
     def set_dynamic(self, max_steps: int) -> None:
         """Back off up to ``max_steps`` times with cubic-interpolation
         dilation factors."""
         self.policy = BackoffPolicy.dynamic(max_steps)
-        self._resize_step_count()
-
-    def _resize_step_count(self) -> None:
-        for stage in range(1, self.policy.n_stages + 1):
-            self._step_count.setdefault(stage, 0)
 
     # -- outputs --------------------------------------------------------
 
@@ -314,12 +300,16 @@ class Sampler:
 
     @property
     def call_count(self) -> int:
-        return self._call_base + (self.model.call_count - self._calls_before)
+        return self.model.call_count + self._call_offset
 
     @property
     def step_count(self) -> Dict[int, int]:
-        order = [-1] + sorted(k for k in self._step_count if k != -1)
-        return {k: self._step_count[k] for k in order}
+        """Transitions per stage that ended them, in stage order: -1 for a
+        rejection, then every stage of the policy, zeros included, and any
+        other stage that has ended a transition."""
+        counts = dict.fromkeys(range(1, self.policy.n_stages + 1), 0)
+        counts.update(self._step_count)
+        return dict(sorted(counts.items()))
 
     # -- sampling -------------------------------------------------------
 
@@ -350,7 +340,7 @@ class Sampler:
                 self._buf[self._n] = nxt.x
                 self._n += 1
                 # a rejecting step returns the current state
-                self._step_count[stage] += 1
+                self._step_count[stage] = self._step_count.get(stage, 0) + 1
                 self.current = nxt
             done += size
             if visual:
@@ -531,11 +521,13 @@ class Sampler:
             call_count = int(counters["call_count"])
             burned = int(counters["burned"])
             step_count = {int(k): int(v) for k, v in doc["step_count"].items()}
+            warnings = {str(k): int(v) for k, v in doc["warnings"].items()}
+            if min(n_samples, call_count, burned, *step_count.values(), *warnings.values()) < 0:
+                raise ValueError("a counter is negative")
             transitions = n_samples + burned
             if (sum(step_count.values()) != transitions
                     or int(counters["n_accepted"]) != transitions - step_count[-1]):
                 raise ValueError("step counts disagree with the counters")
-            warnings = {str(k): int(v) for k, v in doc["warnings"].items()}
             pol = doc["policy"]
             policy = BackoffPolicy(mode=pol["mode"], max_steps=int(pol["max_steps"]),
                                    factor=float(pol["factor"]))
@@ -573,10 +565,8 @@ class Sampler:
         sampler._on_disk = chain_file
         sampler.burned = burned
         sampler._step_count = step_count
-        sampler._resize_step_count()
         sampler.warnings = warnings
         # the reload evaluation recomputes a cached value; keep the counters
         # identical to an uninterrupted run
-        sampler._call_base = call_count
-        sampler._calls_before = model.call_count
+        sampler._call_offset = call_count - model.call_count
         return sampler

@@ -114,8 +114,7 @@ def test_dynamic_gamma_symmetric_well():
     h = ModelHandle(lambda x, a: (1, [x[0]], [[1.0]]), None, dim_in=1)
     prior = GaussianPrior.create([0.0], [[1.0]])
     a, b = _states(prior, h, [[-1.0], [1.0]])
-    policy = BackoffPolicy.dynamic(1)
-    assert dynamic_gamma(a, b, policy) == pytest.approx(0.5)
+    assert dynamic_gamma(a, b) == pytest.approx(0.5)
 
 
 def test_dynamic_gamma_linear_matches_quadratic_minimizer():
@@ -124,7 +123,6 @@ def test_dynamic_gamma_linear_matches_quadratic_minimizer():
     b_vec = rng.normal(size=4)
     h = linear_handle(A, b_vec)
     prior = GaussianPrior.flat([0.0, 0.0])
-    policy = BackoffPolicy.dynamic(1)
     checked = 0
     while checked < 30:
         x = rng.normal(size=2)
@@ -136,8 +134,8 @@ def test_dynamic_gamma_linear_matches_quadratic_minimizer():
         if not 0.0 < t_true < 1.0:
             continue
         xs, zs = _states(prior, h, [x, z])
-        got = dynamic_gamma(xs, zs, policy)
-        expected = min(max(t_true, policy.t_lo), policy.t_hi)
+        got = dynamic_gamma(xs, zs)
+        expected = min(max(t_true, BackoffPolicy.t_lo), BackoffPolicy.t_hi)
         assert got == pytest.approx(expected, abs=1e-10)
         checked += 1
 
@@ -147,8 +145,7 @@ def test_dynamic_gamma_fallback_outside_domain():
     prior = GaussianPrior.flat([0.0])
     a = point_state(prior, h, [1.0])
     z = point_state(prior, h, [-1.0])
-    policy = BackoffPolicy.dynamic(1)
-    assert dynamic_gamma(a, z, policy) == pytest.approx(0.5 * (policy.t_lo + policy.t_hi))
+    assert dynamic_gamma(a, z) == pytest.approx(0.5 * (BackoffPolicy.t_lo + BackoffPolicy.t_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +266,8 @@ def test_two_stage_matches_transcribed_formula_dynamic():
         pts = [point_state(prior, h, rng.uniform(-1.8, 1.8, 1)) for _ in range(3)]
         # the transcription uses one gamma for both directions; compare only
         # on instances where the cubic rule gives the same value both ways
-        gamma2 = dynamic_gamma(pts[0], pts[1], policy)
-        gamma2_rev = dynamic_gamma(pts[2], pts[1], policy)
+        gamma2 = dynamic_gamma(pts[0], pts[1])
+        gamma2_rev = dynamic_gamma(pts[2], pts[1])
         if abs(gamma2 - gamma2_rev) > 1e-13:
             continue
         want = _transcribed_two_stage(
@@ -400,7 +397,7 @@ def _reference_log_accept(origin, points, policy):
             if policy.mode == "static":
                 scale *= policy.factor
             else:
-                scale *= dynamic_gamma(anchor, pt, policy)
+                scale *= dynamic_gamma(anchor, pt)
             out.append(anchor.proposal.dilate(anchor.x, scale))
         return out
 
@@ -605,7 +602,7 @@ def test_step_draws_equal_dilated_proposal_samples(name, policy, monkeypatch):
                 if policy.mode == "static":
                     scale *= policy.factor
                 else:
-                    scale *= dynamic_gamma(cur, drawn[j - 1], policy)
+                    scale *= dynamic_gamma(cur, drawn[j - 1])
                 ref = cur.proposal.dilate(cur.x, scale)
             np.testing.assert_array_equal(y.x, ref.sample(z))
             stages_seen.add(j + 1)

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from gnmh.errors import NotPSD, SingularProposal, UserFunctionFailure
-from gnmh.gaussian import PrecisionGaussian
+from gnmh.gaussian import PrecisionGaussian, _factor
 from gnmh.model import ModelEval, ModelHandle, linear_handle, quickstart_handle
 from gnmh.posterior import (
     GaussianPrior,
@@ -197,17 +197,17 @@ def test_point_state_computes_residual_norm_and_log_post_once_bit_identically():
 
 
 def _reference_gn_proposal(prior, ev, x):
-    # the validated construction: from_precision plus scipy's triangular solves
+    # the validated construction: a symmetrized P, its factor, and scipy's
+    # triangular solves
     J, f = ev.jacobian, ev.residual
     JtJ = J.T @ J
     P = prior.precision + JtJ
     P = 0.5 * (P + P.T)
-    shell = PrecisionGaussian.from_precision(np.zeros_like(x), P)
+    chol, log_norm = _factor(P)
     rhs = prior.precision @ prior.mean - J.T @ f + JtJ @ x
-    half = solve_triangular(shell.chol, rhs, lower=True, check_finite=False)
-    mu = solve_triangular(shell.chol, half, lower=True, trans="T", check_finite=False)
-    return PrecisionGaussian(mean=mu, precision=shell.precision,
-                             chol=shell.chol, log_norm=shell.log_norm)
+    half = solve_triangular(chol, rhs, lower=True, check_finite=False)
+    mu = solve_triangular(chol, half, lower=True, trans="T", check_finite=False)
+    return PrecisionGaussian(mean=mu, precision=P, chol=chol, log_norm=log_norm)
 
 
 def _reference_sample(g, z):
@@ -264,7 +264,7 @@ def test_gn_proposal_precision_exactly_symmetric_for_any_jacobian_layout(layout)
     for n, m in [(n, m) for n in range(1, 13) for m in (n + 1, n + 4, 30)]:
         H = _random_spd(rng, n)
         H[0, -1] += 1e-13  # a prior built with the constructor may be asymmetric
-        for prior in (GaussianPrior.flat(n), GaussianPrior(rng.normal(size=n), H)):
+        for prior in (GaussianPrior.flat(np.zeros(n)), GaussianPrior(rng.normal(size=n), H)):
             for _ in range(5):
                 J = _jacobian_in_layout(rng.normal(size=(m, n)), layout)
                 h = ModelHandle(lambda x, a, J=J: (1, rng.normal(size=m), J), None, dim_in=n)
@@ -324,7 +324,7 @@ def test_point_state_non_finite_output_raises_naming_x(fn, n, informative):
     h = ModelHandle(fn, None, dim_in=n)
     x = [0.625] * n
     prior = (GaussianPrior.create(np.zeros(n), np.eye(n)) if informative
-             else GaussianPrior.flat(n))
+             else GaussianPrior.flat(np.zeros(n)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(UserFunctionFailure, match=r"x = \[0\.625"):
@@ -343,13 +343,13 @@ def test_gn_proposal_non_finite_jtj_raises_naming_x(fn, n):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(UserFunctionFailure, match=r"x = \[0\.625.*J'J is not finite"):
-            gn_proposal(GaussianPrior.flat(n), ev)
+            gn_proposal(GaussianPrior.flat(np.zeros(n)), ev)
 
 
 def test_log_posterior_nan_residual_raises_naming_x():
     h = ModelHandle(_nan_residual, None, dim_in=1)
     with pytest.raises(UserFunctionFailure, match=r"x = \[0\.625\]"):
-        log_posterior(GaussianPrior.flat(1), h.evaluate([0.625]))
+        log_posterior(GaussianPrior.flat([0.0]), h.evaluate([0.625]))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

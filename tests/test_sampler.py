@@ -25,6 +25,7 @@ from gnmh.model import (
     quickstart_handle,
     simple2d_handle,
 )
+from gnmh.kernel import BackoffPolicy
 from gnmh.posterior import GaussianPrior
 from gnmh.sampler import Sampler, _rng_state_strings
 
@@ -101,6 +102,24 @@ def test_counter_identities_after_each_run():
         assert s.n_accepted == sum(v for k, v in counts.items() if k != -1)
         assert s.n_samples == s.n_accepted + counts[-1]
         assert s.accept_rate == pytest.approx(s.n_accepted / s.n_samples)
+
+
+@pytest.mark.parametrize("policy,configure", [
+    (BackoffPolicy.static(3, 0.1), lambda s: s.set_static(3, 0.1)),
+    (BackoffPolicy.dynamic(3), lambda s: s.set_dynamic(3)),
+], ids=["static", "dynamic"])
+def test_assigned_policy_runs_as_the_setter_does(policy, configure):
+    # step counts are sized where they are read and counted, so a policy
+    # assigned directly counts every stage it can reach
+    a, b = make_quickstart(seed=4), make_quickstart(seed=4)
+    a.policy = policy
+    configure(b)
+    assert a.step_count == b.step_count == {-1: 0, 1: 0, 2: 0, 3: 0, 4: 0}
+    a.run_sample(2000)
+    b.run_sample(2000)
+    np.testing.assert_array_equal(a.chain, b.chain)
+    assert a.call_count == b.call_count
+    assert a.step_count == b.step_count and a.step_count[4] > 0
 
 
 def test_call_count_closed_form_without_backoff():
@@ -408,7 +427,16 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     lambda doc: doc["prior"].update(precision=[-1.0]),
     lambda doc: doc["counters"].update(n_accepted=doc["counters"]["n_accepted"] + 1),
     lambda doc: doc["step_count"].update({"2": doc["step_count"]["2"] + 1}),
-], ids=["mode", "static-factor", "max-steps", "prior-precision", "n-accepted", "step-count"])
+    # the rest keep every sum and identity between the counters
+    lambda doc: doc["counters"].update(call_count=-5),
+    lambda doc: doc["warnings"].update(singular_proposals=-3),
+    lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] + 1,
+                                          "3": doc["step_count"]["3"] - 1}),
+    lambda doc: (doc["counters"].update(burned=-1,
+                                        n_accepted=doc["counters"]["n_accepted"] - 1),
+                 doc["step_count"].update({"1": doc["step_count"]["1"] - 1})),
+], ids=["mode", "static-factor", "max-steps", "prior-precision", "n-accepted", "step-count",
+        "negative-call-count", "negative-warning", "negative-step-count", "negative-burned"])
 def test_checkpoint_invalid_value_with_valid_checksum_refused(tmp_path, change):
     # a document whose checksum holds but whose values no sampler can have
     path = tmp_path / "state.json"
