@@ -33,7 +33,7 @@ from .model import (
     simple2d_handle,
 )
 from .posterior import GaussianPrior, log_posterior
-from .sampler import Sampler, g17
+from .sampler import Sampler
 
 
 def quadrature_1d(log_density: Callable[[float], float], lo: float, hi: float,
@@ -141,6 +141,12 @@ _EXAMPLES = ("quickstart", "well", "simple2d", "expseries", "badjac")
 # ---------------------------------------------------------------------------
 
 
+def g17(v) -> str:
+    """``v`` at 17 significant digits, enough to round-trip a float64: the
+    number format of the output files."""
+    return "%.17g" % float(v)
+
+
 def _format_rows(rows: np.ndarray) -> str:
     """Each row of a 2-D float array as a line of its numbers in ``g17``
     format, comma-separated."""
@@ -184,6 +190,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     example = _make_example(args)._replace(**{
         key: getattr(args, key) for key in ("x0", "prior_mean", "prior_precision", "range")
         if getattr(args, key) is not None})
+    for key, size in (("x0", example.dim), ("prior_mean", example.dim),
+                      ("prior_precision", example.dim ** 2)):
+        value = getattr(args, key)
+        if value is not None and value != ["flat"] and len(value) != size:
+            raise ValueError(f"--{key.replace('_', '-')}: the {args.example} example takes "
+                             f"{size} numbers, not {len(value)}")
+    lo, hi = example.range
+    if not lo < hi:
+        raise ValueError(f"--range {lo} {hi}: need LO < HI")
     for pair in args.marginal:
         if not all(0 <= k < example.dim for k in pair):
             raise ValueError(f"--marginal {pair[0]} {pair[1]}: indices must lie in "

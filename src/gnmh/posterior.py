@@ -46,7 +46,9 @@ class GaussianPrior:
 
     @classmethod
     def create(cls, mean, precision) -> "GaussianPrior":
-        """Validate symmetry and positive semidefiniteness, then build."""
+        """Validate finiteness, symmetry and positive semidefiniteness, then
+        build. A non-finite entry of ``mean`` or ``precision`` is refused
+        with ``NotPSD``, naming which."""
         mean = np.asarray(mean, dtype=float).reshape(-1)
         precision = np.asarray(precision, dtype=float)
         n = mean.shape[0]
@@ -54,6 +56,9 @@ class GaussianPrior:
             raise DimensionMismatch(
                 f"prior precision shape {precision.shape}, expected ({n}, {n})"
             )
+        for name, value in (("mean", mean), ("precision", precision)):
+            if not np.all(np.isfinite(value)):
+                raise NotPSD(f"prior {name} has a non-finite entry")
         if not np.allclose(precision, precision.T, rtol=1e-10, atol=1e-10):
             raise NotPSD("prior precision is not symmetric")
         prior = cls(mean=mean, precision=precision)

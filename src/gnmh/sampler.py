@@ -3,10 +3,10 @@ sampling in divisions with optional checkpointing, burn-in, and counters.
 
 The chain is one growing float64 array. A checkpoint is two files:
 
-- the state document at the checkpoint path: one JSON document with a fixed
-  field order, 17-significant-digit numbers, and a CRC-32 checksum over its
-  own text (the document without its checksum field). It holds everything
-  but the chain rows, so a resumed run continues bit-identically, and it
+- the state document at the checkpoint path: compact JSON from ``json``,
+  numbers in shortest round-trip form, with a CRC-32 checksum over its own
+  text (the document without its checksum field). It holds every fact but
+  the chain rows, each once, so a resumed run continues bit-identically; it
   names the chain file, its row count and the rows' CRC-32;
 - the chain file beside it, the document's path plus ``.chain`` or
   ``.chain-b``: the rows as raw little-endian float64, append-only.
@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import zlib
-from typing import Dict, List, NamedTuple, Optional, Union
+from typing import Dict, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -43,40 +42,10 @@ from .kernel import BackoffPolicy
 from .model import ModelEval, ModelHandle
 from .posterior import GaussianPrior, log_posterior, point_state_from_eval
 
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 _CHECKSUM_KEY = b',"checksum":'
 # the two chain file names, as suffixes of the document's path
 _CHAIN_SUFFIXES = (".chain", ".chain-b")
-# the document's fields up to the chain file's CRC-32, as every save writes them
-_DOC_HEAD = re.compile(rb'\{"format_version":%d,"dim":(\d+),"chain_file":"(\.chain(?:-b)?)",'
-                       rb'"chain_rows":(\d+),"chain_crc":"([0-9a-f]{8})",' % _CHECKPOINT_VERSION)
-
-
-def g17(v) -> str:
-    """``v`` at 17 significant digits, enough to round-trip a float64: the
-    number format of checkpoints and of the CLI's output files."""
-    return "%.17g" % float(v)
-
-
-def _fmt_number(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        raise TypeError("no boolean fields in checkpoints")
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return g17(v)
-
-
-def _serialize(v) -> str:
-    """Canonical JSON text: insertion-ordered keys, compact separators,
-    numbers at 17 significant digits."""
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, dict):
-        items = ",".join(f"{json.dumps(k)}:{_serialize(val)}" for k, val in v.items())
-        return "{" + items + "}"
-    if isinstance(v, (list, tuple)):
-        return "[" + ",".join(_serialize(item) for item in v) + "]"
-    return _fmt_number(v)
 
 
 def _checksum_field(crc: int) -> bytes:
@@ -96,18 +65,35 @@ class _ChainFile(NamedTuple):
     crc: int
 
 
-def _named_chain(path: str) -> Optional[_ChainFile]:
-    """The chain file that the document at ``path`` names, read from the
-    head of its text; None when no version-2 document is there."""
+def _read_document(path: str) -> dict:
+    """The parsed state document at ``path``. ``CorruptCheckpoint`` refuses
+    text that is not JSON, another format version, named by its number, and
+    a CRC-32 that does not match the file's bytes; ``OSError`` is raised
+    when the file cannot be read."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "rb") as fh:
-            head = fh.read(256)
-    except FileNotFoundError:
-        return None
-    m = _DOC_HEAD.match(head)
-    if m is None:
-        return None
-    return _ChainFile(int(m[1]), m[2].decode("ascii"), int(m[3]), int(m[4], 16))
+        doc = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptCheckpoint(f"checkpoint is not valid JSON: {exc}") from exc
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != _CHECKPOINT_VERSION:
+        raise CorruptCheckpoint(f"checkpoint format version {version} is not "
+                                f"supported; this release reads version "
+                                f"{_CHECKPOINT_VERSION}")
+    # the CRC of the text before the checksum field, closed with "}"
+    end = data.rfind(_CHECKSUM_KEY)
+    if end < 0:
+        raise CorruptCheckpoint("checkpoint has no checksum")
+    if data[end:] != _checksum_field(zlib.crc32(b"}", zlib.crc32(memoryview(data)[:end]))):
+        raise CorruptCheckpoint("checksum mismatch")
+    return doc
+
+
+def _chain_file(doc: dict) -> _ChainFile:
+    """The chain file ``doc`` names, of rows as long as its current point."""
+    return _ChainFile(len(doc["current_x"]), doc["chain_file"], int(doc["chain_rows"]),
+                      int(doc["chain_crc"], 16))
 
 
 def _raw_rows(rows: np.ndarray) -> memoryview:
@@ -163,32 +149,6 @@ def _read_chain(path: str, chain: _ChainFile) -> np.ndarray:
     if zlib.crc32(buf) != chain.crc:
         raise CorruptCheckpoint(f"chain file {path}: checksum mismatch")
     return np.frombuffer(buf, dtype="<f8").reshape(chain.rows, chain.dim)
-
-
-def _rng_state_strings(rng: np.random.Generator) -> tuple:
-    state = rng.bit_generator.state
-    inner = state["state"]
-    mask = (1 << 64) - 1
-    words = [
-        inner["state"] >> 64, inner["state"] & mask,
-        inner["inc"] >> 64, inner["inc"] & mask,
-        state["has_uint32"], state["uinteger"],
-    ]
-    return state["bit_generator"], [str(int(w)) for w in words]
-
-
-def _rng_from_strings(algorithm: str, words: List[str]) -> np.random.Generator:
-    if algorithm != "PCG64":
-        raise CorruptCheckpoint(f"unsupported generator {algorithm!r}")
-    w = [int(s) for s in words]
-    bit_gen = np.random.PCG64()
-    bit_gen.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": (w[0] << 64) | w[1], "inc": (w[2] << 64) | w[3]},
-        "has_uint32": w[4],
-        "uinteger": w[5],
-    }
-    return np.random.Generator(bit_gen)
 
 
 class Sampler:
@@ -393,19 +353,15 @@ class Sampler:
 
     def _document(self, chain: _ChainFile) -> bytes:
         """The state document's bytes, naming ``chain`` as its chain file."""
-        algorithm, state = _rng_state_strings(self.rng)
         policy, prior = self.policy, self.prior
-        body = _serialize({
+        body = json.dumps({
             "format_version": _CHECKPOINT_VERSION,
-            "dim": self.dim,
             "chain_file": chain.suffix,
             "chain_rows": chain.rows,
             "chain_crc": "%08x" % chain.crc,
             "counters": {
-                "n_samples": self.n_samples,
-                "n_accepted": self.n_accepted,
                 "call_count": self.call_count,
-                "burned": self.burned,
+                "burned": int(self.burned),
             },
             "step_count": {str(k): v for k, v in self.step_count.items()},
             "warnings": dict(self.warnings),
@@ -417,12 +373,12 @@ class Sampler:
                 "t_hi": float(policy.t_hi),
             },
             "prior": {
-                "mean": [float(v) for v in prior.mean],
-                "precision": [float(v) for v in prior.precision.ravel()],
+                "mean": prior.mean.tolist(),
+                "precision": prior.precision.ravel().tolist(),
             },
-            "current_x": [float(v) for v in self.current.x],
-            "rng": {"algorithm_id": algorithm, "state": state},
-        }).encode("utf-8")
+            "current_x": self.current.x.tolist(),
+            "rng": self.rng.bit_generator.state,
+        }, separators=(",", ":")).encode("utf-8")
         return body[:-1] + _checksum_field(zlib.crc32(body))
 
     def save_checkpoint(self, path: Union[str, os.PathLike]) -> None:
@@ -446,7 +402,10 @@ class Sampler:
         """
         path = os.fspath(path)
         try:
-            named = _named_chain(path)
+            try:
+                named = _chain_file(_read_document(path))
+            except (FileNotFoundError, CorruptCheckpoint, LookupError, TypeError, ValueError):
+                named = None  # no readable document of this version names a chain file
             start = self._on_disk
             if start is None or named != start:
                 # whole chain, to the file the document at ``path`` does not name
@@ -477,12 +436,13 @@ class Sampler:
         byte is refused with ``CorruptCheckpoint``, including a re-formatted
         document that holds the same values. A document of another format
         version is refused, naming its version; this release reads only
-        version 2, so checkpoints of version 1, which held the chain in the
-        document, do not load. Exactly the document's ``chain_rows`` rows
-        are read from the chain file and checked against its ``chain_crc``;
-        a missing or short chain file is refused, and bytes after those
-        rows are ignored. The next save to ``path`` appends to that chain
-        file.
+        version 3, so checkpoints of versions 1 and 2 do not load. So is a
+        document whose fields no sampler can have, such as a negative
+        counter, a stage key of 0 or a malformed generator state. Exactly
+        the document's ``chain_rows`` rows are read from the chain file and
+        checked against its ``chain_crc``; a missing or short chain file is
+        refused, and bytes after those rows are ignored. The next save to
+        ``path`` appends to that chain file.
 
         The sampler is built by the constructor at the stored current point
         and prior, so that point must pass the constructor's checks
@@ -492,75 +452,55 @@ class Sampler:
         """
         path = os.fspath(path)
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
+            doc = _read_document(path)
         except OSError as exc:
             raise IOFailure(f"could not read checkpoint: {exc}") from exc
         try:
-            doc = json.loads(data)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CorruptCheckpoint(f"checkpoint is not valid JSON: {exc}") from exc
-        version = doc.get("format_version") if isinstance(doc, dict) else None
-        if version != _CHECKPOINT_VERSION:
-            raise CorruptCheckpoint(f"checkpoint format version {version} is not "
-                                    f"supported; this release reads version "
-                                    f"{_CHECKPOINT_VERSION}")
-        # the CRC of the text before the checksum field, closed with "}"
-        end = data.rfind(_CHECKSUM_KEY)
-        if end < 0:
-            raise CorruptCheckpoint("checkpoint has no checksum")
-        if data[end:] != _checksum_field(zlib.crc32(b"}", zlib.crc32(memoryview(data)[:end]))):
-            raise CorruptCheckpoint("checksum mismatch")
-
-        try:
-            dim = int(doc["dim"])
-            chain_file = _ChainFile(dim, doc["chain_file"], int(doc["chain_rows"]),
-                                    int(doc["chain_crc"], 16))
+            chain_file = _chain_file(doc)
             counters = doc["counters"]
-            n_samples = int(counters["n_samples"])
             call_count = int(counters["call_count"])
             burned = int(counters["burned"])
             step_count = {int(k): int(v) for k, v in doc["step_count"].items()}
             warnings = {str(k): int(v) for k, v in doc["warnings"].items()}
-            if min(n_samples, call_count, burned, *step_count.values(), *warnings.values()) < 0:
+            if min(chain_file.rows, call_count, burned, *step_count.values(),
+                   *warnings.values()) < 0:
                 raise ValueError("a counter is negative")
-            transitions = n_samples + burned
-            if (sum(step_count.values()) != transitions
-                    or int(counters["n_accepted"]) != transitions - step_count[-1]):
+            # -1 counts the rejections, and the stages are numbered from 1
+            if min(step_count, default=0) != -1 or 0 in step_count:
+                raise ValueError(f"step count stages {sorted(step_count)} are not -1, 1, 2, ...")
+            if sum(step_count.values()) != chain_file.rows + burned:
                 raise ValueError("step counts disagree with the counters")
             pol = doc["policy"]
             policy = BackoffPolicy(mode=pol["mode"], max_steps=int(pol["max_steps"]),
                                    factor=float(pol["factor"]))
             clamp = (float(pol["t_lo"]), float(pol["t_hi"]))
+            dim = chain_file.dim
             prior = GaussianPrior.create(
                 doc["prior"]["mean"],
                 np.asarray(doc["prior"]["precision"], dtype=float).reshape(dim, dim),
             )
             current_x = np.asarray(doc["current_x"], dtype=float)
-            rng_algorithm = doc["rng"]["algorithm_id"]
-            rng_state = [str(s) for s in doc["rng"]["state"]]
+            # numpy refuses another generator's name and words out of range
+            bit_gen = np.random.PCG64()
+            bit_gen.state = doc["rng"]
         # GnmhError: a value the validators refuse, such as an invalid policy
-        except (AttributeError, KeyError, TypeError, ValueError, IndexError, GnmhError) as exc:
+        except (AttributeError, LookupError, TypeError, ValueError, OverflowError, GnmhError) as exc:
             raise CorruptCheckpoint(f"malformed checkpoint field: {exc}") from exc
         if clamp != (BackoffPolicy.t_lo, BackoffPolicy.t_hi):
             raise CorruptCheckpoint(f"dynamic clamp bounds {clamp} are not "
                                     f"({BackoffPolicy.t_lo}, {BackoffPolicy.t_hi})")
         if chain_file.suffix not in _CHAIN_SUFFIXES:
             raise CorruptCheckpoint(f"unknown chain file {chain_file.suffix!r}")
-        if n_samples != chain_file.rows:
-            raise CorruptCheckpoint("counter n_samples disagrees with chain length")
 
         if model.dim_in != dim:
             raise DimensionMismatch(
                 f"checkpoint dimension {dim}, model expects {model.dim_in}"
             )
-        if current_x.shape[0] != dim:
-            raise CorruptCheckpoint("current point has wrong dimension")
         chain = _read_chain(path + chain_file.suffix, chain_file)
 
         sampler = cls(current_x, model, prior=prior)
         sampler.policy = policy
-        sampler.rng = _rng_from_strings(rng_algorithm, rng_state)
+        sampler.rng = np.random.Generator(bit_gen)
         sampler._set_chain(chain)
         sampler._on_disk = chain_file
         sampler.burned = burned

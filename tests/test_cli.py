@@ -193,13 +193,20 @@ def test_sample_zero_samples_usage_error(tmp_path):
     ("--backoff", "dynamic", "--max-steps", "-1"),
     ("--bins", "0"),
     ("--marginal", "0", "5"),
+    ("--range", "3", "-3"),
+    ("--range", "1", "1"),
+    ("--range", "nan", "1"),
+    ("--x0", "1"),
+    ("--prior-mean", "0", "0", "0"),
+    ("--prior-precision", "1", "0", "1"),
 ])
 def test_sample_usage_error_before_any_sampling(tmp_path, capsys, flags):
     code = run_cli("sample", "--example", "simple2d", "--samples", "200",
                    "--checkpoint", str(tmp_path / "state.json"),
                    "--out-dir", str(tmp_path / "out"), *flags)
     assert code == 2
-    assert "error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: " in err and flags[0] in err  # the message names the flag
     assert list(tmp_path.iterdir()) == []  # neither the out-dir nor a checkpoint
 
 
@@ -215,7 +222,7 @@ def test_sample_checkpoint_flag_enables_safe_mode(tmp_path):
     assert code == 0
     assert ck.exists()
     doc = json.loads(ck.read_text())
-    assert doc["counters"]["n_samples"] == 100
+    assert doc["chain_rows"] == 100
     assert (tmp_path / ("state.json" + doc["chain_file"])).stat().st_size == 8 * 100
 
 

@@ -21,6 +21,11 @@ def test_prior_validation():
         GaussianPrior.create([0.0], [[-0.1]])
     with pytest.raises(NotPSD):
         GaussianPrior.create([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NotPSD, match="prior mean has a non-finite entry"):
+            GaussianPrior.create([0.0, bad], np.eye(2))
+        with pytest.raises(NotPSD, match="prior precision has a non-finite entry"):
+            GaussianPrior.create([0.0, 0.0], [[1.0, 0.0], [0.0, bad]])
 
 
 def test_log_posterior_outside_domain():

@@ -27,7 +27,7 @@ from gnmh.model import (
 )
 from gnmh.kernel import BackoffPolicy
 from gnmh.posterior import GaussianPrior
-from gnmh.sampler import Sampler, _rng_state_strings
+from gnmh.sampler import Sampler
 
 
 def make_quickstart(seed=0):
@@ -366,13 +366,16 @@ def test_checkpoint_wrong_version_rejected(tmp_path):
     s.save_checkpoint(path)
     doc = json.loads(path.read_text())
     del doc["checksum"]
-    # version 1 held the chain in the document
+    # version 1 held the chain in the document; version 2 also held the
+    # dimension, n_samples and n_accepted
     v1 = {"format_version": 1, "dim": 1, "chain": s.chain.tolist()}
     v1.update((k, v) for k, v in doc.items()
-              if k not in ("format_version", "dim", "chain_file", "chain_rows",
-                           "chain_crc", "warnings"))
-    v3 = dict(doc, format_version=3)
-    for version, content in ((1, v1), (3, v3)):
+              if k not in ("format_version", "chain_file", "chain_rows", "chain_crc", "warnings"))
+    v2 = {"format_version": 2, "dim": 1}
+    v2.update((k, v) for k, v in doc.items() if k != "format_version")
+    v2["counters"] = dict(doc["counters"], n_samples=s.n_samples, n_accepted=s.n_accepted)
+    v4 = dict(doc, format_version=4)
+    for version, content in ((1, v1), (2, v2), (4, v4)):
         path.write_text(_with_checksum(_reference_serialize(content)))
         with pytest.raises(CorruptCheckpoint, match=f"format version {version} is not supported"):
             Sampler.load_checkpoint(path, quickstart_handle())
@@ -400,7 +403,7 @@ def test_checkpoint_tampering_detected(tmp_path):
     s.run_sample(10)
     s.save_checkpoint(path)
     doc = json.loads(path.read_text())
-    doc["counters"]["n_accepted"] += 1
+    doc["counters"]["call_count"] += 1
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptCheckpoint):
         Sampler.load_checkpoint(path, quickstart_handle())
@@ -425,18 +428,21 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     lambda doc: doc["policy"].update(factor=1.5),
     lambda doc: doc["policy"].update(max_steps=-1),
     lambda doc: doc["prior"].update(precision=[-1.0]),
-    lambda doc: doc["counters"].update(n_accepted=doc["counters"]["n_accepted"] + 1),
     lambda doc: doc["step_count"].update({"2": doc["step_count"]["2"] + 1}),
     # the rest keep every sum and identity between the counters
     lambda doc: doc["counters"].update(call_count=-5),
     lambda doc: doc["warnings"].update(singular_proposals=-3),
     lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] + 1,
                                           "3": doc["step_count"]["3"] - 1}),
-    lambda doc: (doc["counters"].update(burned=-1,
-                                        n_accepted=doc["counters"]["n_accepted"] - 1),
+    lambda doc: (doc["counters"].update(burned=-1),
                  doc["step_count"].update({"1": doc["step_count"]["1"] - 1})),
-], ids=["mode", "static-factor", "max-steps", "prior-precision", "n-accepted", "step-count",
-        "negative-call-count", "negative-warning", "negative-step-count", "negative-burned"])
+    # stage -1 counts the rejections, and the stages are numbered from 1
+    lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] - 1, "0": 1}),
+    lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] - 1, "-5": 1}),
+    lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] + doc["step_count"].pop("-1")}),
+], ids=["mode", "static-factor", "max-steps", "prior-precision", "step-count",
+        "negative-call-count", "negative-warning", "negative-step-count", "negative-burned",
+        "stage-zero", "stage-below-minus-one", "no-rejection-stage"])
 def test_checkpoint_invalid_value_with_valid_checksum_refused(tmp_path, change):
     # a document whose checksum holds but whose values no sampler can have
     path = tmp_path / "state.json"
@@ -449,6 +455,26 @@ def test_checkpoint_invalid_value_with_valid_checksum_refused(tmp_path, change):
     change(doc)
     path.write_text(_with_checksum(_reference_serialize(doc)))
     with pytest.raises(CorruptCheckpoint):
+        Sampler.load_checkpoint(path, quickstart_handle())
+
+
+@pytest.mark.parametrize("change", [
+    lambda rng: rng["state"].update(state=str(rng["state"]["state"])),
+    lambda rng: rng["state"].pop("inc"),
+    lambda rng: rng["state"].update(state=-1),
+    lambda rng: rng["state"].update(inc=2 ** 128),
+    lambda rng: rng.update(bit_generator="MT19937"),
+], ids=["string-word", "missing-inc", "negative-word", "word-too-large", "other-generator"])
+def test_checkpoint_malformed_generator_state_refused(tmp_path, change):
+    path = tmp_path / "state.json"
+    s = make_quickstart(seed=1)
+    s.run_sample(10)
+    s.save_checkpoint(path)
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    change(doc["rng"])
+    path.write_text(_with_checksum(_reference_serialize(doc)))
+    with pytest.raises(CorruptCheckpoint, match="malformed checkpoint field"):
         Sampler.load_checkpoint(path, quickstart_handle())
 
 
@@ -502,17 +528,22 @@ def test_checkpoint_load_rechecks_current_point(tmp_path):
 
 
 def test_checkpoint_numbers_have_17_significant_digits(tmp_path):
+    # every float64 bit survives, as 17 significant digits would keep it:
+    # the document holds each number in its shortest round-trip form
     path = tmp_path / "state.json"
     s = make_quickstart(seed=2)
     s.set_static(1, 0.3)
+    s.set_prior([0.1], [[1.0 / 3.0]])
     s.run_sample(5)
     s.save_checkpoint(path)
     text = path.read_text()
     doc = json.loads(text)
-    # the document's floats are written at 17 significant digits
-    assert '"factor":0.29999999999999999,"t_lo":0.050000000000000003,' in text
-    assert f'"current_x":[{s.current.x[0]:.17g}]' in text
-    assert doc["current_x"] == s.current.x.tolist()
+    assert '"factor":0.3,"t_lo":0.05,' in text
+    assert f'"current_x":[{float(s.current.x[0])!r}]' in text
+    for stored, held in ((doc["current_x"], s.current.x), (doc["prior"]["mean"], s.prior.mean),
+                         (doc["prior"]["precision"], s.prior.precision.ravel()),
+                         ([doc["policy"]["factor"]], [s.policy.factor])):
+        assert np.array(stored).tobytes() == np.array(held, dtype=float).tobytes()
     # the chain rows are stored as their float64 bits
     rows = np.frombuffer((tmp_path / "state.json.chain").read_bytes(), dtype="<f8")
     assert rows.tobytes() == s.chain.astype("<f8").tobytes()
@@ -618,37 +649,23 @@ def test_chain_is_a_copy():
 # ---------------------------------------------------------------------------
 
 
-def _reference_fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
 def _reference_serialize(v):
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_reference_serialize(val)}"
-                              for k, val in v.items()) + "}"
-    if isinstance(v, (list, tuple)):
-        return "[" + ",".join(_reference_serialize(item) for item in v) + "]"
-    return _reference_fmt(v)
+    """``v`` as compact JSON: no spaces, keys in insertion order, each float
+    in its shortest round-trip form."""
+    return json.dumps(v, separators=(",", ":"))
 
 
 def _reference_checkpoint_bytes(s, chain_file):
     """The state document serialized from scratch, naming ``chain_file``:
-    the document built field by field, every number formatted one at a
-    time, the CRC-32s taken over the full chain and the full text."""
-    algorithm, state = _rng_state_strings(s.rng)
+    the document built field by field from Python numbers, the CRC-32s
+    taken over the full chain and the full text."""
     steps = s.step_count
     doc = {
-        "format_version": 2,
-        "dim": s.dim,
+        "format_version": 3,
         "chain_file": chain_file,
         "chain_rows": s.n_samples,
         "chain_crc": format(zlib.crc32(s.chain.astype("<f8").tobytes()), "08x"),
-        "counters": {"n_samples": s.n_samples, "n_accepted": s.n_accepted,
-                     "call_count": s.call_count, "burned": s.burned},
+        "counters": {"call_count": s.call_count, "burned": s.burned},
         "step_count": {str(k): steps[k] for k in [-1] + sorted(k for k in steps if k != -1)},
         "warnings": {"singular_proposals": s.warnings["singular_proposals"]},
         "policy": {"mode": s.policy.mode, "max_steps": s.policy.max_steps,
@@ -657,7 +674,7 @@ def _reference_checkpoint_bytes(s, chain_file):
         "prior": {"mean": [float(v) for v in s.prior.mean],
                   "precision": [float(v) for v in s.prior.precision.ravel()]},
         "current_x": [float(v) for v in s.current.x],
-        "rng": {"algorithm_id": algorithm, "state": list(state)},
+        "rng": s.rng.bit_generator.state,
     }
     return _with_checksum(_reference_serialize(doc)).encode("utf-8")
 
@@ -753,7 +770,7 @@ def test_checkpoint_reformatted_equal_values_refused(tmp_path):
 def _saved_state(s):
     """Everything a checkpoint restores, for comparing loaded samplers."""
     return (s.chain.tobytes(), s.n_samples, s.n_accepted, s.call_count, s.burned,
-            s.step_count, dict(s.warnings), _rng_state_strings(s.rng))
+            s.step_count, dict(s.warnings), s.rng.bit_generator.state)
 
 
 @pytest.mark.parametrize("damage", ["missing", "short"])
