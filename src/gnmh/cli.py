@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from . import diagnostics
-from .errors import GnmhError, InvalidPolicy, NonFiniteDensity
+from .errors import GnmhError, NonFiniteDensity
 from .jtest import JtestDomain, JtestOptions, jtest
 from .kernel import BackoffPolicy
 from .model import (
@@ -34,6 +35,8 @@ from .model import (
 )
 from .posterior import GaussianPrior, log_posterior
 from .sampler import Sampler
+
+_T = TypeVar("_T")
 
 
 def quadrature_1d(log_density: Callable[[float], float], lo: float, hi: float,
@@ -89,48 +92,40 @@ def _badjac_model(x, args):
     return inside, f, [[jac[0][0] + 0.01]]
 
 
-class _Example(NamedTuple):
-    """A bundled model, with ``--y``, ``--sigma`` and ``--data-seed`` applied.
-
-    ``x0``, ``prior_mean``, ``prior_precision`` and ``range`` are named
-    after the ``sample`` settings they stand in for when left at None.
-    """
-
-    dim: int
-    build_handle: Callable[[], ModelHandle]
-    x0: list
-    prior_mean: list
-    prior_precision: list
-    range: Tuple[float, float]
-    jtest_box: Tuple[list, list]
-
-
-def _make_example(args: argparse.Namespace) -> _Example:
+def _make_example(args: argparse.Namespace) -> Tuple[int, Callable[[], ModelHandle]]:
+    """The example's dimension and model handle builder, with ``--y``, ``--sigma`` and
+    ``--data-seed`` applied. Each example setting of the command that ``args`` leaves at
+    None takes the example's value; one given with another length is a usage error."""
     name = args.example
     y = args.y if args.y is not None else (4.0 if name == "well" else 1.0)
     sigma = args.sigma if args.sigma is not None else 0.5
     if name == "simple2d":
-        return _Example(
-            dim=2, build_handle=lambda: simple2d_handle(y=y, sigma=sigma),
-            x0=[1.0, 0.0], prior_mean=[0.0, 0.0], prior_precision=np.eye(2).tolist(),
-            range=(-2.0, 2.0), jtest_box=([-2.0, -2.0], [2.0, 2.0]),
-        )
-    if name == "expseries":
+        dim, build_handle = 2, lambda: simple2d_handle(y=y, sigma=sigma)
+        values = dict(x0=[1.0, 0.0], prior_mean=[0.0, 0.0], prior_precision=[1.0, 0.0, 0.0, 1.0],
+                      range=[-2.0, 2.0], min=[-2.0, -2.0], max=[2.0, 2.0])
+    elif name == "expseries":
         data = exp_series_datagen(seed=args.data_seed if args.data_seed is not None else 14)
-        return _Example(
-            dim=4, build_handle=lambda: exp_series_handle(data, n_terms=2),
-            x0=[4.0, 2.0, 0.5, 1.0], prior_mean=[4.0, 2.0, 0.5, 1.0],
-            prior_precision=(0.5 * np.eye(4)).tolist(),
-            range=(0.0, 5.0), jtest_box=([0.1] * 4, [5.0] * 4),
-        )
-    # quickstart, well and badjac: the 1D double well
-    model = _badjac_model if name == "badjac" else quickstart_model
-    return _Example(
-        dim=1, build_handle=lambda: ModelHandle(model, {"y": y, "sigma": sigma}, dim_in=1),
-        x0=[float(np.sqrt(y))] if name == "well" else [0.5],
-        prior_mean=[0.0], prior_precision=[[1.0]],
-        range=(-3.0, 3.0), jtest_box=([-2.0], [2.0]),
-    )
+        dim, build_handle = 4, lambda: exp_series_handle(data, n_terms=2)
+        values = dict(x0=[4.0, 2.0, 0.5, 1.0], prior_mean=[4.0, 2.0, 0.5, 1.0],
+                      prior_precision=(0.5 * np.eye(4)).ravel().tolist(),
+                      range=[0.0, 5.0], min=[0.1] * 4, max=[5.0] * 4)
+    else:  # quickstart, well and badjac: the 1D double well
+        model = _badjac_model if name == "badjac" else quickstart_model
+        dim, build_handle = 1, lambda: ModelHandle(model, {"y": y, "sigma": sigma}, dim_in=1)
+        values = dict(x0=[0.5], prior_mean=[0.0], prior_precision=[1.0],
+                      range=[-3.0, 3.0], min=[-2.0], max=[2.0])
+        if name == "well" and "x0" in vars(args) and args.x0 is None:
+            if not y >= 0:
+                raise ValueError(f"--y {y}: the well starts at sqrt(y); give --x0 for y < 0")
+            values["x0"] = [math.sqrt(y)]
+    for key, value in values.items():
+        given = getattr(args, key, value)  # value itself for a setting of the other command
+        if given is None:
+            setattr(args, key, value)
+        elif given != ["flat"] and len(given) != len(value):
+            raise ValueError(f"--{key.replace('_', '-')}: the {name} example takes "
+                             f"{len(value)} numbers, not {len(given)}")
+    return dim, build_handle
 
 
 _EXAMPLES = ("quickstart", "well", "simple2d", "expseries", "badjac")
@@ -175,7 +170,19 @@ def _write_histogram_csv(path: str, hist: diagnostics.HistogramResult) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _flag_value(flag: str, build: Callable[..., _T], *params) -> _T:
+    """The library object ``build(*params)`` that the value of ``flag``
+    describes. The library's refusal of the value, a ``GnmhError`` or a
+    ``ValueError``, is a usage error naming the flag."""
+    try:
+        return build(*params)
+    except (GnmhError, ValueError) as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
+
+
 def _cmd_sample(args: argparse.Namespace) -> int:
+    """Build the whole run, every chain's sampler included, before the out-dir is made:
+    a setting that cannot describe a run, or a refused start point, writes nothing."""
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     if args.chains < 1:
@@ -184,54 +191,46 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError("--burn must lie in [0, samples)")
     if args.bins < 1:
         raise ValueError("--bins must be at least 1")
-    policy = _backoff_policy(args)
-
-    # a setting left at None takes the example's value
-    example = _make_example(args)._replace(**{
-        key: getattr(args, key) for key in ("x0", "prior_mean", "prior_precision", "range")
-        if getattr(args, key) is not None})
-    for key, size in (("x0", example.dim), ("prior_mean", example.dim),
-                      ("prior_precision", example.dim ** 2)):
-        value = getattr(args, key)
-        if value is not None and value != ["flat"] and len(value) != size:
-            raise ValueError(f"--{key.replace('_', '-')}: the {args.example} example takes "
-                             f"{size} numbers, not {len(value)}")
-    lo, hi = example.range
+    policy = _flag_value(f"--backoff {args.backoff}", {
+        "none": BackoffPolicy.none,
+        "static": lambda: BackoffPolicy.static(args.max_steps, args.factor),
+        "dynamic": lambda: BackoffPolicy.dynamic(args.max_steps),
+    }[args.backoff])
+    dim, build_handle = _make_example(args)
+    if not np.all(np.isfinite(args.x0)):
+        raise ValueError(f"--x0: the start point {args.x0} has a non-finite entry")
+    lo, hi = args.range
     if not lo < hi:
         raise ValueError(f"--range {lo} {hi}: need LO < HI")
     for pair in args.marginal:
-        if not all(0 <= k < example.dim for k in pair):
-            raise ValueError(f"--marginal {pair[0]} {pair[1]}: indices must lie in "
-                             f"[0, {example.dim})")
+        if not all(0 <= k < dim for k in pair):
+            raise ValueError(f"--marginal {pair[0]} {pair[1]}: indices must lie in [0, {dim})")
+    flat = args.prior_precision == ["flat"]
+    prior = _flag_value("--prior-mean/--prior-precision", lambda: GaussianPrior.create(
+        args.prior_mean, np.zeros((dim, dim)) if flat
+        else np.asarray(args.prior_precision, dtype=float).reshape(dim, dim)))
+
+    samplers = []
+    for c in range(args.chains):
+        samplers.append(Sampler(args.x0, build_handle(), seed=args.seed + c, prior=prior))
+        samplers[-1].policy = policy
+    curve = None
+    if dim == 1:
+        oracle_handle = build_handle()  # separate call counter
+        curve = quadrature_1d(lambda x: log_posterior(prior, oracle_handle.evaluate([x])), lo, hi)
     os.makedirs(args.out_dir, exist_ok=True)
 
     for c in range(args.chains):
-        _run_one_chain(args, example, policy, args.seed + c,
+        # popped, so a written chain's rows are freed before the next one runs
+        _run_one_chain(args, samplers.pop(0), args.seed + c, curve,
                        f"_{c}" if args.chains > 1 else "")
     return 0
 
 
-def _backoff_policy(args: argparse.Namespace) -> BackoffPolicy:
-    """The back-off settings as a policy; invalid ones are a usage error."""
-    try:
-        if args.backoff == "static":
-            return BackoffPolicy.static(args.max_steps, args.factor)
-        if args.backoff == "dynamic":
-            return BackoffPolicy.dynamic(args.max_steps)
-        return BackoffPolicy.none()
-    except InvalidPolicy as exc:
-        raise ValueError(f"--backoff {args.backoff}: {exc}") from exc
-
-
-def _run_one_chain(args: argparse.Namespace, example: _Example, policy: BackoffPolicy,
-                   seed: int, suffix: str) -> None:
-    dim, out_dir = example.dim, args.out_dir
-    flat = example.prior_precision == ["flat"]
-    precision = np.zeros(dim * dim) if flat else np.asarray(example.prior_precision, dtype=float)
-    prior = GaussianPrior.create(example.prior_mean, precision.reshape(dim, dim))
-    sampler = Sampler(example.x0, example.build_handle(), seed=seed, prior=prior)
-    sampler.policy = policy
-
+def _run_one_chain(args: argparse.Namespace, sampler: Sampler, seed: int,
+                   curve: Optional[Tuple[np.ndarray, np.ndarray]], suffix: str) -> None:
+    """Run and burn ``sampler`` and write its files; ``curve`` is a 1D example's quadrature."""
+    dim, out_dir = sampler.dim, args.out_dir
     checkpoint = args.checkpoint + suffix if args.checkpoint is not None else None
     sampler.run_sample(args.samples, divs=args.divs, visual=args.visual, safe=checkpoint)
     if args.burn:
@@ -241,7 +240,7 @@ def _run_one_chain(args: argparse.Namespace, example: _Example, policy: BackoffP
     _write_csv(os.path.join(out_dir, f"chain{suffix}.csv"),
                ",".join(f"x{j + 1}" for j in range(dim)), chain)
 
-    d_min, d_max = np.full(dim, example.range[0]), np.full(dim, example.range[1])
+    d_min, d_max = np.full(dim, args.range[0]), np.full(dim, args.range[1])
     hist = diagnostics.error_bars(chain, args.bins, d_min, d_max)
     _write_histogram_csv(os.path.join(out_dir, f"histogram{suffix}.csv"), hist)
 
@@ -252,15 +251,9 @@ def _run_one_chain(args: argparse.Namespace, example: _Example, policy: BackoffP
                    np.column_stack([np.repeat(ci, len(cj)), np.tile(cj, len(ci)),
                                     density.ravel(), err.ravel()]))
 
-    if dim == 1:
-        oracle_handle = example.build_handle()  # separate call counter
-
-        def log_density(x: float) -> float:
-            return log_posterior(prior, oracle_handle.evaluate([x]))
-
-        grid, density = quadrature_1d(log_density, float(d_min[0]), float(d_max[0]))
+    if curve is not None:
         _write_csv(os.path.join(out_dir, f"quadrature{suffix}.csv"), "x,density",
-                   np.column_stack([grid, density]))
+                   np.column_stack(curve))
 
     taus: List[Optional[float]] = []
     ess: List[Optional[float]] = []
@@ -295,15 +288,11 @@ def _run_one_chain(args: argparse.Namespace, example: _Example, policy: BackoffP
 
 
 def _cmd_jtest(args: argparse.Namespace) -> int:
-    example = _make_example(args)
-    x_min = args.min if args.min is not None else example.jtest_box[0]
-    x_max = args.max if args.max is not None else example.jtest_box[1]
-    if len(x_min) != len(x_max) or not all(a < b for a, b in zip(x_min, x_max)):
-        raise ValueError("empty box, need min < max componentwise")
+    _, build_handle = _make_example(args)
+    domain = _flag_value("--min/--max", JtestDomain.create, args.min, args.max)
     options = JtestOptions(dx=args.dx, N=args.n_points, eps_max=args.eps_max,
                            p=args.p, l_max=args.l_max, r=args.r)
-    error = jtest(example.build_handle(), JtestDomain.create(x_min, x_max), options,
-                  rng=args.seed)
+    error = jtest(build_handle(), domain, options, rng=args.seed)
     if error == 0.0:
         print("0")
         return 0

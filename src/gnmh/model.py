@@ -50,16 +50,16 @@ class ModelHandle:
         Opaque argument bundle forwarded to ``fn`` on every call.
     dim_in : int
         Parameter dimension n.
-    dim_out : int, optional
-        Residual dimension m. If omitted it is inferred from the first
-        successful (in-domain) evaluation; later mismatches are errors.
+
+    The residual dimension m, ``dim_out``, is None until the first in-domain
+    evaluation sets it; a later residual of another length is an error.
     """
 
-    def __init__(self, fn: Callable, args: Any, dim_in: int, dim_out: Optional[int] = None):
+    def __init__(self, fn: Callable, args: Any, dim_in: int):
         self.fn = fn
         self.args = args
         self.dim_in = int(dim_in)
-        self.dim_out = None if dim_out is None else int(dim_out)
+        self.dim_out: Optional[int] = None
         self.call_count = 0
 
     def evaluate(self, x) -> ModelEval:
@@ -103,7 +103,7 @@ class ModelHandle:
         m = residual.shape[0]
         if self.dim_out is not None and m != self.dim_out:
             raise DimensionMismatch(
-                f"residual has length {m}, model declared {self.dim_out}"
+                f"residual has length {m}, earlier calls returned {self.dim_out}"
             )
         if jacobian.size != m * self.dim_in:
             raise DimensionMismatch(

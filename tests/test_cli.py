@@ -199,6 +199,13 @@ def test_sample_zero_samples_usage_error(tmp_path):
     ("--x0", "1"),
     ("--prior-mean", "0", "0", "0"),
     ("--prior-precision", "1", "0", "1"),
+    ("--prior-precision", "-1"),
+    ("--prior-precision", "-1", "0", "0", "1"),       # a negative eigenvalue
+    ("--prior-mean", "nan", "0"),
+    ("--prior-precision", "1", "0", "1", "1"),        # not symmetric
+    ("--prior-precision", "abc"),
+    ("--prior-precision", "abc", "0", "0", "1"),
+    ("--x0", "nan", "0"),
 ])
 def test_sample_usage_error_before_any_sampling(tmp_path, capsys, flags):
     code = run_cli("sample", "--example", "simple2d", "--samples", "200",
@@ -208,6 +215,26 @@ def test_sample_usage_error_before_any_sampling(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert "error: " in err and flags[0] in err  # the message names the flag
     assert list(tmp_path.iterdir()) == []  # neither the out-dir nor a checkpoint
+
+
+def test_sample_refused_start_point_writes_nothing(tmp_path, capsys):
+    # under a flat prior the ring's proposal at x0 = (1, 0) is singular
+    code = run_cli("sample", "--example", "simple2d", "--samples", "200",
+                   "--prior-precision", "flat", "--checkpoint", str(tmp_path / "state.json"),
+                   "--out-dir", str(tmp_path / "out"))
+    assert code == 3
+    assert "proposal undefined" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_well_negative_y_needs_x0(tmp_path, capsys):
+    code = run_cli("sample", "--example", "well", "--y", "-1", "--samples", "100",
+                   "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert "error: --y" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli("sample", "--example", "well", "--y", "-1", "--x0", "1", "--samples", "100",
+                   "--out-dir", str(tmp_path / "out")) == 0
 
 
 def test_sample_unknown_flag_usage_error():
@@ -235,6 +262,12 @@ def test_sample_multiple_chains_suffixed(tmp_path):
     a = (tmp_path / "chain_0.csv").read_bytes()
     b = (tmp_path / "chain_1.csv").read_bytes()
     assert a != b  # different seeds
+    # the quadrature curve is the same for every chain, and a single chain's
+    assert run_cli("sample", "--example", "quickstart", "--samples", "120",
+                   "--seed", "9", "--out-dir", str(tmp_path / "one")) == 0
+    curve = (tmp_path / "one" / "quadrature.csv").read_bytes()
+    assert (tmp_path / "quadrature_0.csv").read_bytes() == curve
+    assert (tmp_path / "quadrature_1.csv").read_bytes() == curve
 
 
 def test_sample_config_file_with_flag_override(tmp_path):
@@ -301,6 +334,16 @@ def test_jtest_empty_box_usage_error():
     code = run_cli("jtest", "--example", "quickstart", "--min", "2",
                    "--max", "-2")
     assert code == 2
+
+
+def test_jtest_box_of_wrong_dimension_usage_error(capsys):
+    assert run_cli("jtest", "--example", "simple2d", "--min", "-1", "--max", "1") == 2
+    assert "error: --min" in capsys.readouterr().err
+
+
+def test_jtest_well_negative_y_runs(capsys):
+    # the box does not need the sample start point sqrt(y)
+    assert run_cli("jtest", "--example", "well", "--y", "-1", "-N", "20") == 0
 
 
 def test_jtest_non_finite_model_output_exit_code(capsys):
