@@ -95,16 +95,22 @@ def _badjac_model(x, args):
 def _make_example(args: argparse.Namespace) -> Tuple[int, Callable[[], ModelHandle]]:
     """The example's dimension and model handle builder, with ``--y``, ``--sigma`` and
     ``--data-seed`` applied. Each example setting of the command that ``args`` leaves at
-    None takes the example's value; one given with another length is a usage error."""
+    None takes the example's value; one given with another length is a usage error, and so
+    are a non-finite y, a sigma that is not finite and positive, and a refused data seed."""
     name = args.example
     y = args.y if args.y is not None else (4.0 if name == "well" else 1.0)
     sigma = args.sigma if args.sigma is not None else 0.5
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"--sigma {sigma}: the residual scale must be finite and positive")
+    if not math.isfinite(y):
+        raise ValueError(f"--y {y}: the data value must be finite")
     if name == "simple2d":
         dim, build_handle = 2, lambda: simple2d_handle(y=y, sigma=sigma)
         values = dict(x0=[1.0, 0.0], prior_mean=[0.0, 0.0], prior_precision=[1.0, 0.0, 0.0, 1.0],
                       range=[-2.0, 2.0], min=[-2.0, -2.0], max=[2.0, 2.0])
     elif name == "expseries":
-        data = exp_series_datagen(seed=args.data_seed if args.data_seed is not None else 14)
+        seed = args.data_seed if args.data_seed is not None else 14
+        data = _flag_value(f"--data-seed {seed}", lambda: exp_series_datagen(seed=seed))
         dim, build_handle = 4, lambda: exp_series_handle(data, n_terms=2)
         values = dict(x0=[4.0, 2.0, 0.5, 1.0], prior_mean=[4.0, 2.0, 0.5, 1.0],
                       prior_precision=(0.5 * np.eye(4)).ravel().tolist(),
@@ -191,6 +197,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError("--burn must lie in [0, samples)")
     if args.bins < 1:
         raise ValueError("--bins must be at least 1")
+    if args.divs < 1:
+        raise ValueError("--divs must be at least 1")
     policy = _flag_value(f"--backoff {args.backoff}", {
         "none": BackoffPolicy.none,
         "static": lambda: BackoffPolicy.static(args.max_steps, args.factor),

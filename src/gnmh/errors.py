@@ -13,10 +13,6 @@ class UserFunctionFailure(GnmhError):
     """The user-supplied model function raised or returned garbage."""
 
 
-class NotPositiveDefinite(GnmhError):
-    """Cholesky factorization failed; the matrix is not positive definite."""
-
-
 class NotPSD(GnmhError):
     """A prior precision matrix has a negative eigenvalue."""
 
@@ -26,7 +22,8 @@ class InvalidDilation(GnmhError):
 
 
 class SingularProposal(GnmhError):
-    """The Gauss-Newton proposal precision H + J'J is not positive definite."""
+    """H + J'J is not positive definite where a ``Sampler`` starts or is given
+    a new prior; at any other point the proposal is None, and never accepted."""
 
 
 class InitialGuessOutsideDomain(GnmhError):

@@ -13,36 +13,31 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .errors import DimensionMismatch, InvalidDilation, NotPositiveDefinite
+from .errors import DimensionMismatch, InvalidDilation
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _factor(precision: np.ndarray):
     """Cholesky factor L (L L^T = precision) and the log normalization
-    constant 0.5*logdet(precision) - (n/2)*log(2*pi) of a symmetric matrix.
+    constant 0.5*logdet(precision) - (n/2)*log(2*pi) of a symmetric matrix,
+    or None if the matrix is not positive definite or the log-determinant is
+    not finite (``dpotrf`` does not check for NaN or inf), so a returned
+    log_norm is finite.
 
     No validation: internal callers pass a square, exactly symmetric 2-D
     float array, and only its lower triangle is read. The factor comes from
     LAPACK ``dpotrf`` and is copied to C order, so :func:`_solve_lower`
     takes the same ``dtrtrs`` branch as for numpy's factor; for n <= 4 it
     equals ``np.linalg.cholesky`` bit for bit.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the factorization fails, or the log-determinant is not finite:
-        a NaN or infinite entry in the lower triangle leads to one or the
-        other, so a returned log_norm is finite.
     """
     chol, info = dpotrf(precision, lower=1, clean=1)
     if info != 0:
-        raise NotPositiveDefinite(f"matrix is not positive definite (dpotrf info {info})")
+        return None
     chol = np.ascontiguousarray(chol)
     log_det = 2.0 * float(np.log(chol.diagonal()).sum())
     if not math.isfinite(log_det):
-        # dpotrf does not check for NaN or inf
-        raise NotPositiveDefinite("matrix has a non-finite entry")
+        return None
     return chol, 0.5 * log_det - 0.5 * precision.shape[0] * _LOG_2PI
 
 

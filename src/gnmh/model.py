@@ -2,16 +2,17 @@
 
 A model is a callable ``fn(x, args) -> (inside, residual, jacobian)`` where
 ``inside`` says whether the point is in the model's domain, ``residual`` is
-f(x) of length m, and ``jacobian`` is the m-by-n matrix of partials. The
-sampler targets densities proportional to
-``indicator(x) * prior(x) * exp(-||f(x)||^2 / 2)``.
+f(x) of length m, and ``jacobian`` is the m-by-n matrix of partials
+df_i/dx_j, of exactly that shape. The sampler targets densities proportional
+to ``indicator(x) * prior(x) * exp(-||f(x)||^2 / 2)``.
 
 In the domain the outputs must be numbers. When the sampler builds its
 state at a point (``posterior.point_state``), a NaN in the residual, or a
 Jacobian J whose J'J is not finite (a NaN or infinite entry, or an
 overflow), raises ``UserFunctionFailure`` naming that point; a residual of
 +-inf is zero density there, and the point is rejected.
-``ModelHandle.evaluate`` itself checks shapes only.
+``ModelHandle.evaluate`` itself checks shapes and types only (a transposed
+or flattened Jacobian is refused), and also names the point.
 """
 
 from __future__ import annotations
@@ -69,52 +70,41 @@ class ModelHandle:
         Raises
         ------
         DimensionMismatch
-            If ``x`` or the returned arrays have inconsistent shapes.
+            If ``x`` or the residual has another length than before, or the
+            Jacobian's shape is not (m, n). The message names x.
         UserFunctionFailure
-            Wrapping any exception raised by the user function, or a
-            return value that is not an (inside, residual, jacobian) triple.
+            Wrapping any exception raised by the user function, or a return
+            value that is not a triple of a truth value and two numeric
+            arrays. The message names x.
         """
         x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.dim_in:
-            raise DimensionMismatch(
-                f"point has length {x.shape[0]}, model expects {self.dim_in}"
-            )
+        n = self.dim_in
+        if x.shape[0] != n:
+            raise DimensionMismatch(f"point x = {x.tolist()} has length {x.shape[0]}, "
+                                    f"model expects {n}")
         self.call_count += 1
         try:
             out = self.fn(x, self.args)
         except Exception as exc:
-            raise UserFunctionFailure(f"model function raised: {exc!r}") from exc
+            raise UserFunctionFailure(f"model function raised at x = {x.tolist()}: "
+                                      f"{exc!r}") from exc
         try:
-            inside_raw, residual_raw, jacobian_raw = out
+            inside, residual, jacobian = out
+            if not inside:
+                return ModelEval(x=x, inside=False, residual=None, jacobian=None)
+            residual = np.asarray(residual, dtype=float).reshape(-1)
+            jacobian = np.asarray(jacobian, dtype=float)
         except (TypeError, ValueError) as exc:
-            raise UserFunctionFailure(
-                "model function must return (inside, residual, jacobian)"
-            ) from exc
-        inside = bool(inside_raw)
-        if not inside:
-            return ModelEval(x=x, inside=False, residual=None, jacobian=None)
-
-        try:
-            residual = np.asarray(residual_raw, dtype=float)
-            jacobian = np.asarray(jacobian_raw, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise UserFunctionFailure(f"model outputs not numeric: {exc!r}") from exc
-        residual = residual.reshape(-1)
+            raise UserFunctionFailure(f"model output at x = {x.tolist()} is not a truth value "
+                                      f"and two numeric arrays: {exc!r}") from exc
         m = residual.shape[0]
-        if self.dim_out is not None and m != self.dim_out:
-            raise DimensionMismatch(
-                f"residual has length {m}, earlier calls returned {self.dim_out}"
-            )
-        if jacobian.size != m * self.dim_in:
-            raise DimensionMismatch(
-                f"jacobian has {jacobian.size} entries, expected "
-                f"{m}x{self.dim_in}"
-            )
-        if jacobian.ndim > 2:
-            raise DimensionMismatch("jacobian must be at most 2-dimensional")
-        jacobian = jacobian.reshape(m, self.dim_in)
-        if self.dim_out is None:
-            self.dim_out = m
+        if m != self.dim_out and self.dim_out is not None:
+            raise DimensionMismatch(f"residual at x = {x.tolist()} has length {m}, "
+                                    f"earlier calls returned {self.dim_out}")
+        if jacobian.shape != (m, n):
+            raise DimensionMismatch(f"jacobian at x = {x.tolist()} has shape "
+                                    f"{jacobian.shape}, expected ({m}, {n})")
+        self.dim_out = m
         return ModelEval(x=x, inside=True, residual=residual, jacobian=jacobian)
 
 

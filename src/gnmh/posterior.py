@@ -14,13 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotPositiveDefinite,
-    NotPSD,
-    SingularProposal,
-    UserFunctionFailure,
-)
+from .errors import DimensionMismatch, NotPSD, UserFunctionFailure
 from .gaussian import PrecisionGaussian, _factor, _solve_lower
 from .model import ModelEval, ModelHandle
 
@@ -107,8 +101,9 @@ def log_posterior(prior: GaussianPrior, ev: ModelEval) -> float:
     return _log_target(prior, ev.x, float(ev.residual.dot(ev.residual)))
 
 
-def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> PrecisionGaussian:
-    """Gauss-Newton proposal distribution anchored at ``ev.x``.
+def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> Optional[PrecisionGaussian]:
+    """Gauss-Newton proposal distribution anchored at ``ev.x``, or None
+    where it is undefined: H + J'J is finite but not positive definite.
 
     Precision P = H + J'J and mean mu = P^-1 (H m - J'f + J'J x), from
     completing the square in the linearized target. Requires an in-domain
@@ -135,22 +130,18 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> PrecisionGaussian:
     ------
     UserFunctionFailure
         If J'J is not finite (a NaN, infinite or overflowing entry), naming x.
-    SingularProposal
-        If H + J'J is not positive definite.
     """
     J = ev.jacobian
     f = ev.residual
     JtJ = J.T @ J
     P = prior.precision + JtJ
-    try:
-        chol, log_norm = _factor(P)
-    except NotPositiveDefinite as exc:
+    factor = _factor(P)
+    if factor is None:
         if not np.isfinite(JtJ).all():
             raise UserFunctionFailure(f"non-finite model output at x = "
-                                      f"{ev.x.tolist()}: J'J is not finite") from None
-        raise SingularProposal(
-            "Gauss-Newton precision H + J'J is not positive definite"
-        ) from exc
+                                      f"{ev.x.tolist()}: J'J is not finite")
+        return None
+    chol, log_norm = factor
     rhs = prior.precision_mean - J.T.dot(f) + JtJ.dot(ev.x)
     mu = _solve_lower(chol, _solve_lower(chol, rhs), trans=1)
     return PrecisionGaussian(mean=mu, precision=P, chol=chol, log_norm=log_norm)
@@ -199,12 +190,8 @@ def point_state_from_eval(prior: GaussianPrior, ev: ModelEval) -> PointState:
                           proposal=None)
     residual_sq = float(ev.residual.dot(ev.residual))
     lp = _log_target(prior, ev.x, residual_sq)
-    try:
-        proposal = gn_proposal(prior, ev)
-    except SingularProposal:
-        proposal = None
     return PointState(x=ev.x, eval=ev, log_post=lp, residual_sq=residual_sq,
-                      proposal=proposal)
+                      proposal=gn_proposal(prior, ev))
 
 
 def point_state(prior: GaussianPrior, model: ModelHandle, x) -> PointState:

@@ -206,6 +206,10 @@ def test_sample_zero_samples_usage_error(tmp_path):
     ("--prior-precision", "abc"),
     ("--prior-precision", "abc", "0", "0", "1"),
     ("--x0", "nan", "0"),
+    ("--divs", "0"),
+    ("--sigma", "0"),
+    ("--sigma", "nan"),
+    ("--y", "inf"),
 ])
 def test_sample_usage_error_before_any_sampling(tmp_path, capsys, flags):
     code = run_cli("sample", "--example", "simple2d", "--samples", "200",
@@ -215,6 +219,14 @@ def test_sample_usage_error_before_any_sampling(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert "error: " in err and flags[0] in err  # the message names the flag
     assert list(tmp_path.iterdir()) == []  # neither the out-dir nor a checkpoint
+
+
+def test_sample_expseries_bad_data_seed_usage_error(tmp_path, capsys):
+    code = run_cli("sample", "--example", "expseries", "--data-seed", "-1",
+                   "--samples", "200", "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert "error: --data-seed -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sample_refused_start_point_writes_nothing(tmp_path, capsys):
@@ -346,11 +358,17 @@ def test_jtest_well_negative_y_runs(capsys):
     assert run_cli("jtest", "--example", "well", "--y", "-1", "-N", "20") == 0
 
 
+def test_jtest_sigma_zero_usage_error(capsys):
+    assert run_cli("jtest", "--example", "quickstart", "--sigma", "0") == 2
+    err = capsys.readouterr().err
+    assert "error: --sigma" in err and "model output" not in err
+
+
 def test_jtest_non_finite_model_output_exit_code(capsys):
-    # sigma = 0 divides the residual and the Jacobian by zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        code = run_cli("jtest", "--example", "quickstart", "--sigma", "0",
-                       "--seed", "0")
+    # x^2 overflows on this box, so the residual differences are inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("jtest", "--example", "quickstart", "--min", "1e200",
+                       "--max", "2e200", "--seed", "0")
     assert code == 3
     err = capsys.readouterr().err
     assert "non-finite model output at jtest point x = " in err

@@ -138,10 +138,28 @@ def test_wrong_input_length():
         quickstart_handle().evaluate([1.0, 2.0])
 
 
-def test_jacobian_size_mismatch():
-    h = ModelHandle(lambda x, a: (1, [1.0, 2.0], [[1.0]]), None, dim_in=1)
-    with pytest.raises(DimensionMismatch):
-        h.evaluate([0.0])
+_A = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])  # m = 3, n = 2
+
+
+@pytest.mark.parametrize("m, jacobian", [
+    (2, [[1.0]]),               # too few entries
+    (3, _A.T),                  # transposed: as many entries, in the wrong layout
+    (3, _A.ravel()),            # flattened
+    (3, _A[:, :, None]),        # 3-D
+], ids=["short", "transposed", "flattened", "3-d"])
+def test_jacobian_size_mismatch(m, jacobian):
+    n = 1 if m == 2 else 2
+    h = ModelHandle(lambda x, a: (True, np.ones(m), jacobian), None, dim_in=n)
+    with pytest.raises(DimensionMismatch, match=r"x = \[") as info:
+        h.evaluate(np.full(n, 0.5))
+    assert f"expected ({m}, {n})" in str(info.value)
+    assert h.dim_out is None  # a refused output sets nothing
+
+
+def test_array_inside_wrapped():
+    h = ModelHandle(lambda x, a: (np.array([True, True]), _A @ x, _A), None, dim_in=2)
+    with pytest.raises(UserFunctionFailure, match=r"x = \[0.1, 0.2\]"):
+        h.evaluate([0.1, 0.2])
 
 
 def test_user_exception_wrapped():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from gnmh.errors import NotPSD, SingularProposal, UserFunctionFailure
+from gnmh.errors import NotPSD, UserFunctionFailure
 from gnmh.gaussian import PrecisionGaussian, _factor
 from gnmh.model import ModelEval, ModelHandle, linear_handle, quickstart_handle
 from gnmh.posterior import (
@@ -79,8 +79,7 @@ def test_gn_proposal_quickstart_at_one():
 def test_gn_proposal_singular_when_flat_and_zero_jacobian():
     h = quickstart_handle(y=1.0, sigma=0.5)
     prior = GaussianPrior.flat([0.0])
-    with pytest.raises(SingularProposal):
-        gn_proposal(prior, h.evaluate([0.0]))
+    assert gn_proposal(prior, h.evaluate([0.0])) is None
 
 
 def _random_spd(rng, n):
