@@ -14,7 +14,7 @@ import gnmh
 from gnmh.cli import exp_series_datagen
 from gnmh.posterior import GaussianPrior
 
-args = exp_series_datagen(true_params=[1.0, 2.5, 0.5, 3.1], noise_sd=0.1, seed=14)
+args = exp_series_datagen(seed=14)
 prior_mean = np.array([4.0, 2.0, 0.5, 1.0])
 prior = GaussianPrior.create(prior_mean, 0.5 * np.eye(4))
 

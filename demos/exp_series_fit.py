@@ -12,7 +12,7 @@ from gnmh.cli import exp_series_datagen
 from gnmh.posterior import GaussianPrior
 
 TRUE = [1.0, 2.5, 0.5, 3.1]  # (w1, w2, r1, r2)
-args = exp_series_datagen(true_params=TRUE, noise_sd=0.1, seed=14)
+args = exp_series_datagen(seed=14)
 print("synthetic data:", np.round(args.data, 3))
 
 prior_mean = np.array([4.0, 2.0, 0.5, 1.0])

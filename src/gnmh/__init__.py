@@ -41,7 +41,6 @@ __all__ = [
     "JtestDomain",
     "JtestOptions",
     "ModelHandle",
-    "PrecisionGaussian",
     "Sampler",
     "acor",
     "autocovariance",

@@ -60,25 +60,17 @@ def quadrature_1d(log_density: Callable[[float], float], lo: float, hi: float,
     return grid, vals / total
 
 
-def exp_series_datagen(true_params=(1.0, 2.5, 0.5, 3.1), times=None,
-                       noise_sd=0.1, seed: int = 14) -> ExpSeriesArgs:
-    """Synthetic decay-series data: curve values plus seeded Gaussian noise.
-
-    Defaults to two decay terms observed at ten evenly spaced times on
-    [0, 3] with noise standard deviation 0.1. ``noise_sd=0`` produces the
-    exact curve values; the stored residual scale is then 1 (it divides the
-    residuals, so it cannot be zero).
-    """
-    true_params = np.asarray(true_params, dtype=float).reshape(-1)
-    if times is None:
-        times = np.linspace(0.0, 3.0, 10)
-    times = np.asarray(times, dtype=float).reshape(-1)
-    noise = np.broadcast_to(np.asarray(noise_sd, dtype=float), times.shape).copy()
-    rng = np.random.default_rng(seed)
-    _, clean, _ = exp_series_model(true_params, ExpSeriesArgs(times, np.zeros_like(times), np.ones_like(times)))
-    data = clean + noise * rng.standard_normal(times.shape[0])
-    scale = np.where(noise > 0.0, noise, 1.0)
-    return ExpSeriesArgs(times=times, data=data, noise_sd=scale)
+def exp_series_datagen(seed: int = 14) -> ExpSeriesArgs:
+    """The bundled decay-series dataset: two decay terms with parameters
+    (w1, w2, r1, r2) = (1.0, 2.5, 0.5, 3.1), observed at ten evenly spaced
+    times on [0, 3], plus Gaussian noise of standard deviation 0.1 drawn
+    from ``seed``."""
+    times = np.linspace(0.0, 3.0, 10)
+    noise_sd = np.full(10, 0.1)
+    _, clean, _ = exp_series_model(np.array([1.0, 2.5, 0.5, 3.1]),
+                                   ExpSeriesArgs(times, np.zeros(10), np.ones(10)))
+    data = clean + noise_sd * np.random.default_rng(seed).standard_normal(10)
+    return ExpSeriesArgs(times=times, data=data, noise_sd=noise_sd)
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +134,9 @@ _EXAMPLES = ("quickstart", "well", "simple2d", "expseries", "badjac")
 # ---------------------------------------------------------------------------
 
 
-def g17(v) -> str:
-    """``v`` at 17 significant digits, enough to round-trip a float64: the
-    number format of the output files."""
-    return "%.17g" % float(v)
-
-
 def _format_rows(rows: np.ndarray) -> str:
-    """Each row of a 2-D float array as a line of its numbers in ``g17``
-    format, comma-separated."""
+    """Each row of a 2-D float array as a line of its numbers at 17
+    significant digits, enough to round-trip a float64, comma-separated."""
     template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     return "".join([template % tuple(row) for row in rows.tolist()])
 
@@ -301,11 +287,8 @@ def _cmd_jtest(args: argparse.Namespace) -> int:
     options = JtestOptions(dx=args.dx, N=args.n_points, eps_max=args.eps_max,
                            p=args.p, l_max=args.l_max, r=args.r)
     error = jtest(build_handle(), domain, options, rng=args.seed)
-    if error == 0.0:
-        print("0")
-        return 0
-    print(g17(error))
-    return 1
+    print("%.17g" % error)
+    return 0 if error == 0.0 else 1
 
 
 # ---------------------------------------------------------------------------

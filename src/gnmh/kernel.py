@@ -104,7 +104,7 @@ def cubic_minimizer(phi0: float, phi1: float, dphi0: float, dphi1: float) -> Opt
     if denom == 0.0:
         return None
     t = 1.0 - (dphi1 + d2 - d1) / denom
-    if not 0.0 < t < 1.0 or not math.isfinite(t):
+    if not 0.0 < t < 1.0:
         return None
     return t
 

@@ -94,7 +94,7 @@ class ModelHandle:
                 return ModelEval(x=x, inside=False, residual=None, jacobian=None)
             residual = np.asarray(residual, dtype=float).reshape(-1)
             jacobian = np.asarray(jacobian, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise UserFunctionFailure(f"model output at x = {x.tolist()} is not a truth value "
                                       f"and two numeric arrays: {exc!r}") from exc
         m = residual.shape[0]
@@ -117,8 +117,9 @@ def quickstart_model(x, args):
     """1D double well: f(x) = (x^2 - y) / sigma, f'(x) = 2x / sigma."""
     y = args["y"]
     sigma = args["sigma"]
-    f = (x[0] * x[0] - y) / sigma
-    df = 2.0 * x[0] / sigma
+    x0 = float(x[0])  # a Python float overflows to inf without a warning
+    f = (x0 * x0 - y) / sigma
+    df = 2.0 * x0 / sigma
     return True, [f], [[df]]
 
 
@@ -126,8 +127,9 @@ def simple2d_model(x, args):
     """Ring in the plane: one residual (x1^2 + x2^2 - y) / sigma."""
     y = args["y"]
     sigma = args["sigma"]
-    f = (x[0] * x[0] + x[1] * x[1] - y) / sigma
-    return True, [f], [[2.0 * x[0] / sigma, 2.0 * x[1] / sigma]]
+    x0, x1 = float(x[0]), float(x[1])  # a Python float overflows to inf without a warning
+    f = (x0 * x0 + x1 * x1 - y) / sigma
+    return True, [f], [[2.0 * x0 / sigma, 2.0 * x1 / sigma]]
 
 
 def linear_model(x, args):

@@ -80,8 +80,12 @@ class GaussianPrior:
 def _log_target(prior: GaussianPrior, x: np.ndarray, residual_sq: float) -> float:
     """-(x-m)'H(x-m)/2 - ||f(x)||^2/2 from ``residual_sq`` = ||f(x)||^2.
     A NaN value, that is a NaN residual, raises ``UserFunctionFailure``."""
-    d = x - prior.mean
-    lp = -0.5 * float(d.dot(prior.precision).dot(d)) - 0.5 * residual_sq
+    try:
+        d = x - prior.mean
+        quad = float(d.dot(prior.precision).dot(d))
+    except RuntimeWarning:  # an overflow under an "error" warning filter
+        quad = math.inf
+    lp = -0.5 * quad - 0.5 * residual_sq
     if math.isnan(lp):
         raise UserFunctionFailure(f"non-finite model output at x = "
                                   f"{x.tolist()}: a NaN residual")
@@ -99,6 +103,10 @@ def log_posterior(prior: GaussianPrior, ev: ModelEval) -> float:
     if not ev.inside:
         return -np.inf
     return _log_target(prior, ev.x, float(ev.residual.dot(ev.residual)))
+
+
+def _non_finite_jtj(x: np.ndarray) -> UserFunctionFailure:
+    return UserFunctionFailure(f"non-finite model output at x = {x.tolist()}: J'J is not finite")
 
 
 def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> Optional[PrecisionGaussian]:
@@ -129,17 +137,20 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> Optional[PrecisionGaussi
     Raises
     ------
     UserFunctionFailure
-        If J'J is not finite (a NaN, infinite or overflowing entry), naming x.
+        If J'J is not finite (a NaN, infinite or overflowing entry), naming x,
+        under any warning filter.
     """
     J = ev.jacobian
     f = ev.residual
-    JtJ = J.T @ J
+    try:
+        JtJ = J.T @ J
+    except RuntimeWarning:  # an overflow under an "error" warning filter
+        raise _non_finite_jtj(ev.x) from None
     P = prior.precision + JtJ
     factor = _factor(P)
     if factor is None:
         if not np.isfinite(JtJ).all():
-            raise UserFunctionFailure(f"non-finite model output at x = "
-                                      f"{ev.x.tolist()}: J'J is not finite")
+            raise _non_finite_jtj(ev.x)
         return None
     chol, log_norm = factor
     rhs = prior.precision_mean - J.T.dot(f) + JtJ.dot(ev.x)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,11 @@ def test_quadrature_rejects_nan():
         quadrature_1d(lambda x: np.nan, 0.0, 1.0, 101)
 
 
+def test_quadrature_identically_zero_density_refused():
+    with pytest.raises(NonFiniteDensity, match="identically zero"):
+        quadrature_1d(lambda x: -np.inf, 0.0, 1.0)
+
+
 def test_quadrature_needs_enough_points():
     with pytest.raises(ValueError):
         quadrature_1d(lambda x: 0.0, 0.0, 1.0, 100)
@@ -46,14 +52,6 @@ def test_quadrature_needs_enough_points():
 # ---------------------------------------------------------------------------
 
 
-def test_datagen_noise_free_recovers_curve():
-    args = exp_series_datagen(noise_sd=0.0, seed=0)
-    t = args.times
-    curve = 1.0 * np.exp(-0.5 * t) + 2.5 * np.exp(-3.1 * t)
-    np.testing.assert_allclose(args.data, curve, atol=1e-14)
-    assert np.all(args.noise_sd == 1.0)
-
-
 def test_datagen_seed_repeatable():
     a = exp_series_datagen(seed=4)
     b = exp_series_datagen(seed=4)
@@ -61,7 +59,8 @@ def test_datagen_seed_repeatable():
 
 
 def test_datagen_mean_at_zero_time():
-    args = exp_series_datagen(times=[0.0], seed=123)
+    args = exp_series_datagen(seed=123)
+    assert args.times[0] == 0.0
     assert args.data[0] == pytest.approx(3.5, abs=0.5)
 
 
@@ -210,6 +209,9 @@ def test_sample_zero_samples_usage_error(tmp_path):
     ("--sigma", "0"),
     ("--sigma", "nan"),
     ("--y", "inf"),
+    ("--chains", "0"),
+    ("--burn", "-1"),
+    ("--burn", "200"),                                # as many as --samples
 ])
 def test_sample_usage_error_before_any_sampling(tmp_path, capsys, flags):
     code = run_cli("sample", "--example", "simple2d", "--samples", "200",
@@ -236,6 +238,25 @@ def test_sample_refused_start_point_writes_nothing(tmp_path, capsys):
                    "--out-dir", str(tmp_path / "out"))
     assert code == 3
     assert "proposal undefined" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+@pytest.mark.parametrize("argv, message", [
+    (["jtest", "--example", "quickstart", "--min", "1e200", "--max", "2e200", "--seed", "0"],
+     "non-finite model output at jtest point x = [1.6369616873214544e+200]: "
+     "the residual differences around it are NaN or inf"),
+    (["sample", "--example", "quickstart", "--x0", "1e200", "--samples", "10"],
+     "non-finite model output at x = [1e+200]: J'J is not finite"),
+], ids=["jtest", "sample"])
+def test_overflowing_model_output_same_error_under_any_warning_filter(tmp_path, capsys, action,
+                                                                      argv, message):
+    if argv[0] == "sample":
+        argv = argv + ["--out-dir", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter(action, RuntimeWarning)
+        assert run_cli(*argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 

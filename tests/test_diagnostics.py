@@ -12,6 +12,7 @@ from gnmh.errors import (
     DimensionMismatch,
     EmptyChain,
     LagTooLarge,
+    NonConvergentWindow,
     SeriesTooShort,
 )
 
@@ -155,6 +156,12 @@ def test_acor_affine_invariance():
 def test_acor_too_short():
     with pytest.raises(SeriesTooShort):
         acor(np.random.default_rng(0).standard_normal(400), k=5)
+
+
+def test_acor_random_walk_has_no_converged_window():
+    walk = np.cumsum(np.random.default_rng(0).standard_normal(1000))
+    with pytest.raises(NonConvergentWindow):
+        acor(walk)
 
 
 def test_acor_on_linear_model_chain_is_one():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,34 @@ def test_non_finite_model_output_raises_naming_the_point(output):
     assert 0.5 - 1e-3 < x < 1.0
     # stops at the first non-finite error norm instead of shrinking 50 times
     assert h.call_count < 200
+
+
+def test_redraws_when_a_perturbed_point_leaves_the_domain():
+    # the domain is x < 1 and the first step is a quarter of the box (0.5, 1), so a
+    # test point above 0.75 has a perturbed point outside and is drawn again
+    outside = []
+
+    def below_one(x, args):
+        if not x[0] < 1.0:
+            outside.append(x[0])
+            return 0, None, None
+        return 1, [x[0] ** 2], [[2.0 * x[0]]]
+
+    h = ModelHandle(below_one, None, dim_in=1)
+    assert jtest(h, JtestDomain.create([0.5], [1.0]), JtestOptions(dx=0.5, N=20), rng=0) == 0.0
+    assert len(outside) == 27
+    # each passing point costs 3 calls; each redrawn one its own and the outside x + shift
+    assert h.call_count == 20 * 3 + 27 * 2
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_infinite_residual_same_error_under_any_warning_filter(action):
+    # inf - inf in a difference quotient is NaN, whatever the warning filter says
+    def model(x, args):
+        return True, [np.inf if x[0] > 0.5 else x[0]], [[1.0]]
+
+    h = ModelHandle(model, None, dim_in=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(UserFunctionFailure, match="jtest point x = .*residual differences"):
+            jtest(h, JtestDomain.create([0.4], [0.6]), rng=0)

@@ -67,6 +67,11 @@ def test_cubic_t3_minus_2t2_plus_t():
     assert cubic_minimizer(0.0, 0.0, 1.0, 0.0) is None
 
 
+def test_cubic_flat_ends_without_slope_degenerate():
+    # d1 = d2 = 0, so the closed form divides by zero; there is no minimizer
+    assert cubic_minimizer(1.0, 1.0, 0.0, 0.0) is None
+
+
 def test_cubic_against_grid_oracle():
     rng = np.random.default_rng(2)
     grid = np.linspace(0.0, 1.0, 1_000_001)

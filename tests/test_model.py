@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,21 @@ def test_non_triple_return_wrapped():
     h = ModelHandle(lambda x, a: (1, [1.0]), None, dim_in=1)
     with pytest.raises(UserFunctionFailure):
         h.evaluate([0.0])
+
+
+@pytest.mark.parametrize("residual, jacobian", [([10 ** 400], [[1.0]]), ([1.0], [[10 ** 400]])],
+                         ids=["residual", "jacobian"])
+def test_int_too_large_for_a_float_wrapped(residual, jacobian):
+    h = ModelHandle(lambda x, a: (1, residual, jacobian), None, dim_in=1)
+    with pytest.raises(UserFunctionFailure, match=r"x = \[0\.5\].*OverflowError"):
+        h.evaluate([0.5])
+
+
+def test_bundled_models_overflow_to_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert quickstart_handle().evaluate([1e200]).residual[0] == np.inf
+        assert simple2d_handle().evaluate([0.0, 1e200]).residual[0] == np.inf
 
 
 @pytest.mark.parametrize("configure", [

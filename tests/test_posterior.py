@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from gnmh.errors import NotPSD, UserFunctionFailure
+from gnmh.errors import DimensionMismatch, NotPSD, UserFunctionFailure
 from gnmh.gaussian import PrecisionGaussian, _factor
 from gnmh.model import ModelEval, ModelHandle, linear_handle, quickstart_handle
 from gnmh.posterior import (
@@ -13,6 +13,7 @@ from gnmh.posterior import (
     log_posterior,
     point_state,
 )
+from gnmh.sampler import Sampler
 
 
 def test_prior_validation():
@@ -21,6 +22,8 @@ def test_prior_validation():
         GaussianPrior.create([0.0], [[-0.1]])
     with pytest.raises(NotPSD):
         GaussianPrior.create([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(DimensionMismatch, match=r"shape \(1, 1\), expected \(2, 2\)"):
+        GaussianPrior.create([0, 0], [[1.0]])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(NotPSD, match="prior mean has a non-finite entry"):
             GaussianPrior.create([0.0, bad], np.eye(2))
@@ -348,6 +351,19 @@ def test_gn_proposal_non_finite_jtj_raises_naming_x(fn, n):
         warnings.simplefilter("ignore")
         with pytest.raises(UserFunctionFailure, match=r"x = \[0\.625.*J'J is not finite"):
             gn_proposal(GaussianPrior.flat(np.zeros(n)), ev)
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_overflow_same_outcome_under_any_warning_filter(action):
+    overflowing_jtj = ModelHandle(lambda x, a: (1, [x[0]], [[-1e200]]), None, dim_in=1)
+    zero_residual = ModelHandle(lambda x, a: (1, [0.0], [[1.0]]), None, dim_in=1)
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(UserFunctionFailure, match=r"x = \[0\.625\]: J'J is not finite"):
+            Sampler([0.625], overflowing_jtj)
+        # the prior's quadratic form overflows to inf: zero density
+        assert log_posterior(GaussianPrior.create([0.0], [[1.0]]),
+                             zero_residual.evaluate([1e200])) == -np.inf
 
 
 def test_log_posterior_nan_residual_raises_naming_x():

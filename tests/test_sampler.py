@@ -193,6 +193,15 @@ def test_divisions_do_not_change_the_chain():
     np.testing.assert_array_equal(a.chain, b.chain)
 
 
+@pytest.mark.parametrize("n_samples, divs, message", [(0, 1, "n_samples must be at least 1"),
+                                                      (10, 0, "divs must be at least 1")])
+def test_run_sample_refuses_an_empty_run(n_samples, divs, message):
+    s = make_quickstart(seed=1)
+    with pytest.raises(ValueError, match=message):
+        s.run_sample(n_samples, divs=divs)
+    assert s.n_samples == 0 and s.call_count == 1  # only the start point was evaluated
+
+
 def test_seeded_runs_bit_identical():
     a = make_quickstart(seed=1234)
     b = make_quickstart(seed=1234)
@@ -409,6 +418,13 @@ def test_checkpoint_tampering_detected(tmp_path):
         Sampler.load_checkpoint(path, quickstart_handle())
 
 
+def test_checkpoint_not_json_refused(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text("{not json")
+    with pytest.raises(CorruptCheckpoint, match="not valid JSON"):
+        Sampler.load_checkpoint(path, quickstart_handle())
+
+
 def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     # same length, same checksum field: only the CRC comparison refuses it
     path = tmp_path / "state.json"
@@ -440,9 +456,10 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] - 1, "0": 1}),
     lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] - 1, "-5": 1}),
     lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] + doc["step_count"].pop("-1")}),
+    lambda doc: doc.update(chain_file=".chain-c"),
 ], ids=["mode", "static-factor", "max-steps", "prior-precision", "step-count",
         "negative-call-count", "negative-warning", "negative-step-count", "negative-burned",
-        "stage-zero", "stage-below-minus-one", "no-rejection-stage"])
+        "stage-zero", "stage-below-minus-one", "no-rejection-stage", "unknown-chain-file"])
 def test_checkpoint_invalid_value_with_valid_checksum_refused(tmp_path, change):
     # a document whose checksum holds but whose values no sampler can have
     path = tmp_path / "state.json"
