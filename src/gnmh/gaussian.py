@@ -8,7 +8,7 @@ works with unnormalized densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
@@ -31,7 +31,8 @@ def _factor(precision: np.ndarray):
     takes the same ``dtrtrs`` branch as for numpy's factor; for n <= 4 it
     equals ``np.linalg.cholesky`` bit for bit.
     """
-    chol, info = dpotrf(precision, lower=1, clean=1)
+    # positional flags (lower=1, clean=1): keywords cost f2py more than the call
+    chol, info = dpotrf(precision, 1, 1)
     if info != 0:
         return None
     chol = np.ascontiguousarray(chol)
@@ -50,18 +51,19 @@ def _solve_lower(chol: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     so a C-ordered L is passed as the upper-triangular L^T with the
     transpose flag flipped.
     """
+    # positional flags (lower, trans), as in _factor
     if chol.flags.f_contiguous:
-        u, info = dtrtrs(chol, b, lower=1, trans=trans)
+        u, info = dtrtrs(chol, b, 1, trans)
     else:
-        u, info = dtrtrs(chol.T, b, lower=0, trans=1 - trans)
+        u, info = dtrtrs(chol.T, b, 0, 1 - trans)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (dtrtrs info {info})")
     return u
 
 
-@dataclass(frozen=True)
-class PrecisionGaussian:
-    """An n-dimensional normal N(mean, precision^-1).
+class PrecisionGaussian(NamedTuple):
+    """An n-dimensional normal N(mean, precision^-1), as an immutable tuple
+    of its four fields (cheap to build once per drawn point).
 
     Attributes
     ----------

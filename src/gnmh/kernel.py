@@ -12,12 +12,16 @@ probabilities. The reverse side is that weight with the anchor and the
 candidate swapped, so its kernels sit at z and its dilation factors are
 recomputed there.
 
-One table per transition, ``_Transition``, holds the points
-``[x, y1, y2, ...]`` and stores each quantity this recursion reaches under
-indices into those points: kernels (anchor, g), path weights (anchor, h,
-tail) and acceptances (anchor, h). A path weight is its prefix path plus
-one log(1 - A) and one kernel density, so each density, dilated kernel and
-acceptance is computed once per transition; ``step`` grows one table.
+Stage one is the plain Metropolis-Hastings ratio, which ``step`` computes
+from the two points' records (``posterior.PointState``, one per drawn
+point). Only when stage one rejects and the policy has more stages does it
+build the back-off table ``_Transition``: the points ``[x, y1, y2, ...]``
+and, per anchor point, three lists grown one stage at a time (kernels, path
+weights and acceptances), seeded with stage one's weight and acceptance.
+A path weight is its prefix weight plus one log(1 - A) and one kernel
+density, so each density, dilated kernel and acceptance is computed once
+per transition, with one helper each for the density (``_log_density``)
+and the ratio (``_log_ratio``) and one method for the kernels.
 
 All ratio arithmetic is in log space; log 0 is -inf and propagates to an
 acceptance probability of 0.
@@ -123,8 +127,8 @@ def dynamic_gamma(x_state: PointState, z_state: PointState) -> float:
     if not z_state.inside:
         return fallback
     direction = z_state.x - x_state.x
-    fx, Jx = x_state.eval.residual, x_state.eval.jacobian
-    fz, Jz = z_state.eval.residual, z_state.eval.jacobian
+    fx, Jx = x_state.residual, x_state.jacobian
+    fz, Jz = z_state.residual, z_state.jacobian
     t = cubic_minimizer(x_state.residual_sq, z_state.residual_sq,
                         2.0 * float(fx.dot(Jx.dot(direction))),
                         2.0 * float(fz.dot(Jz.dot(direction))))
@@ -142,32 +146,71 @@ def _log1m_exp(log_a: float) -> float:
     return float(np.log1p(-np.exp(log_a)))
 
 
+def _log_density(y: np.ndarray, mean: np.ndarray, precision: np.ndarray,
+                 log_norm: float) -> float:
+    """log N(y; mean, precision^-1), whose normalization is ``log_norm``."""
+    d = y - mean
+    return log_norm - 0.5 * float(d.dot(precision).dot(d))
+
+
+def _never_accepted(cand: PointState) -> bool:
+    """Zero density at ``cand``, or no reverse kernels to build there."""
+    return cand.log_post == -np.inf or cand.chol is None
+
+
+def _log_ratio(log_fwd: float, log_rev: float) -> float:
+    """log acceptance min{0, log_rev - log_fwd} of a candidate whose forward
+    and reverse path weights are ``log_fwd`` and ``log_rev``."""
+    if log_rev == -np.inf:
+        # reverse trajectory carries no flow, whatever the forward side
+        return -np.inf
+    if log_fwd == -np.inf:
+        return 0.0
+    log_ratio = log_rev - log_fwd
+    return -np.inf if math.isnan(log_ratio) else min(0.0, log_ratio)
+
+
 class _Transition:
     """Back-off table of one transition.
 
     ``pts`` is ``[origin, y1, y2, ...]``, the origin followed by the points
-    drawn so far. The trajectory-balanced recursion only reaches three
-    shapes, each computed once and stored under small-int keys into ``pts``:
+    drawn so far. The trajectory-balanced recursion reaches each point
+    ``pts[a]`` as the anchor of paths through ``pts[1], pts[2], ...``, so
+    ``rows[a]`` holds three lists for that anchor, each grown one stage at a
+    time and computed once:
 
-    - kernel ``(a, g)``: the proposal at ``pts[a]`` after ``pts[1..g]`` were
-      rejected, stored as ``(scale, mean, precision, log_norm)``;
-    - path ``(a, h, b)``: log weight of the path from the anchor ``pts[a]``
-      through ``pts[1..h-1]``, then the tail ``pts[b]``;
-    - acceptance ``(a, h)``: log acceptance of ``pts[h]`` reached from
-      ``pts[a]`` after ``pts[1..h-1]`` were rejected.
+    - kernels: ``kernels[g]`` is the proposal at ``pts[a]`` after
+      ``pts[1..g]`` were rejected, as ``(scale, mean, precision, log_norm)``;
+    - weights: ``weights[h - 1]`` is the log weight of the path from
+      ``pts[a]`` through ``pts[1..h]``;
+    - accepts: ``accepts[h - 1]`` is the log acceptance of ``pts[h]``
+      reached from ``pts[a]`` after ``pts[1..h-1]`` were rejected.
 
-    Appending to ``pts`` leaves every stored entry valid.
+    ``stage_one``, if given, is the origin's first weight and acceptance,
+    as :func:`step` computed them before it built the table. Appending to
+    ``pts`` leaves every row valid.
     """
 
-    __slots__ = ("pts", "policy", "kernels", "paths", "accepts")
+    __slots__ = ("pts", "policy", "rows")
 
     def __init__(self, origin: PointState, policy: BackoffPolicy,
-                 points: Sequence[PointState] = ()):
+                 points: Sequence[PointState] = (),
+                 stage_one: Optional[Tuple[float, float]] = None):
         self.pts = [origin, *points]
         self.policy = policy
-        self.kernels: dict = {}
-        self.paths: dict = {}
-        self.accepts: dict = {}
+        self.rows: dict = {}
+        if stage_one is not None:
+            _, weights, accepts = self._row(0)
+            weights.append(stage_one[0])
+            accepts.append(stage_one[1])
+
+    def _row(self, a: int) -> tuple:
+        row = self.rows.get(a)
+        if row is None:
+            anchor = self.pts[a]
+            row = self.rows[a] = (
+                [(1.0, anchor.mean, anchor.precision, anchor.log_norm)], [], [])
+        return row
 
     def kernel(self, a: int, g: int) -> tuple:
         """Cumulative scale, mean, precision and log normalization of the
@@ -179,23 +222,20 @@ class _Transition:
         kernel is the proposal dilated toward the anchor by that scale, with
         the arithmetic of :meth:`PrecisionGaussian.dilate`.
         """
-        kern = self.kernels.get((a, g))
-        if kern is None:
-            anchor = self.pts[a]
-            prop = anchor.proposal
-            if g == 0:
-                kern = 1.0, prop.mean, prop.precision, prop.log_norm
+        kernels = self._row(a)[0]
+        if g < len(kernels):
+            return kernels[g]
+        anchor = self.pts[a]
+        while len(kernels) <= g:
+            scale = kernels[-1][0]
+            if self.policy.mode == "static":
+                scale *= self.policy.factor
             else:
-                scale = self.kernel(a, g - 1)[0]
-                if self.policy.mode == "static":
-                    scale *= self.policy.factor
-                else:
-                    scale *= dynamic_gamma(anchor, self.pts[g])
-                kern = (scale, anchor.x + scale * (prop.mean - anchor.x),
-                        prop.precision / (scale * scale),
-                        prop.log_norm - prop.mean.shape[0] * np.log(scale))
-            self.kernels[a, g] = kern
-        return kern
+                scale *= dynamic_gamma(anchor, self.pts[len(kernels)])
+            kernels.append((scale, anchor.x + scale * (anchor.mean - anchor.x),
+                            anchor.precision / (scale * scale),
+                            anchor.log_norm - anchor.mean.shape[0] * np.log(scale)))
+        return kernels[g]
 
     def path(self, a: int, h: int, b: int) -> float:
         """log weight of the back-off path from ``pts[a]`` through
@@ -204,41 +244,29 @@ class _Transition:
         That is log p(pts[a]) plus, for each stage, the log kernel density
         of its point and, for every stage but the last, log(1 - A) of that
         stage's acceptance probability, summed stage by stage: the weight of
-        the prefix path ``(a, h-1, h-1)``, its log(1 - A), then one density.
+        the path through ``pts[1..h-1]``, its log(1 - A), then one density.
         """
-        w = self.paths.get((a, h, b))
-        if w is None:
-            if h == 1:
-                w = self.pts[a].log_post
-            else:
-                w = self.path(a, h - 1, h - 1) + _log1m_exp(self.log_accept(a, h - 1))
-            _, mean, precision, log_norm = self.kernel(a, h - 1)
-            d = self.pts[b].x - mean
-            w += log_norm - 0.5 * float(d.dot(precision).dot(d))
-            self.paths[a, h, b] = w
-        return w
+        if h == 1:
+            w = self.pts[a].log_post
+        else:
+            log_a = self.log_accept(a, h - 1)  # grows the row through stage h - 1
+            _, weights, _ = self.rows[a]
+            w = weights[h - 2] + _log1m_exp(log_a)
+        _, mean, precision, log_norm = self.kernel(a, h - 1)
+        return w + _log_density(self.pts[b].x, mean, precision, log_norm)
 
     def log_accept(self, a: int, h: int) -> float:
         """log acceptance probability of ``pts[h]``, reached from ``pts[a]``
         after ``pts[1..h-1]`` were rejected."""
-        cand = self.pts[h]
-        if cand.log_post == -np.inf or cand.proposal is None:
-            # zero density, or no reverse kernels to build: never accepted
-            return -np.inf
-        log_a = self.accepts.get((a, h))
-        if log_a is None:
-            log_fwd = self.path(a, h, h)
-            log_rev = self.path(h, h, a)
-            if log_rev == -np.inf:
-                # reverse trajectory carries no flow, whatever the forward side
-                log_a = -np.inf
-            elif log_fwd == -np.inf:
-                log_a = 0.0
-            else:
-                log_ratio = log_rev - log_fwd
-                log_a = -np.inf if math.isnan(log_ratio) else min(0.0, log_ratio)
-            self.accepts[a, h] = log_a
-        return log_a
+        _, weights, accepts = self._row(a)
+        while len(accepts) < h:
+            j = len(accepts) + 1
+            w = self.path(a, j, j)
+            cand = self.pts[j]
+            weights.append(w)
+            accepts.append(-np.inf if _never_accepted(cand)
+                           else _log_ratio(w, self.path(j, j, a)))
+        return accepts[h - 1]
 
 
 def accept_prob(origin: PointState, points: Sequence[PointState],
@@ -257,6 +285,32 @@ def accept_prob(origin: PointState, points: Sequence[PointState],
     return float(np.exp(_Transition(origin, policy, points).log_accept(0, len(points))))
 
 
+def _draw(mean: np.ndarray, chol: np.ndarray, prior: GaussianPrior,
+          model: ModelHandle, rng: np.random.Generator,
+          counters: Optional[dict]) -> PointState:
+    """Draw mean + L^-T xi for fresh standard normals xi, where ``chol`` is
+    L, and build the point's record. ``counters``, if given, counts a point
+    whose proposal is singular under "singular_proposals"."""
+    z_state = point_state(prior, model,
+                          mean + _solve_lower(chol, rng.standard_normal(mean.shape[0]), trans=1))
+    if counters is not None and z_state.proposal_failed:
+        counters["singular_proposals"] = counters.get("singular_proposals", 0) + 1
+    return z_state
+
+
+def _stage_one(x_state: PointState, z_state: PointState) -> Tuple[float, float]:
+    """Forward path weight and log acceptance of ``z_state`` proposed from
+    ``x_state`` by the undilated kernel: the plain Metropolis-Hastings
+    ratio, with the arithmetic of ``_Transition(x, policy, [z])``'s
+    ``path(0, 1, 1)`` and ``log_accept(0, 1)``."""
+    log_fwd = x_state.log_post + _log_density(z_state.x, x_state.mean,
+                                              x_state.precision, x_state.log_norm)
+    if _never_accepted(z_state):
+        return log_fwd, -np.inf
+    return log_fwd, _log_ratio(log_fwd, z_state.log_post + _log_density(
+        x_state.x, z_state.mean, z_state.precision, z_state.log_norm))
+
+
 def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
          model: ModelHandle, rng: np.random.Generator,
          counters: Optional[dict] = None) -> Tuple[PointState, int]:
@@ -271,23 +325,23 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
     proposal was singular (such a point is never accepted).
 
     Per stage the generator is consumed in a fixed order: the proposal's
-    standard normals first, then one uniform for the accept test. All
-    stages share one ``_Transition`` table.
+    standard normals first, then one uniform for the accept test. Stage one
+    is the plain Metropolis-Hastings ratio of the two records; a
+    ``_Transition`` table, seeded with it, is built only when stage one
+    rejects and the policy has more stages.
     """
-    n = current.x.shape[0]
-    chol = current.proposal.chol
-    table = _Transition(current, policy)
-    for stage_idx in range(1, policy.n_stages + 1):
-        # dilating the factor, chol(P / s^2) = L / s, needs no factorization;
-        # stage 1 is undilated (s = 1)
+    z_state = _draw(current.mean, current.chol, prior, model, rng, counters)
+    log_fwd, log_a = _stage_one(current, z_state)
+    if rng.random() < float(np.exp(log_a)):
+        return z_state, 1
+    table = None
+    for stage_idx in range(2, policy.n_stages + 1):
+        if table is None:  # built at the first back-off stage, seeded with stage one
+            table = _Transition(current, policy, (z_state,), (log_fwd, log_a))
+        # dilating the factor, chol(P / s^2) = L / s, needs no factorization
         scale, mean, _, _ = table.kernel(0, stage_idx - 1)
-        dilated = chol if stage_idx == 1 else chol / scale
-        u = _solve_lower(dilated, rng.standard_normal(n), trans=1)
-        z_state = point_state(prior, model, mean + u)
-        if z_state.proposal_failed and counters is not None:
-            counters["singular_proposals"] = counters.get("singular_proposals", 0) + 1
+        z_state = _draw(mean, current.chol / scale, prior, model, rng, counters)
         table.pts.append(z_state)
-        a = float(np.exp(table.log_accept(0, stage_idx)))
-        if rng.random() < a:
+        if rng.random() < float(np.exp(table.log_accept(0, stage_idx))):
             return z_state, stage_idx
     return current, -1

@@ -10,13 +10,16 @@ In the domain the outputs must be numbers. When the sampler builds its
 state at a point (``posterior.point_state``), a NaN in the residual, or a
 Jacobian J whose J'J is not finite (a NaN or infinite entry, or an
 overflow), raises ``UserFunctionFailure`` naming that point; a residual of
-+-inf is zero density there, and the point is rejected.
-``ModelHandle.evaluate`` itself checks shapes and types only (a transposed
-or flattened Jacobian is refused), and also names the point.
++-inf is zero density there, and the point is rejected, as is a residual
+whose ||f||^2 overflows, under any warning filter. ``ModelHandle.evaluate``
+itself checks shapes and types only (a transposed or flattened Jacobian is
+refused), and also names the point. It copies both outputs, so a model may
+fill and return the same buffers on every call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -24,12 +27,16 @@ import numpy as np
 
 from .errors import DimensionMismatch, UserFunctionFailure
 
+_FLOAT64 = np.dtype(np.float64)
 
-@dataclass
+
+@dataclass(slots=True)
 class ModelEval:
     """Result of one model-function call at the 1-D float64 point ``x``.
 
-    When ``inside`` is False the point is outside the model's domain and
+    ``residual_sq`` is ||f(x)||^2, formed once per call: inf when it
+    overflows, under any warning filter, and inf outside the domain. When
+    ``inside`` is False the point is outside the model's domain and
     ``residual``/``jacobian`` are None; callers must not read them.
     """
 
@@ -37,6 +44,7 @@ class ModelEval:
     inside: bool
     residual: Optional[np.ndarray]
     jacobian: Optional[np.ndarray]
+    residual_sq: float
 
 
 class ModelHandle:
@@ -64,8 +72,9 @@ class ModelHandle:
         self.call_count = 0
 
     def evaluate(self, x) -> ModelEval:
-        """Call the model once at ``x``, coercing outputs to dense arrays
-        and ``x`` to the 1-D float64 array that ``ModelEval.x`` holds.
+        """Call the model once at ``x`` and copy its outputs to dense float64
+        arrays that no later call can change. ``x`` is coerced to the 1-D
+        float64 array that ``ModelEval.x`` holds, unless it is one already.
 
         Raises
         ------
@@ -77,7 +86,8 @@ class ModelHandle:
             value that is not a triple of a truth value and two numeric
             arrays. The message names x.
         """
-        x = np.asarray(x, dtype=float).reshape(-1)
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT64 or x.ndim != 1:
+            x = np.asarray(x, dtype=float).reshape(-1)
         n = self.dim_in
         if x.shape[0] != n:
             raise DimensionMismatch(f"point x = {x.tolist()} has length {x.shape[0]}, "
@@ -91,12 +101,14 @@ class ModelHandle:
         try:
             inside, residual, jacobian = out
             if not inside:
-                return ModelEval(x=x, inside=False, residual=None, jacobian=None)
-            residual = np.asarray(residual, dtype=float).reshape(-1)
-            jacobian = np.asarray(jacobian, dtype=float)
+                return ModelEval(x, False, None, None, math.inf)
+            residual = np.array(residual, dtype=float)
+            jacobian = np.array(jacobian, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise UserFunctionFailure(f"model output at x = {x.tolist()} is not a truth value "
                                       f"and two numeric arrays: {exc!r}") from exc
+        if residual.ndim != 1:
+            residual = residual.reshape(-1)
         m = residual.shape[0]
         if m != self.dim_out and self.dim_out is not None:
             raise DimensionMismatch(f"residual at x = {x.tolist()} has length {m}, "
@@ -105,7 +117,11 @@ class ModelHandle:
             raise DimensionMismatch(f"jacobian at x = {x.tolist()} has shape "
                                     f"{jacobian.shape}, expected ({m}, {n})")
         self.dim_out = m
-        return ModelEval(x=x, inside=True, residual=residual, jacobian=jacobian)
+        try:
+            residual_sq = float(residual.dot(residual))
+        except RuntimeWarning:  # an overflow under an "error" warning filter
+            residual_sq = math.inf
+        return ModelEval(x, True, residual, jacobian, residual_sq)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,9 @@ class GaussianPrior:
         for name, value in (("mean", mean), ("precision", precision)):
             if not np.all(np.isfinite(value)):
                 raise NotPSD(f"prior {name} has a non-finite entry")
-        if not np.allclose(precision, precision.T, rtol=1e-10, atol=1e-10):
+        # the test of np.allclose(precision, precision.T, rtol=1e-10,
+        # atol=1e-10) on finite entries, without its Python overhead
+        if not (abs(precision - precision.T) <= 1e-10 + 1e-10 * abs(precision.T)).all():
             raise NotPSD("prior precision is not symmetric")
         prior = cls(mean=mean, precision=precision)
         if n > 0 and float(np.linalg.eigvalsh(prior.precision).min()) < -1e-10:
@@ -98,11 +100,12 @@ def log_posterior(prior: GaussianPrior, ev: ModelEval) -> float:
     Returns -inf outside the domain; otherwise
     -(x-m)'H(x-m)/2 - ||f(x)||^2/2. The normalization constant is omitted
     (it cancels in every ratio the sampler forms). A NaN residual raises
-    ``UserFunctionFailure``; a residual of +-inf is zero density.
+    ``UserFunctionFailure``; a residual of +-inf, or one whose ||f||^2
+    overflows, is zero density.
     """
     if not ev.inside:
         return -np.inf
-    return _log_target(prior, ev.x, float(ev.residual.dot(ev.residual)))
+    return _log_target(prior, ev.x, ev.residual_sq)
 
 
 def _non_finite_jtj(x: np.ndarray) -> UserFunctionFailure:
@@ -141,9 +144,9 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> Optional[PrecisionGaussi
         under any warning filter.
     """
     J = ev.jacobian
-    f = ev.residual
+    Jt = J.T
     try:
-        JtJ = J.T @ J
+        JtJ = Jt @ J
     except RuntimeWarning:  # an overflow under an "error" warning filter
         raise _non_finite_jtj(ev.x) from None
     P = prior.precision + JtJ
@@ -153,36 +156,44 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> Optional[PrecisionGaussi
             raise _non_finite_jtj(ev.x)
         return None
     chol, log_norm = factor
-    rhs = prior.precision_mean - J.T.dot(f) + JtJ.dot(ev.x)
+    rhs = prior.precision_mean - Jt.dot(ev.residual) + JtJ.dot(ev.x)
     mu = _solve_lower(chol, _solve_lower(chol, rhs), trans=1)
-    return PrecisionGaussian(mean=mu, precision=P, chol=chol, log_norm=log_norm)
+    return PrecisionGaussian(mu, P, chol, log_norm)
 
 
-@dataclass
-class PointState:
-    """Everything the sampler needs about one point, from one model call.
+@dataclass(slots=True)
+class PointState(ModelEval):
+    """Everything the sampler needs about one point, from one model call:
+    the evaluation's fields, the log target and the Gauss-Newton proposal
+    anchored here, in one record.
 
-    ``proposal`` is the Gauss-Newton proposal anchored here; it is None when
-    the point is outside the domain, or when the proposal precision was
-    singular (``proposal_failed``). ``residual_sq`` is ||f(x)||^2, computed
-    once for the log-posterior and the dynamic dilation factor; it is inf
-    outside the domain.
+    ``mean``, ``precision``, ``chol`` and ``log_norm`` are the proposal's
+    fields (see :class:`PrecisionGaussian`), read directly by the kernel.
+    They are all None when the point is outside the domain, or when the
+    proposal precision was singular (``proposal_failed``). ``log_post`` is
+    -inf outside the domain.
     """
 
-    x: np.ndarray
-    eval: ModelEval
     log_post: float
-    residual_sq: float
-    proposal: Optional[PrecisionGaussian]
+    mean: Optional[np.ndarray]
+    precision: Optional[np.ndarray]
+    chol: Optional[np.ndarray]
+    log_norm: Optional[float]
 
     @property
-    def inside(self) -> bool:
-        return self.eval.inside
+    def proposal(self) -> Optional[PrecisionGaussian]:
+        """The Gauss-Newton proposal anchored here, or None."""
+        if self.chol is None:
+            return None
+        return PrecisionGaussian(self.mean, self.precision, self.chol, self.log_norm)
 
     @property
     def proposal_failed(self) -> bool:
         """In the domain, but with a singular proposal precision."""
-        return self.eval.inside and self.proposal is None
+        return self.inside and self.chol is None
+
+
+_NO_PROPOSAL = (None, None, None, None)
 
 
 def point_state_from_eval(prior: GaussianPrior, ev: ModelEval) -> PointState:
@@ -197,12 +208,11 @@ def point_state_from_eval(prior: GaussianPrior, ev: ModelEval) -> PointState:
         infinite residual is not an error: it is zero density.
     """
     if not ev.inside:
-        return PointState(x=ev.x, eval=ev, log_post=-np.inf, residual_sq=np.inf,
-                          proposal=None)
-    residual_sq = float(ev.residual.dot(ev.residual))
-    lp = _log_target(prior, ev.x, residual_sq)
-    return PointState(x=ev.x, eval=ev, log_post=lp, residual_sq=residual_sq,
-                      proposal=gn_proposal(prior, ev))
+        return PointState(ev.x, False, None, None, ev.residual_sq, -np.inf, *_NO_PROPOSAL)
+    lp = _log_target(prior, ev.x, ev.residual_sq)
+    # a proposal is a non-empty tuple, so only None is replaced
+    return PointState(ev.x, True, ev.residual, ev.jacobian, ev.residual_sq, lp,
+                      *(gn_proposal(prior, ev) or _NO_PROPOSAL))
 
 
 def point_state(prior: GaussianPrior, model: ModelHandle, x) -> PointState:

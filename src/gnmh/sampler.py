@@ -136,8 +136,9 @@ def _read_chain(path: str, chain: _ChainFile) -> np.ndarray:
     size = chain.rows * chain.dim * 8
     try:
         with open(path, "rb") as fh:
-            # a file too short for the rows allocates nothing
-            buf = bytearray(size if os.fstat(fh.fileno()).st_size >= size else 0)
+            # a file too short for the rows allocates nothing; np.empty, unlike
+            # bytearray, does not zero the bytes that readinto overwrites
+            buf = np.empty(size if os.fstat(fh.fileno()).st_size >= size else 0, np.uint8)
             got = fh.readinto(buf)
     except FileNotFoundError as exc:
         raise CorruptCheckpoint(f"chain file {path} is missing") from exc
@@ -148,7 +149,7 @@ def _read_chain(path: str, chain: _ChainFile) -> np.ndarray:
                                 f"checkpoint's {chain.rows} rows")
     if zlib.crc32(buf) != chain.crc:
         raise CorruptCheckpoint(f"chain file {path}: checksum mismatch")
-    return np.frombuffer(buf, dtype="<f8").reshape(chain.rows, chain.dim)
+    return buf.view("<f8").reshape(chain.rows, chain.dim)
 
 
 class Sampler:
@@ -199,7 +200,7 @@ class Sampler:
     def set_prior(self, mean, precision) -> None:
         """Replace the prior and refresh the cached state at the current
         point (no model call is spent)."""
-        self._set_state(GaussianPrior.create(mean, precision), self.current.eval)
+        self._set_state(GaussianPrior.create(mean, precision), self.current)
 
     def _set_state(self, prior: Optional[GaussianPrior], point) -> None:
         """Make ``prior`` (flat about the point when None) the prior and
@@ -217,7 +218,7 @@ class Sampler:
         if prior is None:
             prior = GaussianPrior.flat(ev.x)
         state = point_state_from_eval(prior, ev)
-        if state.proposal is None:
+        if state.chol is None:
             raise SingularProposal(
                 f"Gauss-Newton proposal undefined at x = {ev.x.tolist()} under this prior"
             )
@@ -288,20 +289,26 @@ class Sampler:
         if divs < 1:
             raise ValueError("divs must be at least 1")
         self._reserve(n_samples)
+        step, policy, prior, model, rng = (kernel.step, self.policy, self.prior,
+                                           self.model, self.rng)
+        buf, counts, counters = self._buf, self._step_count, self.warnings
         base, rem = divmod(n_samples, divs)
         done = 0
         for i in range(divs):
             size = base + (1 if i < rem else 0)
-            for _ in range(size):
-                nxt, stage = kernel.step(
-                    self.current, self.policy, self.prior, self.model,
-                    self.rng, self.warnings,
-                )
-                self._buf[self._n] = nxt.x
-                self._n += 1
-                # a rejecting step returns the current state
-                self._step_count[stage] = self._step_count.get(stage, 0) + 1
-                self.current = nxt
+            n, current = self._n, self.current
+            end = n + size
+            try:
+                while n < end:
+                    nxt, stage = step(current, policy, prior, model, rng, counters)
+                    buf[n] = nxt.x
+                    n += 1
+                    # a rejecting step returns the current state
+                    counts[stage] = counts.get(stage, 0) + 1
+                    current = nxt
+            finally:
+                # the transitions before a step that raised are kept
+                self._n, self.current = n, current
             done += size
             if visual:
                 print(f"{100.0 * done / n_samples:.1f}% complete", flush=True)
@@ -498,9 +505,10 @@ class Sampler:
             )
         chain = _read_chain(path + chain_file.suffix, chain_file)
 
-        sampler = cls(current_x, model, prior=prior)
+        # default_rng returns a Generator as it is, so the constructor seeds
+        # no generator of its own from OS entropy
+        sampler = cls(current_x, model, seed=np.random.Generator(bit_gen), prior=prior)
         sampler.policy = policy
-        sampler.rng = np.random.Generator(bit_gen)
         sampler._set_chain(chain)
         sampler._on_disk = chain_file
         sampler.burned = burned

@@ -9,6 +9,7 @@ from gnmh.kernel import (
     BackoffPolicy,
     _Transition,
     _log1m_exp,
+    _stage_one,
     accept_prob,
     cubic_minimizer,
     dynamic_gamma,
@@ -613,3 +614,62 @@ def test_step_draws_equal_dilated_proposal_samples(name, policy, monkeypatch):
             stages_seen.add(j + 1)
         cur = nxt
     assert stages_seen == {1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("policy", [BackoffPolicy.none(), BackoffPolicy.static(3, 0.3),
+                                    BackoffPolicy.dynamic(3)],
+                         ids=["none", "static", "dynamic"])
+@pytest.mark.parametrize("name", ["quickstart", "expseries"])
+def test_step_stage_one_equals_the_table(name, policy, monkeypatch):
+    # step computes stage one from the two records, without a table; its
+    # weight and acceptance equal the table's first stage bit for bit
+    h, prior, x0 = _problem(name)
+    seen = []
+
+    def recording_stage_one(x_state, z_state):
+        seen.append((x_state, z_state, _stage_one(x_state, z_state)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(gnmh.kernel, "_stage_one", recording_stage_one)
+    rng = np.random.default_rng(9)
+    cur = point_state(prior, h, x0)
+    for _ in range(150):
+        cur, _ = step(cur, policy, prior, h, rng)
+    finite = 0
+    for x_state, z_state, (log_fwd, log_a) in seen:
+        table = _Transition(x_state, policy, [z_state])
+        assert log_a == table.log_accept(0, 1)
+        assert log_fwd == table.path(0, 1, 1)
+        finite += log_a > -np.inf
+    assert len(seen) == 150 and finite >= 50
+
+
+@pytest.mark.parametrize("policy", [BackoffPolicy.static(4, 0.5), BackoffPolicy.dynamic(4)],
+                         ids=["static", "dynamic"])
+@pytest.mark.parametrize("name", ["quickstart", "expseries"])
+def test_step_seeded_table_equals_an_unseeded_one(name, policy, monkeypatch):
+    # the table step seeds with stage one gives every later weight and
+    # acceptance bit for bit as a table that computes stage one itself
+    h, prior, x0 = _problem(name)
+    tables = []
+
+    class RecordingTransition(_Transition):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(gnmh.kernel, "_Transition", RecordingTransition)
+    rng = np.random.default_rng(10)
+    cur = point_state(prior, h, x0)
+    for _ in range(150):
+        cur, _ = step(cur, policy, prior, h, rng)
+    deep = 0
+    for table in tables:
+        ref = _Transition(table.pts[0], policy, table.pts[1:])
+        for j in range(1, len(table.pts)):
+            assert table.path(0, j, j) == ref.path(0, j, j)
+            assert table.log_accept(0, j) == ref.log_accept(0, j)
+        deep += len(table.pts) > 3
+    assert len(tables) >= 20 and deep >= 5

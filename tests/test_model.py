@@ -3,7 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from gnmh.cli import exp_series_datagen
 from gnmh.errors import DimensionMismatch, UserFunctionFailure
+from gnmh.jtest import JtestDomain, jtest
 from gnmh.model import (
     ExpSeriesArgs,
     ModelHandle,
@@ -216,3 +218,76 @@ def test_instrumented_call_count_equality(configure):
     s.run_sample(500)
     assert h.call_count == tally["n"]
     assert s.call_count == tally["n"]
+
+
+@pytest.mark.parametrize("x, want", [
+    ([0.25, -1.0], [0.25, -1.0]),                   # a list
+    (np.array([2, -3]), [2.0, -3.0]),               # an int array
+    (np.array([[0.25], [-1.0]]), [0.25, -1.0]),     # a 2-D column
+    (np.array([0.25, -1.0], dtype=">f8"), [0.25, -1.0]),  # non-native byte order
+])
+def test_evaluate_coerces_x_to_a_1d_float64_array(x, want):
+    seen = []
+
+    def recording(x, args):
+        seen.append(x)
+        return 1, [x[0]], [[1.0, 0.0]]
+
+    ev = ModelHandle(recording, None, dim_in=2).evaluate(x)
+    assert type(ev.x) is np.ndarray and ev.x.dtype == np.float64 and ev.x.shape == (2,)
+    np.testing.assert_array_equal(ev.x, want)
+    assert seen[0] is ev.x  # the model sees the coerced point
+
+
+@pytest.mark.parametrize("x", [np.zeros((2, 2)), [0.5], np.zeros(3, dtype=int)],
+                         ids=["2-d", "short list", "long int array"])
+def test_evaluate_refuses_x_of_another_length(x):
+    h = ModelHandle(lambda x, a: (1, [x[0]], [[1.0, 0.0]]), None, dim_in=2)
+    with pytest.raises(DimensionMismatch, match="model expects 2"):
+        h.evaluate(x)
+    assert h.call_count == 0
+
+
+def test_evaluate_passes_a_float64_vector_through():
+    x = np.array([0.25, -1.0])
+    ev = ModelHandle(lambda x, a: (1, [x[0]], [[1.0, 0.0]]), None, dim_in=2).evaluate(x)
+    assert ev.x is x
+
+
+def _buffer_reusing_exp_series():
+    """exp_series_model, but filling and returning the same two arrays on
+    every call, as a model that avoids allocation may."""
+    data = exp_series_datagen(seed=14)
+    f_buf, jac_buf = np.empty(data.times.shape[0]), np.empty((data.times.shape[0], 4))
+
+    def reusing(x, args):
+        inside, f, jac = exp_series_model(x, args)
+        f_buf[:] = f
+        jac_buf[:] = jac
+        return inside, f_buf, jac_buf
+
+    return ModelHandle(reusing, data, dim_in=4)
+
+
+def test_buffer_reusing_model_passes_jtest():
+    # the difference quotients keep residuals from earlier calls
+    box = JtestDomain.create([0.1] * 4, [5.0] * 4)
+    assert jtest(_buffer_reusing_exp_series(), box, rng=1) == 0.0
+
+
+def test_buffer_reusing_model_gives_the_same_dynamic_chain():
+    # dynamic back-off reads the residual and Jacobian of earlier points
+    from gnmh.posterior import GaussianPrior
+    from gnmh.sampler import Sampler
+
+    chains = []
+    for handle in (exp_series_handle(exp_series_datagen(seed=14), n_terms=2),
+                   _buffer_reusing_exp_series()):
+        s = Sampler([1.0, 2.5, 0.5, 3.1], handle, seed=1,
+                    prior=GaussianPrior.create([4.0, 2.0, 0.5, 1.0], 0.5 * np.eye(4)))
+        s.set_dynamic(4)
+        s.run_sample(300)
+        chains.append((s.chain, s.call_count, s.step_count))
+    (chain_a, calls_a, steps_a), (chain_b, calls_b, steps_b) = chains
+    np.testing.assert_array_equal(chain_b, chain_a)
+    assert (calls_b, steps_b) == (calls_a, steps_a)

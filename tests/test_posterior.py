@@ -196,7 +196,7 @@ def test_point_state_computes_residual_norm_and_log_post_once_bit_identically():
     for _ in range(20):
         x = rng.normal(size=3)
         st = point_state(prior, h, x)
-        f = st.eval.residual
+        f = st.residual
         assert st.residual_sq == float(f @ f)
         assert st.log_post == log_posterior(prior, h.evaluate(x))
     np.testing.assert_array_equal(prior.precision_mean, prior.precision @ prior.mean)
@@ -235,8 +235,9 @@ def test_gn_proposal_and_sample_bit_identical_to_validated_path(n):
                   GaussianPrior.create(rng.normal(size=n), _random_spd(rng, n))):
         for _ in range(20):
             x = rng.normal(size=n)
-            ev = ModelEval(x=x, inside=True, residual=rng.normal(size=n + 2),
-                           jacobian=rng.normal(size=(n + 2, n)))
+            f = rng.normal(size=n + 2)
+            ev = ModelEval(x=x, inside=True, residual=f, jacobian=rng.normal(size=(n + 2, n)),
+                           residual_sq=float(f.dot(f)))
             g = gn_proposal(prior, ev)
             _assert_same_gaussian(g, _reference_gn_proposal(prior, ev, x))
             center = rng.normal(size=n)
@@ -277,9 +278,11 @@ def test_gn_proposal_precision_exactly_symmetric_for_any_jacobian_layout(layout)
                 h = ModelHandle(lambda x, a, J=J: (1, rng.normal(size=m), J), None, dim_in=n)
                 x = rng.normal(size=n)
                 ev = h.evaluate(x)
-                flags = ev.jacobian.flags  # evaluate kept the model's layout
+                # evaluate's copy keeps the model's C or F layout; a strided
+                # J is copied C-contiguous
+                flags = ev.jacobian.flags
                 assert {"C": flags.c_contiguous, "F": flags.f_contiguous,
-                        "strided": not (flags.c_contiguous or flags.f_contiguous)}[layout]
+                        "strided": flags.c_contiguous}[layout]
                 P = gn_proposal(prior, ev).precision
                 np.testing.assert_array_equal(P, P.T)
                 ref = prior.precision + ev.jacobian.T @ ev.jacobian
@@ -298,6 +301,21 @@ def test_prior_constructor_makes_precision_exactly_symmetric():
         np.testing.assert_array_equal(given, kept)  # the caller's matrix is not modified
         np.testing.assert_array_equal(GaussianPrior.create(np.zeros(n), given).precision,
                                       prior.precision)
+
+
+def test_prior_symmetry_check_is_allclose_at_1e_10():
+    # create refuses exactly the matrices that
+    # np.allclose(P, P.T, rtol=1e-10, atol=1e-10) calls asymmetric
+    rng = np.random.default_rng(65)
+    for _ in range(400):
+        n = int(rng.integers(2, 5))
+        P = _random_spd(rng, n) * 10.0 ** rng.integers(-12, 12)
+        P[0, 1] += rng.choice([0.5, 1.0, 1.5]) * (1e-10 + 1e-10 * abs(P[1, 0]))
+        if np.allclose(P, P.T, rtol=1e-10, atol=1e-10):
+            GaussianPrior.create(np.zeros(n), P)
+        else:
+            with pytest.raises(NotPSD, match="not symmetric"):
+                GaussianPrior.create(np.zeros(n), P)
 
 
 def _nan_residual(x, a):
@@ -378,3 +396,71 @@ def test_point_state_infinite_residual_is_zero_density(sign):
     st = point_state(GaussianPrior.create([0.0], [[1.0]]), h, [0.5])
     assert st.log_post == -np.inf
     assert st.proposal is not None and np.isfinite(st.proposal.log_norm)
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_overflowing_residual_norm_is_zero_density_under_any_warning_filter(action):
+    # ||f||^2 = 1e400 overflows; it is formed once per evaluation
+    h = ModelHandle(lambda x, a: (1, [1e200], [[1.0]]), None, dim_in=1)
+    prior = GaussianPrior.create([0.0], [[1.0]])
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter(action, RuntimeWarning)
+        sampler = Sampler([0.5], h, prior=prior)
+        assert sampler.current.residual_sq == np.inf
+        assert sampler.current.log_post == -np.inf
+        assert sampler.current.proposal is not None
+        assert log_posterior(prior, h.evaluate([0.5])) == -np.inf
+        assert sampler.posterior_at([0.5]) == 0.0
+
+
+_STATE_FIELDS = ("x", "residual", "jacobian", "residual_sq", "log_post",
+                 "mean", "precision", "chol", "log_norm")
+
+
+def _assert_same_state(got, ref):
+    for name in _STATE_FIELDS:
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+        assert np.asarray(getattr(got, name)).dtype == np.float64, name
+
+
+@pytest.mark.parametrize("convert", [
+    lambda f, J: (f.tolist(), J.tolist()),
+    lambda f, J: (np.rint(f * 8).astype(int), np.rint(J * 8).astype(int)),
+    lambda f, J: (f.astype(np.float32), J.astype(np.float32)),
+], ids=["lists", "ints", "float32"])
+def test_point_state_same_for_any_output_type(convert):
+    # whatever numbers the model returns, the record holds their float64
+    # values, bit for bit as if returned as float64 C-ordered arrays
+    rng = np.random.default_rng(71)
+    for n in (1, 2, 4):
+        prior = GaussianPrior.create(rng.normal(size=n), _random_spd(rng, n))
+        for _ in range(10):
+            f, J = convert(rng.normal(size=n + 3), rng.normal(size=(n + 3, n)))
+            f64 = np.ascontiguousarray(f, dtype=np.float64)
+            J64 = np.ascontiguousarray(J, dtype=np.float64)
+            x = rng.normal(size=n)
+            got = point_state(prior, ModelHandle(lambda x, a: (1, f, J), None, dim_in=n), x)
+            ref = point_state(prior, ModelHandle(lambda x, a: (1, f64, J64), None, dim_in=n), x)
+            _assert_same_state(got, ref)
+
+
+@pytest.mark.parametrize("layout", ["F", "read-only"])
+def test_point_state_keeps_the_models_layout(layout):
+    # the copied Jacobian keeps an F-ordered layout, so the proposal equals
+    # the validated construction on that same layout
+    rng = np.random.default_rng({"F": 72, "read-only": 73}[layout])
+    for n in (1, 2, 3, 5):
+        prior = GaussianPrior.create(rng.normal(size=n), _random_spd(rng, n))
+        for _ in range(10):
+            f, J = rng.normal(size=n + 2), rng.normal(size=(n + 2, n))
+            if layout == "F":
+                J = np.asfortranarray(J)
+            else:
+                f.flags.writeable = J.flags.writeable = False
+            x = rng.normal(size=n)
+            st = point_state(prior, ModelHandle(lambda x, a: (1, f, J), None, dim_in=n), x)
+            assert st.jacobian.flags.f_contiguous == (layout == "F" or n == 1)
+            assert st.residual is not f and st.jacobian is not J
+            ev = ModelEval(x=x, inside=True, residual=f, jacobian=J, residual_sq=float(f.dot(f)))
+            _assert_same_gaussian(st.proposal, _reference_gn_proposal(prior, ev, x))
+            assert st.log_post == log_posterior(prior, ev)

@@ -167,6 +167,19 @@ def test_run_sample_non_finite_output_raises_naming_x(bad_residual, bad_jacobian
     assert f"x = {seen[0].tolist()}" in str(info.value)
 
 
+def test_run_sample_that_raises_keeps_the_transitions_before_it():
+    # one model call per transition without back-off: the start's, one per
+    # finished transition, then the call that raised
+    # (at seed 10 the chain first proposes a point past 1 in transition 45)
+    fn, _ = _bad_past_one(np.nan, 1.0)
+    s = Sampler([0.0], ModelHandle(fn, None, dim_in=1), seed=10)
+    with pytest.raises(UserFunctionFailure):
+        s.run_sample(2000, divs=400)
+    assert s.n_samples == s.call_count - 2 == 44
+    assert sum(s.step_count.values()) == s.n_samples
+    np.testing.assert_array_equal(s.chain[-1], s.current.x)
+
+
 def test_run_sample_infinite_residual_is_rejected():
     fn, seen = _bad_past_one(np.inf, 1.0)
     s = Sampler([0.0], ModelHandle(fn, None, dim_in=1), seed=3)
