@@ -3,17 +3,56 @@
 The proposal machinery mixes kernels with different precision matrices, so
 log-densities must carry their exact normalization constants; nothing here
 works with unnormalized densities.
+
+The two LAPACK routines used here, ``dpotrf`` and ``dtrtrs``, are scipy's
+f2py bindings in its extension module ``scipy.linalg._flapack``, the same
+objects ``scipy.linalg.lapack`` exports, so every result bit is scipy's.
+:func:`_load_flapack` loads that extension without importing the
+``scipy.linalg`` package, whose start-up (array-API, f2py, testing and
+masked-array modules) was more than half of importing gnmh. The extension is
+registered under its own name, so a later ``import scipy.linalg`` reuses it
+and ``scipy.linalg.lapack.dpotrf is dpotrf``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+import scipy
 
 from .errors import DimensionMismatch, InvalidDilation
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module ``scipy.linalg._flapack``: the loaded
+    one if any, else loaded from scipy's ``linalg`` directory and registered
+    in ``sys.modules`` under that name."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    dirs = [os.path.join(p, "linalg") for p in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+    if spec is None:
+        raise ImportError(
+            f"scipy's LAPACK extension _flapack not found in {dirs}; "
+            "gnmh requires scipy>=1.13",
+            name=name,
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf = _flapack.dpotrf
+dtrtrs = _flapack.dtrtrs
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -36,7 +75,8 @@ def _factor(precision: np.ndarray):
     if info != 0:
         return None
     chol = np.ascontiguousarray(chol)
-    log_det = 2.0 * float(np.log(chol.diagonal()).sum())
+    # np.add.reduce is the reduction .sum() calls, without its Python wrapper
+    log_det = 2.0 * float(np.add.reduce(np.log(chol.diagonal())))
     if not math.isfinite(log_det):
         return None
     return chol, 0.5 * log_det - 0.5 * precision.shape[0] * _LOG_2PI

@@ -1,0 +1,79 @@
+"""gnmh binds scipy's LAPACK routines without importing ``scipy.linalg``.
+
+Each test runs a fresh interpreter, because what a process has imported
+is global state that an earlier test in this process would already have set.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_sample_and_jtest_do_not_import_scipy_linalg(tmp_path):
+    done = _run(f"""
+        import sys
+        import gnmh, gnmh.cli
+        out = {str(tmp_path)!r}
+        assert gnmh.cli.main(["sample", "--example", "expseries", "--backoff",
+                              "dynamic", "--max-steps", "2", "--samples", "50",
+                              "--out-dir", out]) == 0
+        assert gnmh.cli.main(["jtest", "--example", "quickstart", "-N", "5"]) == 0
+        assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
+    """)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "chain.csv").exists()
+
+
+@pytest.mark.parametrize("first", ["gnmh", "scipy.linalg"])
+def test_lapack_routines_are_scipys_in_either_import_order(first):
+    second = "scipy.linalg" if first == "gnmh" else "gnmh"
+    done = _run(f"""
+        import numpy as np
+        import {first}
+        import {second}
+        import gnmh.gaussian
+        import scipy.linalg
+        from scipy.linalg import lapack
+
+        assert gnmh.gaussian.dpotrf is lapack.dpotrf
+        assert gnmh.gaussian.dtrtrs is lapack.dtrtrs
+        a = np.array([[4.0, 2.0], [2.0, 3.0]])
+        chol = scipy.linalg.cholesky(a, lower=True)
+        assert np.allclose(chol @ chol.T, a)
+        u = scipy.linalg.solve_triangular(chol, [1.0, 2.0], lower=True)
+        assert np.allclose(chol @ u, [1.0, 2.0])
+        (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (a,))
+        assert potrf is lapack.dpotrf
+    """)
+    assert done.returncode == 0, done.stderr
+
+
+def test_missing_lapack_extension_is_an_import_error_naming_the_directory(tmp_path):
+    done = _run(f"""
+        import scipy
+        scipy.__path__ = [{str(tmp_path)!r}]
+        try:
+            import gnmh
+        except ImportError as exc:
+            assert {str(tmp_path)!r} in str(exc), str(exc)
+            assert "scipy>=1.13" in str(exc), str(exc)
+        else:
+            raise AssertionError("import gnmh did not fail")
+    """)
+    assert done.returncode == 0, done.stderr
