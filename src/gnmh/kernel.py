@@ -12,16 +12,16 @@ probabilities. The reverse side is that weight with the anchor and the
 candidate swapped, so its kernels sit at z and its dilation factors are
 recomputed there.
 
-Stage one is the plain Metropolis-Hastings ratio, which ``step`` computes
-from the two points' records (``posterior.PointState``, one per drawn
-point). Only when stage one rejects and the policy has more stages does it
-build the back-off table ``_Transition``: the points ``[x, y1, y2, ...]``
-and, per anchor point, three lists grown one stage at a time (kernels, path
-weights and acceptances), seeded with stage one's weight and acceptance.
-A path weight is its prefix weight plus one log(1 - A) and one kernel
-density, so each density, dilated kernel and acceptance is computed once
-per transition, with one helper each for the density (``_log_density``)
-and the ratio (``_log_ratio``) and one method for the kernels.
+Stage one is the plain Metropolis-Hastings ratio of two points' records
+(``posterior.PointState``, one per drawn point), which ``_stage_one``
+computes for ``step`` and for every anchor. Only when stage one rejects and
+the policy has more stages does ``step`` build the back-off table
+``_Transition``: the points ``[x, y1, y2, ...]`` and, per anchor point,
+three lists grown one stage at a time (kernels, path weights and
+acceptances), the origin's seeded with ``step``'s stage one. A later path
+weight is its prefix weight plus one log(1 - A) and one kernel density, so
+each density, dilated kernel and acceptance is computed once per
+transition, with one helper each for the density and the ratio.
 
 All ratio arithmetic is in log space; log 0 is -inf and propagates to an
 acceptance probability of 0.
@@ -186,9 +186,9 @@ class _Transition:
     - accepts: ``accepts[h - 1]`` is the log acceptance of ``pts[h]``
       reached from ``pts[a]`` after ``pts[1..h-1]`` were rejected.
 
-    ``stage_one``, if given, is the origin's first weight and acceptance,
-    as :func:`step` computed them before it built the table. Appending to
-    ``pts`` leaves every row valid.
+    Stage one of every anchor is :func:`_stage_one`'s; ``stage_one``, if
+    given, is the origin's, as :func:`step` computed it before it built the
+    table. Appending to ``pts`` leaves every row valid.
     """
 
     __slots__ = ("pts", "policy", "rows")
@@ -219,8 +219,7 @@ class _Transition:
         With ``g = 0`` this is the undilated Gauss-Newton proposal at scale
         1. Each rejection multiplies the scale by the static factor, or by
         the dynamic factor chosen from the anchor and the rejected point; the
-        kernel is the proposal dilated toward the anchor by that scale, with
-        the arithmetic of :meth:`PrecisionGaussian.dilate`.
+        kernel is the proposal dilated toward the anchor by that scale.
         """
         kernels = self._row(a)[0]
         if g < len(kernels):
@@ -239,19 +238,15 @@ class _Transition:
 
     def path(self, a: int, h: int, b: int) -> float:
         """log weight of the back-off path from ``pts[a]`` through
-        ``pts[1..h-1]``, then ``pts[b]``.
+        ``pts[1..h-1]``, then ``pts[b]``, for ``h >= 2``.
 
         That is log p(pts[a]) plus, for each stage, the log kernel density
         of its point and, for every stage but the last, log(1 - A) of that
         stage's acceptance probability, summed stage by stage: the weight of
         the path through ``pts[1..h-1]``, its log(1 - A), then one density.
         """
-        if h == 1:
-            w = self.pts[a].log_post
-        else:
-            log_a = self.log_accept(a, h - 1)  # grows the row through stage h - 1
-            _, weights, _ = self.rows[a]
-            w = weights[h - 2] + _log1m_exp(log_a)
+        log_a = self.log_accept(a, h - 1)  # grows the row through stage h - 1
+        w = self.rows[a][1][h - 2] + _log1m_exp(log_a)
         _, mean, precision, log_norm = self.kernel(a, h - 1)
         return w + _log_density(self.pts[b].x, mean, precision, log_norm)
 
@@ -261,11 +256,14 @@ class _Transition:
         _, weights, accepts = self._row(a)
         while len(accepts) < h:
             j = len(accepts) + 1
-            w = self.path(a, j, j)
-            cand = self.pts[j]
+            if j == 1:
+                w, log_a = _stage_one(self.pts[a], self.pts[1])
+            else:
+                w = self.path(a, j, j)
+                log_a = (-np.inf if _never_accepted(self.pts[j])
+                         else _log_ratio(w, self.path(j, j, a)))
             weights.append(w)
-            accepts.append(-np.inf if _never_accepted(cand)
-                           else _log_ratio(w, self.path(j, j, a)))
+            accepts.append(log_a)
         return accepts[h - 1]
 
 
@@ -301,8 +299,7 @@ def _draw(mean: np.ndarray, chol: np.ndarray, prior: GaussianPrior,
 def _stage_one(x_state: PointState, z_state: PointState) -> Tuple[float, float]:
     """Forward path weight and log acceptance of ``z_state`` proposed from
     ``x_state`` by the undilated kernel: the plain Metropolis-Hastings
-    ratio, with the arithmetic of ``_Transition(x, policy, [z])``'s
-    ``path(0, 1, 1)`` and ``log_accept(0, 1)``."""
+    ratio, and stage one of every anchor of a ``_Transition``."""
     log_fwd = x_state.log_post + _log_density(z_state.x, x_state.mean,
                                               x_state.precision, x_state.log_norm)
     if _never_accepted(z_state):

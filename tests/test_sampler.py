@@ -25,6 +25,7 @@ from gnmh.model import (
     quickstart_handle,
     simple2d_handle,
 )
+from gnmh.gaussian import PrecisionGaussian
 from gnmh.kernel import BackoffPolicy
 from gnmh.posterior import GaussianPrior
 from gnmh.sampler import Sampler
@@ -764,6 +765,27 @@ def test_checkpoint_bytes_equal_full_serialization(tmp_path, monkeypatch, name, 
     resumed.run_sample(5, divs=2, safe=path)
     assert checked == ([0, 30] + list(range(40, 101, 10)) + [100]
                        + [55, 65, 75] + [75, 86, 97, 108] + [3, 5])
+
+
+@pytest.mark.parametrize("policy", [BackoffPolicy.none(), BackoffPolicy.static(3, 0.3),
+                                    BackoffPolicy.dynamic(3)],
+                         ids=["none", "static", "dynamic"])
+@pytest.mark.parametrize("name", ["quickstart", "expseries"])
+def test_sampler_builds_no_precision_gaussian(tmp_path, monkeypatch, name, policy):
+    # each drawn point's proposal is the four fields of its record; the
+    # class is the tests' oracle, and the sampler never builds one
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("the sampler built a PrecisionGaussian")
+
+    monkeypatch.setattr(PrecisionGaussian, "__new__", refuse)
+    x0, build, prior = _example(name)
+    s = Sampler(x0, build(), seed=31, prior=prior)
+    s.policy = policy
+    s.run_sample(100)
+    s.save_checkpoint(tmp_path / "state.json")
+    resumed = Sampler.load_checkpoint(tmp_path / "state.json", build())
+    resumed.run_sample(100)
+    assert resumed.n_samples == 200 and resumed.policy == policy
 
 
 def test_checkpoint_one_digit_changed_in_chain_detected(tmp_path):
