@@ -27,7 +27,8 @@ class SingularProposal(GnmhError):
 
 
 class InitialGuessOutsideDomain(GnmhError):
-    """The model indicator is 0 at the starting point."""
+    """The starting point has a non-finite entry, or the model indicator is
+    0 there."""
 
 
 class InvalidPolicy(GnmhError):

@@ -2,7 +2,10 @@
 
 The proposal machinery mixes kernels with different precision matrices, so
 log-densities must carry their exact normalization constants; nothing here
-works with unnormalized densities.
+works with unnormalized densities. The sampler keeps each proposal as four
+fields of its per-point record, ``posterior.PointState``, built with
+:func:`_factor` and :func:`_solve_lower`; :class:`PrecisionGaussian` is the
+same proposal as an object, for the tests and the benchmark's tracer.
 
 The two LAPACK routines used here, ``dpotrf`` and ``dtrtrs``, are scipy's
 f2py bindings in its extension module ``scipy.linalg._flapack``, the same
@@ -103,7 +106,13 @@ def _solve_lower(chol: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
 
 class PrecisionGaussian(NamedTuple):
     """An n-dimensional normal N(mean, precision^-1), as an immutable tuple
-    of its four fields (cheap to build once per drawn point).
+    of its four fields.
+
+    The sampler builds none: its record of a proposal is the same four
+    fields of ``posterior.PointState``. This class is the tests' reference
+    form, whose ``@``-based :meth:`log_pdf`, :meth:`sample` and
+    :meth:`dilate` are independent of the kernel's arithmetic, and the
+    benchmark tracer wraps its methods.
 
     Attributes
     ----------

@@ -30,6 +30,7 @@ acceptance probability of 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence, Tuple
 
@@ -46,8 +47,8 @@ class BackoffPolicy:
     """Back-off configuration.
 
     ``mode`` is "none", "static" or "dynamic". ``max_steps`` is the number of
-    extra proposals after the first one (0 means plain Metropolis).
-    ``factor`` is the per-stage dilation in static mode. The constants
+    extra proposals after the first one (0 means plain Metropolis), an
+    integer. ``factor`` is the per-stage dilation in static mode. The constants
     ``t_lo``/``t_hi`` clamp the dynamically chosen factor; their midpoint is
     the fallback when the cubic model has no interior minimum.
     """
@@ -61,6 +62,8 @@ class BackoffPolicy:
     def __post_init__(self):
         if self.mode not in ("none", "static", "dynamic"):
             raise InvalidPolicy(f"unknown back-off mode {self.mode!r}")
+        if not isinstance(self.max_steps, numbers.Integral):  # numpy's too
+            raise InvalidPolicy(f"max_steps must be an integer, got {self.max_steps!r}")
         if self.max_steps < 0:
             raise InvalidPolicy("max_steps must be nonnegative")
         if (self.mode == "none") != (self.max_steps == 0):

@@ -123,13 +123,15 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> Optional[tuple]:
     evaluation.
 
     This is the per-point hot path: one Cholesky factorization (LAPACK
-    ``dpotrf``) and two triangular solves, with no validation or coercion.
-    The prior was validated by ``GaussianPrior.create``, whose H m is
-    computed once, and x and the shapes of J and f by
-    ``ModelHandle.evaluate``. The factorization is the only check: a NaN or
-    infinite entry in H + J'J is refused before the right-hand side is
-    formed, so a returned proposal has a finite ``log_norm``. Only when it
-    refuses is J'J itself judged.
+    ``dpotrf``) and two triangular solves, with no coercion. The prior was
+    validated by ``GaussianPrior.create``, whose H m is computed once, and
+    x and the shapes of J and f by ``ModelHandle.evaluate``. Two checks
+    remain. The factorization refuses a NaN or infinite entry in H + J'J
+    before the right-hand side is formed, so a returned proposal has a
+    finite ``log_norm``; only when it refuses is J'J itself judged. The
+    mean is checked entry by entry, so a finite mean is kept however large
+    its entries. A residual with an infinite entry is zero density, not an
+    error: its point keeps its proposal, whose mean is then not finite.
 
     P is exactly symmetric without a symmetrizing step: H is exactly
     symmetric (a ``GaussianPrior`` invariant), and J'J formed with ``@``
@@ -142,8 +144,9 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> Optional[tuple]:
     Raises
     ------
     UserFunctionFailure
-        If J'J is not finite (a NaN, infinite or overflowing entry), naming x,
-        under any warning filter.
+        If J'J is not finite (a NaN, infinite or overflowing entry), or the
+        mean is not finite while the residual is (J'f overflows, say), naming
+        x, under any warning filter.
     """
     J = ev.jacobian
     Jt = J.T
@@ -158,8 +161,15 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> Optional[tuple]:
             raise _non_finite_jtj(ev.x)
         return None
     chol, log_norm = factor
-    rhs = prior.precision_mean - Jt.dot(ev.residual) + JtJ.dot(ev.x)
-    mu = _solve_lower(chol, _solve_lower(chol, rhs), trans=1)
+    try:
+        rhs = prior.precision_mean - Jt.dot(ev.residual) + JtJ.dot(ev.x)
+        mu = _solve_lower(chol, _solve_lower(chol, rhs), trans=1)
+    except RuntimeWarning:  # an overflow or inf - inf under an "error" warning filter
+        mu = np.full(ev.x.shape, np.nan)
+    # exact, warning-free, and cheaper than np.isfinite(mu).all() at small n
+    if not all(map(math.isfinite, mu.tolist())) and not np.isinf(ev.residual).any():
+        raise UserFunctionFailure(f"non-finite model output at x = {ev.x.tolist()}: "
+                                  f"the Gauss-Newton mean is not finite")
     return mu, P, chol, log_norm
 
 

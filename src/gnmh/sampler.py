@@ -176,7 +176,8 @@ class Sampler:
     Raises
     ------
     InitialGuessOutsideDomain
-        If the model indicator is 0 at ``x0``.
+        If ``x0`` has a NaN or infinite entry (before any model call), or
+        the model indicator is 0 at ``x0``.
     SingularProposal
         If the Gauss-Newton proposal cannot be built at ``x0`` under the
         (possibly flat) prior.
@@ -187,6 +188,10 @@ class Sampler:
         self.model = model
         # call_count is the handle's count plus this offset
         self._call_offset = -model.call_count
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        if not np.isfinite(x0).all():
+            raise InitialGuessOutsideDomain(f"initial guess x0 = {x0.tolist()} "
+                                            f"has a non-finite entry")
         self._set_state(prior, x0)
         self.policy = BackoffPolicy.none()
         self.rng = np.random.default_rng(seed)

@@ -47,6 +47,11 @@ def test_policy_validation():
         BackoffPolicy(mode="weird", max_steps=1)
     with pytest.raises(InvalidPolicy):
         BackoffPolicy.static(2, -0.1)
+    for build in (lambda: BackoffPolicy.static(1.5, 0.5), lambda: BackoffPolicy.dynamic(2.0),
+                  lambda: BackoffPolicy(mode="static", max_steps="2")):
+        with pytest.raises(InvalidPolicy, match="max_steps must be an integer"):
+            build()
+    assert BackoffPolicy.static(np.int64(2), 0.5).n_stages == 3
     assert BackoffPolicy.static(0, 0.3).mode == "none"
     assert BackoffPolicy.dynamic(0).mode == "none"
 

@@ -377,10 +377,16 @@ def test_gn_proposal_non_finite_jtj_raises_naming_x(fn, n):
 def test_overflow_same_outcome_under_any_warning_filter(action):
     overflowing_jtj = ModelHandle(lambda x, a: (1, [x[0]], [[-1e200]]), None, dim_in=1)
     zero_residual = ModelHandle(lambda x, a: (1, [0.0], [[1.0]]), None, dim_in=1)
+    # J'J = 1e300 is finite, but J'f overflows, so the mean is -inf
+    overflowing_mean = ModelHandle(lambda x, a: (True, [1e200], [[1e150]]), None, dim_in=1)
     with warnings.catch_warnings(record=True):
         warnings.simplefilter(action, RuntimeWarning)
         with pytest.raises(UserFunctionFailure, match=r"x = \[0\.625\]: J'J is not finite"):
             Sampler([0.625], overflowing_jtj)
+        with pytest.raises(UserFunctionFailure,
+                           match=r"^non-finite model output at x = \[0\.0\]: "
+                                 r"the Gauss-Newton mean is not finite$"):
+            Sampler([0.0], overflowing_mean, seed=1, prior=GaussianPrior.create([0.0], [[1.0]]))
         # the prior's quadratic form overflows to inf: zero density
         assert log_posterior(GaussianPrior.create([0.0], [[1.0]]),
                              zero_residual.evaluate([1e200])) == -np.inf
@@ -398,6 +404,17 @@ def test_point_state_infinite_residual_is_zero_density(sign):
     st = point_state(GaussianPrior.create([0.0], [[1.0]]), h, [0.5])
     assert st.log_post == -np.inf
     assert proposal(st) is not None and np.isfinite(proposal(st).log_norm)
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_opposite_infinite_residuals_are_zero_density_under_any_warning_filter(action):
+    # J'f is inf - inf, so the mean is NaN; the point is zero density, not an error
+    h = ModelHandle(lambda x, a: (1, [np.inf, -np.inf], [[1.0], [1.0]]), None, dim_in=1)
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter(action, RuntimeWarning)
+        st = point_state(GaussianPrior.create([0.0], [[1.0]]), h, [0.5])
+    assert st.log_post == -np.inf and not st.proposal_failed
+    assert np.isfinite(st.log_norm) and np.isnan(st.mean).all()
 
 
 @pytest.mark.parametrize("action", ["default", "error"])

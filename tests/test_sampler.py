@@ -54,6 +54,15 @@ def test_init_outside_domain():
         Sampler([-1.0], h, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_init_non_finite_start_refused_before_any_model_call(bad):
+    h = ModelHandle(lambda x, a: (1, x, np.eye(2)), None, dim_in=2)
+    with pytest.raises(InitialGuessOutsideDomain,
+                       match=r"x0 = \[0\.5, -?(inf|nan)\] has a non-finite entry"):
+        Sampler([0.5, bad], h)
+    assert h.call_count == 0
+
+
 def test_init_singular_flat_prior_at_zero_jacobian():
     with pytest.raises(SingularProposal):
         Sampler([0.0], quickstart_handle(), seed=0)
@@ -556,6 +565,16 @@ def test_checkpoint_load_rechecks_current_point(tmp_path):
     zero_jacobian = ModelHandle(lambda x, a: (1, [0.0], [[0.0]]), None, dim_in=1)
     with pytest.raises(SingularProposal):
         Sampler.load_checkpoint(path, zero_jacobian)
+    # a document with a non-finite current point and a valid checksum
+    for bad in (float("inf"), float("nan")):
+        doc = json.loads(path.read_text())
+        del doc["checksum"]
+        doc["current_x"] = [bad]
+        path.write_text(_with_checksum(_reference_serialize(doc)))
+        h = quickstart_handle()
+        with pytest.raises(InitialGuessOutsideDomain, match="non-finite entry"):
+            Sampler.load_checkpoint(path, h)
+        assert h.call_count == 0
 
 
 def test_checkpoint_numbers_have_17_significant_digits(tmp_path):
