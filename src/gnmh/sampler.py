@@ -158,7 +158,8 @@ class Sampler:
     Parameters
     ----------
     x0 : array_like
-        Initial guess; the model is evaluated here immediately.
+        Initial guess; the model is evaluated here immediately, at a copy,
+        so the caller may reuse its array.
     model : ModelHandle
         The wrapped user model.
     seed : int, optional
@@ -188,7 +189,7 @@ class Sampler:
         self.model = model
         # call_count is the handle's count plus this offset
         self._call_offset = -model.call_count
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        x0 = np.array(x0, dtype=float).reshape(-1)
         if not np.isfinite(x0).all():
             raise InitialGuessOutsideDomain(f"initial guess x0 = {x0.tolist()} "
                                             f"has a non-finite entry")
@@ -483,7 +484,7 @@ class Sampler:
             if sum(step_count.values()) != chain_file.rows + burned:
                 raise ValueError("step counts disagree with the counters")
             pol = doc["policy"]
-            policy = BackoffPolicy(mode=pol["mode"], max_steps=int(pol["max_steps"]),
+            policy = BackoffPolicy(mode=pol["mode"], max_steps=pol["max_steps"],
                                    factor=float(pol["factor"]))
             clamp = (float(pol["t_lo"]), float(pol["t_hi"]))
             dim = chain_file.dim

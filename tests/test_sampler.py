@@ -63,6 +63,16 @@ def test_init_non_finite_start_refused_before_any_model_call(bad):
     assert h.call_count == 0
 
 
+def test_init_keeps_its_own_copy_of_the_start_point():
+    x0 = np.array([0.5])
+    a = Sampler(x0, quickstart_handle(), seed=2, prior=GaussianPrior.create([0.0], [[1.0]]))
+    x0[0] = 9.0
+    a.run_sample(20)
+    b = Sampler([0.5], quickstart_handle(), seed=2, prior=GaussianPrior.create([0.0], [[1.0]]))
+    b.run_sample(20)
+    np.testing.assert_array_equal(a.chain, b.chain)
+
+
 def test_init_singular_flat_prior_at_zero_jacobian():
     with pytest.raises(SingularProposal):
         Sampler([0.0], quickstart_handle(), seed=0)
@@ -466,6 +476,7 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     lambda doc: doc["policy"].update(mode="weird"),
     lambda doc: doc["policy"].update(factor=1.5),
     lambda doc: doc["policy"].update(max_steps=-1),
+    lambda doc: doc["policy"].update(max_steps=2.7),
     lambda doc: doc["prior"].update(precision=[-1.0]),
     lambda doc: doc["step_count"].update({"2": doc["step_count"]["2"] + 1}),
     # the rest keep every sum and identity between the counters
@@ -480,9 +491,10 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] - 1, "-5": 1}),
     lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] + doc["step_count"].pop("-1")}),
     lambda doc: doc.update(chain_file=".chain-c"),
-], ids=["mode", "static-factor", "max-steps", "prior-precision", "step-count",
-        "negative-call-count", "negative-warning", "negative-step-count", "negative-burned",
-        "stage-zero", "stage-below-minus-one", "no-rejection-stage", "unknown-chain-file"])
+], ids=["mode", "static-factor", "max-steps", "fractional-max-steps", "prior-precision",
+        "step-count", "negative-call-count", "negative-warning", "negative-step-count",
+        "negative-burned", "stage-zero", "stage-below-minus-one", "no-rejection-stage",
+        "unknown-chain-file"])
 def test_checkpoint_invalid_value_with_valid_checksum_refused(tmp_path, change):
     # a document whose checksum holds but whose values no sampler can have
     path = tmp_path / "state.json"
