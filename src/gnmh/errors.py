@@ -17,18 +17,15 @@ class NotPSD(GnmhError):
     """A prior precision matrix has a negative eigenvalue."""
 
 
-class InvalidDilation(GnmhError):
-    """Dilation factor not positive."""
-
-
 class SingularProposal(GnmhError):
     """H + J'J is not positive definite where a ``Sampler`` starts or is given
     a new prior; at any other point the proposal is None, and never accepted."""
 
 
 class InitialGuessOutsideDomain(GnmhError):
-    """The starting point has a non-finite entry, or the model indicator is
-    0 there."""
+    """The starting point has a non-finite entry, the model indicator is 0
+    there, or the Gauss-Newton mean there is not finite (its residual has an
+    infinite entry), so every draw from its proposal would be too."""
 
 
 class InvalidPolicy(GnmhError):

@@ -81,7 +81,8 @@ class GaussianPrior:
 
 def _log_target(prior: GaussianPrior, x: np.ndarray, residual_sq: float) -> float:
     """-(x-m)'H(x-m)/2 - ||f(x)||^2/2 from ``residual_sq`` = ||f(x)||^2.
-    A NaN value, that is a NaN residual, raises ``UserFunctionFailure``."""
+    A NaN residual raises ``UserFunctionFailure``; a prior term that
+    overflows, to inf or to NaN (inf - inf), is zero density."""
     try:
         d = x - prior.mean
         quad = float(d.dot(prior.precision).dot(d))
@@ -89,6 +90,8 @@ def _log_target(prior: GaussianPrior, x: np.ndarray, residual_sq: float) -> floa
         quad = math.inf
     lp = -0.5 * quad - 0.5 * residual_sq
     if math.isnan(lp):
+        if not math.isnan(residual_sq):  # the prior term overflowed to NaN
+            return -math.inf
         raise UserFunctionFailure(f"non-finite model output at x = "
                                   f"{x.tolist()}: a NaN residual")
     return lp
@@ -101,7 +104,8 @@ def log_posterior(prior: GaussianPrior, ev: ModelEval) -> float:
     -(x-m)'H(x-m)/2 - ||f(x)||^2/2. The normalization constant is omitted
     (it cancels in every ratio the sampler forms). A NaN residual raises
     ``UserFunctionFailure``; a residual of +-inf, or one whose ||f||^2
-    overflows, is zero density.
+    overflows, is zero density, and so is a point whose prior term
+    overflows, to inf or to NaN.
     """
     if not ev.inside:
         return -np.inf

@@ -21,6 +21,7 @@ previous checkpoint stays loadable until the new document replaces it.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import zlib
 from typing import Dict, NamedTuple, Optional, Union
@@ -177,8 +178,9 @@ class Sampler:
     Raises
     ------
     InitialGuessOutsideDomain
-        If ``x0`` has a NaN or infinite entry (before any model call), or
-        the model indicator is 0 at ``x0``.
+        If ``x0`` has a NaN or infinite entry (before any model call), the
+        model indicator is 0 at ``x0``, or the Gauss-Newton mean there is
+        not finite (the residual has an infinite entry).
     SingularProposal
         If the Gauss-Newton proposal cannot be built at ``x0`` under the
         (possibly flat) prior.
@@ -227,6 +229,13 @@ class Sampler:
         if state.chol is None:
             raise SingularProposal(
                 f"Gauss-Newton proposal undefined at x = {ev.x.tolist()} under this prior"
+            )
+        # only a residual with an infinite entry leaves a proposal whose mean
+        # is not finite; every draw from it would be too
+        if not np.isfinite(state.mean).all():
+            raise InitialGuessOutsideDomain(
+                f"Gauss-Newton mean {state.mean.tolist()} is not finite at the "
+                f"initial guess x0 = {ev.x.tolist()}"
             )
         self.prior, self.current = prior, state
 
@@ -288,12 +297,14 @@ class Sampler:
         into near-equal divisions; after each one, progress is printed when
         ``visual`` and a checkpoint is written when ``safe`` names a path,
         so the last division's checkpoint holds the finished run. Divisions
-        do not affect the sampled values.
+        do not affect the sampled values. Both counts are integers (numpy's
+        too) of at least 1; any other value raises ``ValueError``.
         """
-        if n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
-        if divs < 1:
-            raise ValueError("divs must be at least 1")
+        for name, value in (("n_samples", n_samples), ("divs", divs)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
         self._reserve(n_samples)
         step, policy, prior, model, rng = (kernel.step, self.policy, self.prior,
                                            self.model, self.rng)
@@ -323,7 +334,11 @@ class Sampler:
 
     def burn(self, n_burned: int) -> None:
         """Discard the first ``n_burned`` chain rows. Counters are not
-        rewound; they describe the whole run."""
+        rewound; they describe the whole run. ``BurnTooLarge`` refuses an
+        ``n_burned`` that is not an integer (numpy's are) or is not in
+        ``[0, n_samples]``."""
+        if not isinstance(n_burned, numbers.Integral):
+            raise BurnTooLarge(f"n_burned must be an integer, got {n_burned!r}")
         if not 0 <= n_burned <= self.n_samples:
             raise BurnTooLarge(
                 f"cannot burn {n_burned} of {self.n_samples} samples"
@@ -451,7 +466,8 @@ class Sampler:
         version is refused, naming its version; this release reads only
         version 3, so checkpoints of versions 1 and 2 do not load. So is a
         document whose fields no sampler can have, such as a negative
-        counter, a stage key of 0 or a malformed generator state. Exactly
+        counter, a stage key of 0, warning counters other than exactly
+        ``singular_proposals`` or a malformed generator state. Exactly
         the document's ``chain_rows`` rows are read from the chain file and
         checked against its ``chain_crc``; a missing or short chain file is
         refused, and bytes after those rows are ignored. The next save to
@@ -475,6 +491,9 @@ class Sampler:
             burned = int(counters["burned"])
             step_count = {int(k): int(v) for k, v in doc["step_count"].items()}
             warnings = {str(k): int(v) for k, v in doc["warnings"].items()}
+            if warnings.keys() != {"singular_proposals"}:
+                raise ValueError(f"warning counters {sorted(warnings)} are not "
+                                 f"['singular_proposals']")
             if min(chain_file.rows, call_count, burned, *step_count.values(),
                    *warnings.values()) < 0:
                 raise ValueError("a counter is negative")

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gnmh.errors import DimensionMismatch, InvalidDilation
 from gnmh.gaussian import _LOG_2PI, PrecisionGaussian, _factor
 
 
@@ -19,14 +18,6 @@ def test_log_norm_1d():
 def test_standard_normal_2d_at_origin():
     g = _gaussian([0.0, 0.0], np.eye(2))
     assert g.log_pdf([0.0, 0.0]) == pytest.approx(-np.log(2 * np.pi))
-
-
-def test_shape_mismatches():
-    g = _gaussian([0.0, 0.0], np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        g.log_pdf([0.0])
-    with pytest.raises(DimensionMismatch):
-        g.sample([0.0, 0.0, 0.0])
 
 
 def test_log_pdf_peak_value():
@@ -106,14 +97,6 @@ def test_dilate_example_values():
     d = g.dilate([0.0], 0.5)
     assert d.mean[0] == pytest.approx(1.0)
     assert d.precision[0, 0] == pytest.approx(4.0)
-
-
-def test_dilate_rejects_nonpositive_gamma():
-    g = _gaussian([0.0], [[1.0]])
-    with pytest.raises(InvalidDilation):
-        g.dilate([0.0], 0.0)
-    with pytest.raises(InvalidDilation):
-        g.dilate([0.0], -0.5)
 
 
 def test_dilate_composition_law():

@@ -392,6 +392,22 @@ def test_overflow_same_outcome_under_any_warning_filter(action):
                              zero_residual.evaluate([1e200])) == -np.inf
 
 
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_nan_prior_term_is_zero_density_under_any_warning_filter(action):
+    # d.H overflows to +inf and -inf, so (d.H).d is NaN under the default
+    # filter; a NaN residual there is still the model's error
+    prior = GaussianPrior.create([0, 0], [[2, -2], [-2, 2]])
+    far = [1e308, 1e308]
+    zero_residual = ModelHandle(lambda x, a: (1, [0.0], [[0.0, 0.0]]), None, dim_in=2)
+    nan_residual = ModelHandle(lambda x, a: (1, [np.nan], [[0.0, 0.0]]), None, dim_in=2)
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter(action, RuntimeWarning)
+        assert log_posterior(prior, zero_residual.evaluate(far)) == -np.inf
+        assert point_state(prior, zero_residual, far).log_post == -np.inf
+        with pytest.raises(UserFunctionFailure, match=r"x = \[1e\+308, 1e\+308\]: a NaN residual"):
+            log_posterior(prior, nan_residual.evaluate(far))
+
+
 def test_log_posterior_nan_residual_raises_naming_x():
     h = ModelHandle(_nan_residual, None, dim_in=1)
     with pytest.raises(UserFunctionFailure, match=r"x = \[0\.625\]"):

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 import zlib
 
 import numpy as np
@@ -61,6 +62,22 @@ def test_init_non_finite_start_refused_before_any_model_call(bad):
                        match=r"x0 = \[0\.5, -?(inf|nan)\] has a non-finite entry"):
         Sampler([0.5, bad], h)
     assert h.call_count == 0
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+@pytest.mark.parametrize("residual", [[np.inf], [-np.inf], [np.inf, -np.inf]],
+                         ids=["inf", "minus-inf", "inf-minus-inf"])
+def test_init_non_finite_gauss_newton_mean_refused_under_any_warning_filter(action, residual):
+    # an infinite residual is zero density, but every draw from a start
+    # there would be a non-finite point
+    h = ModelHandle(lambda x, a: (1, residual, [[1.0]] * len(residual)), None, dim_in=1)
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter(action, RuntimeWarning)
+        for prior in (None, GaussianPrior.create([0.0], [[1.0]])):
+            with pytest.raises(InitialGuessOutsideDomain,
+                               match=r"Gauss-Newton mean \[-?(inf|nan)\] is not finite "
+                                     r"at the initial guess x0 = \[0\.5\]"):
+                Sampler([0.5], h, seed=1, prior=prior)
 
 
 def test_init_keeps_its_own_copy_of_the_start_point():
@@ -235,6 +252,19 @@ def test_run_sample_refuses_an_empty_run(n_samples, divs, message):
     assert s.n_samples == 0 and s.call_count == 1  # only the start point was evaluated
 
 
+@pytest.mark.parametrize("n_samples, divs, message", [
+    (10.5, 1, r"n_samples must be an integer, got 10\.5"),
+    (np.float64(10.0), 1, r"n_samples must be an integer, got np\.float64\(10\.0\)"),
+    ("10", 1, r"n_samples must be an integer, got '10'"),
+    (3, 1.0, r"divs must be an integer, got 1\.0"),
+], ids=["fraction", "numpy-float", "string", "float-divs"])
+def test_run_sample_refuses_a_non_integer_count(n_samples, divs, message):
+    s = make_quickstart(seed=1)
+    with pytest.raises(ValueError, match=message):
+        s.run_sample(n_samples, divs=divs)
+    assert s.n_samples == 0 and s.call_count == 1
+
+
 def test_seeded_runs_bit_identical():
     a = make_quickstart(seed=1234)
     b = make_quickstart(seed=1234)
@@ -271,6 +301,27 @@ def test_burn_semantics():
     assert s.n_samples == 0
     with pytest.raises(BurnTooLarge):
         s.burn(1)
+
+
+@pytest.mark.parametrize("n_burned", [1.5, 2.0, np.float64(2.0), "2"],
+                         ids=["fraction", "float", "numpy-float", "string"])
+def test_burn_refuses_a_non_integer_count(n_burned):
+    s = make_quickstart(seed=7)
+    s.run_sample(10)
+    with pytest.raises(BurnTooLarge, match="n_burned must be an integer, got"):
+        s.burn(n_burned)
+    assert s.n_samples == 10 and s.burned == 0
+
+
+def test_counts_accept_numpy_integers():
+    a = make_quickstart(seed=4)
+    a.run_sample(np.int64(30), divs=np.int32(4))
+    a.burn(np.int64(10))
+    b = make_quickstart(seed=4)
+    b.run_sample(30, divs=4)
+    b.burn(10)
+    assert a.burned == b.burned == 10
+    np.testing.assert_array_equal(a.chain, b.chain)
 
 
 def test_burn_keeps_counters():
@@ -491,10 +542,13 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] - 1, "-5": 1}),
     lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] + doc["step_count"].pop("-1")}),
     lambda doc: doc.update(chain_file=".chain-c"),
+    # the warning counters are exactly {"singular_proposals"}
+    lambda doc: doc.update(warnings={}),
+    lambda doc: doc["warnings"].update(bogus=3),
 ], ids=["mode", "static-factor", "max-steps", "fractional-max-steps", "prior-precision",
         "step-count", "negative-call-count", "negative-warning", "negative-step-count",
         "negative-burned", "stage-zero", "stage-below-minus-one", "no-rejection-stage",
-        "unknown-chain-file"])
+        "unknown-chain-file", "no-warning-counter", "unknown-warning-counter"])
 def test_checkpoint_invalid_value_with_valid_checksum_refused(tmp_path, change):
     # a document whose checksum holds but whose values no sampler can have
     path = tmp_path / "state.json"
@@ -577,6 +631,9 @@ def test_checkpoint_load_rechecks_current_point(tmp_path):
     zero_jacobian = ModelHandle(lambda x, a: (1, [0.0], [[0.0]]), None, dim_in=1)
     with pytest.raises(SingularProposal):
         Sampler.load_checkpoint(path, zero_jacobian)
+    infinite_residual = ModelHandle(lambda x, a: (1, [np.inf], [[1.0]]), None, dim_in=1)
+    with pytest.raises(InitialGuessOutsideDomain, match="Gauss-Newton mean"):
+        Sampler.load_checkpoint(path, infinite_residual)
     # a document with a non-finite current point and a valid checksum
     for bad in (float("inf"), float("nan")):
         doc = json.loads(path.read_text())
