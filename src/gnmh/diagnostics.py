@@ -4,6 +4,7 @@ acceptance fractions."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -110,17 +111,35 @@ def autocovariance(series, max_lag: int) -> np.ndarray:
     """Empirical autocovariance C(t) for t = 0..max_lag.
 
     C(t) = sum((x_s - xbar)(x_{s+t} - xbar)) / (N - t).
+
+    The sums come from one FFT of the centered series, zero-padded to the
+    smallest power of two L >= N + max_lag. The inverse transform of
+    |X|^2 holds the circular sums, and at lag t the circular sum adds the
+    wrapped products x_s x_{s+t-L}, which exist only for some s <= N - 1
+    with s + t - L >= 0, that is for t >= L - N + 1 > max_lag: no returned
+    lag wraps around. A lag window of a tenth of the series, as ``acor``
+    takes, so pads to at most 2.2 N points rather than 2 N to 4 N.
+
+    Raises
+    ------
+    ValueError
+        If ``max_lag`` is negative or not an integer (numpy's are accepted).
+    LagTooLarge
+        If ``max_lag`` is not below the series length.
     """
     series = np.asarray(series, dtype=float).reshape(-1)
     n = series.shape[0]
+    if not isinstance(max_lag, numbers.Integral) or max_lag < 0:
+        raise ValueError(f"max_lag must be a nonnegative integer, got {max_lag!r}")
     if max_lag >= n:
         raise LagTooLarge(f"max_lag {max_lag} not below series length {n}")
-    centered = series - series.mean()
     size = 1
-    while size < 2 * n:
+    while size < n + max_lag:
         size *= 2
-    spectrum = np.fft.rfft(centered, size)
-    raw = np.fft.irfft(spectrum * np.conj(spectrum), size)[: max_lag + 1]
+    spectrum = np.fft.rfft(series - series.mean(), size)
+    # |X|^2 into the spectrum's own buffer, not into a new array
+    np.multiply(spectrum, spectrum.conj(), out=spectrum)
+    raw = np.fft.irfft(spectrum, size)[: max_lag + 1]
     return raw / (n - np.arange(max_lag + 1))
 
 
@@ -132,15 +151,24 @@ def acor(series, k: int = 5) -> AcorResult:
 
     Raises
     ------
+    ValueError
+        If ``k`` is not positive, or an entry of the series is NaN or
+        infinite (the message names the first such index).
     SeriesTooShort
         If the series has fewer than 100*k elements.
     NonConvergentWindow
         If no self-consistent window exists below a tenth of the length.
     """
+    if not k > 0:
+        raise ValueError(f"k must be positive, got {k!r}")
     series = np.asarray(series, dtype=float).reshape(-1)
     n = series.shape[0]
     if n < 100 * k:
         raise SeriesTooShort(f"need at least {100 * k} samples, got {n}")
+    finite = np.isfinite(series)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        raise ValueError(f"series entry {at} is {series[at]}, not finite")
     mean = float(series.mean())
     max_lag = n // 10
     cov = autocovariance(series, max_lag)

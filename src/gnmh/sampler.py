@@ -91,9 +91,18 @@ def _read_document(path: str) -> dict:
     return doc
 
 
+def _count(value) -> int:
+    """A counter read from a state document, which must be a JSON integer:
+    ``ValueError`` refuses a fraction, a string or a boolean, which ``int``
+    would truncate or convert."""
+    if type(value) is not int:
+        raise ValueError(f"counter {value!r} is not an integer")
+    return value
+
+
 def _chain_file(doc: dict) -> _ChainFile:
     """The chain file ``doc`` names, of rows as long as its current point."""
-    return _ChainFile(len(doc["current_x"]), doc["chain_file"], int(doc["chain_rows"]),
+    return _ChainFile(len(doc["current_x"]), doc["chain_file"], _count(doc["chain_rows"]),
                       int(doc["chain_crc"], 16))
 
 
@@ -466,12 +475,13 @@ class Sampler:
         version is refused, naming its version; this release reads only
         version 3, so checkpoints of versions 1 and 2 do not load. So is a
         document whose fields no sampler can have, such as a negative
-        counter, a stage key of 0, warning counters other than exactly
-        ``singular_proposals`` or a malformed generator state. Exactly
-        the document's ``chain_rows`` rows are read from the chain file and
-        checked against its ``chain_crc``; a missing or short chain file is
-        refused, and bytes after those rows are ignored. The next save to
-        ``path`` appends to that chain file.
+        counter or one that is not a JSON integer, a stage key of 0,
+        warning counters other than exactly ``singular_proposals`` or a
+        malformed generator state. Exactly the document's ``chain_rows``
+        rows are read from the chain file and checked against its
+        ``chain_crc``; a missing or short chain file is refused, and bytes
+        after those rows are ignored. The next save to ``path`` appends to
+        that chain file.
 
         The sampler is built by the constructor at the stored current point
         and prior, so that point must pass the constructor's checks
@@ -487,10 +497,10 @@ class Sampler:
         try:
             chain_file = _chain_file(doc)
             counters = doc["counters"]
-            call_count = int(counters["call_count"])
-            burned = int(counters["burned"])
-            step_count = {int(k): int(v) for k, v in doc["step_count"].items()}
-            warnings = {str(k): int(v) for k, v in doc["warnings"].items()}
+            call_count = _count(counters["call_count"])
+            burned = _count(counters["burned"])
+            step_count = {int(k): _count(v) for k, v in doc["step_count"].items()}
+            warnings = {str(k): _count(v) for k, v in doc["warnings"].items()}
             if warnings.keys() != {"singular_proposals"}:
                 raise ValueError(f"warning counters {sorted(warnings)} are not "
                                  f"['singular_proposals']")

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -153,6 +156,24 @@ def test_acor_affine_invariance():
     assert scaled.mean == pytest.approx(-3.5 * base.mean + 11.0)
 
 
+@pytest.mark.parametrize("k", [0, -1, 0.0, float("nan")])
+def test_acor_refuses_a_window_factor_that_is_not_positive(k):
+    with pytest.raises(ValueError, match="k must be positive"):
+        acor(np.random.default_rng(0).standard_normal(1000), k=k)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_acor_refuses_a_non_finite_entry_by_index(bad, action):
+    series = np.random.default_rng(0).standard_normal(1000)
+    series[123] = bad
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(ValueError, match="series entry 123 "):
+            acor(series)
+    assert seen == []
+
+
 def test_acor_too_short():
     with pytest.raises(SeriesTooShort):
         acor(np.random.default_rng(0).standard_normal(400), k=5)
@@ -199,6 +220,48 @@ def test_autocovariance_matches_direct_sum():
     for t in range(6):
         direct = np.sum((x[: 300 - t] - xbar) * (x[t:] - xbar)) / (300 - t)
         assert cov[t] == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,max_lag", [
+    (400, 112), (401, 112), (399, 112),  # n + max_lag = 512, 513, 511
+    (256, 255), (257, 256), (300, 299), (1, 0), (2, 1),  # max_lag = n - 1
+])
+def test_autocovariance_every_lag_matches_direct_sum(n, max_lag):
+    # the padded length is the least power of two >= n + max_lag, so the
+    # largest lags sit next to the wrap-around
+    x = ar1(np.random.default_rng(n), n, 0.5)
+    xbar = x.mean()
+    cov = autocovariance(x, max_lag)
+    assert cov.shape == (max_lag + 1,)
+    for t in range(max_lag + 1):
+        direct = np.sum((x[: n - t] - xbar) * (x[t:] - xbar)) / (n - t)
+        assert cov[t] == pytest.approx(direct, rel=1e-10, abs=1e-12), t
+
+
+def test_autocovariance_traced_peak_is_a_few_spectra():
+    # acor's lag window of a 148 000-row chain: padding to >= 2n (2**19
+    # points) peaks at 13.8 MB; the least power of two >= n + max_lag is
+    # 2**18 and peaks at 4.5 MB
+    x = np.random.default_rng(12).standard_normal(148_000)
+    autocovariance(x, x.size // 10)
+    tracemalloc.start()
+    try:
+        autocovariance(x, x.size // 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
+
+
+@pytest.mark.parametrize("max_lag", [-1, -5, 2.5, 2.0, "3"])
+def test_autocovariance_refuses_a_bad_max_lag_by_name(max_lag):
+    with pytest.raises(ValueError, match="max_lag"):
+        autocovariance(np.arange(10.0), max_lag)
+
+
+def test_autocovariance_accepts_a_numpy_integer_max_lag():
+    x = np.random.default_rng(13).standard_normal(50)
+    np.testing.assert_array_equal(autocovariance(x, np.int64(7)), autocovariance(x, 7))
 
 
 def test_autocovariance_white_noise_small_at_positive_lags():

@@ -545,10 +545,20 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     # the warning counters are exactly {"singular_proposals"}
     lambda doc: doc.update(warnings={}),
     lambda doc: doc["warnings"].update(bogus=3),
+    # every counter is a JSON integer; int() would truncate or convert these
+    lambda doc: doc["counters"].update(call_count=doc["counters"]["call_count"] + 0.9),
+    lambda doc: doc["counters"].update(call_count=str(doc["counters"]["call_count"])),
+    lambda doc: doc["counters"].update(burned=False),
+    lambda doc: doc.update(chain_rows=float(doc["chain_rows"])),
+    lambda doc: doc["step_count"].update({"1": float(doc["step_count"]["1"])}),
+    lambda doc: doc["warnings"].update(singular_proposals=2.7),
+    lambda doc: doc["warnings"].update(singular_proposals=True),
 ], ids=["mode", "static-factor", "max-steps", "fractional-max-steps", "prior-precision",
         "step-count", "negative-call-count", "negative-warning", "negative-step-count",
         "negative-burned", "stage-zero", "stage-below-minus-one", "no-rejection-stage",
-        "unknown-chain-file", "no-warning-counter", "unknown-warning-counter"])
+        "unknown-chain-file", "no-warning-counter", "unknown-warning-counter",
+        "fractional-call-count", "string-call-count", "boolean-burned", "float-chain-rows",
+        "float-step-count", "fractional-warning", "boolean-warning"])
 def test_checkpoint_invalid_value_with_valid_checksum_refused(tmp_path, change):
     # a document whose checksum holds but whose values no sampler can have
     path = tmp_path / "state.json"
