@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Tuple, TypeVar
 import numpy as np
 
 from . import diagnostics
-from .errors import GnmhError, NonFiniteDensity
+from .errors import GnmhError, NonFiniteDensity, check_count
 from .jtest import JtestDomain, JtestOptions, jtest
 from .kernel import BackoffPolicy
 from .model import (
@@ -46,8 +46,7 @@ def quadrature_1d(log_density: Callable[[float], float], lo: float, hi: float,
     Returns the grid and the normalized density values. ``log_density`` may
     return -inf (zero density); NaN or +inf raise NonFiniteDensity.
     """
-    if n_points < 101:
-        raise ValueError("n_points must be at least 101")
+    check_count("n_points", n_points, 101)
     grid = np.linspace(lo, hi, n_points)
     log_vals = np.array([log_density(float(x)) for x in grid])
     if np.any(np.isnan(log_vals)) or np.any(log_vals == np.inf):
@@ -175,16 +174,10 @@ def _flag_value(flag: str, build: Callable[..., _T], *params) -> _T:
 def _cmd_sample(args: argparse.Namespace) -> int:
     """Build the whole run, every chain's sampler included, before the out-dir is made:
     a setting that cannot describe a run, or a refused start point, writes nothing."""
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
-    if args.chains < 1:
-        raise ValueError("--chains must be at least 1")
+    for flag in ("samples", "chains", "bins", "divs"):
+        check_count(f"--{flag}", getattr(args, flag), 1)
     if not 0 <= args.burn < args.samples:
         raise ValueError("--burn must lie in [0, samples)")
-    if args.bins < 1:
-        raise ValueError("--bins must be at least 1")
-    if args.divs < 1:
-        raise ValueError("--divs must be at least 1")
     policy = _flag_value(f"--backoff {args.backoff}", {
         "none": BackoffPolicy.none,
         "static": lambda: BackoffPolicy.static(args.max_steps, args.factor),

@@ -4,7 +4,6 @@ acceptance fractions."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -16,6 +15,7 @@ from .errors import (
     LagTooLarge,
     NonConvergentWindow,
     SeriesTooShort,
+    check_count,
 )
 
 
@@ -42,8 +42,7 @@ def _histogram_inputs(chain, n_bins: int, d_min, d_max):
         chain = chain[:, None]
     if chain.shape[0] == 0:
         raise EmptyChain("cannot histogram an empty chain")
-    if n_bins < 1:
-        raise ValueError("n_bins must be at least 1")
+    check_count("n_bins", n_bins, 1)
     d_min = np.asarray(d_min, dtype=float).reshape(-1)
     d_max = np.asarray(d_max, dtype=float).reshape(-1)
     if d_min.shape[0] != chain.shape[1] or d_max.shape[0] != chain.shape[1]:
@@ -59,6 +58,8 @@ def error_bars(chain, n_bins: int, d_min, d_max) -> HistogramResult:
     Counts c in a bin of width w give density c/(N*w) and error bar
     sqrt(c)/(N*w), with N the total number of rows. Samples outside
     [d_min, d_max] in a given coordinate are ignored for that coordinate.
+    ``n_bins`` is an integer (numpy's too, not a bool) of at least 1, or
+    ``ValueError`` names it.
     """
     chain, d_min, d_max = _histogram_inputs(chain, n_bins, d_min, d_max)
     n_samples, n_dims = chain.shape
@@ -80,12 +81,15 @@ def error_bars_2d(chain, i: int, j: int, n_bins: int, d_min, d_max
 
     Returns (centers_i, centers_j, density, err) where the grids have length
     n_bins and the matrices have shape (n_bins, n_bins), row index along
-    coordinate i. The inputs are checked as by :func:`error_bars`.
+    coordinate i. The inputs are checked as by :func:`error_bars`, and
+    ``DimensionMismatch`` refuses an ``i`` or ``j`` that is not a coordinate
+    index: an integer (numpy's too, not a bool) in ``[0, n_dims)``.
     """
     chain, d_min, d_max = _histogram_inputs(chain, n_bins, d_min, d_max)
     n_samples, n_dims = chain.shape
-    if not (0 <= i < n_dims and 0 <= j < n_dims):
-        raise DimensionMismatch(f"coordinate pair ({i}, {j}) out of range")
+    for name, index in (("i", i), ("j", j)):
+        if check_count(name, index, 0, DimensionMismatch) >= n_dims:
+            raise DimensionMismatch(f"coordinate pair ({i}, {j}) out of range")
     counts, ei, ej = np.histogram2d(
         chain[:, i], chain[:, j], bins=n_bins,
         range=[(d_min[i], d_max[i]), (d_min[j], d_max[j])],
@@ -123,14 +127,14 @@ def autocovariance(series, max_lag: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``max_lag`` is negative or not an integer (numpy's are accepted).
+        If ``max_lag`` is negative or not an integer (numpy's are accepted,
+        bools are not).
     LagTooLarge
         If ``max_lag`` is not below the series length.
     """
     series = np.asarray(series, dtype=float).reshape(-1)
     n = series.shape[0]
-    if not isinstance(max_lag, numbers.Integral) or max_lag < 0:
-        raise ValueError(f"max_lag must be a nonnegative integer, got {max_lag!r}")
+    check_count("max_lag", max_lag, 0)
     if max_lag >= n:
         raise LagTooLarge(f"max_lag {max_lag} not below series length {n}")
     size = 1

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the rule for counts."""
+
+import math
+import numbers
 
 
 class GnmhError(Exception):
@@ -71,3 +74,20 @@ class LagTooLarge(GnmhError):
 
 class NonFiniteDensity(GnmhError):
     """Quadrature encountered a NaN or +inf density value."""
+
+
+def is_count(value, minimum) -> bool:
+    """Whether ``value`` is an integer (numpy's too, not a bool) >= ``minimum``."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= minimum)
+
+
+def check_count(name: str, value, minimum: int = 0, error=ValueError) -> int:
+    """``value`` as an ``int`` if it is a count of at least ``minimum``;
+    otherwise ``error`` naming ``name``, "must be an integer" for a value
+    that is not one, "must be at least" for one that is too small."""
+    if not is_count(value, minimum):
+        if is_count(value, -math.inf):
+            raise error(f"{name} must be at least {minimum}, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)

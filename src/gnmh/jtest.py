@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, PointOutsideDomain, UserFunctionFailure
+from .errors import DimensionMismatch, PointOutsideDomain, UserFunctionFailure, is_count
 from .model import ModelEval, ModelHandle
 
 
@@ -27,10 +27,10 @@ class JtestOptions:
     """Tuning knobs; the defaults are the standard configuration.
 
     dx: initial perturbation as a fraction of the box width per coordinate.
-    N: number of random test points.
+    N: number of random test points, an integer (numpy's too, not a bool).
     eps_max: pass threshold on the error norm.
     p: order of the entrywise norm (2 gives the Frobenius norm).
-    l_max: number of shrink stages allowed per point.
+    l_max: number of shrink stages allowed per point, an integer like N.
     r: shrink ratio applied to the perturbation at each stage.
     """
 
@@ -42,9 +42,9 @@ class JtestOptions:
     r: float = 0.5
 
     def __post_init__(self):
-        rules = {"dx > 0": self.dx > 0.0, "N >= 1": self.N >= 1,
+        rules = {"dx > 0": self.dx > 0.0, "N >= 1": is_count(self.N, 1),
                  "eps_max > 0": self.eps_max > 0.0, "p >= 1": self.p >= 1.0,
-                 "l_max >= 0": self.l_max >= 0, "0 < r < 1": 0.0 < self.r < 1.0}
+                 "l_max >= 0": is_count(self.l_max, 0), "0 < r < 1": 0.0 < self.r < 1.0}
         broken = [rule for rule, holds in rules.items() if not holds]
         if broken:
             raise ValueError(f"jtest options need {', '.join(broken)}; got {self}")

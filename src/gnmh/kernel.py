@@ -30,13 +30,12 @@ acceptance probability of 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidPolicy
+from .errors import InvalidPolicy, check_count
 from .gaussian import _solve_lower
 from .model import ModelHandle
 from .posterior import GaussianPrior, PointState, point_state
@@ -62,10 +61,7 @@ class BackoffPolicy:
     def __post_init__(self):
         if self.mode not in ("none", "static", "dynamic"):
             raise InvalidPolicy(f"unknown back-off mode {self.mode!r}")
-        if not isinstance(self.max_steps, numbers.Integral):  # numpy's too
-            raise InvalidPolicy(f"max_steps must be an integer, got {self.max_steps!r}")
-        if self.max_steps < 0:
-            raise InvalidPolicy("max_steps must be nonnegative")
+        check_count("max_steps", self.max_steps, 0, InvalidPolicy)
         if (self.mode == "none") != (self.max_steps == 0):
             raise InvalidPolicy("mode 'none' if and only if max_steps == 0")
         if self.mode == "static" and not 0.0 < self.factor < 1.0:

@@ -25,7 +25,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, UserFunctionFailure
+from .errors import DimensionMismatch, UserFunctionFailure, check_count
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -58,7 +58,8 @@ class ModelHandle:
     args : object
         Opaque argument bundle forwarded to ``fn`` on every call.
     dim_in : int
-        Parameter dimension n.
+        Parameter dimension n, an integer (numpy's too, not a bool) of at
+        least 1, or ``ValueError`` names it.
 
     The residual dimension m, ``dim_out``, is None until the first in-domain
     evaluation sets it; a later residual of another length is an error.
@@ -67,7 +68,7 @@ class ModelHandle:
     def __init__(self, fn: Callable, args: Any, dim_in: int):
         self.fn = fn
         self.args = args
-        self.dim_in = int(dim_in)
+        self.dim_in = check_count("dim_in", dim_in, 1)
         self.dim_out: Optional[int] = None
         self.call_count = 0
 

@@ -21,7 +21,6 @@ previous checkpoint stays loadable until the new document replaces it.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 import zlib
 from typing import Dict, NamedTuple, Optional, Union
@@ -38,6 +37,7 @@ from .errors import (
     InitialGuessOutsideDomain,
     IOFailure,
     SingularProposal,
+    check_count,
 )
 from .kernel import BackoffPolicy
 from .model import ModelEval, ModelHandle
@@ -91,19 +91,10 @@ def _read_document(path: str) -> dict:
     return doc
 
 
-def _count(value) -> int:
-    """A counter read from a state document, which must be a JSON integer:
-    ``ValueError`` refuses a fraction, a string or a boolean, which ``int``
-    would truncate or convert."""
-    if type(value) is not int:
-        raise ValueError(f"counter {value!r} is not an integer")
-    return value
-
-
 def _chain_file(doc: dict) -> _ChainFile:
     """The chain file ``doc`` names, of rows as long as its current point."""
-    return _ChainFile(len(doc["current_x"]), doc["chain_file"], _count(doc["chain_rows"]),
-                      int(doc["chain_crc"], 16))
+    return _ChainFile(len(doc["current_x"]), doc["chain_file"],
+                      check_count("chain_rows", doc["chain_rows"]), int(doc["chain_crc"], 16))
 
 
 def _raw_rows(rows: np.ndarray) -> memoryview:
@@ -307,13 +298,10 @@ class Sampler:
         ``visual`` and a checkpoint is written when ``safe`` names a path,
         so the last division's checkpoint holds the finished run. Divisions
         do not affect the sampled values. Both counts are integers (numpy's
-        too) of at least 1; any other value raises ``ValueError``.
+        too, not bools) of at least 1; any other value raises ``ValueError``.
         """
-        for name, value in (("n_samples", n_samples), ("divs", divs)):
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1")
+        check_count("n_samples", n_samples, 1)
+        check_count("divs", divs, 1)
         self._reserve(n_samples)
         step, policy, prior, model, rng = (kernel.step, self.policy, self.prior,
                                            self.model, self.rng)
@@ -344,14 +332,10 @@ class Sampler:
     def burn(self, n_burned: int) -> None:
         """Discard the first ``n_burned`` chain rows. Counters are not
         rewound; they describe the whole run. ``BurnTooLarge`` refuses an
-        ``n_burned`` that is not an integer (numpy's are) or is not in
-        ``[0, n_samples]``."""
-        if not isinstance(n_burned, numbers.Integral):
-            raise BurnTooLarge(f"n_burned must be an integer, got {n_burned!r}")
-        if not 0 <= n_burned <= self.n_samples:
-            raise BurnTooLarge(
-                f"cannot burn {n_burned} of {self.n_samples} samples"
-            )
+        ``n_burned`` that is not an integer (numpy's are, bools are not) or
+        is not in ``[0, n_samples]``."""
+        if check_count("n_burned", n_burned, 0, BurnTooLarge) > self.n_samples:
+            raise BurnTooLarge(f"cannot burn {n_burned} of {self.n_samples} samples")
         self._set_chain(self._buf[n_burned:self._n].copy())
         self.burned += n_burned
 
@@ -497,16 +481,13 @@ class Sampler:
         try:
             chain_file = _chain_file(doc)
             counters = doc["counters"]
-            call_count = _count(counters["call_count"])
-            burned = _count(counters["burned"])
-            step_count = {int(k): _count(v) for k, v in doc["step_count"].items()}
-            warnings = {str(k): _count(v) for k, v in doc["warnings"].items()}
+            call_count = check_count("call_count", counters["call_count"])
+            burned = check_count("burned", counters["burned"])
+            step_count = {int(k): check_count(f"step {k}", v) for k, v in doc["step_count"].items()}
+            warnings = {str(k): check_count(k, v) for k, v in doc["warnings"].items()}
             if warnings.keys() != {"singular_proposals"}:
                 raise ValueError(f"warning counters {sorted(warnings)} are not "
                                  f"['singular_proposals']")
-            if min(chain_file.rows, call_count, burned, *step_count.values(),
-                   *warnings.values()) < 0:
-                raise ValueError("a counter is negative")
             # -1 counts the rejections, and the stages are numbered from 1
             if min(step_count, default=0) != -1 or 0 in step_count:
                 raise ValueError(f"step count stages {sorted(step_count)} are not -1, 1, 2, ...")
