@@ -176,6 +176,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     a setting that cannot describe a run, or a refused start point, writes nothing."""
     for flag in ("samples", "chains", "bins", "divs"):
         check_count(f"--{flag}", getattr(args, flag), 1)
+    if args.divs > args.samples:
+        raise ValueError(f"--divs {args.divs} is more than --samples {args.samples}; "
+                         f"each division must hold a transition")
     if not 0 <= args.burn < args.samples:
         raise ValueError("--burn must lie in [0, samples)")
     policy = _flag_value(f"--backoff {args.backoff}", {

@@ -128,7 +128,9 @@ def autocovariance(series, max_lag: int) -> np.ndarray:
     ------
     ValueError
         If ``max_lag`` is negative or not an integer (numpy's are accepted,
-        bools are not).
+        bools are not), an entry of the series is NaN or infinite (the
+        message names the first such index), or the series' sums overflow
+        float64, under any warning filter and with nothing printed.
     LagTooLarge
         If ``max_lag`` is not below the series length.
     """
@@ -137,13 +139,22 @@ def autocovariance(series, max_lag: int) -> np.ndarray:
     check_count("max_lag", max_lag, 0)
     if max_lag >= n:
         raise LagTooLarge(f"max_lag {max_lag} not below series length {n}")
+    finite = np.isfinite(series)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        raise ValueError(f"series entry {at} is {series[at]}, not finite")
     size = 1
     while size < n + max_lag:
         size *= 2
-    spectrum = np.fft.rfft(series - series.mean(), size)
-    # |X|^2 into the spectrum's own buffer, not into a new array
-    np.multiply(spectrum, spectrum.conj(), out=spectrum)
-    raw = np.fft.irfft(spectrum, size)[: max_lag + 1]
+    # a finite series can still overflow its mean or its sums of squares;
+    # any such overflow leaves a non-finite lag, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.rfft(series - series.mean(), size)
+        # |X|^2 into the spectrum's own buffer, not into a new array
+        np.multiply(spectrum, spectrum.conj(), out=spectrum)
+        raw = np.fft.irfft(spectrum, size)[: max_lag + 1]
+    if not np.isfinite(raw).all():
+        raise ValueError("the series' sums overflow float64")
     return raw / (n - np.arange(max_lag + 1))
 
 
@@ -156,8 +167,9 @@ def acor(series, k: int = 5) -> AcorResult:
     Raises
     ------
     ValueError
-        If ``k`` is not positive, or an entry of the series is NaN or
-        infinite (the message names the first such index).
+        If ``k`` is not positive, or the series is refused as by
+        :func:`autocovariance`: a NaN or infinite entry, named by its
+        index, or sums that overflow float64.
     SeriesTooShort
         If the series has fewer than 100*k elements.
     NonConvergentWindow
@@ -169,13 +181,9 @@ def acor(series, k: int = 5) -> AcorResult:
     n = series.shape[0]
     if n < 100 * k:
         raise SeriesTooShort(f"need at least {100 * k} samples, got {n}")
-    finite = np.isfinite(series)
-    if not finite.all():
-        at = int(np.argmin(finite))
-        raise ValueError(f"series entry {at} is {series[at]}, not finite")
-    mean = float(series.mean())
     max_lag = n // 10
     cov = autocovariance(series, max_lag)
+    mean = float(series.mean())  # finite: autocovariance refuses an overflowing sum
     var = cov[0]
     if var == 0.0:
         return AcorResult(tau=1.0, mean=mean, sigma=0.0)

@@ -30,6 +30,7 @@ acceptance probability of 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence, Tuple
 
@@ -64,8 +65,10 @@ class BackoffPolicy:
         check_count("max_steps", self.max_steps, 0, InvalidPolicy)
         if (self.mode == "none") != (self.max_steps == 0):
             raise InvalidPolicy("mode 'none' if and only if max_steps == 0")
-        if self.mode == "static" and not 0.0 < self.factor < 1.0:
-            raise InvalidPolicy("static dilation factor must lie in (0, 1)")
+        if self.mode == "static" and not (isinstance(self.factor, numbers.Real)
+                                          and 0.0 < self.factor < 1.0):
+            raise InvalidPolicy(f"static dilation factor must be a number in (0, 1), "
+                                f"got {self.factor!r}")
 
     @classmethod
     def none(cls) -> "BackoffPolicy":
@@ -73,13 +76,13 @@ class BackoffPolicy:
 
     @classmethod
     def static(cls, max_steps: int, factor: float) -> "BackoffPolicy":
-        if max_steps == 0:
+        if check_count("max_steps", max_steps, 0, InvalidPolicy) == 0:
             return cls.none()
         return cls(mode="static", max_steps=max_steps, factor=factor)
 
     @classmethod
     def dynamic(cls, max_steps: int) -> "BackoffPolicy":
-        if max_steps == 0:
+        if check_count("max_steps", max_steps, 0, InvalidPolicy) == 0:
             return cls.none()
         return cls(mode="dynamic", max_steps=max_steps)
 

@@ -91,6 +91,15 @@ def _read_document(path: str) -> dict:
     return doc
 
 
+def _numbers(name: str, values) -> np.ndarray:
+    """The list of JSON numbers ``values`` read from a state document, as a
+    float array: ``ValueError`` refuses anything else, such as a string or a
+    boolean, which numpy would convert."""
+    if type(values) is not list or not all(type(v) in (int, float) for v in values):
+        raise ValueError(f"{name} {values!r} is not a list of numbers")
+    return np.array(values, dtype=float)
+
+
 def _chain_file(doc: dict) -> _ChainFile:
     """The chain file ``doc`` names, of rows as long as its current point."""
     return _ChainFile(len(doc["current_x"]), doc["chain_file"],
@@ -298,10 +307,13 @@ class Sampler:
         ``visual`` and a checkpoint is written when ``safe`` names a path,
         so the last division's checkpoint holds the finished run. Divisions
         do not affect the sampled values. Both counts are integers (numpy's
-        too, not bools) of at least 1; any other value raises ``ValueError``.
+        too, not bools) of at least 1, and ``divs`` is at most ``n_samples``;
+        any other value raises ``ValueError`` before any transition runs.
         """
         check_count("n_samples", n_samples, 1)
-        check_count("divs", divs, 1)
+        if check_count("divs", divs, 1) > n_samples:
+            raise ValueError(f"divs {divs} is more than n_samples {n_samples}; "
+                             f"each division must hold a transition")
         self._reserve(n_samples)
         step, policy, prior, model, rng = (kernel.step, self.policy, self.prior,
                                            self.model, self.rng)
@@ -459,7 +471,8 @@ class Sampler:
         version is refused, naming its version; this release reads only
         version 3, so checkpoints of versions 1 and 2 do not load. So is a
         document whose fields no sampler can have, such as a negative
-        counter or one that is not a JSON integer, a stage key of 0,
+        counter or one that is not a JSON integer, a string or boolean where
+        a number belongs, a stage key of 0,
         warning counters other than exactly ``singular_proposals`` or a
         malformed generator state. Exactly the document's ``chain_rows``
         rows are read from the chain file and checked against its
@@ -494,15 +507,16 @@ class Sampler:
             if sum(step_count.values()) != chain_file.rows + burned:
                 raise ValueError("step counts disagree with the counters")
             pol = doc["policy"]
-            policy = BackoffPolicy(mode=pol["mode"], max_steps=pol["max_steps"],
-                                   factor=float(pol["factor"]))
-            clamp = (float(pol["t_lo"]), float(pol["t_hi"]))
+            factor, t_lo, t_hi = _numbers("policy factor and clamp",
+                                          [pol["factor"], pol["t_lo"], pol["t_hi"]]).tolist()
+            policy = BackoffPolicy(mode=pol["mode"], max_steps=pol["max_steps"], factor=factor)
+            clamp = (t_lo, t_hi)
             dim = chain_file.dim
             prior = GaussianPrior.create(
-                doc["prior"]["mean"],
-                np.asarray(doc["prior"]["precision"], dtype=float).reshape(dim, dim),
+                _numbers("prior mean", doc["prior"]["mean"]),
+                _numbers("prior precision", doc["prior"]["precision"]).reshape(dim, dim),
             )
-            current_x = np.asarray(doc["current_x"], dtype=float)
+            current_x = _numbers("current_x", doc["current_x"])
             # numpy refuses another generator's name and words out of range
             bit_gen = np.random.PCG64()
             bit_gen.state = doc["rng"]

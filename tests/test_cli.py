@@ -47,6 +47,14 @@ def test_quadrature_needs_enough_points():
         quadrature_1d(lambda x: 0.0, 0.0, 1.0, 100)
 
 
+@pytest.mark.parametrize("n_points", [150.5, True], ids=["fraction", "boolean"])
+def test_quadrature_refuses_a_point_count_that_is_not_an_integer(n_points):
+    with pytest.raises(ValueError, match=f"n_points must be an integer, got {n_points}"):
+        quadrature_1d(lambda x: 0.0, 0.0, 1.0, n_points)
+    grid, _ = quadrature_1d(lambda x: 0.0, 0.0, 1.0, np.int64(151))
+    assert grid.shape == (151,)
+
+
 # ---------------------------------------------------------------------------
 # data generator
 # ---------------------------------------------------------------------------
@@ -212,6 +220,7 @@ def test_sample_zero_samples_usage_error(tmp_path):
     ("--chains", "0"),
     ("--burn", "-1"),
     ("--burn", "200"),                                # as many as --samples
+    ("--divs", "201"),                                # a division with no transition
 ])
 def test_sample_usage_error_before_any_sampling(tmp_path, capsys, flags):
     code = run_cli("sample", "--example", "simple2d", "--samples", "200",

@@ -96,6 +96,32 @@ def test_error_bars_2d_validation(call, error):
         call()
 
 
+@pytest.mark.parametrize("n_bins", [2.5, True, np.float64(3.0)], ids=["fraction", "boolean",
+                                                                     "numpy-float"])
+def test_histograms_refuse_a_bin_count_that_is_not_an_integer(n_bins):
+    chain = np.random.default_rng(0).uniform(size=(20, 2))
+    for density in (lambda bins: error_bars(chain, bins, [0.0] * 2, [1.0] * 2).density,
+                    lambda bins: error_bars_2d(chain, 0, 1, bins, [0.0] * 2, [1.0] * 2)[2]):
+        with pytest.raises(ValueError, match="n_bins must be an integer, got"):
+            density(n_bins)
+        # a numpy integer is a count
+        np.testing.assert_array_equal(density(np.int64(3)), density(3))
+
+
+@pytest.mark.parametrize("i, j, message", [
+    (0.5, 1, "i must be an integer, got 0.5"),
+    (0, True, "j must be an integer, got True"),
+    (np.float64(1.0), 0, r"i must be an integer, got np\.float64\(1\.0\)"),
+    (-1, 0, "i must be at least 0, got -1"),
+], ids=["fraction", "boolean", "numpy-float", "negative"])
+def test_error_bars_2d_refuses_an_index_that_is_not_a_coordinate_by_name(i, j, message):
+    chain = np.random.default_rng(0).uniform(size=(20, 2))
+    with pytest.raises(DimensionMismatch, match=message):
+        error_bars_2d(chain, i, j, 4, [0.0] * 2, [1.0] * 2)
+    got = error_bars_2d(chain, np.int64(0), np.int32(1), 4, [0.0] * 2, [1.0] * 2)
+    np.testing.assert_array_equal(got[2], error_bars_2d(chain, 0, 1, 4, [0.0] * 2, [1.0] * 2)[2])
+
+
 def test_error_bars_2d_accepts_1d_chain_like_error_bars():
     chain = np.array([0.25, 0.75, 0.75, 5.0])
     ci, cj, density, err = error_bars_2d(chain, 0, 0, 2, [0.0], [1.0])
@@ -172,6 +198,27 @@ def test_acor_refuses_a_non_finite_entry_by_index(bad, action):
         with pytest.raises(ValueError, match="series entry 123 "):
             acor(series)
     assert seen == []
+
+
+@pytest.mark.parametrize("series", [np.full(1000, 1e308),
+                                    np.random.default_rng(0).standard_normal(1000) * 1e306],
+                         ids=["mean-overflows", "squares-overflow"])
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_acor_refuses_a_series_whose_sums_overflow(series, action, capsys):
+    # every entry is finite, but the mean or the sums of squares are not
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action, RuntimeWarning)
+        for call in (lambda: acor(series), lambda: autocovariance(series, 100)):
+            with pytest.raises(ValueError, match="sums overflow float64"):
+                call()
+    assert seen == [] and capsys.readouterr() == ("", "")
+
+
+def test_autocovariance_refuses_a_non_finite_entry_by_index():
+    series = np.arange(50.0)
+    series[7] = np.nan
+    with pytest.raises(ValueError, match="series entry 7 is nan, not finite"):
+        autocovariance(series, 5)
 
 
 def test_acor_too_short():
@@ -253,7 +300,7 @@ def test_autocovariance_traced_peak_is_a_few_spectra():
     assert peak <= 6e6
 
 
-@pytest.mark.parametrize("max_lag", [-1, -5, 2.5, 2.0, "3"])
+@pytest.mark.parametrize("max_lag", [-1, -5, 2.5, 2.0, "3", True, False])
 def test_autocovariance_refuses_a_bad_max_lag_by_name(max_lag):
     with pytest.raises(ValueError, match="max_lag"):
         autocovariance(np.arange(10.0), max_lag)

@@ -24,11 +24,16 @@ def test_defaults_match_standard_values():
 @pytest.mark.parametrize("field, bad, rule", [
     ("dx", 0.0, "dx > 0"), ("N", 0, "N >= 1"), ("eps_max", 0.0, "eps_max > 0"),
     ("p", 0.5, "p >= 1"), ("l_max", -1, "l_max >= 0"), ("r", 1.0, "0 < r < 1"),
+    # N and l_max are counts: integers, numpy's too, but not bools
+    ("N", 2.5, "N >= 1"), ("N", True, "N >= 1"),
+    ("l_max", 1.5, "l_max >= 0"), ("l_max", True, "l_max >= 0"),
 ])
 def test_options_validation(field, bad, rule):
     with pytest.raises(ValueError, match=f"need {rule};") as info:
         JtestOptions(**{field: bad})
     assert f"{field}={bad!r}" in str(info.value)
+    if field in ("N", "l_max"):
+        assert getattr(JtestOptions(**{field: np.int64(3)}), field) == 3
 
 
 def test_domain_validation():

@@ -48,9 +48,16 @@ def test_policy_validation():
     with pytest.raises(InvalidPolicy):
         BackoffPolicy.static(2, -0.1)
     for build in (lambda: BackoffPolicy.static(1.5, 0.5), lambda: BackoffPolicy.dynamic(2.0),
-                  lambda: BackoffPolicy(mode="static", max_steps="2")):
+                  lambda: BackoffPolicy(mode="static", max_steps="2"),
+                  lambda: BackoffPolicy.static(True, 0.5), lambda: BackoffPolicy.dynamic(True),
+                  lambda: BackoffPolicy.static(0.0, 0.5), lambda: BackoffPolicy.dynamic(False),
+                  lambda: BackoffPolicy(mode="none", max_steps=False)):
         with pytest.raises(InvalidPolicy, match="max_steps must be an integer"):
             build()
+    with pytest.raises(InvalidPolicy, match="max_steps must be at least 0, got -1"):
+        BackoffPolicy.dynamic(-1)
+    with pytest.raises(InvalidPolicy, match="factor must be a number in \\(0, 1\\), got '0.5'"):
+        BackoffPolicy.static(2, "0.5")
     assert BackoffPolicy.static(np.int64(2), 0.5).n_stages == 3
     assert BackoffPolicy.static(0, 0.3).mode == "none"
     assert BackoffPolicy.dynamic(0).mode == "none"

@@ -23,6 +23,18 @@ def positive_half_line(x, args):
     return 1, [x[0]], [[1.0]]
 
 
+@pytest.mark.parametrize("dim_in, message", [
+    (1.7, "dim_in must be an integer, got 1.7"),
+    (0, "dim_in must be at least 1, got 0"),
+    (True, "dim_in must be an integer, got True"),
+])
+def test_dim_in_is_a_count_of_at_least_one(dim_in, message):
+    with pytest.raises(ValueError, match=message):
+        ModelHandle(positive_half_line, None, dim_in=dim_in)
+    h = ModelHandle(lambda x, a: (1, x, np.eye(2)), None, dim_in=np.int64(2))
+    assert type(h.dim_in) is int and h.dim_in == 2
+
+
 def test_quickstart_at_one():
     h = quickstart_handle(y=1.0, sigma=0.5)
     ev = h.evaluate([1.0])

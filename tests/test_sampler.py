@@ -257,12 +257,26 @@ def test_run_sample_refuses_an_empty_run(n_samples, divs, message):
     (np.float64(10.0), 1, r"n_samples must be an integer, got np\.float64\(10\.0\)"),
     ("10", 1, r"n_samples must be an integer, got '10'"),
     (3, 1.0, r"divs must be an integer, got 1\.0"),
-], ids=["fraction", "numpy-float", "string", "float-divs"])
+    (True, 1, r"n_samples must be an integer, got True"),
+    (3, True, r"divs must be an integer, got True"),
+], ids=["fraction", "numpy-float", "string", "float-divs", "boolean", "boolean-divs"])
 def test_run_sample_refuses_a_non_integer_count(n_samples, divs, message):
     s = make_quickstart(seed=1)
     with pytest.raises(ValueError, match=message):
         s.run_sample(n_samples, divs=divs)
     assert s.n_samples == 0 and s.call_count == 1
+
+
+def test_run_sample_refuses_more_divisions_than_samples(tmp_path, capsys):
+    # each division would print its progress and write its checkpoint, so an
+    # empty one would repeat the last line and save a checkpoint with no new row
+    s = make_quickstart(seed=1)
+    with pytest.raises(ValueError, match="divs 4 is more than n_samples 2"):
+        s.run_sample(2, divs=4, visual=True, safe=tmp_path / "state.json")
+    assert s.n_samples == 0 and s.call_count == 1
+    assert capsys.readouterr().out == "" and list(tmp_path.iterdir()) == []
+    s.run_sample(np.int64(2), divs=np.int32(2))  # as many divisions as transitions
+    assert s.n_samples == 2
 
 
 def test_seeded_runs_bit_identical():
@@ -303,8 +317,8 @@ def test_burn_semantics():
         s.burn(1)
 
 
-@pytest.mark.parametrize("n_burned", [1.5, 2.0, np.float64(2.0), "2"],
-                         ids=["fraction", "float", "numpy-float", "string"])
+@pytest.mark.parametrize("n_burned", [1.5, 2.0, np.float64(2.0), "2", True],
+                         ids=["fraction", "float", "numpy-float", "string", "boolean"])
 def test_burn_refuses_a_non_integer_count(n_burned):
     s = make_quickstart(seed=7)
     s.run_sample(10)
@@ -553,12 +567,21 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     lambda doc: doc["step_count"].update({"1": float(doc["step_count"]["1"])}),
     lambda doc: doc["warnings"].update(singular_proposals=2.7),
     lambda doc: doc["warnings"].update(singular_proposals=True),
+    lambda doc: doc["policy"].update(max_steps=True),
+    # a string or boolean where a number belongs; numpy would convert these
+    lambda doc: doc["policy"].update(factor=str(doc["policy"]["factor"])),
+    lambda doc: doc["policy"].update(t_lo=str(doc["policy"]["t_lo"])),
+    lambda doc: doc["prior"].update(mean=[str(v) for v in doc["prior"]["mean"]]),
+    lambda doc: doc["prior"].update(precision=[True]),
+    lambda doc: doc.update(current_x=[str(v) for v in doc["current_x"]]),
 ], ids=["mode", "static-factor", "max-steps", "fractional-max-steps", "prior-precision",
         "step-count", "negative-call-count", "negative-warning", "negative-step-count",
         "negative-burned", "stage-zero", "stage-below-minus-one", "no-rejection-stage",
         "unknown-chain-file", "no-warning-counter", "unknown-warning-counter",
         "fractional-call-count", "string-call-count", "boolean-burned", "float-chain-rows",
-        "float-step-count", "fractional-warning", "boolean-warning"])
+        "float-step-count", "fractional-warning", "boolean-warning", "boolean-max-steps",
+        "string-factor", "string-clamp", "string-prior-mean", "boolean-precision",
+        "string-current-x"])
 def test_checkpoint_invalid_value_with_valid_checksum_refused(tmp_path, change):
     # a document whose checksum holds but whose values no sampler can have
     path = tmp_path / "state.json"
