@@ -222,4 +222,4 @@ def linear_handle(A, b) -> ModelHandle:
 
 
 def exp_series_handle(args: ExpSeriesArgs, n_terms: int = 2) -> ModelHandle:
-    return ModelHandle(exp_series_model, args, dim_in=2 * n_terms)
+    return ModelHandle(exp_series_model, args, dim_in=2 * check_count("n_terms", n_terms, 1))

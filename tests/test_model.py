@@ -35,6 +35,14 @@ def test_dim_in_is_a_count_of_at_least_one(dim_in, message):
     assert type(h.dim_in) is int and h.dim_in == 2
 
 
+@pytest.mark.parametrize("n_terms", [2.5, True, 0])
+def test_exp_series_handle_refuses_a_term_count_by_name(n_terms):
+    data = exp_series_datagen(seed=14)
+    with pytest.raises(ValueError, match="n_terms must be"):
+        exp_series_handle(data, n_terms=n_terms)
+    assert exp_series_handle(data, n_terms=np.int64(2)).dim_in == 4
+
+
 def test_quickstart_at_one():
     h = quickstart_handle(y=1.0, sigma=0.5)
     ev = h.evaluate([1.0])
