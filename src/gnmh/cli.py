@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Tuple, TypeVar
 import numpy as np
 
 from . import diagnostics
-from .errors import GnmhError, NonFiniteDensity, check_count
+from .errors import GnmhError, NonFiniteDensity, check_count, check_finite, check_range, is_real
 from .jtest import JtestDomain, JtestOptions, jtest
 from .kernel import BackoffPolicy
 from .model import (
@@ -44,8 +44,12 @@ def quadrature_1d(log_density: Callable[[float], float], lo: float, hi: float,
     """Trapezoid-rule density on a uniform grid, normalized over [lo, hi].
 
     Returns the grid and the normalized density values. ``log_density`` may
-    return -inf (zero density); NaN or +inf raise NonFiniteDensity.
+    return -inf (zero density); NaN or +inf raise NonFiniteDensity. The
+    interval needs finite ends with lo < hi and a finite width hi - lo, and
+    ``n_points`` is an integer of at least 101; ``ValueError`` refuses
+    either before ``log_density`` is called.
     """
+    check_range("quadrature interval", lo, hi)
     check_count("n_points", n_points, 101)
     grid = np.linspace(lo, hi, n_points)
     log_vals = np.array([log_density(float(x)) for x in grid])
@@ -91,9 +95,9 @@ def _make_example(args: argparse.Namespace) -> Tuple[int, Callable[[], ModelHand
     name = args.example
     y = args.y if args.y is not None else (4.0 if name == "well" else 1.0)
     sigma = args.sigma if args.sigma is not None else 0.5
-    if not (math.isfinite(sigma) and sigma > 0.0):
+    if not (is_real(sigma) and 0.0 < sigma < math.inf):
         raise ValueError(f"--sigma {sigma}: the residual scale must be finite and positive")
-    if not math.isfinite(y):
+    if not (is_real(y) and abs(y) < math.inf):
         raise ValueError(f"--y {y}: the data value must be finite")
     if name == "simple2d":
         dim, build_handle = 2, lambda: simple2d_handle(y=y, sigma=sigma)
@@ -174,6 +178,7 @@ def _flag_value(flag: str, build: Callable[..., _T], *params) -> _T:
 def _cmd_sample(args: argparse.Namespace) -> int:
     """Build the whole run, every chain's sampler included, before the out-dir is made:
     a setting that cannot describe a run, or a refused start point, writes nothing."""
+    check_count("--seed", args.seed, 0)
     for flag in ("samples", "chains", "bins", "divs"):
         check_count(f"--{flag}", getattr(args, flag), 1)
     if args.divs > args.samples:
@@ -187,11 +192,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "dynamic": lambda: BackoffPolicy.dynamic(args.max_steps),
     }[args.backoff])
     dim, build_handle = _make_example(args)
-    if not np.all(np.isfinite(args.x0)):
-        raise ValueError(f"--x0: the start point {args.x0} has a non-finite entry")
+    check_finite(f"--x0: the start point {args.x0}", args.x0)
     lo, hi = args.range
-    if not lo < hi:
-        raise ValueError(f"--range {lo} {hi}: need LO < HI")
+    check_range("--range", lo, hi)
     for pair in args.marginal:
         if not all(0 <= k < dim for k in pair):
             raise ValueError(f"--marginal {pair[0]} {pair[1]}: indices must lie in [0, {dim})")
@@ -278,6 +281,7 @@ def _run_one_chain(args: argparse.Namespace, sampler: Sampler, seed: int,
 
 
 def _cmd_jtest(args: argparse.Namespace) -> int:
+    check_count("--seed", args.seed, 0)
     _, build_handle = _make_example(args)
     domain = _flag_value("--min/--max", JtestDomain.create, args.min, args.max)
     options = JtestOptions(dx=args.dx, N=args.n_points, eps_max=args.eps_max,

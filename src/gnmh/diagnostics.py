@@ -16,6 +16,7 @@ from .errors import (
     NonConvergentWindow,
     SeriesTooShort,
     check_count,
+    check_range,
 )
 
 
@@ -43,12 +44,9 @@ def _histogram_inputs(chain, n_bins: int, d_min, d_max):
     if chain.shape[0] == 0:
         raise EmptyChain("cannot histogram an empty chain")
     check_count("n_bins", n_bins, 1)
-    d_min = np.asarray(d_min, dtype=float).reshape(-1)
-    d_max = np.asarray(d_max, dtype=float).reshape(-1)
-    if d_min.shape[0] != chain.shape[1] or d_max.shape[0] != chain.shape[1]:
+    d_min, d_max = check_range("histogram range", d_min, d_max)
+    if d_min.shape[0] != chain.shape[1]:
         raise DimensionMismatch("range vectors must match the chain dimension")
-    if not np.all(d_min < d_max):
-        raise ValueError("need d_min < d_max componentwise")
     return chain, d_min, d_max
 
 
@@ -59,7 +57,9 @@ def error_bars(chain, n_bins: int, d_min, d_max) -> HistogramResult:
     sqrt(c)/(N*w), with N the total number of rows. Samples outside
     [d_min, d_max] in a given coordinate are ignored for that coordinate.
     ``n_bins`` is an integer (numpy's too, not a bool) of at least 1, or
-    ``ValueError`` names it.
+    ``ValueError`` names it. ``d_min`` and ``d_max`` need, in every
+    coordinate, finite ends with d_min < d_max and a finite width, or
+    ``ValueError`` names the histogram range.
     """
     chain, d_min, d_max = _histogram_inputs(chain, n_bins, d_min, d_max)
     n_samples, n_dims = chain.shape

@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the package, and the rule for counts."""
+"""Exception hierarchy shared across the package, and the rules for counts,
+real numbers, finite vectors and ranges."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class GnmhError(Exception):
@@ -91,3 +94,35 @@ def check_count(name: str, value, minimum: int = 0, error=ValueError) -> int:
             raise error(f"{name} must be at least {minimum}, got {value!r}")
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number (numpy's too), not a bool and not
+    NaN. Each caller compares it with its own bounds."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and value == value)  # NaN is the one real number unequal to itself
+
+
+def check_finite(name: str, values, error=ValueError) -> None:
+    """``error`` saying "<name> has a non-finite entry" unless every entry
+    of the numeric array ``values`` is finite."""
+    if not np.isfinite(values).all():
+        raise error(f"{name} has a non-finite entry")
+
+
+def check_range(name: str, low, high, error=ValueError):
+    """``low`` and ``high`` as 1-D float arrays if they have equal lengths
+    and, in every coordinate, a finite width high - low > 0, so finite ends
+    with low < high. Unequal lengths raise ``DimensionMismatch``, any other
+    failure ``error``; both name ``name``."""
+    low = np.asarray(low, dtype=float).reshape(-1)
+    high = np.asarray(high, dtype=float).reshape(-1)
+    if low.shape != high.shape:
+        raise DimensionMismatch(f"{name}: its ends have {low.shape[0]} and "
+                                f"{high.shape[0]} coordinates")
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN width is refused below
+        width = high - low
+    if not ((width > 0.0) & np.isfinite(width)).all():
+        raise error(f"{name} {low.tolist()} to {high.tolist()}: need finite ends with "
+                    f"low < high and a finite width high - low in every coordinate")
+    return low, high

@@ -18,7 +18,14 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, PointOutsideDomain, UserFunctionFailure, is_count
+from .errors import (
+    DimensionMismatch,
+    PointOutsideDomain,
+    UserFunctionFailure,
+    check_range,
+    is_count,
+    is_real,
+)
 from .model import ModelEval, ModelHandle
 
 
@@ -26,12 +33,17 @@ from .model import ModelEval, ModelHandle
 class JtestOptions:
     """Tuning knobs; the defaults are the standard configuration.
 
-    dx: initial perturbation as a fraction of the box width per coordinate.
-    N: number of random test points, an integer (numpy's too, not a bool).
-    eps_max: pass threshold on the error norm.
-    p: order of the entrywise norm (2 gives the Frobenius norm).
-    l_max: number of shrink stages allowed per point, an integer like N.
-    r: shrink ratio applied to the perturbation at each stage.
+    dx: initial perturbation as a fraction of the box width per coordinate,
+        finite and > 0.
+    N: number of random test points, an integer (numpy's too, not a bool), >= 1.
+    eps_max: pass threshold on the error norm, > 0.
+    p: order of the entrywise norm (2 gives the Frobenius norm), >= 1; inf
+        is the max norm.
+    l_max: number of shrink stages allowed per point, an integer like N, >= 0.
+    r: shrink ratio applied to the perturbation at each stage, in (0, 1).
+
+    dx, eps_max, p and r are real numbers (numpy's too, not a bool or NaN).
+    A field that breaks its rule raises ``ValueError`` naming the rule.
     """
 
     dx: float = 2e-4
@@ -42,29 +54,34 @@ class JtestOptions:
     r: float = 0.5
 
     def __post_init__(self):
-        rules = {"dx > 0": self.dx > 0.0, "N >= 1": is_count(self.N, 1),
-                 "eps_max > 0": self.eps_max > 0.0, "p >= 1": self.p >= 1.0,
-                 "l_max >= 0": is_count(self.l_max, 0), "0 < r < 1": 0.0 < self.r < 1.0}
+        rules = {"dx > 0": is_real(self.dx) and self.dx > 0.0,
+                 "dx < inf": is_real(self.dx) and self.dx < math.inf,
+                 "N >= 1": is_count(self.N, 1),
+                 "eps_max > 0": is_real(self.eps_max) and self.eps_max > 0.0,
+                 "p >= 1": is_real(self.p) and self.p >= 1.0,
+                 "l_max >= 0": is_count(self.l_max, 0),
+                 "0 < r < 1": is_real(self.r) and 0.0 < self.r < 1.0}
         broken = [rule for rule, holds in rules.items() if not holds]
         if broken:
-            raise ValueError(f"jtest options need {', '.join(broken)}; got {self}")
+            raise ValueError(f"jtest options need {', '.join(broken)}; got {self}; N and "
+                             f"l_max are integers, dx, eps_max, p and r real numbers")
 
 
 @dataclass(frozen=True)
 class JtestDomain:
-    """Open box {x : x_min < x < x_max} the test points are drawn from."""
+    """Open box {x : x_min < x < x_max} the test points are drawn from.
+
+    ``create`` refuses corners of unequal lengths (``DimensionMismatch``),
+    and, in any coordinate, a width x_max - x_min that is not finite and
+    positive, which a non-finite corner or x_min >= x_max gives
+    (``ValueError``)."""
 
     x_min: np.ndarray
     x_max: np.ndarray
 
     @classmethod
     def create(cls, x_min, x_max) -> "JtestDomain":
-        x_min = np.asarray(x_min, dtype=float).reshape(-1)
-        x_max = np.asarray(x_max, dtype=float).reshape(-1)
-        if x_min.shape != x_max.shape:
-            raise DimensionMismatch("box corners must have the same length")
-        if not np.all(x_min < x_max):
-            raise ValueError("box is empty: need x_min < x_max componentwise")
+        x_min, x_max = check_range("box", x_min, x_max)
         return cls(x_min=x_min, x_max=x_max)
 
 

@@ -30,13 +30,12 @@ acceptance probability of 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidPolicy, check_count
+from .errors import InvalidPolicy, check_count, is_real
 from .gaussian import _solve_lower
 from .model import ModelHandle
 from .posterior import GaussianPrior, PointState, point_state
@@ -65,8 +64,7 @@ class BackoffPolicy:
         check_count("max_steps", self.max_steps, 0, InvalidPolicy)
         if (self.mode == "none") != (self.max_steps == 0):
             raise InvalidPolicy("mode 'none' if and only if max_steps == 0")
-        if self.mode == "static" and not (isinstance(self.factor, numbers.Real)
-                                          and 0.0 < self.factor < 1.0):
+        if self.mode == "static" and not (is_real(self.factor) and 0.0 < self.factor < 1.0):
             raise InvalidPolicy(f"static dilation factor must be a number in (0, 1), "
                                 f"got {self.factor!r}")
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD, UserFunctionFailure
+from .errors import DimensionMismatch, NotPSD, UserFunctionFailure, check_finite
 from .gaussian import _factor, _solve_lower
 from .model import ModelEval, ModelHandle
 
@@ -50,9 +50,8 @@ class GaussianPrior:
             raise DimensionMismatch(
                 f"prior precision shape {precision.shape}, expected ({n}, {n})"
             )
-        for name, value in (("mean", mean), ("precision", precision)):
-            if not np.all(np.isfinite(value)):
-                raise NotPSD(f"prior {name} has a non-finite entry")
+        check_finite("prior mean", mean, NotPSD)
+        check_finite("prior precision", precision, NotPSD)
         # the test of np.allclose(precision, precision.T, rtol=1e-10,
         # atol=1e-10) on finite entries, without its Python overhead
         if not (abs(precision - precision.T) <= 1e-10 + 1e-10 * abs(precision.T)).all():

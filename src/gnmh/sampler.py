@@ -38,6 +38,7 @@ from .errors import (
     IOFailure,
     SingularProposal,
     check_count,
+    check_finite,
 )
 from .kernel import BackoffPolicy
 from .model import ModelEval, ModelHandle
@@ -201,9 +202,7 @@ class Sampler:
         # call_count is the handle's count plus this offset
         self._call_offset = -model.call_count
         x0 = np.array(x0, dtype=float).reshape(-1)
-        if not np.isfinite(x0).all():
-            raise InitialGuessOutsideDomain(f"initial guess x0 = {x0.tolist()} "
-                                            f"has a non-finite entry")
+        check_finite(f"initial guess x0 = {x0.tolist()}", x0, InitialGuessOutsideDomain)
         self._set_state(prior, x0)
         self.policy = BackoffPolicy.none()
         self.rng = np.random.default_rng(seed)

@@ -7,7 +7,7 @@ import pytest
 from gnmh import diagnostics
 from gnmh.cli import exp_series_datagen, main, quadrature_1d
 from gnmh.errors import NonFiniteDensity
-from gnmh.model import quickstart_handle
+from gnmh.model import ModelHandle, quickstart_handle
 from gnmh.posterior import GaussianPrior, log_posterior
 
 
@@ -53,6 +53,17 @@ def test_quadrature_refuses_a_point_count_that_is_not_an_integer(n_points):
         quadrature_1d(lambda x: 0.0, 0.0, 1.0, n_points)
     grid, _ = quadrature_1d(lambda x: 0.0, 0.0, 1.0, np.int64(151))
     assert grid.shape == (151,)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.0, 0.0), (0.0, np.inf), (-np.inf, 0.0),
+                                    (np.nan, 1.0), (-1e308, 1e308)],
+                         ids=["reversed", "empty", "infinite", "minus-infinite", "nan",
+                              "overflowing-width"])
+def test_quadrature_refuses_an_interval_without_a_finite_positive_width(lo, hi):
+    calls = []
+    with pytest.raises(ValueError, match="quadrature interval .*need finite ends with low < high"):
+        quadrature_1d(lambda x: calls.append(x) or 0.0, lo, hi)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +232,8 @@ def test_sample_zero_samples_usage_error(tmp_path):
     ("--burn", "-1"),
     ("--burn", "200"),                                # as many as --samples
     ("--divs", "201"),                                # a division with no transition
+    ("--seed", "-1"),
+    ("--range", "0", "inf"),
 ])
 def test_sample_usage_error_before_any_sampling(tmp_path, capsys, flags):
     code = run_cli("sample", "--example", "simple2d", "--samples", "200",
@@ -237,6 +250,29 @@ def test_sample_expseries_bad_data_seed_usage_error(tmp_path, capsys):
                    "--samples", "200", "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert "error: --data-seed -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sample", "--range", "0", "inf"], "error: --range"),
+    (["sample", "--example", "simple2d", "--range", "0", "inf"], "error: --range"),
+    (["sample", "--seed", "-1"], "error: --seed"),
+    (["jtest", "--max", "inf"], "error: --min/--max: box"),
+    (["jtest", "--dx", "inf"], "need dx < inf;"),
+    (["jtest", "--seed", "-1"], "error: --seed"),
+], ids=["quickstart-range", "simple2d-range", "sample-seed", "jtest-max", "jtest-dx", "jtest-seed"])
+def test_refused_setting_is_a_usage_error_before_any_model_call(tmp_path, capsys, monkeypatch,
+                                                                 argv, name):
+    calls = []
+    evaluate = ModelHandle.evaluate
+    monkeypatch.setattr(ModelHandle, "evaluate", lambda h, x: calls.append(x) or evaluate(h, x))
+    out = ["--samples", "300", "--out-dir", str(tmp_path / "out")] if argv[0] == "sample" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # so no filter hides one
+        code = run_cli(*argv, *out)
+    assert code == 2
+    assert name in capsys.readouterr().err
+    assert calls == [] and caught == []
     assert list(tmp_path.iterdir()) == []
 
 

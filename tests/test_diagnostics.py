@@ -96,6 +96,15 @@ def test_error_bars_2d_validation(call, error):
         call()
 
 
+@pytest.mark.parametrize("d_max", [np.inf, np.nan], ids=["inf", "nan"])
+def test_histograms_refuse_a_range_that_is_not_finite_by_name(d_max):
+    chain = np.random.default_rng(0).uniform(size=(20, 2))
+    with pytest.raises(ValueError, match="histogram range .*need finite ends"):
+        error_bars(chain, 4, [0.0] * 2, [1.0, d_max])
+    with pytest.raises(ValueError, match="histogram range .*need finite ends"):
+        error_bars_2d(chain, 0, 1, 4, [0.0] * 2, [d_max, 1.0])
+
+
 @pytest.mark.parametrize("n_bins", [2.5, True, np.float64(3.0)], ids=["fraction", "boolean",
                                                                      "numpy-float"])
 def test_histograms_refuse_a_bin_count_that_is_not_an_integer(n_bins):

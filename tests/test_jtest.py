@@ -27,6 +27,9 @@ def test_defaults_match_standard_values():
     # N and l_max are counts: integers, numpy's too, but not bools
     ("N", 2.5, "N >= 1"), ("N", True, "N >= 1"),
     ("l_max", 1.5, "l_max >= 0"), ("l_max", True, "l_max >= 0"),
+    # dx, eps_max, p and r are real numbers, and dx is finite
+    ("dx", "0.1", "dx > 0, dx < inf"), ("dx", np.inf, "dx < inf"),
+    ("eps_max", "1e-4", "eps_max > 0"), ("p", "2", "p >= 1"), ("r", None, "0 < r < 1"),
 ])
 def test_options_validation(field, bad, rule):
     with pytest.raises(ValueError, match=f"need {rule};") as info:
@@ -34,6 +37,27 @@ def test_options_validation(field, bad, rule):
     assert f"{field}={bad!r}" in str(info.value)
     if field in ("N", "l_max"):
         assert getattr(JtestOptions(**{field: np.int64(3)}), field) == 3
+
+
+@pytest.mark.parametrize("field, bad", [("N", 2.5), ("l_max", True), ("p", "2")])
+def test_options_message_names_the_field_types(field, bad):
+    with pytest.raises(ValueError, match="N and l_max are integers, dx, eps_max, p and r "
+                                         "real numbers"):
+        JtestOptions(**{field: bad})
+
+
+def test_options_take_numpy_reals_and_the_max_norm():
+    o = JtestOptions(dx=np.float32(1e-3), eps_max=np.float64(1e-3), p=np.inf, r=np.float64(0.25))
+    assert (o.dx, o.eps_max, o.p, o.r) == (np.float32(1e-3), 1e-3, np.inf, 0.25)
+
+
+@pytest.mark.parametrize("x_min, x_max", [([0.0], [np.inf]), ([-np.inf], [0.0]),
+                                          ([np.nan], [1.0]), ([0.0, 0.0], [1.0, np.nan]),
+                                          ([-1e308], [1e308])],
+                         ids=["inf", "minus-inf", "nan", "nan-2d", "overflowing-width"])
+def test_domain_refuses_a_box_without_a_finite_positive_width(x_min, x_max):
+    with pytest.raises(ValueError, match="box .*need finite ends with low < high"):
+        JtestDomain.create(x_min, x_max)
 
 
 def test_domain_validation():

@@ -13,6 +13,7 @@ from gnmh.model import (
     exp_series_model,
     linear_handle,
     quickstart_handle,
+    quickstart_model,
     simple2d_handle,
 )
 
@@ -310,4 +311,27 @@ def test_buffer_reusing_model_gives_the_same_dynamic_chain():
         chains.append((s.chain, s.call_count, s.step_count))
     (chain_a, calls_a, steps_a), (chain_b, calls_b, steps_b) = chains
     np.testing.assert_array_equal(chain_b, chain_a)
+    assert (calls_b, steps_b) == (calls_a, steps_a)
+
+
+@pytest.mark.parametrize("shape", [(), (1, 1)], ids=["scalar", "column"])
+def test_residual_of_another_shape_gives_the_same_dynamic_chain(shape):
+    # evaluate flattens the residual, so a quickstart model returning it as a
+    # scalar or a 1x1 column samples as the 1-D residual does
+    from gnmh.posterior import GaussianPrior
+    from gnmh.sampler import Sampler
+
+    def reshaped(x, args):
+        inside, f, jac = quickstart_model(x, args)
+        return inside, np.reshape(f, shape), jac
+
+    chains = []
+    for model in (quickstart_model, reshaped):
+        s = Sampler([0.5], ModelHandle(model, {"y": 1.0, "sigma": 0.5}, dim_in=1), seed=3,
+                    prior=GaussianPrior.create([0.0], [[1.0]]))
+        s.set_dynamic(2)
+        s.run_sample(300)
+        chains.append((s.chain, s.call_count, s.step_count))
+    (chain_a, calls_a, steps_a), (chain_b, calls_b, steps_b) = chains
+    assert chain_b.tobytes() == chain_a.tobytes()
     assert (calls_b, steps_b) == (calls_a, steps_a)

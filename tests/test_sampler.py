@@ -651,6 +651,18 @@ def test_checkpoint_missing_file(tmp_path):
         Sampler.load_checkpoint(tmp_path / "nope.json", quickstart_handle())
 
 
+def test_checkpoint_unreadable_chain_file_is_an_io_failure(tmp_path):
+    path = tmp_path / "state.json"
+    s = make_quickstart(seed=1)
+    s.run_sample(10)
+    s.save_checkpoint(path)
+    chain_file = tmp_path / "state.json.chain"
+    chain_file.unlink()
+    chain_file.mkdir()  # opening a directory for reading fails with an OSError
+    with pytest.raises(IOFailure, match="could not read chain file"):
+        Sampler.load_checkpoint(path, quickstart_handle())
+
+
 def test_checkpoint_load_rechecks_current_point(tmp_path):
     # saved under the default flat prior, so J = 0 leaves no proposal
     path = tmp_path / "state.json"
