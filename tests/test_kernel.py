@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
@@ -15,7 +17,13 @@ from gnmh.kernel import (
     step,
 )
 from gnmh.errors import InvalidPolicy
-from gnmh.model import ModelHandle, exp_series_handle, linear_handle, quickstart_handle
+from gnmh.model import (
+    ModelHandle,
+    exp_series_handle,
+    linear_handle,
+    quickstart_handle,
+    simple2d_handle,
+)
 from gnmh.posterior import GaussianPrior, point_state
 
 from _oracle import proposal
@@ -659,3 +667,68 @@ def test_step_seeded_table_equals_an_unseeded_one(name, policy, monkeypatch):
                 assert table.path(0, j, j) == ref.path(0, j, j)
         deep += len(table.pts) > 3
     assert len(tables) >= 20 and deep >= 5
+
+
+# ---------------------------------------------------------------------------
+# affine invariance
+# ---------------------------------------------------------------------------
+
+
+def _affine_pair(name):
+    """A bundled example as (handle, prior, x0), its affine image under
+    x = A u + b as (handle, prior), and (A, b).
+
+    The image is g(u) = f(A u + b) with Jacobian J_f A, prior mean
+    A^-1 (m - b) and precision A^T H A. Its diagonal is small, so distances
+    in u are several times those in x.
+    """
+    if name == "simple2d":
+        handle, prior, x0 = simple2d_handle(), GaussianPrior.create([0.0, 0.0], np.eye(2)), [1.0, 0.0]
+    else:
+        handle, prior, x0 = _problem(name)
+    n = len(x0)
+    rng = np.random.default_rng(40 + n)
+    A = np.triu(rng.uniform(-0.3, 0.3, (n, n)), 1) + np.diag(rng.uniform(0.1, 0.4, n))
+    b = rng.uniform(-1.0, 1.0, n)
+
+    def image(u, args):
+        inside, f, jac = handle.fn(A @ u + b, handle.args)
+        if not inside:
+            return inside, f, jac
+        f = np.asarray(f, float).reshape(-1)
+        return inside, f, np.asarray(jac, float).reshape(f.shape[0], n) @ A
+
+    image_prior = GaussianPrior.create(np.linalg.solve(A, prior.mean - b),
+                                       A.T @ prior.precision @ A)
+    return (handle, prior, x0), (ModelHandle(image, None, dim_in=n), image_prior), (A, b)
+
+
+@pytest.mark.parametrize("policy", [BackoffPolicy.none(), BackoffPolicy.static(1, 0.5),
+                                    BackoffPolicy.static(3, 0.5), BackoffPolicy.static(5, 0.5),
+                                    BackoffPolicy.dynamic(2), BackoffPolicy.dynamic(4)],
+                         ids=["none", "static1", "static3", "static5", "dynamic2", "dynamic4"])
+@pytest.mark.parametrize("name", ["quickstart", "simple2d", "expseries"])
+def test_step_is_affine_equivariant(name, policy):
+    # one transition from x, and one from its preimage u = A^-1 (x - b) with a
+    # copy of the generator, land on corresponding points at the same stage.
+    # A is upper triangular with a positive diagonal, so A^T is lower
+    # triangular and A^T L is the Cholesky factor of the image's precision
+    # A^T (H + J'J) A whenever L is that of H + J'J: the same standard
+    # normals then draw corresponding points, pathwise. Under a full A the
+    # image's factor is another square root of that precision, and only
+    # the distributions of the draws would correspond.
+    (handle, prior, x0), (image, image_prior), (A, b) = _affine_pair(name)
+    rng = np.random.default_rng(17)
+    cur = point_state(prior, handle, x0)
+    stages = set()
+    for _ in range(120):
+        pre = point_state(image_prior, image, np.linalg.solve(A, cur.x - b))
+        pre_next, pre_stage = step(pre, policy, image_prior, image, copy.deepcopy(rng))
+        nxt, stage = step(cur, policy, prior, handle, rng)
+        assert pre_stage == stage
+        # the absolute floor is for a coordinate that passes near zero
+        np.testing.assert_allclose(A @ pre_next.x + b, nxt.x, rtol=1e-9, atol=1e-12)
+        stages.add(stage)
+        cur = nxt
+    # a full rejection (-1) ran every stage of the policy
+    assert {1, -1} <= stages
