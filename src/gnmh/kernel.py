@@ -14,14 +14,22 @@ recomputed there.
 
 Stage one is the plain Metropolis-Hastings ratio of two points' records
 (``posterior.PointState``, one per drawn point), which ``_stage_one``
-computes for ``step`` and for every anchor. Only when stage one rejects and
-the policy has more stages does ``step`` build the back-off table
-``_Transition``: the points ``[x, y1, y2, ...]`` and, per anchor point,
-three lists grown one stage at a time (kernels, path weights and
-acceptances), the origin's seeded with ``step``'s stage one. A later path
+computes for ``step``. Only when stage one rejects and the policy has more
+stages does ``step`` build the back-off table ``_Transition``: the points
+``[x, y1, y2, ...]`` and, per anchor point, three lists grown one stage at a
+time (kernels, path weights and acceptances), the origin's seeded with
+``step``'s stage one, plus the kernel densities read so far. A later path
 weight is its prefix weight plus one log(1 - A) and one kernel density, so
 each density, dilated kernel and acceptance is computed once per
-transition, with one helper each for the density and the ratio.
+transition, with one helper each for the density and the ratio. A dilated
+kernel is the scalar scale s, the mean and the log normalization; its
+precision is the anchor's own divided by s^2, which no array holds.
+
+Every log(1 - A) term is <= 0, so a path weight without them bounds it from
+above. ``step`` first tests each back-off stage's candidate against that
+bound on the reverse weight, over a lower bound on the forward one, and
+computes the nested recursion only when the bound cannot reject; the
+decisions are those of the full computation.
 
 All ratio arithmetic is in log space; log 0 is -inf and propagates to an
 acceptance probability of 0.
@@ -137,37 +145,45 @@ def dynamic_gamma(x_state: PointState, z_state: PointState) -> float:
     return min(max(t, lo), hi)
 
 
+_MINUS_LN2 = -math.log(2.0)
+
+
 def _log1m_exp(log_a: float) -> float:
-    """log(1 - exp(log_a)) for log_a <= 0."""
+    """log(1 - exp(log_a)) for log_a <= 0, -inf from 0 on.
+
+    log(-expm1(a)) above -ln 2, where 1 - exp(a) would cancel, and
+    log1p(-exp(a)) below it (Maechler 2012, "Accurately computing
+    log(1 - exp(-|a|))"): a few ulps throughout, and no warning."""
     if log_a >= 0.0:
-        return -np.inf
-    if log_a == -np.inf:
-        return 0.0
-    return float(np.log1p(-np.exp(log_a)))
+        return -math.inf
+    if log_a > _MINUS_LN2:
+        return math.log(-math.expm1(log_a))
+    return math.log1p(-math.exp(log_a))
 
 
 def _log_density(y: np.ndarray, mean: np.ndarray, precision: np.ndarray,
-                 log_norm: float) -> float:
-    """log N(y; mean, precision^-1), whose normalization is ``log_norm``."""
+                 scale: float, log_norm: float) -> float:
+    """log N(y; mean, (precision / scale^2)^-1), whose normalization is
+    ``log_norm``."""
     d = y - mean
-    return log_norm - 0.5 * float(d.dot(precision).dot(d))
+    return log_norm - 0.5 * float(d.dot(precision).dot(d)) / (scale * scale)
 
 
 def _never_accepted(cand: PointState) -> bool:
     """Zero density at ``cand``, or no reverse kernels to build there."""
-    return cand.log_post == -np.inf or cand.chol is None
+    return cand.log_post == -math.inf or cand.chol is None
 
 
 def _log_ratio(log_fwd: float, log_rev: float) -> float:
     """log acceptance min{0, log_rev - log_fwd} of a candidate whose forward
     and reverse path weights are ``log_fwd`` and ``log_rev``."""
-    if log_rev == -np.inf:
+    if log_rev == -math.inf:
         # reverse trajectory carries no flow, whatever the forward side
-        return -np.inf
-    if log_fwd == -np.inf:
+        return -math.inf
+    if log_fwd == -math.inf:
         return 0.0
     log_ratio = log_rev - log_fwd
-    return -np.inf if math.isnan(log_ratio) else min(0.0, log_ratio)
+    return -math.inf if math.isnan(log_ratio) else min(0.0, log_ratio)
 
 
 class _Transition:
@@ -180,18 +196,21 @@ class _Transition:
     time and computed once:
 
     - kernels: ``kernels[g]`` is the proposal at ``pts[a]`` after
-      ``pts[1..g]`` were rejected, as ``(scale, mean, precision, log_norm)``;
+      ``pts[1..g]`` were rejected, as ``(scale, mean, log_norm)``; its
+      precision is ``pts[a].precision / scale**2``;
     - weights: ``weights[h - 1]`` is the log weight of the path from
       ``pts[a]`` through ``pts[1..h]``;
     - accepts: ``accepts[h - 1]`` is the log acceptance of ``pts[h]``
       reached from ``pts[a]`` after ``pts[1..h-1]`` were rejected.
 
-    Stage one of every anchor is :func:`_stage_one`'s; ``stage_one``, if
-    given, is the origin's, as :func:`step` computed it before it built the
-    table. Appending to ``pts`` leaves every row valid.
+    ``densities[(a, g, b)]`` is the log density of ``pts[b]`` under
+    ``kernel(a, g)``, computed once, whether :meth:`path` or ``step``'s
+    bound reads it first. ``stage_one``, if given, is the origin's weight
+    and log acceptance at stage one, as :func:`step` computed them before it
+    built the table. Appending to ``pts`` leaves every row valid.
     """
 
-    __slots__ = ("pts", "policy", "rows")
+    __slots__ = ("pts", "policy", "rows", "densities")
 
     def __init__(self, origin: PointState, policy: BackoffPolicy,
                  points: Sequence[PointState] = (),
@@ -199,6 +218,7 @@ class _Transition:
         self.pts = [origin, *points]
         self.policy = policy
         self.rows: dict = {}
+        self.densities: dict = {}
         if stage_one is not None:
             _, weights, accepts = self._row(0)
             weights.append(stage_one[0])
@@ -208,13 +228,13 @@ class _Transition:
         row = self.rows.get(a)
         if row is None:
             anchor = self.pts[a]
-            row = self.rows[a] = (
-                [(1.0, anchor.mean, anchor.precision, anchor.log_norm)], [], [])
+            row = self.rows[a] = ([(1.0, anchor.mean, anchor.log_norm)], [], [])
         return row
 
     def kernel(self, a: int, g: int) -> tuple:
-        """Cumulative scale, mean, precision and log normalization of the
-        kernel at ``pts[a]`` for the stage after ``pts[1..g]`` were rejected.
+        """Cumulative scale, mean and log normalization of the kernel at
+        ``pts[a]`` for the stage after ``pts[1..g]`` were rejected; its
+        precision is the anchor's divided by the scale squared.
 
         With ``g = 0`` this is the undilated Gauss-Newton proposal at scale
         1. Each rejection multiplies the scale by the static factor, or by
@@ -225,6 +245,7 @@ class _Transition:
         if g < len(kernels):
             return kernels[g]
         anchor = self.pts[a]
+        n = anchor.x.shape[0]
         while len(kernels) <= g:
             scale = kernels[-1][0]
             if self.policy.mode == "static":
@@ -232,23 +253,38 @@ class _Transition:
             else:
                 scale *= dynamic_gamma(anchor, self.pts[len(kernels)])
             kernels.append((scale, anchor.x + scale * (anchor.mean - anchor.x),
-                            anchor.precision / (scale * scale),
-                            anchor.log_norm - anchor.mean.shape[0] * np.log(scale)))
+                            anchor.log_norm - n * math.log(scale)))
         return kernels[g]
+
+    def density(self, a: int, g: int, b: int) -> float:
+        """log density of ``pts[b]`` under ``kernel(a, g)``, computed once."""
+        key = (a, g, b)
+        value = self.densities.get(key)
+        if value is None:
+            scale, mean, log_norm = self.kernel(a, g)
+            value = self.densities[key] = _log_density(
+                self.pts[b].x, mean, self.pts[a].precision, scale, log_norm)
+        return value
 
     def path(self, a: int, h: int, b: int) -> float:
         """log weight of the back-off path from ``pts[a]`` through
-        ``pts[1..h-1]``, then ``pts[b]``, for ``h >= 2``.
+        ``pts[1..h-1]``, then ``pts[b]``.
 
         That is log p(pts[a]) plus, for each stage, the log kernel density
         of its point and, for every stage but the last, log(1 - A) of that
         stage's acceptance probability, summed stage by stage: the weight of
         the path through ``pts[1..h-1]``, its log(1 - A), then one density.
+        A prefix of weight -inf is returned as it is, before the last
+        kernel or density is built: a density is finite or -inf.
         """
-        log_a = self.log_accept(a, h - 1)  # grows the row through stage h - 1
-        w = self.rows[a][1][h - 2] + _log1m_exp(log_a)
-        _, mean, precision, log_norm = self.kernel(a, h - 1)
-        return w + _log_density(self.pts[b].x, mean, precision, log_norm)
+        if h == 1:
+            w = self.pts[a].log_post
+        else:
+            log_a = self.log_accept(a, h - 1)  # grows the row through stage h - 1
+            w = self.rows[a][1][h - 2] + _log1m_exp(log_a)
+        if w == -math.inf:
+            return w
+        return w + self.density(a, h - 1, b)
 
     def log_accept(self, a: int, h: int) -> float:
         """log acceptance probability of ``pts[h]``, reached from ``pts[a]``
@@ -256,12 +292,9 @@ class _Transition:
         _, weights, accepts = self._row(a)
         while len(accepts) < h:
             j = len(accepts) + 1
-            if j == 1:
-                w, log_a = _stage_one(self.pts[a], self.pts[1])
-            else:
-                w = self.path(a, j, j)
-                log_a = (-np.inf if _never_accepted(self.pts[j])
-                         else _log_ratio(w, self.path(j, j, a)))
+            w = self.path(a, j, j)
+            log_a = (-math.inf if _never_accepted(self.pts[j])
+                     else _log_ratio(w, self.path(j, j, a)))
             weights.append(w)
             accepts.append(log_a)
         return accepts[h - 1]
@@ -280,7 +313,7 @@ def accept_prob(origin: PointState, points: Sequence[PointState],
     :class:`_Transition` holding ``origin`` and ``points``.
     """
     points = tuple(points)
-    return float(np.exp(_Transition(origin, policy, points).log_accept(0, len(points))))
+    return math.exp(_Transition(origin, policy, points).log_accept(0, len(points)))
 
 
 def _draw(mean: np.ndarray, chol: np.ndarray, prior: GaussianPrior,
@@ -299,13 +332,13 @@ def _draw(mean: np.ndarray, chol: np.ndarray, prior: GaussianPrior,
 def _stage_one(x_state: PointState, z_state: PointState) -> Tuple[float, float]:
     """Forward path weight and log acceptance of ``z_state`` proposed from
     ``x_state`` by the undilated kernel: the plain Metropolis-Hastings
-    ratio, and stage one of every anchor of a ``_Transition``."""
-    log_fwd = x_state.log_post + _log_density(z_state.x, x_state.mean,
-                                              x_state.precision, x_state.log_norm)
+    ratio, bit for bit as ``_Transition`` computes stage one."""
+    log_fwd = x_state.log_post + _log_density(z_state.x, x_state.mean, x_state.precision,
+                                              1.0, x_state.log_norm)
     if _never_accepted(z_state):
-        return log_fwd, -np.inf
+        return log_fwd, -math.inf
     return log_fwd, _log_ratio(log_fwd, z_state.log_post + _log_density(
-        x_state.x, z_state.mean, z_state.precision, z_state.log_norm))
+        x_state.x, z_state.mean, z_state.precision, 1.0, z_state.log_norm))
 
 
 def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
@@ -322,23 +355,58 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
     proposal was singular (such a point is never accepted).
 
     Per stage the generator is consumed in a fixed order: the proposal's
-    standard normals first, then one uniform for the accept test. Stage one
-    is the plain Metropolis-Hastings ratio of the two records; a
+    standard normals first, then one uniform u for the accept test. Stage
+    one is the plain Metropolis-Hastings ratio of the two records; a
     ``_Transition`` table, seeded with it, is built only when stage one
     rejects and the policy has more stages.
+
+    A back-off stage j is first tested against a bound. A never-accepted
+    candidate has A = 0 and is rejected whatever u. Otherwise ``fwd_lo``
+    is a lower bound on the origin's forward weight: stage one's weight,
+    then per stage one log(1 - A) and one kernel density, with the exact A
+    of a stage decided exactly (``fwd_lo`` is then the exact weight) and
+    e^bound for a stage the bound rejected, whose A is at most that. The
+    reverse weight without its nested log(1 - A) terms, log p(y_j) plus
+    y_j's j kernel densities (of ``pts[1..j-1]``, then of the origin)
+    summed in the table's order, is at least the exact one, also after
+    rounding, as float addition is monotone. So log A <= bound = that sum
+    - ``fwd_lo``, and log u >= bound + 1e-9 (1 + |fwd_lo|) rejects y_j as
+    the exact test would; the margin covers the rounding of log, exp and
+    log(1 - e^a). Anything else (a tie, u = 0, a NaN, a forward bound of
+    -inf) computes the exact ``log_accept``. The densities are the
+    table's, so that computation reuses them, and the decisions, the draws
+    and the chain equal the full computation's.
     """
     z_state = _draw(current.mean, current.chol, prior, model, rng, counters)
     log_fwd, log_a = _stage_one(current, z_state)
-    if rng.random() < float(np.exp(log_a)):
+    if rng.random() < math.exp(log_a):
         return z_state, 1
-    table = None
-    for stage_idx in range(2, policy.n_stages + 1):
-        if table is None:  # built at the first back-off stage, seeded with stage one
-            table = _Transition(current, policy, (z_state,), (log_fwd, log_a))
+    if policy.max_steps == 0:
+        return current, -1
+    table = _Transition(current, policy, (z_state,), (log_fwd, log_a))
+    fwd_lo = log_fwd
+    for j in range(2, policy.n_stages + 1):
         # dilating the factor, chol(P / s^2) = L / s, needs no factorization
-        scale, mean, _, _ = table.kernel(0, stage_idx - 1)
+        scale, mean, _ = table.kernel(0, j - 1)
         z_state = _draw(mean, current.chol / scale, prior, model, rng, counters)
         table.pts.append(z_state)
-        if rng.random() < float(np.exp(table.log_accept(0, stage_idx))):
-            return z_state, stage_idx
+        u = rng.random()
+        # log_a is the previous stage's log acceptance, or a bound above it
+        fwd_lo += _log1m_exp(log_a)
+        if fwd_lo != -math.inf:
+            fwd_lo += table.density(0, j - 1, j)
+        if _never_accepted(z_state):
+            log_a = -math.inf
+            continue
+        rev_hi = z_state.log_post
+        for h in range(1, j):
+            rev_hi += table.density(j, h - 1, h)
+        bound = rev_hi + table.density(j, j - 1, 0) - fwd_lo
+        if u > 0.0 and math.log(u) >= bound + 1e-9 * (1.0 + abs(fwd_lo)):
+            log_a = bound
+            continue
+        log_a = table.log_accept(0, j)
+        if u < math.exp(log_a):
+            return z_state, j
+        fwd_lo = table.rows[0][1][j - 1]
     return current, -1

@@ -1,4 +1,8 @@
 import copy
+import decimal
+import math
+import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -178,6 +182,26 @@ def test_dynamic_gamma_fallback_outside_domain():
 # ---------------------------------------------------------------------------
 # acceptance probability
 # ---------------------------------------------------------------------------
+
+
+def _log1m_exp_exact(a):
+    # digits enough for 1 - exp(a) to keep 40 of its own, however small
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40 + max(0, round(-math.log10(-a)))
+        return float((1 - decimal.Decimal(a).exp()).ln())
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+@pytest.mark.parametrize("log_a", [-1e-300, -1e-17, -1e-10, -0.5, math.nextafter(-math.log(2.0), 0.0),
+                                   -math.log(2.0), math.nextafter(-math.log(2.0), -1.0), -0.75,
+                                   -40.0, -800.0])
+def test_log1m_exp_is_accurate_and_quiet_near_zero(log_a, action):
+    # 1 - exp(a) cancels as a -> 0, where log(-expm1(a)) stays exact
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        got = _log1m_exp(log_a)
+    assert caught == []
+    assert got == pytest.approx(_log1m_exp_exact(log_a), rel=4 * np.finfo(float).eps, abs=0.0)
 
 
 def test_single_stage_linear_model_always_one():
@@ -388,7 +412,7 @@ def _chain_trajectories(name, policy, n_stages, count, seed):
         origin = origins[rng.integers(len(origins))]
         points = ()
         for _ in range(n_stages):
-            scale, mean, _, _ = _Transition(origin, policy, points).kernel(0, len(points))
+            scale, mean, _ = _Transition(origin, policy, points).kernel(0, len(points))
             u = _solve_lower(proposal(origin).chol / scale,
                              rng.standard_normal(origin.x.shape[0]), trans=1)
             points += (point_state(prior, h, mean + u),)
@@ -413,36 +437,64 @@ def test_flow_balance_deep_backoff(name, policy, n_stages):
     assert finite >= 10
 
 
-def _reference_log_accept(origin, points, policy):
+class _ScaledKernel(NamedTuple):
+    """The table's form of a kernel: the anchor's precision, left as it is,
+    over the square of a scalar scale. Its ``dilate`` and ``log_pdf`` are
+    the table's formulas, written out here."""
+
+    scale: float
+    mean: np.ndarray
+    precision: np.ndarray
+    log_norm: float
+
+    def log_pdf(self, y):
+        d = y - self.mean
+        return self.log_norm - 0.5 * float(d.dot(self.precision).dot(d)) / (self.scale * self.scale)
+
+    def dilate(self, center, scale):
+        # from the undilated kernel only, as the reference calls it
+        return _ScaledKernel(scale, center + scale * (self.mean - center), self.precision,
+                             self.log_norm - len(center) * math.log(scale))
+
+
+def _scaled_proposal(record):
+    kern = proposal(record)
+    return None if kern is None else _ScaledKernel(1.0, kern.mean, kern.precision, kern.log_norm)
+
+
+def _reference_log_accept(origin, points, policy, base=_scaled_proposal):
     """Unmemoized trajectory-balanced log acceptance: every kernel is rebuilt
     and every nested acceptance recomputed from scratch, forward and reverse
-    sides written out separately."""
+    sides written out separately. ``base`` gives a point's undilated kernel,
+    whose ``dilate`` and ``log_pdf`` the reference uses: by default the
+    table's scalar-scale formulas, else, with ``proposal``, the
+    ``PrecisionGaussian`` ones, which dilate the precision matrix."""
 
     def kernels(anchor, visited):
-        out, scale = [proposal(anchor)], 1.0
+        out, scale = [base(anchor)], 1.0
         for pt in visited[:-1]:
             if policy.mode == "static":
                 scale *= policy.factor
             else:
                 scale *= dynamic_gamma(anchor, pt)
-            out.append(proposal(anchor).dilate(anchor.x, scale))
+            out.append(base(anchor).dilate(anchor.x, scale))
         return out
 
     cand = points[-1]
-    if cand.log_post == -np.inf or proposal(cand) is None:
+    if cand.log_post == -np.inf or base(cand) is None:
         return -np.inf
     k = len(points)
     log_fwd = origin.log_post
     for i, (kern, pt) in enumerate(zip(kernels(origin, points), points)):
         log_fwd += kern.log_pdf(pt.x)
         if i < k - 1:
-            log_fwd += _log1m_exp(_reference_log_accept(origin, points[: i + 1], policy))
+            log_fwd += _log1m_exp(_reference_log_accept(origin, points[: i + 1], policy, base))
     rev_points = points[:-1] + (origin,)
     log_rev = cand.log_post
     for i, (kern, pt) in enumerate(zip(kernels(cand, rev_points), rev_points)):
         log_rev += kern.log_pdf(pt.x)
         if i < k - 1:
-            log_rev += _log1m_exp(_reference_log_accept(cand, rev_points[: i + 1], policy))
+            log_rev += _log1m_exp(_reference_log_accept(cand, rev_points[: i + 1], policy, base))
     if log_rev == -np.inf:
         return -np.inf
     if log_fwd == -np.inf:
@@ -487,6 +539,25 @@ def test_table_acceptance_equals_reference_five_stages(name, policy):
     assert min(finite) >= 1
 
 
+@pytest.mark.parametrize("policy", [BackoffPolicy.static(4, 0.5), BackoffPolicy.dynamic(4)],
+                         ids=["static", "dynamic"])
+@pytest.mark.parametrize("name", ["quickstart", "expseries"])
+def test_table_acceptance_near_the_dilated_precision_formula(name, policy):
+    # PrecisionGaussian's dilate and log_pdf divide the precision matrix by
+    # the squared scale before the quadratic form, the table divides the
+    # form: the two round apart in the last bits only
+    compared = 0
+    for origin, points in _chain_trajectories(name, policy, 5, 30, seed=8):
+        table = _Transition(origin, policy)
+        for j, pt in enumerate(points, start=1):
+            table.pts.append(pt)
+            got = math.exp(table.log_accept(0, j))
+            want = math.exp(_reference_log_accept(origin, points[:j], policy, base=proposal))
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            compared += 0.0 < want < 1.0
+    assert compared >= 10
+
+
 def test_static_stage_scales_exact():
     h = quickstart_handle()
     prior = GaussianPrior.create([0.0], [[1.0]])
@@ -495,11 +566,11 @@ def test_static_stage_scales_exact():
     pts = [point_state(prior, h, rng.uniform(-1.5, 1.5, 1)) for _ in range(4)]
     base = proposal(pts[0])
     for i in range(3):
-        scale, mean, precision, _ = _Transition(pts[0], policy, pts[1:i + 1]).kernel(0, i)
+        scale, mean, log_norm = _Transition(pts[0], policy, pts[1:i + 1]).kernel(0, i)
         assert scale == 0.25 ** i
         ref = base if i == 0 else base.dilate(pts[0].x, 0.25 ** i)
         np.testing.assert_array_equal(mean, ref.mean)
-        np.testing.assert_array_equal(precision, ref.precision)
+        assert log_norm == ref.log_norm
 
 
 def test_acceptance_never_nan_on_fuzzed_inputs():
@@ -732,3 +803,63 @@ def test_step_is_affine_equivariant(name, policy):
         cur = nxt
     # a full rejection (-1) ran every stage of the policy
     assert {1, -1} <= stages
+
+
+@pytest.mark.parametrize("policy", [BackoffPolicy.static(5, 0.5), BackoffPolicy.dynamic(4),
+                                    BackoffPolicy.static(8, 0.3), BackoffPolicy.dynamic(6)],
+                         ids=["static5", "dynamic4", "static8", "dynamic6"])
+@pytest.mark.parametrize("name", ["quickstart", "simple2d", "expseries"])
+def test_step_bound_rejects_only_what_the_exact_test_rejects(name, policy, monkeypatch):
+    # step rejects a back-off stage without its exact acceptance when a
+    # bound on it is below log u; that acceptance, computed afterwards in a
+    # table of its own, must be below log u too
+    (handle, prior, x0), _, _ = _affine_pair(name)
+    tables, exact_calls = [], set()
+
+    class RecordingTransition(_Transition):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+        def log_accept(self, a, h):
+            if a == 0 and h == len(self.pts) - 1:  # step's own call, not a nested one
+                exact_calls.add((len(tables) - 1, h))
+            return super().log_accept(a, h)
+
+    class RecordingRng:
+        def __init__(self, rng):
+            self.rng, self.uniforms = rng, []
+
+        def standard_normal(self, n):
+            return self.rng.standard_normal(n)
+
+        def random(self):
+            self.uniforms.append(self.rng.random())
+            return self.uniforms[-1]
+
+    monkeypatch.setattr(gnmh.kernel, "_Transition", RecordingTransition)
+    early, closest = 0, -np.inf
+    for seed in range(10):
+        rng = RecordingRng(np.random.default_rng(seed))
+        cur = point_state(prior, handle, x0)
+        for _ in range(300):
+            rng.uniforms.clear()
+            n_tables = len(tables)
+            nxt, stage = step(cur, policy, prior, handle, rng)
+            cur = nxt
+            if len(tables) == n_tables:
+                continue
+            t = len(tables) - 1
+            pts = tables[t].pts
+            rejected = len(pts) - 1 if stage == -1 else stage - 1
+            for j in range(2, rejected + 1):
+                if (t, j) in exact_calls or pts[j].log_post == -np.inf or pts[j].chol is None:
+                    continue
+                log_a = _Transition(pts[0], policy, pts[1:j + 1]).log_accept(0, j)
+                log_u = math.log(rng.uniforms[j - 1])
+                assert log_a < log_u
+                early += 1
+                closest = max(closest, log_a - log_u)
+    assert early >= 500 and closest < 0.0
