@@ -76,8 +76,13 @@ def _factor(precision: np.ndarray):
     if info != 0:
         return None
     chol = np.ascontiguousarray(chol)
-    # np.add.reduce is the reduction .sum() calls, without its Python wrapper
-    log_det = 2.0 * float(np.add.reduce(np.log(chol.diagonal())))
+    # a left-to-right sum of Python floats skips the set-up of numpy's
+    # reduction, and equals its pairwise sum for n <= 7; sum() is not used,
+    # as it compensates the rounding from Python 3.12 on
+    log_det = 0.0
+    for log_d in np.log(chol.diagonal()).tolist():
+        log_det += log_d
+    log_det *= 2.0
     if not math.isfinite(log_det):
         return None
     return chol, 0.5 * log_det - 0.5 * precision.shape[0] * _LOG_2PI

@@ -124,6 +124,13 @@ def _old_log_norm(chol):
     return 0.5 * (2.0 * float(np.sum(np.log(np.diag(chol))))) - 0.5 * n * _LOG_2PI
 
 
+def _left_to_right_log_norm(chol):
+    log_det = 0.0
+    for v in np.log(np.diag(chol)):
+        log_det += float(v)
+    return 0.5 * (2.0 * log_det) - 0.5 * chol.shape[0] * _LOG_2PI
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_factor_bit_identical_to_numpy_cholesky_small_n(n):
     rng = np.random.default_rng(500 + n)
@@ -144,7 +151,15 @@ def test_factor_matches_numpy_cholesky_large_n(n):
         assert chol.flags.c_contiguous
         L = np.linalg.cholesky(P)
         np.testing.assert_allclose(chol, L, rtol=1e-12, atol=1e-12 * np.abs(L).max())
-        assert log_norm == _old_log_norm(chol)
+        if n < 8:
+            assert log_norm == _old_log_norm(chol)
+        else:  # numpy sums eight or more terms pairwise, _factor left to right
+            assert log_norm == _left_to_right_log_norm(chol)
+            # each of the two sums of n terms is within (n - 1) eps sum|term|
+            # of the exact one
+            scale = np.abs(np.log(np.diag(chol))).sum() + 0.5 * n * _LOG_2PI
+            assert log_norm == pytest.approx(_old_log_norm(chol), rel=0.0,
+                                             abs=2 * (n - 1) * np.finfo(float).eps * scale)
 
 
 @pytest.mark.parametrize("P", [
