@@ -233,7 +233,10 @@ class Sampler:
             raise InitialGuessOutsideDomain("model indicator is 0 at the initial guess")
         if prior is None:
             prior = GaussianPrior.flat(ev.x)
-        state = point_state_from_eval(prior, ev)
+        # the build judges an overflow itself, under any warning filter; this
+        # keeps numpy's own text off stderr (once per start, not per transition)
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = point_state_from_eval(prior, ev)
         if state.chol is None:
             raise SingularProposal(
                 f"Gauss-Newton proposal undefined at x = {ev.x.tolist()} under this prior"

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,7 +264,9 @@ def test_sample_expseries_bad_data_seed_usage_error(tmp_path, capsys):
     (["jtest", "--max", "inf"], "error: --min/--max: box"),
     (["jtest", "--dx", "inf"], "need dx < inf;"),
     (["jtest", "--seed", "-1"], "error: --seed"),
-], ids=["quickstart-range", "simple2d-range", "sample-seed", "jtest-max", "jtest-dx", "jtest-seed"])
+    (["jtest", "--dx", "1e300"], "need dx <= 1;"),
+], ids=["quickstart-range", "simple2d-range", "sample-seed", "jtest-max", "jtest-dx", "jtest-seed",
+        "jtest-dx-wide"])
 def test_refused_setting_is_a_usage_error_before_any_model_call(tmp_path, capsys, monkeypatch,
                                                                  argv, name):
     calls = []
@@ -302,6 +308,21 @@ def test_overflowing_model_output_same_error_under_any_warning_filter(tmp_path, 
         warnings.simplefilter(action, RuntimeWarning)
         assert run_cli(*argv) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("action", ["default", "error::RuntimeWarning"])
+def test_overflowing_start_point_prints_only_the_error(tmp_path, capfd, action):
+    # a fresh interpreter writing to this process's stderr, so that numpy's
+    # warning text would reach it as it reaches a user's terminal
+    env = dict(os.environ, PYTHONWARNINGS=action)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "gnmh", "sample", "--example", "quickstart",
+                           "--x0", "1e200", "--samples", "10", "--out-dir", str(tmp_path / "out")],
+                          env=env, timeout=120)
+    assert done.returncode == 3
+    assert capfd.readouterr().err == "error: non-finite model output at x = [1e+200]: J'J is not finite\n"
     assert list(tmp_path.iterdir()) == []
 
 
