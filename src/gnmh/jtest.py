@@ -34,7 +34,7 @@ class JtestOptions:
     """Tuning knobs; the defaults are the standard configuration.
 
     dx: initial perturbation as a fraction of the box width per coordinate,
-        finite and > 0.
+        in (0, 1], so that no perturbation reaches beyond one box width.
     N: number of random test points, an integer (numpy's too, not a bool), >= 1.
     eps_max: pass threshold on the error norm, > 0.
     p: order of the entrywise norm (2 gives the Frobenius norm), >= 1; inf
@@ -56,6 +56,8 @@ class JtestOptions:
     def __post_init__(self):
         rules = {"dx > 0": is_real(self.dx) and self.dx > 0.0,
                  "dx < inf": is_real(self.dx) and self.dx < math.inf,
+                 # a dx that is not a finite real breaks one of the two rules above
+                 "dx <= 1": not (is_real(self.dx) and 1.0 < self.dx < math.inf),
                  "N >= 1": is_count(self.N, 1),
                  "eps_max > 0": is_real(self.eps_max) and self.eps_max > 0.0,
                  "p >= 1": is_real(self.p) and self.p >= 1.0,

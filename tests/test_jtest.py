@@ -29,6 +29,8 @@ def test_defaults_match_standard_values():
     ("l_max", 1.5, "l_max >= 0"), ("l_max", True, "l_max >= 0"),
     # dx, eps_max, p and r are real numbers, and dx is finite
     ("dx", "0.1", "dx > 0, dx < inf"), ("dx", np.inf, "dx < inf"),
+    # no first perturbation reaches beyond one box width
+    ("dx", 1.5, "dx <= 1"), ("dx", 1e300, "dx <= 1"),
     ("eps_max", "1e-4", "eps_max > 0"), ("p", "2", "p >= 1"), ("r", None, "0 < r < 1"),
 ])
 def test_options_validation(field, bad, rule):
@@ -49,6 +51,7 @@ def test_options_message_names_the_field_types(field, bad):
 def test_options_take_numpy_reals_and_the_max_norm():
     o = JtestOptions(dx=np.float32(1e-3), eps_max=np.float64(1e-3), p=np.inf, r=np.float64(0.25))
     assert (o.dx, o.eps_max, o.p, o.r) == (np.float32(1e-3), 1e-3, np.inf, 0.25)
+    assert JtestOptions(dx=1.0).dx == 1.0
 
 
 @pytest.mark.parametrize("x_min, x_max", [([0.0], [np.inf]), ([-np.inf], [0.0]),
