@@ -77,8 +77,8 @@ def _factor(precision: np.ndarray):
         return None
     chol = np.ascontiguousarray(chol)
     # a left-to-right sum of Python floats skips the set-up of numpy's
-    # reduction, and equals its pairwise sum for n <= 7; sum() is not used,
-    # as it compensates the rounding from Python 3.12 on
+    # reduction and, for n <= 7, equals numpy's sum bit for bit; sum() is
+    # not used, as Python 3.12 and later compensate its rounding
     log_det = 0.0
     for log_d in np.log(chol.diagonal()).tolist():
         log_det += log_d

@@ -812,7 +812,8 @@ def test_step_is_affine_equivariant(name, policy):
 def test_step_bound_rejects_only_what_the_exact_test_rejects(name, policy, monkeypatch):
     # step rejects a back-off stage without its exact acceptance when a
     # bound on it is below log u; that acceptance, computed afterwards in a
-    # table of its own, must be below log u too
+    # table of the transition's points that step did not touch, must be
+    # below log u too
     (handle, prior, x0), _, _ = _affine_pair(name)
     tables, exact_calls = [], set()
 
@@ -854,10 +855,11 @@ def test_step_bound_rejects_only_what_the_exact_test_rejects(name, policy, monke
             t = len(tables) - 1
             pts = tables[t].pts
             rejected = len(pts) - 1 if stage == -1 else stage - 1
+            exact = _Transition(pts[0], policy, pts[1:])
             for j in range(2, rejected + 1):
                 if (t, j) in exact_calls or pts[j].log_post == -np.inf or pts[j].chol is None:
                     continue
-                log_a = _Transition(pts[0], policy, pts[1:j + 1]).log_accept(0, j)
+                log_a = exact.log_accept(0, j)
                 log_u = math.log(rng.uniforms[j - 1])
                 assert log_a < log_u
                 early += 1
