@@ -196,7 +196,7 @@ def _log1m_exp_exact(a):
                                    -math.log(2.0), math.nextafter(-math.log(2.0), -1.0), -0.75,
                                    -40.0, -800.0])
 def test_log1m_exp_is_accurate_and_quiet_near_zero(log_a, action):
-    # 1 - exp(a) cancels as a -> 0, where log(-expm1(a)) stays exact
+    # 1 - exp(a) cancels as a -> 0, where log(-expm1(a)) keeps full precision
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter(action)
         got = _log1m_exp(log_a)
