@@ -50,6 +50,19 @@ def _histogram_inputs(chain, n_bins: int, d_min, d_max):
     return chain, d_min, d_max
 
 
+def _binned(columns: np.ndarray, n_bins: int, lo, hi, n_samples: int):
+    """Histogram of the rows of ``columns`` on an even grid of ``n_bins``
+    bins per coordinate over [lo, hi]: the bin midpoints per coordinate,
+    the density counts/(N*w_1*w_2*...) and the error bar sqrt(counts)/(same),
+    with N = ``n_samples`` and w_k the bin widths."""
+    counts, edges = np.histogramdd(columns, bins=n_bins, range=list(zip(lo, hi)))
+    cell = n_samples
+    for low, high in zip(lo, hi):
+        cell = cell * ((high - low) / n_bins)
+    centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
+    return centers, counts / cell, np.sqrt(counts) / cell
+
+
 def error_bars(chain, n_bins: int, d_min, d_max) -> HistogramResult:
     """Bin each coordinate of the chain on an even grid.
 
@@ -67,11 +80,8 @@ def error_bars(chain, n_bins: int, d_min, d_max) -> HistogramResult:
     density = np.empty((n_dims, n_bins))
     err = np.empty((n_dims, n_bins))
     for j in range(n_dims):
-        width = (d_max[j] - d_min[j]) / n_bins
-        counts, edges = np.histogram(chain[:, j], bins=n_bins, range=(d_min[j], d_max[j]))
-        centers[j] = 0.5 * (edges[:-1] + edges[1:])
-        density[j] = counts / (n_samples * width)
-        err[j] = np.sqrt(counts) / (n_samples * width)
+        (centers[j],), density[j], err[j] = _binned(
+            chain[:, j:j + 1], n_bins, d_min[j:j + 1], d_max[j:j + 1], n_samples)
     return HistogramResult(centers=centers, density=density, err=err)
 
 
@@ -90,15 +100,9 @@ def error_bars_2d(chain, i: int, j: int, n_bins: int, d_min, d_max
     for name, index in (("i", i), ("j", j)):
         if check_count(name, index, 0, DimensionMismatch) >= n_dims:
             raise DimensionMismatch(f"coordinate pair ({i}, {j}) out of range")
-    counts, ei, ej = np.histogram2d(
-        chain[:, i], chain[:, j], bins=n_bins,
-        range=[(d_min[i], d_max[i]), (d_min[j], d_max[j])],
-    )
-    wi = (d_max[i] - d_min[i]) / n_bins
-    wj = (d_max[j] - d_min[j]) / n_bins
-    density = counts / (n_samples * wi * wj)
-    err = np.sqrt(counts) / (n_samples * wi * wj)
-    return 0.5 * (ei[:-1] + ei[1:]), 0.5 * (ej[:-1] + ej[1:]), density, err
+    pair = [i, j]
+    (ci, cj), density, err = _binned(chain[:, pair], n_bins, d_min[pair], d_max[pair], n_samples)
+    return ci, cj, density, err
 
 
 @dataclass(frozen=True)

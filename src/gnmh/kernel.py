@@ -17,13 +17,14 @@ Stage one is the plain Metropolis-Hastings ratio of two points' records
 computes for ``step``. Only when stage one rejects and the policy has more
 stages does ``step`` build the back-off table ``_Transition``: the points
 ``[x, y1, y2, ...]`` and, per anchor point, three lists grown one stage at a
-time (kernels, path weights and acceptances), the origin's seeded with
-``step``'s stage one, plus the kernel densities read so far. A later path
-weight is its prefix weight plus one log(1 - A) and one kernel density, so
-each density, dilated kernel and acceptance is computed once per
-transition, with one helper each for the density and the ratio. A dilated
-kernel is the scalar scale s, the mean and the log normalization; its
-precision is the anchor's own divided by s^2, which no array holds.
+time (kernels, path weights and acceptances). The table computes its own
+stage one from the same operands, with the same helpers for the density and
+the ratio, so its stage one equals ``_stage_one``'s bit for bit. A later
+path weight is its prefix weight plus one log(1 - A) and one kernel
+density, so each dilated kernel and acceptance is computed once per
+transition; a density is computed where it is read. A dilated kernel is the
+scalar scale s, the mean and the log normalization; its precision is the
+anchor's own divided by s^2, which no array holds.
 
 Every log(1 - A) term is <= 0, so a path weight without them bounds it from
 above. ``step`` first tests each back-off stage's candidate against that
@@ -58,6 +59,12 @@ class BackoffPolicy:
     integer. ``factor`` is the per-stage dilation in static mode. The constants
     ``t_lo``/``t_hi`` clamp the dynamically chosen factor; their midpoint is
     the fallback when the cubic model has no interior minimum.
+
+    A policy whose smallest reachable kernel scale, ``factor ** max_steps``
+    (static) or ``t_lo ** max_steps`` (dynamic), is below 2**-511 is refused
+    with ``InvalidPolicy``: the scale's square would not be a normal float.
+    So static(k, 0.1) allows k <= 153, static(k, 0.5) k <= 511 and
+    dynamic(k) k <= 118.
     """
 
     mode: str = "none"
@@ -69,12 +76,22 @@ class BackoffPolicy:
     def __post_init__(self):
         if self.mode not in ("none", "static", "dynamic"):
             raise InvalidPolicy(f"unknown back-off mode {self.mode!r}")
-        check_count("max_steps", self.max_steps, 0, InvalidPolicy)
-        if (self.mode == "none") != (self.max_steps == 0):
+        steps = check_count("max_steps", self.max_steps, 0, InvalidPolicy)
+        if (self.mode == "none") != (steps == 0):
             raise InvalidPolicy("mode 'none' if and only if max_steps == 0")
         if self.mode == "static" and not (is_real(self.factor) and 0.0 < self.factor < 1.0):
             raise InvalidPolicy(f"static dilation factor must be a number in (0, 1), "
                                 f"got {self.factor!r}")
+        if self.mode != "none":
+            # the deepest kernel's scale s must keep s * s a normal float; a
+            # dynamic factor is at least t_lo. 2**1000 stages take any factor
+            # below 1 to 0, with an exponent that converts to a float
+            factor = float(self.factor) if self.mode == "static" else self.t_lo
+            if factor ** min(steps, 2 ** 1000) < 2.0 ** -511:
+                raise InvalidPolicy(
+                    f"max_steps = {steps} back-offs by {self.mode} factors of at least "
+                    f"{factor!r} can shrink the kernel scale below 2**-511, where its "
+                    f"square is not a normal float")
 
     @classmethod
     def none(cls) -> "BackoffPolicy":
@@ -203,26 +220,16 @@ class _Transition:
     - accepts: ``accepts[h - 1]`` is the log acceptance of ``pts[h]``
       reached from ``pts[a]`` after ``pts[1..h-1]`` were rejected.
 
-    ``densities[(a, g, b)]`` is the log density of ``pts[b]`` under
-    ``kernel(a, g)``, computed once, whether :meth:`path` or ``step``'s
-    bound reads it first. ``stage_one``, if given, is the origin's weight
-    and log acceptance at stage one, as :func:`step` computed them before it
-    built the table. Appending to ``pts`` leaves every row valid.
+    Appending to ``pts`` leaves every row valid.
     """
 
-    __slots__ = ("pts", "policy", "rows", "densities")
+    __slots__ = ("pts", "policy", "rows")
 
     def __init__(self, origin: PointState, policy: BackoffPolicy,
-                 points: Sequence[PointState] = (),
-                 stage_one: Optional[Tuple[float, float]] = None):
+                 points: Sequence[PointState] = ()):
         self.pts = [origin, *points]
         self.policy = policy
         self.rows: dict = {}
-        self.densities: dict = {}
-        if stage_one is not None:
-            _, weights, accepts = self._row(0)
-            weights.append(stage_one[0])
-            accepts.append(stage_one[1])
 
     def _row(self, a: int) -> tuple:
         row = self.rows.get(a)
@@ -257,14 +264,9 @@ class _Transition:
         return kernels[g]
 
     def density(self, a: int, g: int, b: int) -> float:
-        """log density of ``pts[b]`` under ``kernel(a, g)``, computed once."""
-        key = (a, g, b)
-        value = self.densities.get(key)
-        if value is None:
-            scale, mean, log_norm = self.kernel(a, g)
-            value = self.densities[key] = _log_density(
-                self.pts[b].x, mean, self.pts[a].precision, scale, log_norm)
-        return value
+        """log density of ``pts[b]`` under ``kernel(a, g)``."""
+        scale, mean, log_norm = self.kernel(a, g)
+        return _log_density(self.pts[b].x, mean, self.pts[a].precision, scale, log_norm)
 
     def path(self, a: int, h: int, b: int) -> float:
         """log weight of the back-off path from ``pts[a]`` through
@@ -357,8 +359,9 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
     Per stage the generator is consumed in a fixed order: the proposal's
     standard normals first, then one uniform u for the accept test. Stage
     one is the plain Metropolis-Hastings ratio of the two records; a
-    ``_Transition`` table, seeded with it, is built only when stage one
-    rejects and the policy has more stages.
+    ``_Transition`` table of the points drawn so far is built only when
+    stage one rejects and the policy has more stages, and ``step`` reads it
+    only through ``kernel``, ``density``, ``path`` and ``log_accept``.
 
     A back-off stage j is first tested against a bound. A never-accepted
     candidate has A = 0 and is rejected whatever u. Otherwise ``fwd_lo``
@@ -374,8 +377,8 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
     the exact test would; the margin covers the rounding of log, exp and
     log(1 - e^a). Anything else (a tie, u = 0, a NaN, a forward bound of
     -inf) computes the exact ``log_accept``. The densities are the
-    table's, so that computation reuses them, and the decisions, the draws
-    and the chain equal the full computation's.
+    table's, so the decisions, the draws and the chain equal the full
+    computation's.
     """
     z_state = _draw(current.mean, current.chol, prior, model, rng, counters)
     log_fwd, log_a = _stage_one(current, z_state)
@@ -383,7 +386,7 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
         return z_state, 1
     if policy.max_steps == 0:
         return current, -1
-    table = _Transition(current, policy, (z_state,), (log_fwd, log_a))
+    table = _Transition(current, policy, (z_state,))
     fwd_lo = log_fwd
     for j in range(2, policy.n_stages + 1):
         # dilating the factor, chol(P / s^2) = L / s, needs no factorization
@@ -408,5 +411,5 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
         log_a = table.log_accept(0, j)
         if u < math.exp(log_a):
             return z_state, j
-        fwd_lo = table.rows[0][1][j - 1]
+        fwd_lo = table.path(0, j, j)
     return current, -1

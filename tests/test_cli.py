@@ -213,6 +213,8 @@ def test_sample_zero_samples_usage_error(tmp_path):
 @pytest.mark.parametrize("flags", [
     ("--backoff", "static", "--factor", "1.5"),
     ("--backoff", "dynamic", "--max-steps", "-1"),
+    ("--backoff", "static", "--max-steps", "154", "--factor", "0.1"),  # scale^2 not normal
+    ("--backoff", "dynamic", "--max-steps", "119"),
     ("--bins", "0"),
     ("--marginal", "0", "5"),
     ("--range", "3", "-3"),

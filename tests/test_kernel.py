@@ -75,6 +75,20 @@ def test_policy_validation():
     assert BackoffPolicy.dynamic(0).mode == "none"
 
 
+@pytest.mark.parametrize("build, refused", [
+    (lambda k: BackoffPolicy.static(k, 0.1), 154),
+    (lambda k: BackoffPolicy.static(k, 0.5), 512),
+    (BackoffPolicy.dynamic, 119),   # each dynamic factor is at least t_lo = 0.05
+], ids=["static-0.1", "static-0.5", "dynamic"])
+def test_policy_refuses_a_depth_whose_scale_squared_is_not_normal(build, refused):
+    # the deepest kernel's scale, factor ** max_steps, must be at least
+    # 2**-511, so that its square is a normal float
+    assert build(refused - 1).max_steps == refused - 1
+    for k in (refused, 10 * refused, 10 ** 400):
+        with pytest.raises(InvalidPolicy, match=f"max_steps = {k} back-offs .* below 2\\*\\*-511"):
+            build(k)
+
+
 # ---------------------------------------------------------------------------
 # cubic minimizer
 # ---------------------------------------------------------------------------
@@ -641,16 +655,30 @@ def test_step_consumes_normals_then_uniform():
         assert stage == -1
 
 
-def test_step_counts_each_singular_proposal_once():
-    # stage 1 draws x <= 0, where J = 0 under a flat prior makes the
-    # Gauss-Newton precision singular; stage 2 re-tests that point inside
-    # the nested acceptances, and must not count it again
+def _kinked_handle():
+    """f = x, J = 1 for x > 0, and f = 0, J = 0 at x <= 0, where under a flat
+    prior the Gauss-Newton precision is singular."""
     def kinked(x, args):
         if x[0] > 0:
             return 1, [x[0]], [[1.0]]
         return 1, [0.0], [[0.0]]
 
-    h = ModelHandle(kinked, None, dim_in=1)
+    return ModelHandle(kinked, None, dim_in=1)
+
+
+def _wall_handle():
+    """The domain x <= 0.5, and a residual whose Gauss-Newton mean from
+    inside is near x = 10, with a standard deviation of 0.01: a candidate
+    is out of the domain until the kernel is dilated far toward its anchor."""
+    return ModelHandle(lambda x, a: (x[0] <= 0.5, [(x[0] - 10.0) / 0.01], [[100.0]]),
+                       None, dim_in=1)
+
+
+def test_step_counts_each_singular_proposal_once():
+    # stage 1 draws x <= 0, where the Gauss-Newton precision is singular;
+    # stage 2 re-tests that point inside the nested acceptances, and must
+    # not count it again
+    h = _kinked_handle()
     prior = GaussianPrior.flat([0.0])
     cur = point_state(prior, h, [0.2])
     counters = {}
@@ -658,6 +686,70 @@ def test_step_counts_each_singular_proposal_once():
                     np.random.default_rng(4), counters)
     assert stage == 2
     assert counters["singular_proposals"] == 1
+
+
+def test_step_runs_the_deepest_static_policy_allowed():
+    # 153 back-offs by 0.1 shrink the scale to 1e-153, and its square,
+    # about 1e-306, is still a normal float
+    h = _wall_handle()
+    prior = GaussianPrior.flat([0.0])
+    cur = point_state(prior, h, [0.0])
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        cur, stage = step(cur, BackoffPolicy.static(153, 0.1), prior, h, rng)
+        assert stage == -1
+    assert h.call_count == 1 + 3 * 154  # every stage drew a candidate
+
+
+def _reference_step(cur, policy, prior, model, rng):
+    """One transition that decides every stage with the exact acceptance of
+    a table built from the origin and the candidates drawn so far, drawing
+    them as ``step`` does: the normals, then one uniform, per stage."""
+    table = _Transition(cur, policy)
+    for j in range(1, policy.n_stages + 1):
+        scale, mean, _ = table.kernel(0, j - 1)
+        xi = rng.standard_normal(cur.x.shape[0])
+        table.pts.append(point_state(prior, model, mean + _solve_lower(cur.chol / scale, xi, trans=1)))
+        if rng.random() < math.exp(table.log_accept(0, j)):
+            return table.pts[j], j
+    return cur, -1
+
+
+@pytest.mark.parametrize("handle, x0, policy", [
+    (_wall_handle, 0.0, BackoffPolicy.static(4, 0.5)),
+    (_kinked_handle, 0.2, BackoffPolicy.static(3, 0.5)),
+], ids=["out-of-domain", "singular"])
+def test_step_rejects_never_accepted_back_off_candidates_as_the_exact_test(
+        handle, x0, policy, monkeypatch):
+    # a back-off candidate out of the domain, or with a singular proposal, has
+    # acceptance 0; step rejects it without a bound or a recursion, and must
+    # decide every stage as the exact acceptance does. Each singular
+    # candidate is counted once, however many nested acceptances re-test it
+    h = handle()
+    prior = GaussianPrior.flat([0.0])
+    drawn = []
+
+    def recording_point_state(prior_, model_, x):
+        drawn.append(point_state(prior_, model_, x))
+        return drawn[-1]
+
+    monkeypatch.setattr(gnmh.kernel, "point_state", recording_point_state)
+    cur = point_state(prior, h, [x0])
+    rng = np.random.default_rng(8)
+    counters, never_accepted, singular = {}, 0, 0
+    for _ in range(300):
+        ref_rng = copy.deepcopy(rng)
+        drawn.clear()
+        nxt, stage = step(cur, policy, prior, h, rng, counters)
+        ref_next, ref_stage = _reference_step(cur, policy, prior, h, ref_rng)
+        assert stage == ref_stage
+        np.testing.assert_array_equal(nxt.x, ref_next.x)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        never_accepted += sum(y.log_post == -np.inf or y.chol is None for y in drawn[1:])
+        singular += sum(y.proposal_failed for y in drawn)
+        cur = nxt
+    assert never_accepted >= 30  # back-off candidates, stage one's left out
+    assert counters.get("singular_proposals", 0) == singular
 
 
 @pytest.mark.parametrize("policy", [BackoffPolicy.static(4, 0.5), BackoffPolicy.dynamic(4)],
@@ -706,38 +798,6 @@ def test_step_draws_equal_dilated_proposal_samples(name, policy, monkeypatch):
             stages_seen.add(j + 1)
         cur = nxt
     assert stages_seen == {1, 2, 3, 4, 5}
-
-
-@pytest.mark.parametrize("policy", [BackoffPolicy.static(4, 0.5), BackoffPolicy.dynamic(4)],
-                         ids=["static", "dynamic"])
-@pytest.mark.parametrize("name", ["quickstart", "expseries"])
-def test_step_seeded_table_equals_an_unseeded_one(name, policy, monkeypatch):
-    # the table step seeds with stage one gives every later weight and
-    # acceptance bit for bit as a table that computes stage one itself
-    h, prior, x0 = _problem(name)
-    tables = []
-
-    class RecordingTransition(_Transition):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            tables.append(self)
-
-    monkeypatch.setattr(gnmh.kernel, "_Transition", RecordingTransition)
-    rng = np.random.default_rng(10)
-    cur = point_state(prior, h, x0)
-    for _ in range(150):
-        cur, _ = step(cur, policy, prior, h, rng)
-    deep = 0
-    for table in tables:
-        ref = _Transition(table.pts[0], policy, table.pts[1:])
-        for j in range(1, len(table.pts)):
-            assert table.log_accept(0, j) == ref.log_accept(0, j)
-            if j >= 2:  # stage one's weight enters every later one
-                assert table.path(0, j, j) == ref.path(0, j, j)
-        deep += len(table.pts) > 3
-    assert len(tables) >= 20 and deep >= 5
 
 
 # ---------------------------------------------------------------------------

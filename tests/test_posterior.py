@@ -393,6 +393,22 @@ def test_overflow_same_outcome_under_any_warning_filter(action):
 
 
 @pytest.mark.parametrize("action", ["default", "error"])
+def test_mid_chain_jtj_overflow_same_outcome_under_any_warning_filter(action):
+    # the start point's build ignores numpy's overflow flags, a drawn point's
+    # does not: under the "error" filter J'J's overflow is a RuntimeWarning,
+    # under "default" an infinite J'J the factorization refuses
+    steep = ModelHandle(lambda x, a: (True, [x[0] - 3.0], [[1e200 if x[0] > 1 else 1.0]]),
+                        None, dim_in=1)
+    sampler = Sampler([0.0], steep, seed=0, prior=GaussianPrior.create([0.0], [[1.0]]))
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(UserFunctionFailure,
+                           match=r"^non-finite model output at x = \[1\.588904691935222\]: "
+                                 r"J'J is not finite$"):
+            sampler.run_sample(100)
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
 def test_nan_prior_term_is_zero_density_under_any_warning_filter(action):
     # d.H overflows to +inf and -inf, so (d.H).d is NaN under the default
     # filter; a NaN residual there is still the model's error

@@ -568,6 +568,8 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     lambda doc: doc["warnings"].update(singular_proposals=2.7),
     lambda doc: doc["warnings"].update(singular_proposals=True),
     lambda doc: doc["policy"].update(max_steps=True),
+    # static(600, 0.4) shrinks the kernel scale below 2**-511
+    lambda doc: doc["policy"].update(max_steps=600),
     # a string or boolean where a number belongs; numpy would convert these
     lambda doc: doc["policy"].update(factor=str(doc["policy"]["factor"])),
     lambda doc: doc["policy"].update(t_lo=str(doc["policy"]["t_lo"])),
@@ -580,8 +582,8 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
         "unknown-chain-file", "no-warning-counter", "unknown-warning-counter",
         "fractional-call-count", "string-call-count", "boolean-burned", "float-chain-rows",
         "float-step-count", "fractional-warning", "boolean-warning", "boolean-max-steps",
-        "string-factor", "string-clamp", "string-prior-mean", "boolean-precision",
-        "string-current-x"])
+        "too-deep-max-steps", "string-factor", "string-clamp", "string-prior-mean",
+        "boolean-precision", "string-current-x"])
 def test_checkpoint_invalid_value_with_valid_checksum_refused(tmp_path, change):
     # a document whose checksum holds but whose values no sampler can have
     path = tmp_path / "state.json"
