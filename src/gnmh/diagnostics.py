@@ -50,13 +50,13 @@ def _histogram_inputs(chain, n_bins: int, d_min, d_max):
     return chain, d_min, d_max
 
 
-def _binned(columns: np.ndarray, n_bins: int, lo, hi, n_samples: int):
+def _binned(columns: np.ndarray, n_bins: int, lo, hi):
     """Histogram of the rows of ``columns`` on an even grid of ``n_bins``
     bins per coordinate over [lo, hi]: the bin midpoints per coordinate,
     the density counts/(N*w_1*w_2*...) and the error bar sqrt(counts)/(same),
-    with N = ``n_samples`` and w_k the bin widths."""
+    with N the number of rows and w_k the bin widths."""
     counts, edges = np.histogramdd(columns, bins=n_bins, range=list(zip(lo, hi)))
-    cell = n_samples
+    cell = columns.shape[0]
     for low, high in zip(lo, hi):
         cell = cell * ((high - low) / n_bins)
     centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
@@ -75,13 +75,13 @@ def error_bars(chain, n_bins: int, d_min, d_max) -> HistogramResult:
     ``ValueError`` names the histogram range.
     """
     chain, d_min, d_max = _histogram_inputs(chain, n_bins, d_min, d_max)
-    n_samples, n_dims = chain.shape
+    n_dims = chain.shape[1]
     centers = np.empty((n_dims, n_bins))
     density = np.empty((n_dims, n_bins))
     err = np.empty((n_dims, n_bins))
     for j in range(n_dims):
         (centers[j],), density[j], err[j] = _binned(
-            chain[:, j:j + 1], n_bins, d_min[j:j + 1], d_max[j:j + 1], n_samples)
+            chain[:, j:j + 1], n_bins, d_min[j:j + 1], d_max[j:j + 1])
     return HistogramResult(centers=centers, density=density, err=err)
 
 
@@ -96,12 +96,12 @@ def error_bars_2d(chain, i: int, j: int, n_bins: int, d_min, d_max
     index: an integer (numpy's too, not a bool) in ``[0, n_dims)``.
     """
     chain, d_min, d_max = _histogram_inputs(chain, n_bins, d_min, d_max)
-    n_samples, n_dims = chain.shape
+    n_dims = chain.shape[1]
     for name, index in (("i", i), ("j", j)):
         if check_count(name, index, 0, DimensionMismatch) >= n_dims:
             raise DimensionMismatch(f"coordinate pair ({i}, {j}) out of range")
     pair = [i, j]
-    (ci, cj), density, err = _binned(chain[:, pair], n_bins, d_min[pair], d_max[pair], n_samples)
+    (ci, cj), density, err = _binned(chain[:, pair], n_bins, d_min[pair], d_max[pair])
     return ci, cj, density, err
 
 
