@@ -31,7 +31,8 @@ class SingularProposal(GnmhError):
 class InitialGuessOutsideDomain(GnmhError):
     """The starting point has a non-finite entry, the model indicator is 0
     there, or the Gauss-Newton mean there is not finite (its residual has an
-    infinite entry), so every draw from its proposal would be too."""
+    infinite entry, or the prior's H(m - x0) overflows), so every draw from
+    its proposal would be too."""
 
 
 class InvalidPolicy(GnmhError):

@@ -2,10 +2,12 @@
 
 The proposal machinery mixes kernels with different precision matrices, so
 log-densities must carry their exact normalization constants; nothing here
-works with unnormalized densities. The sampler keeps each proposal as four
-fields of its per-point record, ``posterior.PointState``, built with
-:func:`_factor` and :func:`_solve_lower`; :class:`PrecisionGaussian` is the
-same proposal as an object, for the tests and the benchmark's tracer.
+works with unnormalized densities. The sampler keeps each proposal in its
+per-point record, ``posterior.PointState``: the factor L of the precision
+from :func:`_factor`, and the whitened Gauss-Newton step v solved with
+:func:`_solve_lower`, the proposal being N(x + L^-T v, (L L^T)^-1).
+:class:`PrecisionGaussian` is a proposal in precision form, as an object,
+for the tests and the benchmark's tracer.
 
 The two LAPACK routines used here, ``dpotrf`` and ``dtrtrs``, are scipy's
 f2py bindings in its extension module ``scipy.linalg._flapack``, the same
@@ -111,10 +113,12 @@ class PrecisionGaussian(NamedTuple):
     """An n-dimensional normal N(mean, precision^-1), as an immutable tuple
     of its four fields.
 
-    The sampler builds none: its record of a proposal is the same four
-    fields of ``posterior.PointState``. This class is the tests' reference
-    form, whose ``@``-based :meth:`log_pdf`, :meth:`sample` and
-    :meth:`dilate` are independent of the kernel's arithmetic. The class,
+    The sampler builds none: its record of a proposal, in
+    ``posterior.PointState``, is the point x, the factor L and the whitened
+    step v, from which the mean is x + L^-T v and the precision L L^T. This
+    class is the tests' reference form, whose ``@``-based :meth:`log_pdf`,
+    :meth:`sample` and :meth:`dilate` are independent of the kernel's
+    arithmetic. The class,
     ``kernel.accept_prob`` and the ``gnmh.PrecisionGaussian`` import stay
     in the library only because the benchmark's tracer wraps them. Nothing
     here checks its inputs: ``x``, ``std_normals`` and ``center`` must be

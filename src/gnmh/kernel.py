@@ -12,19 +12,24 @@ probabilities. The reverse side is that weight with the anchor and the
 candidate swapped, so its kernels sit at z and its dilation factors are
 recomputed there.
 
-Stage one is the plain Metropolis-Hastings ratio of two points' records
-(``posterior.PointState``, one per drawn point), which ``_stage_one``
-computes for ``step``. Only when stage one rejects and the policy has more
-stages does ``step`` build the back-off table ``_Transition``: the points
-``[x, y1, y2, ...]`` and, per anchor point, three lists grown one stage at a
-time (kernels, path weights and acceptances). The table computes its own
-stage one from the same operands, with the same helpers for the density and
-the ratio, so its stage one equals ``_stage_one``'s bit for bit. A later
-path weight is its prefix weight plus one log(1 - A) and one kernel
-density, so each dilated kernel and acceptance is computed once per
-transition; a density is computed where it is read. A dilated kernel is the
-scalar scale s, the mean and the log normalization; its precision is the
-anchor's own divided by s^2, which no array holds.
+Every kernel is read from its anchor's record (``posterior.PointState``):
+the point x, the proposal's factor L, whitened step v and log
+normalization. Dilated toward x by s, the kernel is
+N(x + s L^-T v, s^2 (L L')^-1), two floats: s and log_norm - n log s. One
+formula draws, y = x + s L^-T (v + xi) for standard normals xi, one scores,
+log_norm - n log s - |L'(y - x) / s - v|^2 / 2, and stage one is their
+s = 1 case. The drawing kernel's density of its draw is
+log_norm - n log s - xi.xi / 2, kept with the drawn point.
+
+Stage one is the plain Metropolis-Hastings ratio of the two records. Only
+when it rejects and the policy has more stages does ``step`` build the
+back-off table ``_Transition``: the points ``[x, y1, y2, ...]``, their drawn
+densities and, per anchor point, three lists grown one stage at a time
+(kernels, path weights and acceptances). The table's stage one uses the
+same values and helpers, so it equals ``step``'s bit for bit. A later path
+weight is its prefix weight plus one log(1 - A) and one kernel density, so
+each dilated kernel and acceptance is computed once per transition; a
+density is computed where it is read.
 
 Every log(1 - A) term is <= 0, so a path weight without them bounds it from
 above. ``step`` first tests each back-off stage's candidate against that
@@ -56,7 +61,8 @@ class BackoffPolicy:
 
     ``mode`` is "none", "static" or "dynamic". ``max_steps`` is the number of
     extra proposals after the first one (0 means plain Metropolis), an
-    integer. ``factor`` is the per-stage dilation in static mode. The constants
+    integer. ``factor`` is the per-stage dilation in static mode, a real
+    number in (0, 1) in every mode. The constants
     ``t_lo``/``t_hi`` clamp the dynamically chosen factor; their midpoint is
     the fallback when the cubic model has no interior minimum.
 
@@ -79,8 +85,8 @@ class BackoffPolicy:
         steps = check_count("max_steps", self.max_steps, 0, InvalidPolicy)
         if (self.mode == "none") != (steps == 0):
             raise InvalidPolicy("mode 'none' if and only if max_steps == 0")
-        if self.mode == "static" and not (is_real(self.factor) and 0.0 < self.factor < 1.0):
-            raise InvalidPolicy(f"static dilation factor must be a number in (0, 1), "
+        if not (is_real(self.factor) and 0.0 < self.factor < 1.0):
+            raise InvalidPolicy(f"dilation factor must be a number in (0, 1), "
                                 f"got {self.factor!r}")
         if self.mode != "none":
             # the deepest kernel's scale s must keep s * s a normal float; a
@@ -141,22 +147,19 @@ def cubic_minimizer(phi0: float, phi1: float, dphi0: float, dphi1: float) -> Opt
 def dynamic_gamma(x_state: PointState, z_state: PointState) -> float:
     """Dilation factor from a cubic model of phi(t) = ||f(x + t(z-x))||^2.
 
-    The endpoint values and slopes come from the two cached evaluations and
-    the stored ||f||^2 of each point, so no model calls are spent. The
-    minimizer is clamped to [BackoffPolicy.t_lo, BackoffPolicy.t_hi]; if the
-    cubic has no interior minimum or ``z`` is outside the domain, the clamp
-    midpoint is returned.
+    The endpoint values ||f||^2 and slopes 2 (J'f).d come from the two
+    points' records, so no model calls are spent. The minimizer is clamped to
+    [BackoffPolicy.t_lo, BackoffPolicy.t_hi]; if the cubic has no interior
+    minimum or ``z`` is outside the domain, the clamp midpoint is returned.
     """
     lo, hi = BackoffPolicy.t_lo, BackoffPolicy.t_hi
     fallback = 0.5 * (lo + hi)
     if not z_state.inside:
         return fallback
     direction = z_state.x - x_state.x
-    fx, Jx = x_state.residual, x_state.jacobian
-    fz, Jz = z_state.residual, z_state.jacobian
     t = cubic_minimizer(x_state.residual_sq, z_state.residual_sq,
-                        2.0 * float(fx.dot(Jx.dot(direction))),
-                        2.0 * float(fz.dot(Jz.dot(direction))))
+                        2.0 * float(x_state.jtf.dot(direction)),
+                        2.0 * float(z_state.jtf.dot(direction)))
     if t is None:
         return fallback
     return min(max(t, lo), hi)
@@ -178,12 +181,13 @@ def _log1m_exp(log_a: float) -> float:
     return math.log1p(-math.exp(log_a))
 
 
-def _log_density(y: np.ndarray, mean: np.ndarray, precision: np.ndarray,
-                 scale: float, log_norm: float) -> float:
-    """log N(y; mean, (precision / scale^2)^-1), whose normalization is
-    ``log_norm``."""
-    d = y - mean
-    return log_norm - 0.5 * float(d.dot(precision).dot(d)) / (scale * scale)
+def _log_density(anchor: PointState, y: np.ndarray, scale: float, log_norm: float) -> float:
+    """log_norm - |L'(y - x) / scale - v|^2 / 2, the log density at ``y`` of
+    the kernel at ``anchor`` dilated by ``scale`` (a division by 1, exact,
+    is skipped)."""
+    w = (y - anchor.x).dot(anchor.chol)
+    r = (w if scale == 1.0 else w / scale) - anchor.v
+    return log_norm - 0.5 * float(r.dot(r))
 
 
 def _never_accepted(cand: PointState) -> bool:
@@ -207,41 +211,40 @@ class _Transition:
     """Back-off table of one transition.
 
     ``pts`` is ``[origin, y1, y2, ...]``, the origin followed by the points
-    drawn so far. The trajectory-balanced recursion reaches each point
-    ``pts[a]`` as the anchor of paths through ``pts[1], pts[2], ...``, so
-    ``rows[a]`` holds three lists for that anchor, each grown one stage at a
-    time and computed once:
+    drawn so far; ``drawn[j - 1]``, where given, is ``pts[j]``'s density
+    under the kernel that drew it. The trajectory-balanced recursion reaches
+    each point ``pts[a]`` as the anchor of paths through ``pts[1], pts[2],
+    ...``, so ``rows[a]`` holds three lists for that anchor, each grown one
+    stage at a time and computed once:
 
     - kernels: ``kernels[g]`` is the proposal at ``pts[a]`` after
-      ``pts[1..g]`` were rejected, as ``(scale, mean, log_norm)``; its
-      precision is ``pts[a].precision / scale**2``;
+      ``pts[1..g]`` were rejected, as the floats ``(scale, log_norm)``;
     - weights: ``weights[h - 1]`` is the log weight of the path from
       ``pts[a]`` through ``pts[1..h]``;
     - accepts: ``accepts[h - 1]`` is the log acceptance of ``pts[h]``
       reached from ``pts[a]`` after ``pts[1..h-1]`` were rejected.
 
-    Appending to ``pts`` leaves every row valid.
+    Appending to ``pts`` (and to ``drawn``) leaves every row valid.
     """
 
-    __slots__ = ("pts", "policy", "rows")
+    __slots__ = ("pts", "drawn", "policy", "rows")
 
     def __init__(self, origin: PointState, policy: BackoffPolicy,
-                 points: Sequence[PointState] = ()):
+                 points: Sequence[PointState] = (), drawn: Sequence[float] = ()):
         self.pts = [origin, *points]
+        self.drawn = list(drawn)
         self.policy = policy
         self.rows: dict = {}
 
     def _row(self, a: int) -> tuple:
         row = self.rows.get(a)
         if row is None:
-            anchor = self.pts[a]
-            row = self.rows[a] = ([(1.0, anchor.mean, anchor.log_norm)], [], [])
+            row = self.rows[a] = ([(1.0, self.pts[a].log_norm)], [], [])
         return row
 
     def kernel(self, a: int, g: int) -> tuple:
-        """Cumulative scale, mean and log normalization of the kernel at
-        ``pts[a]`` for the stage after ``pts[1..g]`` were rejected; its
-        precision is the anchor's divided by the scale squared.
+        """Cumulative scale and log normalization of the kernel at ``pts[a]``
+        for the stage after ``pts[1..g]`` were rejected.
 
         With ``g = 0`` this is the undilated Gauss-Newton proposal at scale
         1. Each rejection multiplies the scale by the static factor, or by
@@ -259,14 +262,16 @@ class _Transition:
                 scale *= self.policy.factor
             else:
                 scale *= dynamic_gamma(anchor, self.pts[len(kernels)])
-            kernels.append((scale, anchor.x + scale * (anchor.mean - anchor.x),
-                            anchor.log_norm - n * math.log(scale)))
+            kernels.append((scale, anchor.log_norm - n * math.log(scale)))
         return kernels[g]
 
     def density(self, a: int, g: int, b: int) -> float:
-        """log density of ``pts[b]`` under ``kernel(a, g)``."""
-        scale, mean, log_norm = self.kernel(a, g)
-        return _log_density(self.pts[b].x, mean, self.pts[a].precision, scale, log_norm)
+        """log density of ``pts[b]`` under ``kernel(a, g)``: the drawn one
+        where ``pts[b]`` was drawn from that kernel and it is kept."""
+        if a == 0 and b == g + 1 and g < len(self.drawn):
+            return self.drawn[g]
+        scale, log_norm = self.kernel(a, g)
+        return _log_density(self.pts[a], self.pts[b].x, scale, log_norm)
 
     def path(self, a: int, h: int, b: int) -> float:
         """log weight of the back-off path from ``pts[a]`` through
@@ -318,29 +323,20 @@ def accept_prob(origin: PointState, points: Sequence[PointState],
     return math.exp(_Transition(origin, policy, points).log_accept(0, len(points)))
 
 
-def _draw(mean: np.ndarray, chol: np.ndarray, prior: GaussianPrior,
+def _draw(anchor: PointState, scale: float, log_norm: float, prior: GaussianPrior,
           model: ModelHandle, rng: np.random.Generator,
-          counters: Optional[dict]) -> PointState:
-    """Draw mean + L^-T xi for fresh standard normals xi, where ``chol`` is
-    L, and build the point's record. ``counters``, if given, counts a point
+          counters: Optional[dict]) -> Tuple[PointState, float]:
+    """Draw y = x + scale L^-T (v + xi) from the kernel at ``anchor``
+    dilated by ``scale`` (a product with 1, exact, is skipped), for fresh
+    standard normals xi; return y's record and its log density under that
+    kernel, ``log_norm`` - xi.xi / 2. ``counters``, if given, counts a point
     whose proposal is singular under "singular_proposals"."""
-    z_state = point_state(prior, model,
-                          mean + _solve_lower(chol, rng.standard_normal(mean.shape[0]), trans=1))
+    xi = rng.standard_normal(anchor.x.shape[0])
+    u = _solve_lower(anchor.chol, anchor.v + xi, trans=1)
+    z_state = point_state(prior, model, anchor.x + (u if scale == 1.0 else scale * u))
     if counters is not None and z_state.proposal_failed:
         counters["singular_proposals"] = counters.get("singular_proposals", 0) + 1
-    return z_state
-
-
-def _stage_one(x_state: PointState, z_state: PointState) -> Tuple[float, float]:
-    """Forward path weight and log acceptance of ``z_state`` proposed from
-    ``x_state`` by the undilated kernel: the plain Metropolis-Hastings
-    ratio, bit for bit as ``_Transition`` computes stage one."""
-    log_fwd = x_state.log_post + _log_density(z_state.x, x_state.mean, x_state.precision,
-                                              1.0, x_state.log_norm)
-    if _never_accepted(z_state):
-        return log_fwd, -math.inf
-    return log_fwd, _log_ratio(log_fwd, z_state.log_post + _log_density(
-        x_state.x, z_state.mean, z_state.precision, 1.0, z_state.log_norm))
+    return z_state, log_norm - 0.5 * float(xi.dot(xi))
 
 
 def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
@@ -359,9 +355,10 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
     Per stage the generator is consumed in a fixed order: the proposal's
     standard normals first, then one uniform u for the accept test. Stage
     one is the plain Metropolis-Hastings ratio of the two records; a
-    ``_Transition`` table of the points drawn so far is built only when
-    stage one rejects and the policy has more stages, and ``step`` reads it
-    only through ``kernel``, ``density``, ``path`` and ``log_accept``.
+    ``_Transition`` table of the points drawn so far, with their densities
+    from ``_draw``, is built only when stage one rejects and the policy has
+    more stages, and ``step`` reads it only through ``kernel``,
+    ``density``, ``path`` and ``log_accept``.
 
     A back-off stage j is first tested against a bound. A never-accepted
     candidate has A = 0 and is rejected whatever u. Otherwise ``fwd_lo``
@@ -380,24 +377,26 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
     table's, so the decisions, the draws and the chain equal the full
     computation's.
     """
-    z_state = _draw(current.mean, current.chol, prior, model, rng, counters)
-    log_fwd, log_a = _stage_one(current, z_state)
+    z_state, log_q = _draw(current, 1.0, current.log_norm, prior, model, rng, counters)
+    log_fwd = current.log_post + log_q
+    log_a = (-math.inf if _never_accepted(z_state) else _log_ratio(
+        log_fwd, z_state.log_post + _log_density(z_state, current.x, 1.0, z_state.log_norm)))
     if rng.random() < math.exp(log_a):
         return z_state, 1
     if policy.max_steps == 0:
         return current, -1
-    table = _Transition(current, policy, (z_state,))
+    table = _Transition(current, policy, (z_state,), (log_q,))
     fwd_lo = log_fwd
     for j in range(2, policy.n_stages + 1):
-        # dilating the factor, chol(P / s^2) = L / s, needs no factorization
-        scale, mean, _ = table.kernel(0, j - 1)
-        z_state = _draw(mean, current.chol / scale, prior, model, rng, counters)
+        scale, log_norm = table.kernel(0, j - 1)
+        z_state, log_q = _draw(current, scale, log_norm, prior, model, rng, counters)
         table.pts.append(z_state)
+        table.drawn.append(log_q)
         u = rng.random()
         # log_a is the previous stage's log acceptance, or a bound above it
         fwd_lo += _log1m_exp(log_a)
         if fwd_lo != -math.inf:
-            fwd_lo += table.density(0, j - 1, j)
+            fwd_lo += log_q
         if _never_accepted(z_state):
             log_a = -math.inf
             continue

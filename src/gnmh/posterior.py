@@ -1,16 +1,18 @@
 """Log-posterior evaluation and the Gauss-Newton proposal distribution.
 
 The target density is indicator(x) * prior(x) * exp(-||f(x)||^2 / 2) up to a
-global constant. Linearizing f about the current point turns the target into
-a Gaussian whose precision is H + J'J; completing the square gives its mean.
+global constant. Linearizing f about the current point x turns the target
+into a Gaussian with precision P = H + J'J and mean x + L^-T v, where
+L L' = P and v = L^-1 (H(m - x) - J'f) is the whitened Gauss-Newton step.
+Solving for the step, not the mean, keeps the rounding proportional to the
+step rather than to the distance of x from the origin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -26,9 +28,10 @@ class GaussianPrior:
     A zero precision matrix is the flat (improper) prior. ``mean`` and
     ``precision`` are 1-D and 2-D float arrays and are never modified.
     ``precision`` is exactly symmetric however the prior is built: the
-    constructor stores (P + P^T)/2 of the matrix it is given, so H + J'J
-    in :func:`gn_proposal` is exactly symmetric too. Only :meth:`create`
-    checks that the given matrix was symmetric to within 1e-10.
+    constructor stores (P + P^T)/2 of the matrix it is given, so
+    (m - x)'H is H(m - x), the prior's term of the Gauss-Newton step in
+    :func:`gn_proposal`. Only :meth:`create` checks that the given matrix
+    was symmetric to within 1e-10.
     """
 
     mean: np.ndarray
@@ -71,29 +74,27 @@ class GaussianPrior:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    @cached_property
-    def precision_mean(self) -> np.ndarray:
-        """H m, the prior's term of every Gauss-Newton right-hand side,
-        computed on first use."""
-        return self.precision @ self.mean
 
-
-def _log_target(prior: GaussianPrior, x: np.ndarray, residual_sq: float) -> float:
-    """-(x-m)'H(x-m)/2 - ||f(x)||^2/2 from ``residual_sq`` = ||f(x)||^2.
-    A NaN residual raises ``UserFunctionFailure``; a prior term that
-    overflows, to inf or to NaN (inf - inf), is zero density."""
+def _log_target(prior: GaussianPrior, x: np.ndarray,
+                residual_sq: float) -> Tuple[np.ndarray, float]:
+    """H(m - x) and the log target -(x-m)'H(x-m)/2 - ||f(x)||^2/2, from
+    ``residual_sq`` = ||f(x)||^2. A NaN residual raises
+    ``UserFunctionFailure``; a prior term that overflows, to inf or to NaN
+    (inf - inf), is zero density, with the values numpy's default filter
+    gives under any warning filter."""
     try:
-        d = x - prior.mean
-        quad = float(d.dot(prior.precision).dot(d))
+        d = prior.mean - x
+        hd = d.dot(prior.precision)
+        lp = -0.5 * float(hd.dot(d)) - 0.5 * residual_sq
     except RuntimeWarning:  # an overflow under an "error" warning filter
-        quad = math.inf
-    lp = -0.5 * quad - 0.5 * residual_sq
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _log_target(prior, x, residual_sq)
     if math.isnan(lp):
         if not math.isnan(residual_sq):  # the prior term overflowed to NaN
-            return -math.inf
+            return hd, -math.inf
         raise UserFunctionFailure(f"non-finite model output at x = "
                                   f"{x.tolist()}: a NaN residual")
-    return lp
+    return hd, lp
 
 
 def log_posterior(prior: GaussianPrior, ev: ModelEval) -> float:
@@ -108,48 +109,39 @@ def log_posterior(prior: GaussianPrior, ev: ModelEval) -> float:
     """
     if not ev.inside:
         return -np.inf
-    return _log_target(prior, ev.x, ev.residual_sq)
+    return _log_target(prior, ev.x, ev.residual_sq)[1]
 
 
 def _non_finite_jtj(x: np.ndarray) -> UserFunctionFailure:
     return UserFunctionFailure(f"non-finite model output at x = {x.tolist()}: J'J is not finite")
 
 
-def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> Optional[tuple]:
-    """Gauss-Newton proposal N(mean, precision^-1) anchored at ``ev.x``, as
-    the :class:`PointState` fields ``(mean, precision, chol, log_norm)``,
-    the last two from :func:`gaussian._factor`; or None where it is
-    undefined: H + J'J is finite but not positive definite.
-
-    Precision P = H + J'J and mean mu = P^-1 (H m - J'f + J'J x), from
-    completing the square in the linearized target. Requires an in-domain
-    evaluation.
+def gn_proposal(prior: GaussianPrior, ev: ModelEval, hd: np.ndarray) -> tuple:
+    """Gauss-Newton proposal N(x + L^-T v, P^-1) anchored at x = ``ev.x``,
+    as the :class:`PointState` fields ``(v, chol, log_norm, jtf)``: the
+    whitened step v = L^-1 (``hd`` - J'f) for ``hd`` = H(m - x), the factor
+    L of P = H + J'J and its log normalization from :func:`gaussian._factor`,
+    and J'f, kept as the slope of ||f||^2 along a line is 2 (J'f).d. v, chol
+    and log_norm are None where P is finite but not positive definite.
+    Requires an in-domain evaluation.
 
     This is the per-point hot path: one Cholesky factorization (LAPACK
-    ``dpotrf``) and two triangular solves, with no coercion. The prior was
-    validated by ``GaussianPrior.create``, whose H m is computed once, and
-    x and the shapes of J and f by ``ModelHandle.evaluate``. Two checks
-    remain. The factorization refuses a NaN or infinite entry in H + J'J
-    before the right-hand side is formed, so a returned proposal has a
-    finite ``log_norm``; only when it refuses is J'J itself judged. The
-    mean is checked entry by entry, so a finite mean is kept however large
-    its entries. A residual with an infinite entry is zero density, not an
-    error: its point keeps its proposal, whose mean is then not finite.
-
-    P is exactly symmetric without a symmetrizing step: H is exactly
-    symmetric (a ``GaussianPrior`` invariant), and J'J formed with ``@``
-    is too, for C-ordered, F-ordered and strided J alike, so their sum is.
-    J'J stays on ``@``: ``J.T.dot(J)`` of a strided J can differ between
-    its two triangles in the low bits. The vector products use ``ndarray.dot``,
-    which on these small operands costs about half of ``@``; for a
-    contiguous J it gives the same bits.
+    ``dpotrf``) and one triangular solve, with no coercion; the prior, x
+    and the shapes of J and f were validated before. The factorization
+    refuses a NaN or infinite entry in H + J'J, so a proposal has a finite
+    ``log_norm``; only when it refuses is J'J itself judged. A finite step
+    is kept however large its entries; one that is not finite is the
+    model's error, unless an infinite residual entry or an overflowing
+    H(m - x) makes the point zero density. J'J stays on ``@``, as
+    ``ndarray.dot`` warns "invalid value" for an infinite J; the vector
+    products use ``ndarray.dot``, about half the cost of ``@`` here.
 
     Raises
     ------
     UserFunctionFailure
         If J'J is not finite (a NaN, infinite or overflowing entry), or the
-        mean is not finite while the residual is (J'f overflows, say), naming
-        x, under any warning filter.
+        step is not finite while the residual and H(m - x) are (J'f
+        overflows, say), naming x, under any warning filter.
     """
     J = ev.jacobian
     Jt = J.T
@@ -157,23 +149,26 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval) -> Optional[tuple]:
         JtJ = Jt @ J
     except RuntimeWarning:  # an overflow under an "error" warning filter
         raise _non_finite_jtj(ev.x) from None
-    P = prior.precision + JtJ
-    factor = _factor(P)
-    if factor is None:
-        if not np.isfinite(JtJ).all():
-            raise _non_finite_jtj(ev.x)
-        return None
-    chol, log_norm = factor
+    factor = _factor(prior.precision + JtJ)
+    if factor is None and not np.isfinite(JtJ).all():
+        raise _non_finite_jtj(ev.x)
     try:
-        rhs = prior.precision_mean - Jt.dot(ev.residual) + JtJ.dot(ev.x)
-        mu = _solve_lower(chol, _solve_lower(chol, rhs), trans=1)
+        jtf = Jt.dot(ev.residual)
+        g = hd - jtf
     except RuntimeWarning:  # an overflow or inf - inf under an "error" warning filter
-        mu = np.full(ev.x.shape, np.nan)
-    # exact, warning-free, and cheaper than np.isfinite(mu).all() at small n
-    if not all(map(math.isfinite, mu.tolist())) and not np.isinf(ev.residual).any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            jtf = Jt.dot(ev.residual)
+            g = hd - jtf
+    if factor is None:
+        return None, None, None, jtf
+    chol, log_norm = factor
+    v = _solve_lower(chol, g)
+    # exact, warning-free, and cheaper than np.isfinite(v).all() at small n
+    if (not all(map(math.isfinite, v.tolist())) and np.isfinite(hd).all()
+            and np.isfinite(ev.residual).all()):
         raise UserFunctionFailure(f"non-finite model output at x = {ev.x.tolist()}: "
                                   f"the Gauss-Newton mean is not finite")
-    return mu, P, chol, log_norm
+    return v, chol, log_norm, jtf
 
 
 @dataclass(slots=True)
@@ -182,18 +177,17 @@ class PointState(ModelEval):
     the evaluation's fields, the log target and the Gauss-Newton proposal
     anchored here, in one record.
 
-    ``mean``, ``precision``, ``chol`` and ``log_norm`` are the proposal
-    :func:`gn_proposal` returns, read directly by the kernel. They are all
-    None when the point is outside the domain, or when the proposal
-    precision was singular (``proposal_failed``). ``log_post`` is -inf
-    outside the domain.
+    ``v``, ``chol``, ``log_norm`` and ``jtf`` are what :func:`gn_proposal`
+    returns, read directly by the kernel; all four are None outside the
+    domain, and all but ``jtf`` when the proposal precision was singular
+    (``proposal_failed``). ``log_post`` is -inf outside the domain.
     """
 
     log_post: float
-    mean: Optional[np.ndarray]
-    precision: Optional[np.ndarray]
+    v: Optional[np.ndarray]
     chol: Optional[np.ndarray]
     log_norm: Optional[float]
+    jtf: Optional[np.ndarray]
 
     @property
     def proposal_failed(self) -> bool:
@@ -201,12 +195,9 @@ class PointState(ModelEval):
         return self.inside and self.chol is None
 
 
-_NO_PROPOSAL = (None, None, None, None)
-
-
 def point_state_from_eval(prior: GaussianPrior, ev: ModelEval) -> PointState:
     """Assemble the PointState at ``ev.x`` from its evaluation (no model
-    call). The proposal is factored with LAPACK ``dpotrf``.
+    call). H(m - x) is formed once, for the log target and the proposal.
 
     Raises
     ------
@@ -216,11 +207,11 @@ def point_state_from_eval(prior: GaussianPrior, ev: ModelEval) -> PointState:
         infinite residual is not an error: it is zero density.
     """
     if not ev.inside:
-        return PointState(ev.x, False, None, None, ev.residual_sq, -np.inf, *_NO_PROPOSAL)
-    lp = _log_target(prior, ev.x, ev.residual_sq)
-    # a proposal is a non-empty tuple, so only None is replaced
+        return PointState(ev.x, False, None, None, ev.residual_sq, -np.inf,
+                          None, None, None, None)
+    hd, lp = _log_target(prior, ev.x, ev.residual_sq)
     return PointState(ev.x, True, ev.residual, ev.jacobian, ev.residual_sq, lp,
-                      *(gn_proposal(prior, ev) or _NO_PROPOSAL))
+                      *gn_proposal(prior, ev, hd))
 
 
 def point_state(prior: GaussianPrior, model: ModelHandle, x) -> PointState:

@@ -40,6 +40,7 @@ from .errors import (
     check_count,
     check_finite,
 )
+from .gaussian import _solve_lower
 from .kernel import BackoffPolicy
 from .model import ModelEval, ModelHandle
 from .posterior import GaussianPrior, log_posterior, point_state_from_eval
@@ -190,7 +191,8 @@ class Sampler:
     InitialGuessOutsideDomain
         If ``x0`` has a NaN or infinite entry (before any model call), the
         model indicator is 0 at ``x0``, or the Gauss-Newton mean there is
-        not finite (the residual has an infinite entry).
+        not finite (the residual has an infinite entry, or the prior term
+        H(m - x0) overflows).
     SingularProposal
         If the Gauss-Newton proposal cannot be built at ``x0`` under the
         (possibly flat) prior.
@@ -237,15 +239,16 @@ class Sampler:
         # keeps numpy's own text off stderr (once per start, not per transition)
         with np.errstate(over="ignore", invalid="ignore"):
             state = point_state_from_eval(prior, ev)
-        if state.chol is None:
-            raise SingularProposal(
-                f"Gauss-Newton proposal undefined at x = {ev.x.tolist()} under this prior"
-            )
-        # only a residual with an infinite entry leaves a proposal whose mean
-        # is not finite; every draw from it would be too
-        if not np.isfinite(state.mean).all():
+            if state.chol is None:
+                raise SingularProposal(
+                    f"Gauss-Newton proposal undefined at x = {ev.x.tolist()} under this prior"
+                )
+            # only a zero-density point keeps a proposal whose mean, x + L^-T v,
+            # may not be finite; no draw from it would be finite either
+            mean = state.x + _solve_lower(state.chol, state.v, trans=1)
+        if not np.isfinite(mean).all():
             raise InitialGuessOutsideDomain(
-                f"Gauss-Newton mean {state.mean.tolist()} is not finite at the "
+                f"Gauss-Newton mean {mean.tolist()} is not finite at the "
                 f"initial guess x0 = {ev.x.tolist()}"
             )
         self.prior, self.current = prior, state

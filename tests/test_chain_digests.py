@@ -50,112 +50,112 @@ POLICIES = {
 # (example, policy, seed): (chain sha256, call_count, step_count)
 EXPECTED = {
     ("quickstart", "none", 1): (
-        "23acfe3c293d98ad6ef3f3edc6947370d0fd26e2aff248a103803c9e3546adf8",
+        "fb9b11d31df71fc3cdf8d988839a3de407f726667720f3b0cfd5cf72c9723694",
         301, {-1: 51, 1: 249}),
     ("quickstart", "none", 2): (
-        "8c6407a4978daa44700b319c1b945247db11daf3af9799bdd2105bc72fe94b3c",
+        "829707eb91710d991b198b6524e0dbce831f9e728cc01f9393aab0f467a8a543",
         301, {-1: 84, 1: 216}),
     ("quickstart", "static(1, 0.5)", 1): (
-        "3b5eccb52aa2c4afa1e6b40348b3f5f2d8d68eb4aa04166fb30b281709fd9459",
+        "ddae42f079fb085d67f67e491ec03af28a76e7c6a9ab36a886fff5e8b69d64a1",
         359, {-1: 44, 1: 242, 2: 14}),
     ("quickstart", "static(1, 0.5)", 2): (
-        "ec1e39722d5995c911d681595189975b25f398f9bd418dc227292752cae103bf",
+        "f29977bbc08dca87b0ca27dd591a1fffc4b81265c20699ccb8595ca941cb5c42",
         371, {-1: 39, 1: 230, 2: 31}),
     ("quickstart", "static(3, 0.5)", 1): (
-        "7a9a3a94ab9c178525ac4b048940639eb03e8a74c4d808caa1162f51a4d13532",
+        "a1909946c9ed9bd1f37da174b391d2b0b6f3427ad55d9054cebdeeef0a5db3c5",
         410, {-1: 15, 1: 246, 2: 19, 3: 15, 4: 5}),
     ("quickstart", "static(3, 0.5)", 2): (
-        "7f4c20140e7b4ef2bfde1c3d07addc6d5b50499e1cc42d6b9bf9825289b1cc9e",
+        "6f540878296748584fc2525d20fe72370868d93b6e7d99ab6f48afd81e8d1b99",
         425, {-1: 17, 1: 235, 2: 29, 3: 13, 4: 6}),
     ("quickstart", "static(5, 0.5)", 1): (
-        "77dc9bcc71c3e3eea9293a25bceae762442159353140af7a120443d4878fc491",
+        "200aa630f411a406a019415fc0c29d3cbbafe45f65d45dfebdfb0160c510be01",
         445, {-1: 9, 1: 250, 2: 14, 3: 12, 4: 6, 5: 2, 6: 7}),
     ("quickstart", "static(5, 0.5)", 2): (
-        "3835266aecf60b30f94d75dcb9d419fe5f6e19170e6b8bf1f3e320ced5985bcb",
+        "1a3efde5cc752d2c9c24e0a92cf3f9319f3d026b8b11f1ebc0155abd4cf22481",
         467, {-1: 12, 1: 233, 2: 28, 3: 14, 4: 7, 5: 1, 6: 5}),
     ("quickstart", "dynamic(2)", 1): (
-        "1c177b5e8e3ebf190ed86c7aabb79e3f1343e9105795b52c4763321b09c13b5b",
+        "ff7fa35727dd72d5755ca822bf2c19102c09b395398ab9e3c054ab6fe7c241d7",
         390, {-1: 25, 1: 251, 2: 9, 3: 15}),
     ("quickstart", "dynamic(2)", 2): (
-        "73c57eb8cb98b4dcaef1d16e769b1eceab49ac49bf1bd8ec68d978d88b469c95",
+        "9a22729d380b758c5ed94294b5961ccb1412f0bc99f41b898eb7307bc06f512c",
         401, {-1: 29, 1: 239, 2: 22, 3: 10}),
     ("quickstart", "dynamic(4)", 1): (
-        "3074616522e6c5b947d10c9069a373eb39bed9a87cdd30d0da38e8f6b14d44ce",
+        "7e3a9dae0d378a49de3e982db29f75881518fb4770b6f88efee3af5b94038878",
         451, {-1: 18, 1: 243, 2: 16, 3: 11, 4: 8, 5: 4}),
     ("quickstart", "dynamic(4)", 2): (
-        "56d1e0d34f71d43147db773770b03047f6df3e0fd043e8544f4c195f4693f7ba",
+        "fdfdd7a5bc0dc80b815cc9c2fea888fbe8a235996c6e72740194b291b7b9c8a8",
         516, {-1: 16, 1: 212, 2: 28, 3: 19, 4: 15, 5: 10}),
     ("simple2d", "none", 1): (
-        "142a689eb8b077d62829c19efd4d69e4b4c4e956979e8ed875696124aad8f5dc",
+        "81bcb92cd56471402174e47b0c059882eaa787f87a5af6bd9737dfe35ca3b54c",
         301, {-1: 143, 1: 157}),
     ("simple2d", "none", 2): (
-        "bd7b47db0e75f52dc8cbb3236c406e9fc71def46b5af1d44303ddfca0c344792",
+        "aa569b52803ca7fb9401e26d2250d89b813f3199955ff035a83dc7c66cb2eebb",
         301, {-1: 160, 1: 140}),
     ("simple2d", "static(1, 0.5)", 1): (
-        "324f489539d94e57b3e8bcea680fc377b4c75073a459b82e721182312f975bd2",
+        "15562aa6e85bb369031b6bc04f1cdba3cc9714e2ee3ceba57bace26701dd32b3",
         445, {-1: 86, 1: 156, 2: 58}),
     ("simple2d", "static(1, 0.5)", 2): (
-        "b6a5636ef788ffd963feed5992f982fa117d1f871001c67bac3e95e5f3ccf9b0",
+        "accaba0364d91d4690e626bc8935bdec8af47fa96269f31c392d62ed51d3d9c5",
         457, {-1: 119, 1: 144, 2: 37}),
     ("simple2d", "static(3, 0.5)", 1): (
-        "1b3c944f4e44020832ec3194e636ee2c606edaf867073d760d613db194d3264e",
+        "f53cfad3a53546488018abc1b6b00b9cf71073b528195f894c8805f2b9a199a1",
         596, {-1: 44, 1: 163, 2: 44, 3: 28, 4: 21}),
     ("simple2d", "static(3, 0.5)", 2): (
-        "3775e908563929eab2fcb374fc87af50def749f8aeab0f1601c05f871e8ed752",
+        "0c474ce64da51b8cc396a40dec98e718f4b64cd6a4510b74cb45a707c4de03be",
         627, {-1: 47, 1: 151, 2: 44, 3: 33, 4: 25}),
     ("simple2d", "static(5, 0.5)", 1): (
-        "f691ec77911eea6689cabaa1549d4107734449c140724456f8fb01b3a0ba23ea",
-        777, {-1: 30, 1: 132, 2: 48, 3: 31, 4: 31, 5: 17, 6: 11}),
+        "5136a286a9fa69edf39ced2900219a94188068538bfa15c5d5a410f56567b34f",
+        746, {-1: 29, 1: 144, 2: 48, 3: 25, 4: 25, 5: 18, 6: 11}),
     ("simple2d", "static(5, 0.5)", 2): (
-        "c45d8b1b3ca57019a0b067a4551e444ab7c8f395b1e3fb59608da6bddcf3dd53",
+        "a44c6a7c9ad8710c5507337731983fcde970b0b93441d38f40ae24ac27231e6d",
         764, {-1: 26, 1: 134, 2: 55, 3: 28, 4: 21, 5: 21, 6: 15}),
     ("simple2d", "dynamic(2)", 1): (
-        "abc48540b18b58c55b44b8069d9af784072098fee591c003bfb4b73074d0702b",
+        "1f69afcce47ee5652110c9d6486888cccd0a82d061907dbecbad3fc8fa716fea",
         566, {-1: 73, 1: 140, 2: 55, 3: 32}),
     ("simple2d", "dynamic(2)", 2): (
-        "64296ba184aab5d627f455944ad33809607b64084ff168f02c5584a19c76bfb7",
-        564, {-1: 82, 1: 146, 2: 45, 3: 27}),
+        "4593b79808681866200fba5f920bfaefde67c132f90a5f89d17873293fba229a",
+        574, {-1: 93, 1: 144, 2: 39, 3: 24}),
     ("simple2d", "dynamic(4)", 1): (
-        "5d5399d6ac32dba35f42d81fc1283f7f85bda333e55336e0da8c90a66e6816f9",
+        "25fe23e4625f7769c0b838ac7bbfa4b965b8b1cfbd6fe3bdd045479a8cd83ad9",
         672, {-1: 39, 1: 155, 2: 45, 3: 27, 4: 20, 5: 14}),
     ("simple2d", "dynamic(4)", 2): (
-        "6ac97f71086fe354ecf7d4c7ecbe9abc1bb5f8ec850505bd8e236c5c93de4e5c",
-        748, {-1: 52, 1: 144, 2: 34, 3: 25, 4: 25, 5: 20}),
+        "f9bd0de4399a4744da320f474e853c4bf509ed8ffe09b39f99657df92acd64c1",
+        751, {-1: 53, 1: 139, 2: 37, 3: 28, 4: 27, 5: 16}),
     ("expseries", "none", 1): (
-        "8e904c695a48104e5831c171ca88851879809e64ad89e4cc9393a716b78b8116",
+        "513be38439141bb01e7a04784c87c7cfc201348f982a2d7ee28b7d94dfcb9875",
         301, {-1: 154, 1: 146}),
     ("expseries", "none", 2): (
-        "76fba8b6b7c52875a1b693e3152eabcc2fd958cedd18f88e521cc0c46e6ccc21",
+        "02ef45612437ccf650cca59a70606d14f5cf029daa65d6972f49a33b202a1d94",
         301, {-1: 254, 1: 46}),
     ("expseries", "static(1, 0.5)", 1): (
-        "b9ab014bc948698209d13c7d5c3732d36169f06f99ddec8c68474855c3d5c921",
+        "824fa06a414edcb9fdd801cb8364da5b725f9fb3643c580f4c759b7d58436f92",
         454, {-1: 126, 1: 147, 2: 27}),
     ("expseries", "static(1, 0.5)", 2): (
-        "e608008518b20d9d57b54fbdb6a0dd82e04a3a56a5f9387be04a351bc0eee6eb",
+        "1fdd0707408e3b2a6656af9d64aada0fa632c7501d878dcd0c68e18c101c9acd",
         597, {-1: 296, 1: 4, 2: 0}),
     ("expseries", "static(3, 0.5)", 1): (
-        "afe37efc5299da411f87e3d3d354c89de6e7ea42b51f33cf0e2fbc16447100cc",
+        "8c54836a53633329a288c2bbc6b9efee123fc42c565e4478f9a76c0dc55c8ac4",
         683, {-1: 108, 1: 154, 2: 22, 3: 12, 4: 4}),
     ("expseries", "static(3, 0.5)", 2): (
-        "6208b7b9b899f71b5d5df77c8c6756f152e57ca0d12051de695c438b41e6d332",
+        "7e22e01831a7b16127ca9344931474c370f2c1d0be306bac02ec57643e5d0ab1",
         735, {-1: 121, 1: 129, 2: 34, 3: 11, 4: 5}),
     ("expseries", "static(5, 0.5)", 1): (
-        "c74f92764a3b9ea5697acff6cb0829083632a0fc887a3790e61b0da491c81f66",
+        "632ceb820450e43f3ca0794b06f28af40a4ffe231ddaa9a909a1ba80d7a79cbd",
         902, {-1: 99, 1: 142, 2: 36, 3: 10, 4: 4, 5: 7, 6: 2}),
     ("expseries", "static(5, 0.5)", 2): (
-        "e9ef6bba901b0eef1041a3df139edf2ef861eb6a1abdceb3ce31900cca082443",
+        "09baa6c080ce3d308e2f16e9a89a6ecf5b89694888c101b0c095c87100b5dfe1",
         1786, {-1: 297, 1: 3, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0}),
     ("expseries", "dynamic(2)", 1): (
-        "b4f9f242c7b0fd97dd78e164a44f0725a32f421bbbf719d37cc9c13ebad1533c",
+        "2499a7144546ceb4d0a224f6ef86c3d5c976365d381af0a9741d63be416b8f7d",
         569, {-1: 117, 1: 155, 2: 22, 3: 6}),
     ("expseries", "dynamic(2)", 2): (
-        "b2965171db9c87b6612785a538ad8d2f0c1e0eeb2d77930bf8f18002e859d563",
+        "bc589106e244c6fd6f5af3621b6945ccc0ae382c13b7d7417840983709287e6d",
         628, {-1: 146, 1: 128, 2: 17, 3: 9}),
     ("expseries", "dynamic(4)", 1): (
-        "f9082f6087eeefa9fe70585baacbca0d9634d454ec7d5b028bac469cc6ae5289",
+        "bfe7b50dcad4fc8cdb5f7ecb2e659b2c8dff2bfda00dd7750f415dbb2505f583",
         806, {-1: 104, 1: 150, 2: 22, 3: 10, 4: 9, 5: 5}),
     ("expseries", "dynamic(4)", 2): (
-        "6b534b890f145ae0b4ed99bfdf00c0b4e2183ba5446e59059e2faa5180a6d7b5",
+        "dc227e1963b7476f21dc3a674457d44870842978ac26502d25ffdbc6b2bd5857",
         905, {-1: 131, 1: 129, 2: 17, 3: 11, 4: 7, 5: 5}),
 }
 

@@ -1,15 +1,16 @@
 import copy
 import decimal
 import math
+import re
 import warnings
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from gnmh.cli import exp_series_datagen
-from gnmh.gaussian import _solve_lower
 import gnmh.kernel
 from gnmh.kernel import (
     BackoffPolicy,
@@ -73,6 +74,17 @@ def test_policy_validation():
     assert BackoffPolicy.static(np.int64(2), 0.5).n_stages == 3
     assert BackoffPolicy.static(0, 0.3).mode == "none"
     assert BackoffPolicy.dynamic(0).mode == "none"
+
+
+@pytest.mark.parametrize("mode, max_steps", [("none", 0), ("static", 2), ("dynamic", 2)])
+@pytest.mark.parametrize("factor", ["x", math.nan, 0.0, 1.5, True])
+def test_policy_judges_its_factor_in_every_mode(mode, max_steps, factor):
+    # a factor is stored in every checkpoint, so every mode refuses one that
+    # is not a real number in (0, 1), naming it
+    with pytest.raises(InvalidPolicy,
+                       match=f"factor must be a number in \\(0, 1\\), got {re.escape(repr(factor))}$"):
+        BackoffPolicy(mode=mode, max_steps=max_steps, factor=factor)
+    assert BackoffPolicy(mode=mode, max_steps=max_steps, factor=np.float64(0.25)).factor == 0.25
 
 
 @pytest.mark.parametrize("build, refused", [
@@ -426,10 +438,9 @@ def _chain_trajectories(name, policy, n_stages, count, seed):
         origin = origins[rng.integers(len(origins))]
         points = ()
         for _ in range(n_stages):
-            scale, mean, _ = _Transition(origin, policy, points).kernel(0, len(points))
-            u = _solve_lower(proposal(origin).chol / scale,
-                             rng.standard_normal(origin.x.shape[0]), trans=1)
-            points += (point_state(prior, h, mean + u),)
+            scale, _ = _Transition(origin, policy, points).kernel(0, len(points))
+            points += (point_state(prior, h, _draw(origin, scale,
+                                                   rng.standard_normal(origin.x.shape[0]))),)
         out.append((origin, points))
     return out
 
@@ -451,29 +462,39 @@ def test_flow_balance_deep_backoff(name, policy, n_stages):
     assert finite >= 10
 
 
+def _draw(anchor, scale, xi):
+    """The kernel's draw x + scale L^-T (v + xi) at ``anchor``, written out."""
+    return anchor.x + scale * solve_triangular(anchor.chol, anchor.v + xi, lower=True,
+                                               trans="T", check_finite=False)
+
+
 class _ScaledKernel(NamedTuple):
-    """The table's form of a kernel: the anchor's precision, left as it is,
-    over the square of a scalar scale. Its ``dilate`` and ``log_pdf`` are
-    the table's formulas, written out here."""
+    """The table's form of a kernel: the anchor's point x, factor L and
+    whitened step v, dilated toward x by a scalar scale. Its ``dilate`` and
+    ``log_pdf`` are the table's formulas, written out here."""
 
     scale: float
-    mean: np.ndarray
-    precision: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
+    chol: np.ndarray
     log_norm: float
 
     def log_pdf(self, y):
-        d = y - self.mean
-        return self.log_norm - 0.5 * float(d.dot(self.precision).dot(d)) / (self.scale * self.scale)
+        r = (y - self.x).dot(self.chol) / self.scale - self.v
+        return self.log_norm - 0.5 * float(r.dot(r))
 
     def dilate(self, center, scale):
-        # from the undilated kernel only, as the reference calls it
-        return _ScaledKernel(scale, center + scale * (self.mean - center), self.precision,
+        # from the undilated kernel only, toward its own point, as the
+        # reference calls it
+        assert center is self.x
+        return _ScaledKernel(scale, self.x, self.v, self.chol,
                              self.log_norm - len(center) * math.log(scale))
 
 
 def _scaled_proposal(record):
-    kern = proposal(record)
-    return None if kern is None else _ScaledKernel(1.0, kern.mean, kern.precision, kern.log_norm)
+    if record.chol is None:
+        return None
+    return _ScaledKernel(1.0, record.x, record.v, record.chol, record.log_norm)
 
 
 def _reference_log_accept(origin, points, policy, base=_scaled_proposal):
@@ -580,11 +601,14 @@ def test_static_stage_scales_exact():
     pts = [point_state(prior, h, rng.uniform(-1.5, 1.5, 1)) for _ in range(4)]
     base = proposal(pts[0])
     for i in range(3):
-        scale, mean, log_norm = _Transition(pts[0], policy, pts[1:i + 1]).kernel(0, i)
+        table = _Transition(pts[0], policy, pts[1:])
+        scale, log_norm = table.kernel(0, i)
         assert scale == 0.25 ** i
         ref = base if i == 0 else base.dilate(pts[0].x, 0.25 ** i)
-        np.testing.assert_array_equal(mean, ref.mean)
         assert log_norm == ref.log_norm
+        for b in (1, 2, 3):
+            want = _ScaledKernel(scale, pts[0].x, pts[0].v, pts[0].chol, log_norm).log_pdf(pts[b].x)
+            assert table.density(0, i, b) == want
 
 
 def test_acceptance_never_nan_on_fuzzed_inputs():
@@ -646,7 +670,7 @@ def test_step_consumes_normals_then_uniform():
     nxt, stage = step(cur, BackoffPolicy.none(), prior, h, rng)
 
     rng2 = np.random.default_rng(123)
-    z = proposal(cur).sample(rng2.standard_normal(1))
+    z = _draw(cur, 1.0, rng2.standard_normal(1))
     u = rng2.random()
     a = accept_prob(cur, [point_state(prior, h, z)], BackoffPolicy.none())
     if u < a:
@@ -707,9 +731,8 @@ def _reference_step(cur, policy, prior, model, rng):
     them as ``step`` does: the normals, then one uniform, per stage."""
     table = _Transition(cur, policy)
     for j in range(1, policy.n_stages + 1):
-        scale, mean, _ = table.kernel(0, j - 1)
-        xi = rng.standard_normal(cur.x.shape[0])
-        table.pts.append(point_state(prior, model, mean + _solve_lower(cur.chol / scale, xi, trans=1)))
+        scale, _ = table.kernel(0, j - 1)
+        table.pts.append(point_state(prior, model, _draw(cur, scale, rng.standard_normal(cur.x.shape[0]))))
         if rng.random() < math.exp(table.log_accept(0, j)):
             return table.pts[j], j
     return cur, -1
@@ -756,8 +779,8 @@ def test_step_rejects_never_accepted_back_off_candidates_as_the_exact_test(
                          ids=["static", "dynamic"])
 @pytest.mark.parametrize("name", ["quickstart", "expseries"])
 def test_step_draws_equal_dilated_proposal_samples(name, policy, monkeypatch):
-    # every candidate is the proposal dilated by its stage's cumulative
-    # scale, then sampled, bit for bit
+    # every candidate is drawn from the proposal dilated by its stage's
+    # cumulative scale, x + scale L^-T (v + xi), bit for bit
     h, prior, x0 = _problem(name)
     drawn, normals = [], []
 
@@ -786,18 +809,51 @@ def test_step_draws_equal_dilated_proposal_samples(name, policy, monkeypatch):
         nxt, _ = step(cur, policy, prior, h, rng)
         scale = 1.0
         for j, (z, y) in enumerate(zip(normals, drawn)):
-            if j == 0:
-                ref = proposal(cur)
-            else:
+            if j > 0:
                 if policy.mode == "static":
                     scale *= policy.factor
                 else:
                     scale *= dynamic_gamma(cur, drawn[j - 1])
-                ref = proposal(cur).dilate(cur.x, scale)
-            np.testing.assert_array_equal(y.x, ref.sample(z))
+            np.testing.assert_array_equal(y.x, _draw(cur, scale, z))
             stages_seen.add(j + 1)
         cur = nxt
     assert stages_seen == {1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("policy", [BackoffPolicy.static(4, 0.5), BackoffPolicy.dynamic(4)],
+                         ids=["static", "dynamic"])
+@pytest.mark.parametrize("name", ["quickstart", "expseries"])
+def test_drawn_density_equals_the_dilated_proposal_density(name, policy, monkeypatch):
+    # step takes the drawing kernel's density of each candidate from its
+    # normals, log_norm - n log s - xi.xi / 2; it must equal the density of
+    # the proposal dilated by the stage's scale, formed with @ from the
+    # precision matrix. The two terms can cancel toward 0, where the
+    # reference's own rounding of y - mean is larger than 1e-12 of the
+    # difference, so the tolerance is 1e-12 of the terms' magnitudes
+    h, prior, x0 = _problem(name)
+    draws = []
+    draw = gnmh.kernel._draw
+
+    def recording_draw(anchor, scale, *args):
+        z_state, log_q = draw(anchor, scale, *args)
+        draws.append((anchor, scale, z_state, log_q))
+        return z_state, log_q
+
+    monkeypatch.setattr(gnmh.kernel, "_draw", recording_draw)
+    rng = np.random.default_rng(4)
+    cur = point_state(prior, h, x0)
+    scales = set()
+    for _ in range(150):
+        draws.clear()
+        nxt, _ = step(cur, policy, prior, h, rng)
+        for anchor, scale, z_state, log_q in draws:
+            assert anchor is cur
+            kern = proposal(cur).dilate(cur.x, scale)
+            terms = abs(kern.log_norm) + abs(kern.log_norm - log_q)
+            assert log_q == pytest.approx(kern.log_pdf(z_state.x), rel=0.0, abs=1e-12 * terms)
+            scales.add(scale)
+        cur = nxt
+    assert 1.0 in scales and len(scales) >= 5  # every stage was drawn
 
 
 # ---------------------------------------------------------------------------
@@ -859,6 +915,60 @@ def test_step_is_affine_equivariant(name, policy):
         assert pre_stage == stage
         # the absolute floor is for a coordinate that passes near zero
         np.testing.assert_allclose(A @ pre_next.x + b, nxt.x, rtol=1e-9, atol=1e-12)
+        stages.add(stage)
+        cur = nxt
+    # a full rejection (-1) ran every stage of the policy
+    assert {1, -1} <= stages
+
+
+def test_far_ill_conditioned_linear_model_accepts_every_proposal():
+    # for f = A x - b the Gauss-Newton proposal is the posterior itself, so
+    # every proposal is accepted however far the parameters are from the
+    # origin: the proposal is built from the step, whose rounding scales
+    # with the step and not with |x|. A has m = 2n rows and singular values
+    # log-spaced from 1 to 1e7, and the data are generated at x = 1e4 (1, ..., 1)
+    n, kappa, c = 8, 1e7, 1e4
+    rng = np.random.default_rng(3)
+    U = np.linalg.qr(rng.normal(size=(2 * n, n)))[0]
+    V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    A = U @ np.diag(np.logspace(0.0, math.log10(kappa), n)) @ V.T
+    h = linear_handle(A, A @ np.full(n, c))
+    prior = GaussianPrior.flat(np.zeros(n))
+    cur = point_state(prior, h, np.linalg.lstsq(A, A @ np.full(n, c), rcond=None)[0])
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        cur, stage = step(cur, BackoffPolicy.none(), prior, h, rng)
+        assert stage == 1
+
+
+@pytest.mark.parametrize("policy", [BackoffPolicy.none(), BackoffPolicy.static(3, 0.5),
+                                    BackoffPolicy.dynamic(4)],
+                         ids=["none", "static3", "dynamic4"])
+@pytest.mark.parametrize("name", ["quickstart", "simple2d", "expseries"])
+def test_step_is_translation_equivariant(name, policy):
+    # one transition from x, and one from u = x - b in the image
+    # g(u) = f(u + b) with b = 1e4 (1, ..., 1), land on corresponding points
+    # at the same stage: the step form makes the proposal's rounding
+    # independent of where the origin is. Rounding u + b alone costs about
+    # eps |b|, hence the absolute floor
+    (handle, prior, x0), _, _ = _affine_pair(name)
+    b = np.full(len(x0), 1e4)
+
+    def image(u, args):
+        return handle.fn(u + b, handle.args)
+
+    image_model = ModelHandle(image, None, dim_in=len(x0))
+    image_prior = GaussianPrior.create(prior.mean - b, prior.precision)
+    rng = np.random.default_rng(17)
+    cur = point_state(prior, handle, x0)
+    stages = set()
+    for _ in range(120):
+        pre = point_state(image_prior, image_model, cur.x - b)
+        pre_next, pre_stage = step(pre, policy, image_prior, image_model, copy.deepcopy(rng))
+        nxt, stage = step(cur, policy, prior, handle, rng)
+        assert pre_stage == stage
+        np.testing.assert_allclose(pre_next.x + b, nxt.x, rtol=1e-9,
+                                   atol=4 * np.finfo(float).eps * 1e4)
         stages.add(stage)
         cur = nxt
     # a full rejection (-1) ran every stage of the policy

@@ -12,6 +12,7 @@ from gnmh.posterior import (
     gn_proposal,
     log_posterior,
     point_state,
+    point_state_from_eval,
 )
 from gnmh.sampler import Sampler
 
@@ -58,7 +59,7 @@ def test_gn_proposal_identity_residual():
     h = ModelHandle(lambda x, a: (1, [x[0]], [[1.0]]), None, dim_in=1)
     prior = GaussianPrior.create([0.0], [[1.0]])
     for x in (-2.0, 0.5, 3.0):
-        g = proposal(gn_proposal(prior, h.evaluate([x])))
+        g = proposal(point_state(prior, h, [x]))
         assert g.precision[0, 0] == pytest.approx(2.0)
         assert g.mean[0] == pytest.approx(0.0)
 
@@ -68,7 +69,7 @@ def test_gn_proposal_flat_prior_shifted_line():
     c = 1.7
     h = ModelHandle(lambda x, a: (1, [x[0] - c], [[1.0]]), None, dim_in=1)
     prior = GaussianPrior.flat([0.0])
-    g = proposal(gn_proposal(prior, h.evaluate([5.0])))
+    g = proposal(point_state(prior, h, [5.0]))
     assert g.precision[0, 0] == pytest.approx(1.0)
     assert g.mean[0] == pytest.approx(c)
 
@@ -76,7 +77,7 @@ def test_gn_proposal_flat_prior_shifted_line():
 def test_gn_proposal_quickstart_at_one():
     h = quickstart_handle(y=1.0, sigma=0.5)
     prior = GaussianPrior.create([0.0], [[1.0]])
-    g = proposal(gn_proposal(prior, h.evaluate([1.0])))
+    g = proposal(point_state(prior, h, [1.0]))
     assert g.precision[0, 0] == pytest.approx(17.0)
     assert g.mean[0] == pytest.approx(16.0 / 17.0)
 
@@ -84,7 +85,7 @@ def test_gn_proposal_quickstart_at_one():
 def test_gn_proposal_singular_when_flat_and_zero_jacobian():
     h = quickstart_handle(y=1.0, sigma=0.5)
     prior = GaussianPrior.flat([0.0])
-    assert gn_proposal(prior, h.evaluate([0.0])) is None
+    assert proposal(point_state(prior, h, [0.0])) is None
 
 
 def _random_spd(rng, n):
@@ -106,7 +107,7 @@ def test_affine_exactness_linear_model():
     mu_true = np.linalg.solve(P_true, H @ m + A.T @ b)
     for _ in range(20):
         x = rng.normal(size=2)
-        g = proposal(gn_proposal(prior, h.evaluate(x)))
+        g = proposal(point_state(prior, h, x))
         np.testing.assert_allclose(g.precision, P_true, rtol=1e-12)
         np.testing.assert_allclose(g.mean, mu_true, rtol=1e-10, atol=1e-12)
 
@@ -140,8 +141,8 @@ def test_affine_covariance_of_proposal():
         )
 
         x = rng.normal(size=n)
-        g = proposal(gn_proposal(prior, h.evaluate(B @ x + b)))
-        g_tilde = proposal(gn_proposal(prior_tilde, h_tilde.evaluate(x)))
+        g = proposal(point_state(prior, h, B @ x + b))
+        g_tilde = proposal(point_state(prior_tilde, h_tilde, x))
         np.testing.assert_allclose(g_tilde.precision, B.T @ g.precision @ B, rtol=1e-10)
         np.testing.assert_allclose(
             g_tilde.mean, np.linalg.solve(B, g.mean - b), rtol=1e-10, atol=1e-10
@@ -155,7 +156,7 @@ def test_completed_square_matches_linearized_target():
     prior = GaussianPrior.create([0.0], [[1.0]])
     x = np.array([0.8])
     ev = h.evaluate(x)
-    g = proposal(gn_proposal(prior, ev))
+    g = proposal(point_state_from_eval(prior, ev))
     f, J = ev.residual, ev.jacobian
 
     diffs = []
@@ -190,8 +191,7 @@ def test_point_state_outside_domain():
 
 
 def test_point_state_computes_residual_norm_and_log_post_once_bit_identically():
-    # the stored ||f||^2 and log-posterior equal the public function's, and
-    # the prior's H m is computed once and reused
+    # the stored ||f||^2 and log-posterior equal the public function's
     rng = np.random.default_rng(11)
     h = linear_handle(rng.normal(size=(4, 3)), rng.normal(size=4))
     prior = GaussianPrior.create(rng.normal(size=3), _random_spd(rng, 3))
@@ -201,33 +201,31 @@ def test_point_state_computes_residual_norm_and_log_post_once_bit_identically():
         f = st.residual
         assert st.residual_sq == float(f @ f)
         assert st.log_post == log_posterior(prior, h.evaluate(x))
-    np.testing.assert_array_equal(prior.precision_mean, prior.precision @ prior.mean)
-    assert prior.precision_mean is prior.precision_mean
 
 
 def _reference_gn_proposal(prior, ev, x):
-    # the validated construction: a symmetrized P, its factor, and scipy's
-    # triangular solves
+    # the validated construction of the step form: a symmetrized P, its
+    # factor L, g = H(m - x) - J'f, and scipy's triangular solve L v = g
     J, f = ev.jacobian, ev.residual
-    JtJ = J.T @ J
-    P = prior.precision + JtJ
+    P = prior.precision + J.T @ J
     P = 0.5 * (P + P.T)
     chol, log_norm = _factor(P)
-    rhs = prior.precision @ prior.mean - J.T @ f + JtJ @ x
-    half = solve_triangular(chol, rhs, lower=True, check_finite=False)
-    mu = solve_triangular(chol, half, lower=True, trans="T", check_finite=False)
-    return PrecisionGaussian(mean=mu, precision=P, chol=chol, log_norm=log_norm)
+    jtf = J.T @ f
+    v = solve_triangular(chol, (prior.mean - x) @ prior.precision - jtf, lower=True,
+                         check_finite=False)
+    return v, chol, log_norm, jtf
 
 
 def _reference_sample(g, z):
     return g.mean + solve_triangular(g.chol, z, lower=True, trans="T", check_finite=False)
 
 
-def _assert_same_gaussian(got, ref):
-    np.testing.assert_array_equal(got.mean, ref.mean)
-    np.testing.assert_array_equal(got.precision, ref.precision)
-    np.testing.assert_array_equal(got.chol, ref.chol)
-    assert got.log_norm == ref.log_norm
+def _assert_same_record(got, ref):
+    v, chol, log_norm, jtf = ref
+    np.testing.assert_array_equal(got.v, v)
+    np.testing.assert_array_equal(got.chol, chol)
+    assert got.log_norm == log_norm
+    np.testing.assert_array_equal(got.jtf, jtf)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
@@ -240,8 +238,9 @@ def test_gn_proposal_and_sample_bit_identical_to_validated_path(n):
             f = rng.normal(size=n + 2)
             ev = ModelEval(x=x, inside=True, residual=f, jacobian=rng.normal(size=(n + 2, n)),
                            residual_sq=float(f.dot(f)))
-            g = proposal(gn_proposal(prior, ev))
-            _assert_same_gaussian(g, _reference_gn_proposal(prior, ev, x))
+            st = point_state_from_eval(prior, ev)
+            _assert_same_record(st, _reference_gn_proposal(prior, ev, x))
+            g = proposal(st)
             center = rng.normal(size=n)
             dilated = [g.dilate(center, gamma) for gamma in (1.0, 0.5, 0.13)]
             f_ordered = PrecisionGaussian(mean=g.mean, precision=g.precision,
@@ -265,30 +264,36 @@ def _jacobian_in_layout(J, layout):
     return big[::2, ::3]
 
 
-@pytest.mark.parametrize("layout", ["C", "F", "strided"])
-def test_gn_proposal_precision_exactly_symmetric_for_any_jacobian_layout(layout):
-    # gn_proposal does not symmetrize H + J'J: H is exactly symmetric and
-    # J.T @ J is too, so P equals the symmetrized formula bit for bit
-    rng = np.random.default_rng({"C": 61, "F": 62, "strided": 63}[layout])
-    # J.T.dot(J) of a strided 16x12 or 30x12 J is not exactly symmetric
+def test_point_state_record_same_for_any_jacobian_layout():
+    # the same numbers as a C-ordered, F-ordered or strided Jacobian give one
+    # proposal record: a strided J is copied C-contiguous, so its record is
+    # the C one bit for bit, and J'J, hence L and log_norm, is the same for
+    # every layout. For an F-ordered J, BLAS sums J'f in another order, so
+    # J'f and v may differ in the last bits; they equal the validated
+    # construction on that layout
+    rng = np.random.default_rng(61)
     for n, m in [(n, m) for n in range(1, 13) for m in (n + 1, n + 4, 30)]:
         H = _random_spd(rng, n)
         H[0, -1] += 1e-13  # a prior built with the constructor may be asymmetric
         for prior in (GaussianPrior.flat(np.zeros(n)), GaussianPrior(rng.normal(size=n), H)):
             for _ in range(5):
-                J = _jacobian_in_layout(rng.normal(size=(m, n)), layout)
-                h = ModelHandle(lambda x, a, J=J: (1, rng.normal(size=m), J), None, dim_in=n)
-                x = rng.normal(size=n)
-                ev = h.evaluate(x)
-                # evaluate's copy keeps the model's C or F layout; a strided
-                # J is copied C-contiguous
-                flags = ev.jacobian.flags
-                assert {"C": flags.c_contiguous, "F": flags.f_contiguous,
-                        "strided": flags.c_contiguous}[layout]
-                P = proposal(gn_proposal(prior, ev)).precision
-                np.testing.assert_array_equal(P, P.T)
-                ref = prior.precision + ev.jacobian.T @ ev.jacobian
-                np.testing.assert_array_equal(P, 0.5 * (ref + ref.T))
+                J, f, x = rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=n)
+                records = {}
+                for layout in ("C", "F", "strided"):
+                    Jl = _jacobian_in_layout(J, layout)
+                    h = ModelHandle(lambda x, a, Jl=Jl: (1, f, Jl), None, dim_in=n)
+                    ev = h.evaluate(x)
+                    # evaluate's copy keeps the model's C or F layout; a
+                    # strided J is copied C-contiguous
+                    flags = ev.jacobian.flags
+                    assert {"C": flags.c_contiguous, "F": flags.f_contiguous,
+                            "strided": flags.c_contiguous}[layout]
+                    records[layout] = point_state_from_eval(prior, ev)
+                    _assert_same_record(records[layout], _reference_gn_proposal(prior, ev, x))
+                c, f_ordered, strided = records["C"], records["F"], records["strided"]
+                _assert_same_record(strided, (c.v, c.chol, c.log_norm, c.jtf))
+                np.testing.assert_array_equal(f_ordered.chol, c.chol)
+                assert f_ordered.log_norm == c.log_norm
 
 
 def test_prior_constructor_makes_precision_exactly_symmetric():
@@ -370,7 +375,7 @@ def test_gn_proposal_non_finite_jtj_raises_naming_x(fn, n):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(UserFunctionFailure, match=r"x = \[0\.625.*J'J is not finite"):
-            gn_proposal(GaussianPrior.flat(np.zeros(n)), ev)
+            gn_proposal(GaussianPrior.flat(np.zeros(n)), ev, np.zeros(n))
 
 
 @pytest.mark.parametrize("action", ["default", "error"])
@@ -446,7 +451,7 @@ def test_opposite_infinite_residuals_are_zero_density_under_any_warning_filter(a
         warnings.simplefilter(action, RuntimeWarning)
         st = point_state(GaussianPrior.create([0.0], [[1.0]]), h, [0.5])
     assert st.log_post == -np.inf and not st.proposal_failed
-    assert np.isfinite(st.log_norm) and np.isnan(st.mean).all()
+    assert np.isfinite(st.log_norm) and np.isnan(st.v).all()
 
 
 @pytest.mark.parametrize("action", ["default", "error"])
@@ -465,7 +470,7 @@ def test_overflowing_residual_norm_is_zero_density_under_any_warning_filter(acti
 
 
 _STATE_FIELDS = ("x", "residual", "jacobian", "residual_sq", "log_post",
-                 "mean", "precision", "chol", "log_norm")
+                 "v", "chol", "log_norm", "jtf")
 
 
 def _assert_same_state(got, ref):
@@ -513,5 +518,5 @@ def test_point_state_keeps_the_models_layout(layout):
             assert st.jacobian.flags.f_contiguous == (layout == "F" or n == 1)
             assert st.residual is not f and st.jacobian is not J
             ev = ModelEval(x=x, inside=True, residual=f, jacobian=J, residual_sq=float(f.dot(f)))
-            _assert_same_gaussian(proposal(st), _reference_gn_proposal(prior, ev, x))
+            _assert_same_record(st, _reference_gn_proposal(prior, ev, x))
             assert st.log_post == log_posterior(prior, ev)
