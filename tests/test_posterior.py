@@ -296,6 +296,45 @@ def test_point_state_record_same_for_any_jacobian_layout():
                 assert f_ordered.log_norm == c.log_norm
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_gn_proposal_precision_exactly_symmetric_for_any_jacobian_layout(layout, monkeypatch):
+    # gn_proposal does not symmetrize H + J'J: H is exactly symmetric and
+    # J.T @ J is too, so the precision it factors equals the symmetrized
+    # formula bit for bit, as _factor's contract asks
+    factored = []
+
+    def recording_factor(precision):
+        factored.append(precision.copy())
+        return _factor(precision)
+
+    monkeypatch.setattr("gnmh.posterior._factor", recording_factor)
+    rng = np.random.default_rng({"C": 61, "F": 62, "strided": 63}[layout])
+    # J.T.dot(J) of a strided 16x12 or 30x12 J is not exactly symmetric
+    for n, m in [(n, m) for n in range(1, 13) for m in (n + 1, n + 4, 30)]:
+        H = _random_spd(rng, n)
+        H[0, -1] += 1e-13  # a prior built with the constructor may be asymmetric
+        for prior in (GaussianPrior.flat(np.zeros(n)), GaussianPrior(rng.normal(size=n), H)):
+            for _ in range(5):
+                J = _jacobian_in_layout(rng.normal(size=(m, n)), layout)
+                h = ModelHandle(lambda x, a, J=J: (1, rng.normal(size=m), J), None, dim_in=n)
+                x = rng.normal(size=n)
+                ev = h.evaluate(x)
+                # evaluate's copy keeps the model's C or F layout; a strided
+                # J is copied C-contiguous
+                flags = ev.jacobian.flags
+                assert {"C": flags.c_contiguous, "F": flags.f_contiguous,
+                        "strided": flags.c_contiguous}[layout]
+                factored.clear()
+                st = point_state_from_eval(prior, ev)
+                (P,) = factored
+                np.testing.assert_array_equal(P, P.T)
+                ref = prior.precision + ev.jacobian.T @ ev.jacobian
+                np.testing.assert_array_equal(P, 0.5 * (ref + ref.T))
+                chol, log_norm = _factor(0.5 * (ref + ref.T))
+                np.testing.assert_array_equal(st.chol, chol)
+                assert st.log_norm == log_norm
+
+
 def test_prior_constructor_makes_precision_exactly_symmetric():
     rng = np.random.default_rng(64)
     for n in (2, 3, 5):
