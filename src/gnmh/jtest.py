@@ -150,20 +150,20 @@ def _check_point(model: ModelHandle, x_k: np.ndarray, delta0: np.ndarray,
                  options: JtestOptions) -> Optional[float]:
     """Test one point. None means it passed; a float is its final error."""
     analytic = _evaluate_inside(model, x_k).jacobian
-    n = analytic.shape[1]
+    m, n = analytic.shape
+    f_plus, f_minus = np.empty((n, m)), np.empty((n, m))
 
     eps = np.inf
     for l in range(options.l_max + 1):
         delta = delta0 * options.r ** l
-        plus, minus = [], []
         for j in range(n):
             shift = np.zeros(n)
             shift[j] = delta[j]
-            plus.append(_evaluate_inside(model, x_k + shift).residual)
-            minus.append(_evaluate_inside(model, x_k - shift).residual)
+            f_plus[j] = _evaluate_inside(model, x_k + shift).residual
+            f_minus[j] = _evaluate_inside(model, x_k - shift).residual
         # a NaN or inf this makes is judged below, whatever the warning filter
         with np.errstate(over="ignore", invalid="ignore"):
-            numeric = (np.column_stack(plus) - np.column_stack(minus)) / (2.0 * delta)
+            numeric = (f_plus - f_minus).T / (2.0 * delta)
             eps = float(np.linalg.norm((numeric - analytic).ravel(), ord=options.p))
         if eps <= options.eps_max:
             return None

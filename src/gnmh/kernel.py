@@ -32,10 +32,13 @@ each dilated kernel and acceptance is computed once per transition; a
 density is computed where it is read.
 
 Every log(1 - A) term is <= 0, so a path weight without them bounds it from
-above. ``step`` first tests each back-off stage's candidate against that
-bound on the reverse weight, over a lower bound on the forward one, and
-computes the nested recursion only when the bound cannot reject; the
-decisions are those of the full computation.
+above, and so does one with each intermediate kernel density replaced by
+its kernel's log_norm - n log s, which is no less. ``step`` tests each
+back-off stage's candidate against these two bounds on the reverse weight
+in turn, over a lower bound on the forward one: the looser first, which
+reads only the origin's reverse density, then the tighter. It computes
+the nested recursion only when neither can reject; the decisions are those
+of the full computation.
 
 All ratio arithmetic is in log space; log 0 is -inf and propagates to an
 acceptance probability of 0.
@@ -360,22 +363,26 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
     more stages, and ``step`` reads it only through ``kernel``,
     ``density``, ``path`` and ``log_accept``.
 
-    A back-off stage j is first tested against a bound. A never-accepted
-    candidate has A = 0 and is rejected whatever u. Otherwise ``fwd_lo``
-    is a lower bound on the origin's forward weight: stage one's weight,
-    then per stage one log(1 - A) and one kernel density, with the exact A
-    of a stage decided exactly (``fwd_lo`` is then the exact weight) and
-    e^bound for a stage the bound rejected, whose A is at most that. The
-    reverse weight without its nested log(1 - A) terms, log p(y_j) plus
-    y_j's j kernel densities (of ``pts[1..j-1]``, then of the origin)
-    summed in the table's order, is at least the exact one, also after
-    rounding, as float addition is monotone. So log A <= bound = that sum
-    - ``fwd_lo``, and log u >= bound + 1e-9 (1 + |fwd_lo|) rejects y_j as
-    the exact test would; the margin covers the rounding of log, exp and
-    log(1 - e^a). Anything else (a tie, u = 0, a NaN, a forward bound of
-    -inf) computes the exact ``log_accept``. The densities are the
-    table's, so the decisions, the draws and the chain equal the full
-    computation's.
+    A back-off stage j is first tested against a bound, in two tiers. A
+    never-accepted candidate has A = 0 and is rejected whatever u.
+    Otherwise ``fwd_lo`` is a lower bound on the origin's forward weight:
+    stage one's weight, then per stage one log(1 - A) and one kernel
+    density, with the exact A of a stage decided exactly (``fwd_lo`` is
+    then the exact weight) and e^bound for a stage a bound rejected, whose
+    A is at most that. The reverse weight without its nested log(1 - A)
+    terms, log p(y_j) plus y_j's j kernel densities (of ``pts[1..j-1]``,
+    then of the origin) summed in the table's order, is at least the exact
+    one, also after rounding, as float addition is monotone. The first
+    tier puts in place of each density of ``pts[1..j-1]`` its kernel's
+    log_norm - n log s (the second float of ``kernel``), which is at least
+    that density, log_norm - q / 2 with q >= 0; so it needs one density,
+    the origin's, and its sum is at least the second tier's. In either
+    tier log A <= bound = the sum - ``fwd_lo``, and log u >= bound +
+    1e-9 (1 + |fwd_lo|) rejects y_j as the exact test would; the margin
+    covers the rounding of log, exp and log(1 - e^a). Anything else (a
+    tie, u = 0, a NaN, a forward bound of -inf) computes the exact
+    ``log_accept``. The densities are the table's, so the decisions, the
+    draws and the chain equal the full computation's.
     """
     z_state, log_q = _draw(current, 1.0, current.log_norm, prior, model, rng, counters)
     log_fwd = current.log_post + log_q
@@ -400,15 +407,19 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
         if _never_accepted(z_state):
             log_a = -math.inf
             continue
-        rev_hi = z_state.log_post
-        for h in range(1, j):
-            rev_hi += table.density(j, h - 1, h)
-        bound = rev_hi + table.density(j, j - 1, 0) - fwd_lo
-        if u > 0.0 and math.log(u) >= bound + 1e-9 * (1.0 + abs(fwd_lo)):
-            log_a = bound
+        rev_origin = table.density(j, j - 1, 0)
+        for tier in range(2):
+            rev_hi = z_state.log_post
+            for h in range(1, j):
+                rev_hi += table.density(j, h - 1, h) if tier else table.kernel(j, h - 1)[1]
+            bound = rev_hi + rev_origin - fwd_lo
+            if u > 0.0 and math.log(u) >= bound + 1e-9 * (1.0 + abs(fwd_lo)):
+                break
+        else:
+            log_a = table.log_accept(0, j)
+            if u < math.exp(log_a):
+                return z_state, j
+            fwd_lo = table.path(0, j, j)
             continue
-        log_a = table.log_accept(0, j)
-        if u < math.exp(log_a):
-            return z_state, j
-        fwd_lo = table.path(0, j, j)
+        log_a = bound
     return current, -1

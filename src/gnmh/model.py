@@ -20,7 +20,7 @@ fill and return the same buffers on every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -160,27 +160,35 @@ def linear_model(x, args):
     return True, A @ x - b, A
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpSeriesArgs:
     """Data bundle for the exponential-decay time-series model.
 
     ``times``, ``data`` and ``noise_sd`` all have length m; every noise
-    standard deviation must be positive.
+    standard deviation must be positive. The fields are read once, at
+    construction, into read-only float64 copies, beside the column -t and
+    1/noise_sd that every model call uses; the class is frozen, so none of
+    them can go stale.
     """
 
     times: np.ndarray
     data: np.ndarray
     noise_sd: np.ndarray
+    neg_times: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_sd: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float).reshape(-1)
-        self.data = np.asarray(self.data, dtype=float).reshape(-1)
-        self.noise_sd = np.asarray(self.noise_sd, dtype=float).reshape(-1)
-        m = self.times.shape[0]
-        if self.data.shape[0] != m or self.noise_sd.shape[0] != m:
+        times, data, noise_sd = (np.array(v, dtype=float).reshape(-1)
+                                 for v in (self.times, self.data, self.noise_sd))
+        m = times.shape[0]
+        if data.shape[0] != m or noise_sd.shape[0] != m:
             raise DimensionMismatch("times, data and noise_sd must share a length")
-        if np.any(self.noise_sd <= 0.0):
+        if np.any(noise_sd <= 0.0):
             raise ValueError("noise_sd must be strictly positive")
+        for name, value in (("times", times), ("data", data), ("noise_sd", noise_sd),
+                            ("neg_times", -times[:, None]), ("inv_sd", 1.0 / noise_sd)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def exp_series_model(x, args: ExpSeriesArgs):
@@ -191,19 +199,16 @@ def exp_series_model(x, args: ExpSeriesArgs):
     (g(t_k) - data_k) / noise_sd_k; the Jacobian is analytic:
     d/dw_i = exp(-rate_i t_k) / sd_k and
     d/drate_i = -w_i t_k exp(-rate_i t_k) / sd_k.
+    -t and 1/sd are read from ``args``, which computed them once.
     """
     d = x.shape[0] // 2
     w = x[:d]
-    rates = x[d:]
-    t = args.times[:, None]
-    decay = np.exp(-(t * rates))  # (m, d)
-    g = decay.dot(w)
-    inv_sd = 1.0 / args.noise_sd
-    f = (g - args.data) * inv_sd
-    inv_sd_col = inv_sd[:, None]
-    jac = np.empty((t.shape[0], 2 * d))
-    np.multiply(decay, inv_sd_col, out=jac[:, :d])
-    np.multiply(-(w * decay) * t, inv_sd_col, out=jac[:, d:])
+    decay = np.exp(args.neg_times * x[d:])  # (m, d)
+    f = (decay.dot(w) - args.data) * args.inv_sd
+    jac_rate = w * decay
+    jac_rate *= args.neg_times
+    jac = np.concatenate((decay, jac_rate), axis=1)
+    jac *= args.inv_sd[:, None]
     return True, f, jac
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -129,6 +130,48 @@ def test_exp_series_args_validation():
         ExpSeriesArgs(times=[0.0, 1.0], data=[1.0], noise_sd=[1.0, 1.0])
     with pytest.raises(ValueError):
         ExpSeriesArgs(times=[0.0], data=[1.0], noise_sd=[0.0])
+
+
+@pytest.mark.parametrize("name", ["times", "data", "noise_sd", "neg_times", "inv_sd"])
+def test_exp_series_args_fields_cannot_be_assigned(name):
+    args = ExpSeriesArgs(times=[0.0, 1.0], data=[1.0, 0.5], noise_sd=[0.1, 0.2])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(args, name, np.zeros(2))
+
+
+def test_exp_series_args_hold_read_only_copies():
+    times, data, noise_sd = np.array([0.0, 1.0]), np.array([1.0, 0.5]), np.array([0.1, 0.2])
+    args = ExpSeriesArgs(times=times, data=data, noise_sd=noise_sd)
+    x = np.array([1.0, 2.5, 0.5, 3.1])
+    before = exp_series_model(x, args)
+    times[1], data[1], noise_sd[1] = 7.0, -3.0, 9.0
+    after = exp_series_model(x, args)
+    for a, b in zip(before[1:], after[1:]):
+        np.testing.assert_array_equal(a, b)
+    for name in ("times", "data", "noise_sd", "neg_times", "inv_sd"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(args, name)[0] = 1.0
+
+
+def test_exp_series_list_args_same_output_as_arrays():
+    rng = np.random.default_rng(8)
+    times, data, noise_sd = rng.uniform(0.0, 3.0, 6), rng.normal(size=6), rng.uniform(0.1, 1.0, 6)
+    from_lists = ExpSeriesArgs(times.tolist(), data.tolist(), noise_sd.tolist())
+    from_arrays = ExpSeriesArgs(times, data, noise_sd)
+    for _ in range(20):
+        x = rng.normal(size=4)
+        for a, b in zip(exp_series_model(x, from_lists), exp_series_model(x, from_arrays)):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_exp_series_overflow_names_x_under_an_error_filter():
+    # a rate of -1e3 at t = 3 makes exp overflow inside the model
+    h = exp_series_handle(ExpSeriesArgs(times=[0.0, 3.0], data=[1.0, 1.0],
+                                        noise_sd=[1.0, 1.0]), n_terms=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(UserFunctionFailure, match=r"x = \[1\.0, -1000\.0\].*overflow"):
+            h.evaluate([1.0, -1e3])
 
 
 def test_linear_identity_case():
