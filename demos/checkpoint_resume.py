@@ -29,7 +29,7 @@ reference.run_sample(5000, divs=10)
 
 # the checkpoint lives in a directory that is removed at the end
 with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "chain_state.json")
+    path = os.path.join(tmp, "chain_state.ckpt")
 
     # the "crashed" run: only 3 of the 10 divisions complete before the
     # process dies, but each division saved a checkpoint

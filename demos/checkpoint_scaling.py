@@ -38,7 +38,7 @@ def measure(rows: int) -> tuple:
                            prior=GaussianPrior.create([0.0], [[1.0]]))
     sampler.run_sample(rows)
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "state.json")
+        path = os.path.join(tmp, "state.ckpt")
         first = ms(lambda: sampler.save_checkpoint(path))
         size = sum(os.path.getsize(os.path.join(tmp, name)) for name in os.listdir(tmp))
         unchanged = statistics.median(

@@ -376,8 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     metavar=("I", "J"), help="write the 2D marginal of x_I and x_J")
     ps.add_argument("--out-dir", default=".", help="directory of the output files")
     ps.add_argument("--checkpoint", metavar="PATH",
-                    help="enables safe mode: the state document goes to PATH and the "
-                         "chain rows to PATH.chain or PATH.chain-b beside it")
+                    help="enables safe mode: after each division the state and the "
+                         "chain rows are saved to the one checkpoint file PATH")
     ps.add_argument("--visual", action="store_true", help="print progress after each division")
     ps.add_argument("--chains", type=int, default=1, help="chains, seeded seed, seed + 1, ...")
     ps.add_argument("--x0", type=float, nargs="+")

@@ -44,8 +44,8 @@ class BurnTooLarge(GnmhError):
 
 
 class CorruptCheckpoint(GnmhError):
-    """A checkpoint failed validation: its version, a checksum, or a chain
-    file that is missing or shorter than the document says."""
+    """A checkpoint failed validation: its version, a field no sampler can
+    have, or no slot whose document and chain rows match their checksums."""
 
 
 class IOFailure(GnmhError):

@@ -69,7 +69,7 @@ class JtestOptions:
                              f"l_max are integers, dx, eps_max, p and r real numbers")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JtestDomain:
     """Open box {x : x_min < x < x_max} the test points are drawn from.
 

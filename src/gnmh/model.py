@@ -160,7 +160,7 @@ def linear_model(x, args):
     return True, A @ x - b, A
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpSeriesArgs:
     """Data bundle for the exponential-decay time-series model.
 

@@ -21,7 +21,7 @@ from .gaussian import _factor, _solve_lower
 from .model import ModelEval, ModelHandle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPrior:
     """Gaussian prior with mean ``mean`` and precision matrix ``precision``.
 

@@ -1,27 +1,34 @@
 """Chain orchestration: initialization, prior and back-off configuration,
 sampling in divisions with optional checkpointing, burn-in, and counters.
 
-The chain is one growing float64 array. A checkpoint is two files:
+The chain is one growing float64 array. A checkpoint is one file:
 
-- the state document at the checkpoint path: compact JSON from ``json``,
-  numbers in shortest round-trip form, with a CRC-32 checksum over its own
-  text (the document without its checksum field). It holds every fact but
-  the chain rows, each once, so a resumed run continues bit-identically; it
-  names the chain file, its row count and the rows' CRC-32;
-- the chain file beside it, the document's path plus ``.chain`` or
-  ``.chain-b``: the rows as raw little-endian float64, append-only.
+- a header: the magic ``GNMHCKPT``, then the format version and the slot
+  size as little-endian 32-bit integers;
+- two slots of that size, each a state document followed by zero bytes, or
+  all zeros. A document is compact JSON from ``json``, numbers in shortest
+  round-trip form, with a CRC-32 checksum over its own text (the document
+  without its checksum field). It holds every fact but the chain rows,
+  each once, so a resumed run continues bit-identically; it names its save
+  number, the chain's row count and the rows' CRC-32;
+- the chain rows as raw little-endian float64, row after row.
 
-A save appends the rows added since the last save to the chain file and
-fsyncs it, then replaces the document through a temp file, fsynced and
-renamed, and fsyncs the directory. A save that must write the whole chain
-writes it to the chain file the current document does not name, so the
-previous checkpoint stays loadable until the new document replaces it.
+A save by the sampler that last wrote or loaded the file appends: it
+writes the rows added since the newest slot's rows after them, cuts the
+file there, writes its document into the other slot and fsyncs the file.
+Neither write touches what the newest slot reads, and a slot counts only
+when its text and its rows match their CRC-32s, so a save stopped at any
+point, its writes persisted in any order or torn, leaves the previous
+state or the new one. Any other save writes the whole file to a temp file,
+fsynced and renamed over the path, and fsyncs the directory.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import struct
 import zlib
 from typing import Dict, NamedTuple, Optional, Union
 
@@ -45,52 +52,61 @@ from .kernel import BackoffPolicy
 from .model import ModelEval, ModelHandle
 from .posterior import GaussianPrior, log_posterior, point_state_from_eval
 
-_CHECKPOINT_VERSION = 3
+_CHECKPOINT_VERSION = 4
 _CHECKSUM_KEY = b',"checksum":'
-# the two chain file names, as suffixes of the document's path
-_CHAIN_SUFFIXES = (".chain", ".chain-b")
+# the magic, the format version and the slot size
+_HEADER = struct.Struct("<8sII")
+_MAGIC = b"GNMHCKPT"
+# a slot's save number, read to order the slots before either is parsed
+_SAVE = re.compile(rb'"save":(\d+),')
 
 
 def _checksum_field(crc: int) -> bytes:
-    """The checksum field and the end of the file, for the CRC-32 ``crc`` of
-    the document text without that field."""
+    """The checksum field and the end of the document, for the CRC-32
+    ``crc`` of the document text without that field."""
     return _CHECKSUM_KEY + b'"%08x"}\n' % crc
 
 
-class _ChainFile(NamedTuple):
-    """The chain file a state document names: the suffix that makes its
-    name from the document's, and the CRC-32 of its first ``rows`` rows of
-    ``dim`` numbers."""
+class _Written(NamedTuple):
+    """The checkpoint file a sampler last wrote or loaded: its header and
+    both slots, and the newest slot's save number, row count and rows'
+    CRC-32. Those rows are the first rows of the sampler's chain."""
 
-    dim: int
-    suffix: str
+    head: bytes
+    save: int
     rows: int
     crc: int
 
 
-def _read_document(path: str) -> dict:
-    """The parsed state document at ``path``. ``CorruptCheckpoint`` refuses
-    text that is not JSON, another format version, named by its number, and
-    a CRC-32 that does not match the file's bytes; ``OSError`` is raised
-    when the file cannot be read."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptCheckpoint(f"checkpoint is not valid JSON: {exc}") from exc
-    version = doc.get("format_version") if isinstance(doc, dict) else None
+def _check_version(version) -> None:
+    """Refuse, naming it, any format version but this release's."""
     if version != _CHECKPOINT_VERSION:
         raise CorruptCheckpoint(f"checkpoint format version {version} is not "
                                 f"supported; this release reads version "
                                 f"{_CHECKPOINT_VERSION}")
-    # the CRC of the text before the checksum field, closed with "}"
-    end = data.rfind(_CHECKSUM_KEY)
-    if end < 0:
-        raise CorruptCheckpoint("checkpoint has no checksum")
-    if data[end:] != _checksum_field(zlib.crc32(b"}", zlib.crc32(memoryview(data)[:end]))):
-        raise CorruptCheckpoint("checksum mismatch")
+
+
+def _parse(text: bytes) -> dict:
+    """The JSON document ``text``. ``CorruptCheckpoint`` refuses text that is
+    not JSON and another format version, named by its number."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptCheckpoint(f"checkpoint is not valid JSON: {exc}") from exc
+    _check_version(doc.get("format_version") if isinstance(doc, dict) else None)
     return doc
+
+
+def _read_document(slot: bytes) -> Optional[dict]:
+    """The state document in the bytes of a slot, judged by ``_parse``; None
+    when the text before the zero fill does not match its CRC-32, as in a
+    slot a stopped save left torn or one never written."""
+    text = slot.rstrip(b"\0")
+    # the CRC of the text before the checksum field, closed with "}"
+    end = text.rfind(_CHECKSUM_KEY)
+    if end < 0 or text[end:] != _checksum_field(zlib.crc32(b"}", zlib.crc32(text[:end]))):
+        return None
+    return _parse(text)
 
 
 def _numbers(name: str, values) -> np.ndarray:
@@ -102,66 +118,19 @@ def _numbers(name: str, values) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _chain_file(doc: dict) -> _ChainFile:
-    """The chain file ``doc`` names, of rows as long as its current point."""
-    return _ChainFile(len(doc["current_x"]), doc["chain_file"],
-                      check_count("chain_rows", doc["chain_rows"]), int(doc["chain_crc"], 16))
-
-
 def _raw_rows(rows: np.ndarray) -> memoryview:
     """The bytes of ``rows`` as little-endian float64, row after row."""
     return memoryview(np.ascontiguousarray(rows, dtype="<f8").reshape(-1).view(np.uint8))
 
 
-def _write_synced(path: str, data, offset: int, create: bool) -> None:
-    """Write the bytes ``data`` at ``offset`` in the file at ``path``, cut
-    the file after them and fsync it."""
-    fd = os.open(path, os.O_WRONLY | (os.O_CREAT if create else 0), 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            written = os.pwrite(fd, view, offset)
-            view, offset = view[written:], offset + written
-        os.ftruncate(fd, offset)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _replace_synced(path: str, data: bytes) -> None:
-    """Replace the file at ``path`` by ``data`` atomically and durably: a
-    temp file, fsynced, renamed over ``path``, then the directory fsynced."""
-    tmp = path + ".tmp"
-    _write_synced(tmp, data, 0, create=True)
-    os.replace(tmp, path)
-    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
-def _read_chain(path: str, chain: _ChainFile) -> np.ndarray:
-    """The first ``chain.rows`` rows of the chain file at ``path``, checked
-    against ``chain.crc``. Bytes after them, left by a save that stopped
-    between its append and its document replace, are not read."""
-    size = chain.rows * chain.dim * 8
-    try:
-        with open(path, "rb") as fh:
-            # a file too short for the rows allocates nothing; np.empty, unlike
-            # bytearray, does not zero the bytes that readinto overwrites
-            buf = np.empty(size if os.fstat(fh.fileno()).st_size >= size else 0, np.uint8)
-            got = fh.readinto(buf)
-    except FileNotFoundError as exc:
-        raise CorruptCheckpoint(f"chain file {path} is missing") from exc
-    except OSError as exc:
-        raise IOFailure(f"could not read chain file: {exc}") from exc
-    if got < size:
-        raise CorruptCheckpoint(f"chain file {path} holds fewer than the "
-                                f"checkpoint's {chain.rows} rows")
-    if zlib.crc32(buf) != chain.crc:
-        raise CorruptCheckpoint(f"chain file {path}: checksum mismatch")
-    return buf.view("<f8").reshape(chain.rows, chain.dim)
+def _write(fd: int, data, offset: int) -> int:
+    """Write the bytes ``data`` at ``offset`` in the file ``fd``; return the
+    offset after them."""
+    view = memoryview(data)
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
+    return offset
 
 
 class Sampler:
@@ -374,9 +343,8 @@ class Sampler:
         save writes all of it."""
         self._buf = rows
         self._n = rows.shape[0]
-        # the chain file of the document this sampler last saved or loaded;
-        # its rows are the first rows of this chain
-        self._on_disk: Optional[_ChainFile] = None
+        # the checkpoint file this sampler last saved or loaded
+        self._written: Optional[_Written] = None
 
     def _reserve(self, extra: int) -> None:
         """Make room for ``extra`` more rows, at least doubling the buffer
@@ -389,14 +357,15 @@ class Sampler:
 
     # -- checkpointing ----------------------------------------------------
 
-    def _document(self, chain: _ChainFile) -> bytes:
-        """The state document's bytes, naming ``chain`` as its chain file."""
+    def _document(self, save: int, crc: int) -> bytes:
+        """The state document's bytes, numbered ``save``, for a chain whose
+        rows have the CRC-32 ``crc``."""
         policy, prior = self.policy, self.prior
         body = json.dumps({
             "format_version": _CHECKPOINT_VERSION,
-            "chain_file": chain.suffix,
-            "chain_rows": chain.rows,
-            "chain_crc": "%08x" % chain.crc,
+            "save": save,
+            "chain_rows": self._n,
+            "chain_crc": "%08x" % crc,
             "counters": {
                 "call_count": self.call_count,
                 "burned": int(self.burned),
@@ -407,8 +376,6 @@ class Sampler:
                 "mode": policy.mode,
                 "max_steps": int(policy.max_steps),
                 "factor": float(policy.factor),
-                "t_lo": float(policy.t_lo),
-                "t_hi": float(policy.t_hi),
             },
             "prior": {
                 "mean": prior.mean.tolist(),
@@ -420,70 +387,95 @@ class Sampler:
         return body[:-1] + _checksum_field(zlib.crc32(body))
 
     def save_checkpoint(self, path: Union[str, os.PathLike]) -> None:
-        """Write the full sampler state atomically and durably.
+        """Write the full sampler state atomically and durably, as one file
+        at ``path``.
 
-        The state document goes to ``path``, and the chain rows to a chain
-        file beside it (``path`` plus ``.chain`` or ``.chain-b``) that the
-        document names. When the document at ``path`` is the one this
-        sampler last saved or loaded, the save appends the rows added since
-        then at the end of their chain file, cutting off anything a stopped
-        save left after them, and fsyncs it. Otherwise (the first save to
-        ``path``, or the first after :meth:`burn`) it writes the whole chain
-        to the chain file that the document at ``path`` does not name. Then
-        the document is replaced: a temp file, fsynced, renamed over
-        ``path``, then the directory fsynced. Only after that is the other
-        chain file removed, so a save stopped at any point leaves the
-        previous checkpoint or the new one.
+        When the file's header and both slots are the bytes this sampler
+        last wrote or loaded, and the new document fits a slot, the save
+        appends: the rows added since then go after the rows of the newest
+        slot, the file is cut after them, the document goes into the older
+        slot, and the file is fsynced. Otherwise (the first save to
+        ``path``, the first after :meth:`burn`, a file another run wrote,
+        or a document longer than a slot) the whole file, its document in
+        slot 0 and slots twice that document's length, goes to a temp file,
+        fsynced and renamed over ``path``, then the directory is fsynced. A
+        save stopped at any point leaves the previous checkpoint or the new
+        one.
 
-        The document's bytes depend only on the sampler's state and on
-        which chain file it names.
+        A document is numbered 0 in a whole file and one more than the
+        newest slot's number in an append, so the file's bytes depend only
+        on the sampler's state and that number.
         """
         path = os.fspath(path)
+        last = self._written
         try:
             try:
-                named = _chain_file(_read_document(path))
-            except (FileNotFoundError, CorruptCheckpoint, LookupError, TypeError, ValueError):
-                named = None  # no readable document of this version names a chain file
-            start = self._on_disk
-            if start is None or named != start:
-                # whole chain, to the file the document at ``path`` does not name
-                other = named is not None and named.suffix == _CHAIN_SUFFIXES[0]
-                start = _ChainFile(self.dim, _CHAIN_SUFFIXES[other], 0, 0)
-            rows = _raw_rows(self._buf[start.rows:self._n])
-            saved = start._replace(rows=self._n, crc=zlib.crc32(rows, start.crc))
-            # an empty chain still gets its chain file; an append of no
-            # rows leaves the file alone
-            if start.rows == 0 or rows:
-                _write_synced(path + saved.suffix, rows, start.rows * self.dim * 8,
-                              create=start.rows == 0)
-            _replace_synced(path, self._document(saved))
-            self._on_disk = saved
-            stale = path + _CHAIN_SUFFIXES[saved.suffix == _CHAIN_SUFFIXES[0]]
-            if os.path.exists(stale):
-                os.remove(stale)
+                fd = -1 if last is None else os.open(path, os.O_RDWR)
+            except FileNotFoundError:
+                fd = -1
+            if fd >= 0:
+                try:
+                    rows = _raw_rows(self._buf[last.rows:self._n])
+                    save, crc = last.save + 1, zlib.crc32(rows, last.crc)
+                    doc = self._document(save, crc)
+                    size = (len(last.head) - _HEADER.size) // 2
+                    if len(doc) <= size and os.pread(fd, len(last.head), 0) == last.head:
+                        # neither write touches the newest slot or its rows
+                        end = _write(fd, rows, len(last.head) + 8 * self.dim * last.rows)
+                        os.ftruncate(fd, end)
+                        at = _HEADER.size + save % 2 * size
+                        doc = doc.ljust(size, b"\0")
+                        _write(fd, doc, at)
+                        os.fsync(fd)
+                        head = last.head[:at] + doc + last.head[at + size:]
+                        self._written = _Written(head, save, self._n, crc)
+                        return
+                finally:
+                    os.close(fd)
+            rows = _raw_rows(self._buf[:self._n])
+            crc = zlib.crc32(rows)
+            doc = self._document(0, crc)
+            size = 2 * len(doc)
+            head = _HEADER.pack(_MAGIC, _CHECKPOINT_VERSION, size) + doc.ljust(2 * size, b"\0")
+            tmp = path + ".tmp"
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                _write(fd, rows, _write(fd, head, 0))
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
+            fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            self._written = _Written(head, 0, self._n, crc)
         except OSError as exc:
             raise CheckpointWriteFailure(f"could not write checkpoint: {exc}") from exc
 
     @classmethod
     def load_checkpoint(cls, path: Union[str, os.PathLike],
                         model: ModelHandle) -> "Sampler":
-        """Rebuild a sampler from a checkpoint: the state document at
-        ``path`` and the chain file it names.
+        """Rebuild a sampler from the checkpoint file at ``path``.
 
-        The document's CRC-32 is checked on its own bytes, so any changed
-        byte is refused with ``CorruptCheckpoint``, including a re-formatted
-        document that holds the same values. A document of another format
-        version is refused, naming its version; this release reads only
-        version 3, so checkpoints of versions 1 and 2 do not load. So is a
-        document whose fields no sampler can have, such as a negative
-        counter or one that is not a JSON integer, a string or boolean where
-        a number belongs, a stage key of 0,
-        warning counters other than exactly ``singular_proposals`` or a
-        malformed generator state. Exactly the document's ``chain_rows``
-        rows are read from the chain file and checked against its
-        ``chain_crc``; a missing or short chain file is refused, and bytes
-        after those rows are ignored. The next save to ``path`` appends to
-        that chain file.
+        The file is read once. The slot with the higher save number is
+        tried first, and the other only when it fails: when its text does
+        not match its CRC-32, or its first ``chain_rows`` rows are missing
+        or do not match its ``chain_crc``, as a stopped save can leave a
+        slot. Rows after them are ignored. When neither slot passes, the
+        load raises ``CorruptCheckpoint``; so any changed byte of the state
+        it would load is refused, including a re-formatted document that
+        holds the same values. The next save to ``path`` appends to it.
+
+        A slot whose text matches its CRC-32 but whose fields no sampler
+        can have is refused, not skipped: another format version, named by
+        its number (this release reads only version 4, so checkpoints of
+        versions 1 to 3 do not load, nor a file without the header), a
+        negative counter or one that is not a JSON integer, a save number
+        not in its slot, a string or boolean where a number belongs, a
+        stage key of 0, warning counters other than exactly
+        ``singular_proposals`` or a malformed generator state.
 
         The sampler is built by the constructor at the stored current point
         and prior, so that point must pass the constructor's checks
@@ -493,59 +485,86 @@ class Sampler:
         """
         path = os.fspath(path)
         try:
-            doc = _read_document(path)
+            with open(path, "rb") as fh:
+                length = os.fstat(fh.fileno()).st_size
+                head = fh.read(_HEADER.size)
+                magic, version, size = _HEADER.unpack(head.ljust(_HEADER.size, b"\0"))
+                # the slots, or the whole of a file without the magic
+                head += fh.read(min(2 * size, length) if magic == _MAGIC else -1)
+                # the rows in a buffer of their own; np.empty, unlike
+                # bytearray, does not zero the bytes that readinto overwrites
+                data = np.empty(max(0, length - len(head)), np.uint8)
+                data = data[:fh.readinto(data)]
         except OSError as exc:
             raise IOFailure(f"could not read checkpoint: {exc}") from exc
-        try:
-            chain_file = _chain_file(doc)
-            counters = doc["counters"]
-            call_count = check_count("call_count", counters["call_count"])
-            burned = check_count("burned", counters["burned"])
-            step_count = {int(k): check_count(f"step {k}", v) for k, v in doc["step_count"].items()}
-            warnings = {str(k): check_count(k, v) for k, v in doc["warnings"].items()}
-            if warnings.keys() != {"singular_proposals"}:
-                raise ValueError(f"warning counters {sorted(warnings)} are not "
-                                 f"['singular_proposals']")
-            # -1 counts the rejections, and the stages are numbered from 1
-            if min(step_count, default=0) != -1 or 0 in step_count:
-                raise ValueError(f"step count stages {sorted(step_count)} are not -1, 1, 2, ...")
-            if sum(step_count.values()) != chain_file.rows + burned:
-                raise ValueError("step counts disagree with the counters")
-            pol = doc["policy"]
-            factor, t_lo, t_hi = _numbers("policy factor and clamp",
-                                          [pol["factor"], pol["t_lo"], pol["t_hi"]]).tolist()
-            policy = BackoffPolicy(mode=pol["mode"], max_steps=pol["max_steps"], factor=factor)
-            clamp = (t_lo, t_hi)
-            dim = chain_file.dim
-            prior = GaussianPrior.create(
-                _numbers("prior mean", doc["prior"]["mean"]),
-                _numbers("prior precision", doc["prior"]["precision"]).reshape(dim, dim),
-            )
-            current_x = _numbers("current_x", doc["current_x"])
-            # numpy refuses another generator's name and words out of range
-            bit_gen = np.random.PCG64()
-            bit_gen.state = doc["rng"]
-        # GnmhError: a value the validators refuse, such as an invalid policy
-        except (AttributeError, LookupError, TypeError, ValueError, OverflowError, GnmhError) as exc:
-            raise CorruptCheckpoint(f"malformed checkpoint field: {exc}") from exc
-        if clamp != (BackoffPolicy.t_lo, BackoffPolicy.t_hi):
-            raise CorruptCheckpoint(f"dynamic clamp bounds {clamp} are not "
-                                    f"({BackoffPolicy.t_lo}, {BackoffPolicy.t_hi})")
-        if chain_file.suffix not in _CHAIN_SUFFIXES:
-            raise CorruptCheckpoint(f"unknown chain file {chain_file.suffix!r}")
+        if magic != _MAGIC:
+            # JSON, such as an older version's document, is refused by its version
+            _parse(head)
+            raise CorruptCheckpoint("checkpoint has no header")
+        _check_version(version)
+        slots = [head[_HEADER.size + i * size:_HEADER.size + (i + 1) * size] for i in (0, 1)]
+        saves = [int(m[1]) if m else -1 for m in map(_SAVE.search, slots)]
+        for i in sorted((0, 1), key=saves.__getitem__, reverse=True):
+            doc = _read_document(slots[i])
+            if doc is None:
+                continue
+            try:
+                save = check_count("save", doc["save"])
+                if save % 2 != i:
+                    raise ValueError(f"save {save} is not in slot {save % 2}")
+                n_rows = check_count("chain_rows", doc["chain_rows"])
+                crc = int(doc["chain_crc"], 16)
+                counters = doc["counters"]
+                call_count = check_count("call_count", counters["call_count"])
+                burned = check_count("burned", counters["burned"])
+                step_count = {int(k): check_count(f"step {k}", v)
+                              for k, v in doc["step_count"].items()}
+                warnings = {str(k): check_count(k, v) for k, v in doc["warnings"].items()}
+                if warnings.keys() != {"singular_proposals"}:
+                    raise ValueError(f"warning counters {sorted(warnings)} are not "
+                                     f"['singular_proposals']")
+                # -1 counts the rejections, and the stages are numbered from 1
+                if min(step_count, default=0) != -1 or 0 in step_count:
+                    raise ValueError(f"step count stages {sorted(step_count)} are not "
+                                     f"-1, 1, 2, ...")
+                if sum(step_count.values()) != n_rows + burned:
+                    raise ValueError("step counts disagree with the counters")
+                pol = doc["policy"]
+                factor, = _numbers("policy factor", [pol["factor"]]).tolist()
+                policy = BackoffPolicy(mode=pol["mode"], max_steps=pol["max_steps"], factor=factor)
+                current_x = _numbers("current_x", doc["current_x"])
+                dim = current_x.size
+                prior = GaussianPrior.create(
+                    _numbers("prior mean", doc["prior"]["mean"]),
+                    _numbers("prior precision", doc["prior"]["precision"]).reshape(dim, dim),
+                )
+                # numpy refuses another generator's name and words out of range
+                bit_gen = np.random.PCG64()
+                bit_gen.state = doc["rng"]
+            # GnmhError: a value the validators refuse, such as an invalid policy
+            except (AttributeError, LookupError, TypeError, ValueError, OverflowError,
+                    GnmhError) as exc:
+                raise CorruptCheckpoint(f"malformed checkpoint field: {exc}") from exc
+            rows = data[:8 * dim * n_rows]
+            # a file cut before the end of the slots holds no rows either
+            if (len(head) == _HEADER.size + 2 * size and rows.size == 8 * dim * n_rows
+                    and zlib.crc32(rows) == crc):
+                break
+        else:
+            raise CorruptCheckpoint("checksum mismatch: no slot holds a document and "
+                                    "chain rows that match their CRC-32s")
 
         if model.dim_in != dim:
             raise DimensionMismatch(
                 f"checkpoint dimension {dim}, model expects {model.dim_in}"
             )
-        chain = _read_chain(path + chain_file.suffix, chain_file)
 
         # default_rng returns a Generator as it is, so the constructor seeds
         # no generator of its own from OS entropy
         sampler = cls(current_x, model, seed=np.random.Generator(bit_gen), prior=prior)
         sampler.policy = policy
-        sampler._set_chain(chain)
-        sampler._on_disk = chain_file
+        sampler._set_chain(rows.view("<f8").reshape(n_rows, dim))
+        sampler._written = _Written(head, save, n_rows, crc)
         sampler.burned = burned
         sampler._step_count = step_count
         sampler.warnings = warnings

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -348,10 +349,16 @@ def test_sample_checkpoint_flag_enables_safe_mode(tmp_path):
                    "--seed", "5", "--checkpoint", str(ck),
                    "--out-dir", str(tmp_path))
     assert code == 0
-    assert ck.exists()
-    doc = json.loads(ck.read_text())
-    assert doc["chain_rows"] == 100
-    assert (tmp_path / ("state.json" + doc["chain_file"])).stat().st_size == 8 * 100
+    # one file: the header (magic, version, slot size), a slot holding the
+    # one save's document, an empty slot, then the rows
+    data = ck.read_bytes()
+    magic, version, size = struct.unpack_from("<8sII", data)
+    assert (magic, version) == (b"GNMHCKPT", 4)
+    doc = json.loads(data[16:16 + size].rstrip(b"\0"))
+    assert doc["save"] == 0 and doc["chain_rows"] == 100
+    assert data[16 + size:16 + 2 * size] == bytes(size)
+    assert len(data) == 16 + 2 * size + 8 * 100
+    assert not list(tmp_path.glob("state.json?*"))
 
 
 def test_sample_multiple_chains_suffixed(tmp_path):

@@ -1,11 +1,14 @@
+import copy
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from gnmh.cli import exp_series_datagen
 from gnmh.errors import DimensionMismatch, NotPSD, UserFunctionFailure
 from gnmh.gaussian import PrecisionGaussian, _factor
+from gnmh.jtest import JtestDomain
 from gnmh.model import ModelEval, ModelHandle, linear_handle, quickstart_handle
 from gnmh.posterior import (
     GaussianPrior,
@@ -32,6 +35,19 @@ def test_prior_validation():
             GaussianPrior.create([0.0, bad], np.eye(2))
         with pytest.raises(NotPSD, match="prior precision has a non-finite entry"):
             GaussianPrior.create([0.0, 0.0], [[1.0, 0.0], [0.0, bad]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GaussianPrior.create([0.0, 1.0], np.eye(2)),
+    lambda: exp_series_datagen(14),
+    lambda: JtestDomain.create([0.0, 0.0], [1.0, 2.0]),
+], ids=["GaussianPrior", "ExpSeriesArgs", "JtestDomain"])
+def test_frozen_array_records_compare_and_hash_by_identity(build):
+    # a generated == would compare the arrays and raise on their truth value
+    x = build()
+    other = copy.deepcopy(x)
+    assert x == x and x != other and not (x == other)
+    assert hash(x) == hash(x) and len({x, other}) == 2
 
 
 def test_log_posterior_outside_domain():

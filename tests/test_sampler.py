@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import struct
 import warnings
 import zlib
 
@@ -470,41 +472,69 @@ def _with_checksum(body):
     return body[:-1] + ',"checksum":' + json.dumps(crc) + "}\n"
 
 
+# a checkpoint file's header: the magic, the format version and the slot size
+_HEADER = struct.Struct("<8sII")
+
+
+def _newest_slot(path):
+    """The checkpoint file at ``path``, and the offset, size and document
+    text (its zero fill stripped) of its slot with the higher save number."""
+    data = path.read_bytes()
+    size = _HEADER.unpack_from(data)[2]
+    offsets = [_HEADER.size, _HEADER.size + size]
+    texts = [data[at:at + size].rstrip(b"\0") for at in offsets]
+    i = max((0, 1), key=lambda i: json.loads(texts[i])["save"] if texts[i] else -1)
+    return data, offsets[i], size, texts[i]
+
+
+def _edit_newest_document(path, edit):
+    """Replace the newest slot's document in the checkpoint at ``path`` by
+    ``edit`` of its text, zero-filled to the slot's size."""
+    data, at, size, text = _newest_slot(path)
+    text = edit(text)
+    assert len(text) <= size
+    path.write_bytes(data[:at] + text.ljust(size, b"\0") + data[at + size:])
+
+
+def _fresh_checksum(change):
+    """A document edit: ``change`` applied to the parsed document without
+    its checksum field, written back compact with a fresh CRC-32."""
+    def edit(text):
+        doc = json.loads(text)
+        del doc["checksum"]
+        change(doc)
+        return _with_checksum(_reference_serialize(doc)).encode("utf-8")
+    return edit
+
+
 def test_checkpoint_wrong_version_rejected(tmp_path):
     path = tmp_path / "state.json"
     s = make_quickstart(seed=1)
     s.run_sample(10)
     s.save_checkpoint(path)
-    doc = json.loads(path.read_text())
+    doc = json.loads(_newest_slot(path)[3])
     del doc["checksum"]
     # version 1 held the chain in the document; version 2 also held the
-    # dimension, n_samples and n_accepted
+    # dimension, n_samples and n_accepted; version 3 named a chain file
     v1 = {"format_version": 1, "dim": 1, "chain": s.chain.tolist()}
     v1.update((k, v) for k, v in doc.items()
-              if k not in ("format_version", "chain_file", "chain_rows", "chain_crc", "warnings"))
+              if k not in ("format_version", "save", "chain_rows", "chain_crc", "warnings"))
     v2 = {"format_version": 2, "dim": 1}
-    v2.update((k, v) for k, v in doc.items() if k != "format_version")
+    v2.update((k, v) for k, v in doc.items() if k not in ("format_version", "save"))
     v2["counters"] = dict(doc["counters"], n_samples=s.n_samples, n_accepted=s.n_accepted)
-    v4 = dict(doc, format_version=4)
-    for version, content in ((1, v1), (2, v2), (4, v4)):
-        path.write_text(_with_checksum(_reference_serialize(content)))
+    v3 = {"format_version": 3, "chain_file": ".chain"}
+    v3.update((k, v) for k, v in doc.items() if k not in ("format_version", "save"))
+    v5 = dict(doc, format_version=5)
+    saved = path.read_bytes()
+    for version, content in ((1, v1), (2, v2), (3, v3), (5, v5)):
+        # in a slot of this format, and as the whole file, as earlier versions wrote it
+        path.write_bytes(saved)
+        text = _with_checksum(_reference_serialize(content)).encode()
+        _edit_newest_document(path, lambda _: text)
         with pytest.raises(CorruptCheckpoint, match=f"format version {version} is not supported"):
             Sampler.load_checkpoint(path, quickstart_handle())
-
-
-def test_checkpoint_other_dynamic_clamp_rejected(tmp_path):
-    # the clamp bounds are constants, written to every document
-    path = tmp_path / "state.json"
-    s = make_quickstart(seed=1)
-    s.set_dynamic(2)
-    s.run_sample(10)
-    s.save_checkpoint(path)
-    doc = json.loads(path.read_text())
-    del doc["checksum"]
-    for key, value in (("t_lo", 0.1), ("t_hi", 0.9)):
-        changed = dict(doc, policy=dict(doc["policy"], **{key: value}))
-        path.write_text(_with_checksum(_reference_serialize(changed)))
-        with pytest.raises(CorruptCheckpoint, match="clamp"):
+        path.write_bytes(text)
+        with pytest.raises(CorruptCheckpoint, match=f"format version {version} is not supported"):
             Sampler.load_checkpoint(path, quickstart_handle())
 
 
@@ -513,9 +543,14 @@ def test_checkpoint_tampering_detected(tmp_path):
     s = make_quickstart(seed=1)
     s.run_sample(10)
     s.save_checkpoint(path)
-    doc = json.loads(path.read_text())
-    doc["counters"]["call_count"] += 1
-    path.write_text(json.dumps(doc))
+
+    def tamper(text):
+        # the checksum field is kept, so it no longer matches the text
+        doc = json.loads(text)
+        doc["counters"]["call_count"] += 1
+        return json.dumps(doc).encode()
+
+    _edit_newest_document(path, tamper)
     with pytest.raises(CorruptCheckpoint):
         Sampler.load_checkpoint(path, quickstart_handle())
 
@@ -533,10 +568,12 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     s = make_quickstart(seed=1)
     s.run_sample(10)
     s.save_checkpoint(path)
-    data = bytearray(path.read_bytes())
-    at = data.index(b'"call_count":') + len(b'"call_count":')
-    data[at] = ord("7") if data[at] != ord("7") else ord("8")
-    path.write_bytes(bytes(data))
+
+    def change_digit(text):
+        at = text.index(b'"call_count":') + len(b'"call_count":')
+        return text[:at] + (b"7" if text[at:at + 1] != b"7" else b"8") + text[at + 1:]
+
+    _edit_newest_document(path, change_digit)
     with pytest.raises(CorruptCheckpoint, match="checksum mismatch"):
         Sampler.load_checkpoint(path, quickstart_handle())
 
@@ -559,7 +596,9 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] - 1, "0": 1}),
     lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] - 1, "-5": 1}),
     lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] + doc["step_count"].pop("-1")}),
-    lambda doc: doc.update(chain_file=".chain-c"),
+    # save n is in slot n % 2
+    lambda doc: doc.update(save=doc["save"] + 1),
+    lambda doc: doc.update(save=-2),
     # the warning counters are exactly {"singular_proposals"}
     lambda doc: doc.update(warnings={}),
     lambda doc: doc["warnings"].update(bogus=3),
@@ -576,7 +615,6 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     lambda doc: doc["policy"].update(max_steps=600),
     # a string or boolean where a number belongs; numpy would convert these
     lambda doc: doc["policy"].update(factor=str(doc["policy"]["factor"])),
-    lambda doc: doc["policy"].update(t_lo=str(doc["policy"]["t_lo"])),
     lambda doc: doc["prior"].update(mean=[str(v) for v in doc["prior"]["mean"]]),
     lambda doc: doc["prior"].update(precision=[True]),
     lambda doc: doc.update(current_x=[str(v) for v in doc["current_x"]]),
@@ -586,10 +624,10 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
 ], ids=["mode", "static-factor", "max-steps", "fractional-max-steps", "prior-precision",
         "step-count", "negative-call-count", "negative-warning", "negative-step-count",
         "negative-burned", "stage-zero", "stage-below-minus-one", "no-rejection-stage",
-        "unknown-chain-file", "no-warning-counter", "unknown-warning-counter",
+        "save-in-other-slot", "negative-save", "no-warning-counter", "unknown-warning-counter",
         "fractional-call-count", "string-call-count", "boolean-burned", "float-chain-rows",
         "float-step-count", "fractional-warning", "boolean-warning", "boolean-max-steps",
-        "too-deep-max-steps", "string-factor", "string-clamp", "string-prior-mean",
+        "too-deep-max-steps", "string-factor", "string-prior-mean",
         "boolean-precision", "string-current-x", "nan-dynamic-factor", "none-factor-above-one"])
 def test_checkpoint_invalid_value_with_valid_checksum_refused(tmp_path, change):
     # a document whose checksum holds but whose values no sampler can have
@@ -598,10 +636,7 @@ def test_checkpoint_invalid_value_with_valid_checksum_refused(tmp_path, change):
     s.set_static(2, 0.4)
     s.run_sample(10)
     s.save_checkpoint(path)
-    doc = json.loads(path.read_text())
-    del doc["checksum"]
-    change(doc)
-    path.write_text(_with_checksum(_reference_serialize(doc)))
+    _edit_newest_document(path, _fresh_checksum(change))
     with pytest.raises(CorruptCheckpoint):
         Sampler.load_checkpoint(path, quickstart_handle())
 
@@ -620,10 +655,10 @@ def test_policy_with_a_bad_factor_is_refused_before_any_save(tmp_path, mode, max
         s.set_dynamic(max_steps)
     s.run_sample(10)
     s.save_checkpoint(path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.chain"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
     # every policy that is not static stores the default factor, 0.5, so
     # checkpoints written before the factor was judged in every mode load
-    assert json.loads(path.read_text())["policy"]["factor"] == 0.5
+    assert json.loads(_newest_slot(path)[3])["policy"]["factor"] == 0.5
     assert Sampler.load_checkpoint(path, quickstart_handle()).policy == s.policy
 
 
@@ -639,10 +674,7 @@ def test_checkpoint_malformed_generator_state_refused(tmp_path, change):
     s = make_quickstart(seed=1)
     s.run_sample(10)
     s.save_checkpoint(path)
-    doc = json.loads(path.read_text())
-    del doc["checksum"]
-    change(doc["rng"])
-    path.write_text(_with_checksum(_reference_serialize(doc)))
+    _edit_newest_document(path, _fresh_checksum(lambda doc: change(doc["rng"])))
     with pytest.raises(CorruptCheckpoint, match="malformed checkpoint field"):
         Sampler.load_checkpoint(path, quickstart_handle())
 
@@ -654,11 +686,12 @@ def test_checkpoint_without_zero_stage_counts_loads_and_runs(tmp_path):
     s.set_static(2, 0.4)
     s.run_sample(10)
     s.save_checkpoint(path)
-    doc = json.loads(path.read_text())
-    del doc["checksum"]
-    assert doc["step_count"]["3"] == 0
-    del doc["step_count"]["3"]
-    path.write_text(_with_checksum(_reference_serialize(doc)))
+
+    def drop_stage_3(doc):
+        assert doc["step_count"]["3"] == 0
+        del doc["step_count"]["3"]
+
+    _edit_newest_document(path, _fresh_checksum(drop_stage_3))
     b = Sampler.load_checkpoint(path, quickstart_handle())
     assert b.step_count == s.step_count
     s.run_sample(300)
@@ -682,14 +715,14 @@ def test_checkpoint_missing_file(tmp_path):
 
 
 def test_checkpoint_unreadable_chain_file_is_an_io_failure(tmp_path):
+    # the chain rows are in the checkpoint file itself
     path = tmp_path / "state.json"
     s = make_quickstart(seed=1)
     s.run_sample(10)
     s.save_checkpoint(path)
-    chain_file = tmp_path / "state.json.chain"
-    chain_file.unlink()
-    chain_file.mkdir()  # opening a directory for reading fails with an OSError
-    with pytest.raises(IOFailure, match="could not read chain file"):
+    path.unlink()
+    path.mkdir()  # opening a directory for reading fails with an OSError
+    with pytest.raises(IOFailure, match="could not read checkpoint"):
         Sampler.load_checkpoint(path, quickstart_handle())
 
 
@@ -710,11 +743,10 @@ def test_checkpoint_load_rechecks_current_point(tmp_path):
     with pytest.raises(InitialGuessOutsideDomain, match="Gauss-Newton mean"):
         Sampler.load_checkpoint(path, infinite_residual)
     # a document with a non-finite current point and a valid checksum
+    saved = path.read_bytes()
     for bad in (float("inf"), float("nan")):
-        doc = json.loads(path.read_text())
-        del doc["checksum"]
-        doc["current_x"] = [bad]
-        path.write_text(_with_checksum(_reference_serialize(doc)))
+        path.write_bytes(saved)
+        _edit_newest_document(path, _fresh_checksum(lambda doc: doc.update(current_x=[bad])))
         h = quickstart_handle()
         with pytest.raises(InitialGuessOutsideDomain, match="non-finite entry"):
             Sampler.load_checkpoint(path, h)
@@ -730,16 +762,17 @@ def test_checkpoint_numbers_have_17_significant_digits(tmp_path):
     s.set_prior([0.1], [[1.0 / 3.0]])
     s.run_sample(5)
     s.save_checkpoint(path)
-    text = path.read_text()
+    data, _, size, text = _newest_slot(path)
+    text = text.decode("utf-8")
     doc = json.loads(text)
-    assert '"factor":0.3,"t_lo":0.05,' in text
+    assert '"factor":0.3},' in text
     assert f'"current_x":[{float(s.current.x[0])!r}]' in text
     for stored, held in ((doc["current_x"], s.current.x), (doc["prior"]["mean"], s.prior.mean),
                          (doc["prior"]["precision"], s.prior.precision.ravel()),
                          ([doc["policy"]["factor"]], [s.policy.factor])):
         assert np.array(stored).tobytes() == np.array(held, dtype=float).tobytes()
-    # the chain rows are stored as their float64 bits
-    rows = np.frombuffer((tmp_path / "state.json.chain").read_bytes(), dtype="<f8")
+    # the chain rows are stored as their float64 bits, after the two slots
+    rows = np.frombuffer(data[_HEADER.size + 2 * size:], dtype="<f8")
     assert rows.tobytes() == s.chain.astype("<f8").tobytes()
     np.testing.assert_array_equal(rows.reshape(-1, 1), s.chain)
 
@@ -818,16 +851,16 @@ def test_save_fsyncs_file_and_directory(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fsync", recording)
     path = tmp_path / "state.json"
-    chain, tmp = str(tmp_path / "state.json.chain"), str(tmp_path / "state.json.tmp")
+    tmp = str(tmp_path / "state.json.tmp")
     s = make_quickstart(seed=1)
     s.run_sample(10)
-    s.save_checkpoint(path)  # the whole chain
-    assert synced == [chain, tmp, str(tmp_path)]
+    s.save_checkpoint(path)  # the whole file
+    assert synced == [tmp, str(tmp_path)]
     s.run_sample(5)
-    s.save_checkpoint(path)  # the appended rows
-    assert synced[3:] == [chain, tmp, str(tmp_path)]
-    s.save_checkpoint(path)  # no new rows: the chain file is not touched
-    assert synced[6:] == [tmp, str(tmp_path)]
+    s.save_checkpoint(path)  # the appended rows and a slot
+    assert synced[2:] == [str(path)]
+    s.save_checkpoint(path)  # no new rows: a slot
+    assert synced[3:] == [str(path)]
 
 
 def test_chain_is_a_copy():
@@ -849,22 +882,21 @@ def _reference_serialize(v):
     return json.dumps(v, separators=(",", ":"))
 
 
-def _reference_checkpoint_bytes(s, chain_file):
-    """The state document serialized from scratch, naming ``chain_file``:
-    the document built field by field from Python numbers, the CRC-32s
-    taken over the full chain and the full text."""
+def _reference_document(s, save):
+    """The state document serialized from scratch, numbered ``save``: the
+    document built field by field from Python numbers, the CRC-32s taken
+    over the full chain and the full text."""
     steps = s.step_count
     doc = {
-        "format_version": 3,
-        "chain_file": chain_file,
+        "format_version": 4,
+        "save": save,
         "chain_rows": s.n_samples,
         "chain_crc": format(zlib.crc32(s.chain.astype("<f8").tobytes()), "08x"),
         "counters": {"call_count": s.call_count, "burned": s.burned},
         "step_count": {str(k): steps[k] for k in [-1] + sorted(k for k in steps if k != -1)},
         "warnings": {"singular_proposals": s.warnings["singular_proposals"]},
         "policy": {"mode": s.policy.mode, "max_steps": s.policy.max_steps,
-                   "factor": float(s.policy.factor), "t_lo": float(s.policy.t_lo),
-                   "t_hi": float(s.policy.t_hi)},
+                   "factor": float(s.policy.factor)},
         "prior": {"mean": [float(v) for v in s.prior.mean],
                   "precision": [float(v) for v in s.prior.precision.ravel()]},
         "current_x": [float(v) for v in s.current.x],
@@ -892,17 +924,25 @@ def test_checkpoint_bytes_equal_full_serialization(tmp_path, monkeypatch, name, 
     x0, build, prior = _example(name)
     path = tmp_path / "state.json"
     checked = []
-    # the chain file each save names: the whole chain goes to the one the
-    # document at the path does not name
-    named = [".chain"]
+    # the file as each save leaves it: a whole save numbers its document 0,
+    # puts it in slot 0 and sizes both slots at twice its length; an append
+    # numbers it one more than the last and puts it in slot save % 2
+    file = {"whole": True}
     original = Sampler.save_checkpoint
 
     def checking(self, p):
         original(self, p)
-        assert p.read_bytes() == _reference_checkpoint_bytes(self, named[0])
-        rows = self.chain.astype("<f8").tobytes()
-        assert (tmp_path / ("state.json" + named[0])).read_bytes()[:len(rows)] == rows
-        assert sorted(q.name for q in tmp_path.iterdir()) == ["state.json", "state.json" + named[0]]
+        if file.pop("whole", False):
+            doc = _reference_document(self, 0)
+            file.update(save=0, size=2 * len(doc), slots=[doc, b""])
+        else:
+            file["save"] += 1
+            file["slots"][file["save"] % 2] = _reference_document(self, file["save"])
+        expected = (_HEADER.pack(b"GNMHCKPT", 4, file["size"])
+                    + b"".join(doc.ljust(file["size"], b"\0") for doc in file["slots"])
+                    + self.chain.astype("<f8").tobytes())
+        assert p.read_bytes() == expected
+        assert [q.name for q in tmp_path.iterdir()] == ["state.json"]
         checked.append(self.n_samples)
 
     monkeypatch.setattr(Sampler, "save_checkpoint", checking)
@@ -916,15 +956,15 @@ def test_checkpoint_bytes_equal_full_serialization(tmp_path, monkeypatch, name, 
     s.save_checkpoint(path)  # plain save
     s.run_sample(70, divs=7, safe=path)  # every division's save
     s.save_checkpoint(path)  # again, with no new rows
-    s.burn(45)  # rows leave the front: the chain file is stale
-    named[0] = ".chain-b"
+    s.burn(45)  # rows leave the front: the file is written whole
+    file["whole"] = True
     s.save_checkpoint(path)
     s.run_sample(20, divs=2, safe=path)
     resumed = Sampler.load_checkpoint(path, build())
     resumed.save_checkpoint(path)
     resumed.run_sample(33, divs=3, safe=path)
     resumed.burn(resumed.n_samples)
-    named[0] = ".chain"
+    file["whole"] = True
     resumed.run_sample(5, divs=2, safe=path)
     assert checked == ([0, 30] + list(range(40, 101, 10)) + [100]
                        + [55, 65, 75] + [75, 86, 97, 108] + [3, 5])
@@ -994,10 +1034,10 @@ def test_checkpoint_one_digit_changed_in_chain_detected(tmp_path):
     s = make_quickstart(seed=6)
     s.run_sample(50)
     s.save_checkpoint(path)
-    chain_file = tmp_path / "state.json.chain"
-    data = bytearray(chain_file.read_bytes())
-    data[8 * 17 + 3] ^= 0x01  # one bit of row 17
-    chain_file.write_bytes(bytes(data))
+    data, _, size, _ = _newest_slot(path)
+    data = bytearray(data)
+    data[_HEADER.size + 2 * size + 8 * 17 + 3] ^= 0x01  # one bit of row 17
+    path.write_bytes(bytes(data))
     with pytest.raises(CorruptCheckpoint, match="checksum"):
         Sampler.load_checkpoint(path, quickstart_handle())
 
@@ -1008,15 +1048,15 @@ def test_checkpoint_reformatted_equal_values_refused(tmp_path):
     s = make_quickstart(seed=6)
     s.run_sample(20)
     s.save_checkpoint(path)
-    doc = json.loads(path.read_text())
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-    assert json.loads(path.read_text()) == doc
+    doc = json.loads(_newest_slot(path)[3])
+    _edit_newest_document(path, lambda text: json.dumps(doc, indent=1).encode() + b"\n")
+    assert json.loads(_newest_slot(path)[3]) == doc
     with pytest.raises(CorruptCheckpoint):
         Sampler.load_checkpoint(path, quickstart_handle())
 
 
 # ---------------------------------------------------------------------------
-# the chain file: damage, interrupted saves, stale files
+# the chain rows: damage, interrupted saves, stale files
 # ---------------------------------------------------------------------------
 
 
@@ -1026,23 +1066,57 @@ def _saved_state(s):
             s.step_count, dict(s.warnings), s.rng.bit_generator.state)
 
 
+def _rows_at(path):
+    """The offset of the chain rows in the checkpoint file at ``path``."""
+    return _HEADER.size + 2 * _HEADER.unpack_from(path.read_bytes())[2]
+
+
 @pytest.mark.parametrize("damage", ["missing", "short"])
 def test_checkpoint_missing_or_short_chain_file_refused(tmp_path, damage):
     path = tmp_path / "state.json"
     s = make_quickstart(seed=6)
     s.run_sample(50)
     s.save_checkpoint(path)
-    chain_file = tmp_path / "state.json.chain"
-    if damage == "missing":
-        chain_file.unlink()
+    data = path.read_bytes()
+    path.write_bytes(data[:_rows_at(path)] if damage == "missing" else data[:-1])
+    with pytest.raises(CorruptCheckpoint, match="chain rows"):
+        Sampler.load_checkpoint(path, quickstart_handle())
+
+
+def test_checkpoint_cut_inside_its_slots_refused(tmp_path):
+    # an empty chain has no rows to find missing: the slots must be whole
+    path = tmp_path / "state.json"
+    make_quickstart(seed=6).save_checkpoint(path)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(CorruptCheckpoint, match="chain rows"):
+        Sampler.load_checkpoint(path, quickstart_handle())
+
+
+@pytest.mark.parametrize("damage", ["changed byte", "cut"])
+def test_checkpoint_damage_only_in_newest_rows_loads_the_previous_save(tmp_path, damage):
+    path = tmp_path / "state.json"
+    s = make_quickstart(seed=6)
+    s.run_sample(30, safe=path)
+    previous = _saved_state(Sampler.load_checkpoint(path, quickstart_handle()))
+    s.run_sample(20, safe=path)
+    data = bytearray(path.read_bytes())
+    if damage == "cut":
+        del data[-1]
     else:
-        chain_file.write_bytes(chain_file.read_bytes()[:-1])
-    with pytest.raises(CorruptCheckpoint, match="chain file"):
+        data[_rows_at(path) + 8 * 40 + 3] ^= 0x01  # one bit of row 40
+    path.write_bytes(bytes(data))
+    assert _saved_state(Sampler.load_checkpoint(path, quickstart_handle())) == previous
+    # the rows both slots name
+    data[_rows_at(path) + 8 * 10 + 3] ^= 0x01
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptCheckpoint, match="checksum mismatch"):
         Sampler.load_checkpoint(path, quickstart_handle())
 
 
 def test_checkpoint_rows_after_chain_rows_are_ignored(tmp_path, monkeypatch):
-    # a save stopped between its append and its document replace
+    # a save stopped between its rows and its slot
+    import gnmh.sampler as sampler_module
+
     path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
     a = make_quickstart(seed=99)
     a.set_static(1, 0.3)
@@ -1053,25 +1127,19 @@ def test_checkpoint_rows_after_chain_rows_are_ignored(tmp_path, monkeypatch):
     b.run_sample(300, divs=3, safe=path_b)
     before = _saved_state(Sampler.load_checkpoint(path_b, quickstart_handle()))
 
-    class Stopped(RuntimeError):
-        pass
-
-    def stop(src, dst):
-        raise Stopped
-
     b.run_sample(100)
-    monkeypatch.setattr(os, "replace", stop)
-    with pytest.raises(Stopped):
+    # open, write the rows, then stop at the cut
+    monkeypatch.setattr(sampler_module, "os", _CrashingOs(crash_at=3))
+    with pytest.raises(_Crash, match="ftruncate"):
         b.save_checkpoint(path_b)
     monkeypatch.undo()
-    assert (tmp_path / "b.json.chain").stat().st_size == 8 * 400
+    assert path_b.stat().st_size == _rows_at(path_b) + 8 * 400
 
     c = Sampler.load_checkpoint(path_b, quickstart_handle())
     assert _saved_state(c) == before
     c.run_sample(700, divs=7, safe=path_b)
     assert a.chain.tobytes() == c.chain.tobytes()
     assert path_b.read_bytes() == path_a.read_bytes()
-    assert (tmp_path / "b.json.chain").read_bytes() == (tmp_path / "a.json.chain").read_bytes()
 
 
 class _Crash(Exception):
@@ -1139,7 +1207,10 @@ def test_save_stopped_at_any_file_operation_leaves_a_checkpoint(tmp_path, monkey
     s.save_checkpoint(ref / "state.json")
     monkeypatch.setattr(sampler_module, "os", os)
     post = _saved_state(Sampler.load_checkpoint(ref / "state.json", quickstart_handle()))
-    assert pre != post and counting.ops >= 13
+    # an append: open, rows, cut, slot, fsync, close; a whole save: open,
+    # header and slots, rows, fsync, close, rename, then the directory's
+    # open, fsync and close
+    assert pre != post and counting.ops == (6 if kind == "append" else 9)
 
     outcomes = []
     for k in range(1, counting.ops + 1):
@@ -1154,28 +1225,104 @@ def test_save_stopped_at_any_file_operation_leaves_a_checkpoint(tmp_path, monkey
         loaded = _saved_state(Sampler.load_checkpoint(path, quickstart_handle()))
         assert loaded in (pre, post), f"stopped at file operation {k}"
         outcomes.append(loaded == post)
-        # the same sampler's next save completes the checkpoint
+        # the same sampler's next save completes the checkpoint, and leaves
+        # the checkpoint file alone, no temp file beside it
         s.save_checkpoint(path)
         assert _saved_state(Sampler.load_checkpoint(path, quickstart_handle())) == post
-        # one chain file: a save stopped after its document replace is
-        # redone as a whole-chain save, to either name
-        names = sorted(p.name for p in run.iterdir())
-        assert names in (["state.json", "state.json.chain"], ["state.json", "state.json.chain-b"])
+        assert [p.name for p in run.iterdir()] == ["state.json"]
     assert not outcomes[0] and outcomes[-1]
+
+
+class _RecordingOs:
+    """The ``os`` module as the sampler sees it, recording each ``pwrite``
+    as ("pwrite", offset, bytes) and each ``ftruncate`` as ("ftruncate",
+    length) before making it."""
+
+    def __init__(self):
+        self.writes = []
+
+    def __getattr__(self, name):
+        real = getattr(os, name)
+        if name == "pwrite":
+            def pwrite(fd, data, offset):
+                self.writes.append(("pwrite", offset, bytes(data)))
+                return real(fd, data, offset)
+            return pwrite
+        if name == "ftruncate":
+            def ftruncate(fd, length):
+                self.writes.append(("ftruncate", length))
+                return real(fd, length)
+            return ftruncate
+        return real
+
+
+def _persisted(pre, writes):
+    """Every file a stopped save can leave: the bytes ``pre`` with any
+    subset of ``writes`` applied, in order, each write whole or only the
+    first or the second half of its bytes."""
+    choices = []
+    for w in writes:
+        if w[0] == "ftruncate":
+            choices.append([None, w])
+        else:
+            _, at, data = w
+            half = len(data) // 2
+            choices.append([None, w, ("pwrite", at, data[:half]),
+                            ("pwrite", at + half, data[half:])])
+    for picked in itertools.product(*choices):
+        file = bytearray(pre)
+        for w in filter(None, picked):
+            if w[0] == "ftruncate":
+                del file[w[1]:]
+                file.extend(bytes(w[1] - len(file)))
+            else:
+                _, at, data = w
+                file.extend(bytes(max(0, at + len(data) - len(file))))
+                file[at:at + len(data)] = data
+        yield bytes(file)
+
+
+@pytest.mark.parametrize("new_rows", [0, 1, 25, 700])
+def test_every_file_a_stopped_append_can_leave_loads(tmp_path, monkeypatch, new_rows):
+    # an append is durable with one fsync only if every subset of its
+    # writes, persisted in any order or torn, loads as one of two states
+    import gnmh.sampler as sampler_module
+
+    path = tmp_path / "state.json"
+    s = make_quickstart(seed=41)
+    s.set_static(1, 0.3)
+    s.run_sample(60, divs=3, safe=path)  # both slots in use
+    if new_rows:
+        s.run_sample(new_rows)
+    pre_bytes = path.read_bytes()
+    pre = _saved_state(Sampler.load_checkpoint(path, quickstart_handle()))
+    recording = _RecordingOs()
+    monkeypatch.setattr(sampler_module, "os", recording)
+    s.save_checkpoint(path)
+    monkeypatch.setattr(sampler_module, "os", os)
+    post = _saved_state(Sampler.load_checkpoint(path, quickstart_handle()))
+    assert [w[0] for w in recording.writes] == ["pwrite"] * (new_rows > 0) + ["ftruncate", "pwrite"]
+
+    files = 0
+    for data in _persisted(pre_bytes, recording.writes):
+        path.write_bytes(data)
+        assert _saved_state(Sampler.load_checkpoint(path, quickstart_handle())) in (pre, post)
+        files += 1
+    assert files == (32 if new_rows else 8)
 
 
 def test_whole_chain_save_leaves_no_stale_chain_file(tmp_path):
     path = tmp_path / "state.json"
     other = make_quickstart(seed=1)
     other.run_sample(30, divs=3, safe=path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.chain"]
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
     s = make_quickstart(seed=2)
     s.run_sample(20)
     s.save_checkpoint(path)  # another run's checkpoint is replaced
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.chain-b"]
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
     s.burn(5)
     s.save_checkpoint(path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.chain"]
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
     np.testing.assert_array_equal(Sampler.load_checkpoint(path, quickstart_handle()).chain,
                                   s.chain)
 
