@@ -22,12 +22,13 @@ from typing import Callable, List, Optional, Tuple, TypeVar
 import numpy as np
 
 from . import diagnostics
-from .errors import GnmhError, NonFiniteDensity, check_count, check_finite, check_range, is_real
+from .errors import GnmhError, NonFiniteDensity, check_count, check_finite, check_range
 from .jtest import JtestDomain, JtestOptions, jtest
 from .kernel import BackoffPolicy
 from .model import (
     ExpSeriesArgs,
     ModelHandle,
+    _example_args,
     exp_series_handle,
     exp_series_model,
     quickstart_model,
@@ -89,16 +90,12 @@ def _badjac_model(x, args):
 
 def _make_example(args: argparse.Namespace) -> Tuple[int, Callable[[], ModelHandle]]:
     """The example's dimension and model handle builder, with ``--y``, ``--sigma`` and
-    ``--data-seed`` applied. Each example setting of the command that ``args`` leaves at
-    None takes the example's value; one given with another length is a usage error, and so
-    are a non-finite y, a sigma that is not finite and positive, and a refused data seed."""
+    ``--data-seed`` applied. An example setting ``args`` leaves at None takes the example's
+    value; one of another length, or a y, sigma or data seed the model refuses, is a usage error."""
     name = args.example
     y = args.y if args.y is not None else (4.0 if name == "well" else 1.0)
     sigma = args.sigma if args.sigma is not None else 0.5
-    if not (is_real(sigma) and 0.0 < sigma < math.inf):
-        raise ValueError(f"--sigma {sigma}: the residual scale must be finite and positive")
-    if not (is_real(y) and abs(y) < math.inf):
-        raise ValueError(f"--y {y}: the data value must be finite")
+    model_args = _flag_value("--sigma/--y", _example_args, y, sigma)
     if name == "simple2d":
         dim, build_handle = 2, lambda: simple2d_handle(y=y, sigma=sigma)
         values = dict(x0=[1.0, 0.0], prior_mean=[0.0, 0.0], prior_precision=[1.0, 0.0, 0.0, 1.0],
@@ -112,7 +109,7 @@ def _make_example(args: argparse.Namespace) -> Tuple[int, Callable[[], ModelHand
                       range=[0.0, 5.0], min=[0.1] * 4, max=[5.0] * 4)
     else:  # quickstart, well and badjac: the 1D double well
         model = _badjac_model if name == "badjac" else quickstart_model
-        dim, build_handle = 1, lambda: ModelHandle(model, {"y": y, "sigma": sigma}, dim_in=1)
+        dim, build_handle = 1, lambda: ModelHandle(model, model_args, dim_in=1)
         values = dict(x0=[0.5], prior_mean=[0.0], prior_precision=[1.0],
                       range=[-3.0, 3.0], min=[-2.0], max=[2.0])
         if name == "well" and "x0" in vars(args) and args.x0 is None:
@@ -198,10 +195,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     for pair in args.marginal:
         if not all(0 <= k < dim for k in pair):
             raise ValueError(f"--marginal {pair[0]} {pair[1]}: indices must lie in [0, {dim})")
-    flat = args.prior_precision == ["flat"]
-    prior = _flag_value("--prior-mean/--prior-precision", lambda: GaussianPrior.create(
-        args.prior_mean, np.zeros((dim, dim)) if flat
-        else np.asarray(args.prior_precision, dtype=float).reshape(dim, dim)))
+    prior = _flag_value("--prior-mean/--prior-precision", lambda: GaussianPrior.flat(
+        args.prior_mean) if args.prior_precision == ["flat"] else GaussianPrior.create(
+        args.prior_mean, np.asarray(args.prior_precision, dtype=float).reshape(dim, dim)))
 
     samplers = []
     for c in range(args.chains):

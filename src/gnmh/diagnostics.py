@@ -17,10 +17,11 @@ from .errors import (
     SeriesTooShort,
     check_count,
     check_range,
+    is_real,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistogramResult:
     """Per-dimension marginal histograms of a chain.
 
@@ -171,7 +172,7 @@ def acor(series, k: int = 5) -> AcorResult:
     Raises
     ------
     ValueError
-        If ``k`` is not positive, or the series is refused as by
+        If ``k`` is not a positive number (a bool is not one), or the series is refused as by
         :func:`autocovariance`: a NaN or infinite entry, named by its
         index, or sums that overflow float64.
     SeriesTooShort
@@ -179,7 +180,7 @@ def acor(series, k: int = 5) -> AcorResult:
     NonConvergentWindow
         If no self-consistent window exists below a tenth of the length.
     """
-    if not k > 0:
+    if not (is_real(k) and k > 0):
         raise ValueError(f"k must be positive, got {k!r}")
     series = np.asarray(series, dtype=float).reshape(-1)
     n = series.shape[0]

@@ -52,7 +52,7 @@ from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidPolicy, check_count, is_real
+from .errors import InvalidPolicy, check_count, is_count, is_real
 from .gaussian import _solve_lower
 from .model import ModelHandle
 from .posterior import GaussianPrior, PointState, point_state
@@ -108,15 +108,12 @@ class BackoffPolicy:
 
     @classmethod
     def static(cls, max_steps: int, factor: float) -> "BackoffPolicy":
-        if check_count("max_steps", max_steps, 0, InvalidPolicy) == 0:
-            return cls.none()
-        return cls(mode="static", max_steps=max_steps, factor=factor)
+        policy = cls("static" if is_count(max_steps, 1) else "none", max_steps, factor)
+        return policy if policy.max_steps else cls.none()
 
     @classmethod
     def dynamic(cls, max_steps: int) -> "BackoffPolicy":
-        if check_count("max_steps", max_steps, 0, InvalidPolicy) == 0:
-            return cls.none()
-        return cls(mode="dynamic", max_steps=max_steps)
+        return cls("dynamic" if is_count(max_steps, 1) else "none", max_steps)
 
     @property
     def n_stages(self) -> int:

@@ -25,7 +25,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, UserFunctionFailure, check_count
+from .errors import DimensionMismatch, UserFunctionFailure, check_count, check_finite, is_real
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -164,11 +164,11 @@ def linear_model(x, args):
 class ExpSeriesArgs:
     """Data bundle for the exponential-decay time-series model.
 
-    ``times``, ``data`` and ``noise_sd`` all have length m; every noise
-    standard deviation must be positive. The fields are read once, at
-    construction, into read-only float64 copies, beside the column -t and
-    1/noise_sd that every model call uses; the class is frozen, so none of
-    them can go stale.
+    ``times``, ``data`` and ``noise_sd`` all have length m and finite
+    entries, or ``ValueError`` names the field; every noise standard
+    deviation must be positive. The fields are read once, at construction,
+    into read-only float64 copies, beside the column -t and 1/noise_sd that
+    every model call uses; the class is frozen, so none can go stale.
     """
 
     times: np.ndarray
@@ -180,9 +180,10 @@ class ExpSeriesArgs:
     def __post_init__(self):
         times, data, noise_sd = (np.array(v, dtype=float).reshape(-1)
                                  for v in (self.times, self.data, self.noise_sd))
-        m = times.shape[0]
-        if data.shape[0] != m or noise_sd.shape[0] != m:
+        if not data.shape == noise_sd.shape == times.shape:
             raise DimensionMismatch("times, data and noise_sd must share a length")
+        for name, value in (("times", times), ("data", data), ("noise_sd", noise_sd)):
+            check_finite(name, value)
         if np.any(noise_sd <= 0.0):
             raise ValueError("noise_sd must be strictly positive")
         for name, value in (("times", times), ("data", data), ("noise_sd", noise_sd),
@@ -212,12 +213,21 @@ def exp_series_model(x, args: ExpSeriesArgs):
     return True, f, jac
 
 
+def _example_args(y, sigma) -> dict:
+    """The double-well and ring models' ``args``, once sigma > 0 and y are finite numbers."""
+    if not (is_real(sigma) and 0.0 < sigma < math.inf):
+        raise ValueError(f"sigma must be a finite positive number, got {sigma!r}")
+    if not (is_real(y) and abs(y) < math.inf):
+        raise ValueError(f"y must be a finite number, got {y!r}")
+    return {"y": y, "sigma": sigma}
+
+
 def quickstart_handle(y: float = 1.0, sigma: float = 0.5) -> ModelHandle:
-    return ModelHandle(quickstart_model, {"y": y, "sigma": sigma}, dim_in=1)
+    return ModelHandle(quickstart_model, _example_args(y, sigma), dim_in=1)
 
 
 def simple2d_handle(y: float = 1.0, sigma: float = 0.5) -> ModelHandle:
-    return ModelHandle(simple2d_model, {"y": y, "sigma": sigma}, dim_in=2)
+    return ModelHandle(simple2d_model, _example_args(y, sigma), dim_in=2)
 
 
 def linear_handle(A, b) -> ModelHandle:

@@ -66,9 +66,8 @@ class GaussianPrior:
 
     @classmethod
     def flat(cls, mean) -> "GaussianPrior":
-        """Flat prior: zero precision about ``mean``."""
-        mean = np.asarray(mean, dtype=float).reshape(-1)
-        return cls(mean=mean, precision=np.zeros((mean.shape[0], mean.shape[0])))
+        """Flat prior: zero precision about ``mean``, built by :meth:`create`."""
+        return cls.create(mean, np.zeros((np.size(mean),) * 2))
 
     @property
     def dim(self) -> int:

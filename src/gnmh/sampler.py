@@ -530,8 +530,7 @@ class Sampler:
                 if sum(step_count.values()) != n_rows + burned:
                     raise ValueError("step counts disagree with the counters")
                 pol = doc["policy"]
-                factor, = _numbers("policy factor", [pol["factor"]]).tolist()
-                policy = BackoffPolicy(mode=pol["mode"], max_steps=pol["max_steps"], factor=factor)
+                policy = BackoffPolicy(pol["mode"], pol["max_steps"], pol["factor"])
                 current_x = _numbers("current_x", doc["current_x"])
                 dim = current_x.size
                 prior = GaussianPrior.create(

@@ -241,6 +241,7 @@ def test_sample_zero_samples_usage_error(tmp_path):
     ("--divs", "201"),                                # a division with no transition
     ("--seed", "-1"),
     ("--range", "0", "inf"),
+    ("--backoff", "static", "--max-steps", "0", "--factor", "2"),  # refused at any depth
 ])
 def test_sample_usage_error_before_any_sampling(tmp_path, capsys, flags):
     code = run_cli("sample", "--example", "simple2d", "--samples", "200",

@@ -191,7 +191,7 @@ def test_acor_affine_invariance():
     assert scaled.mean == pytest.approx(-3.5 * base.mean + 11.0)
 
 
-@pytest.mark.parametrize("k", [0, -1, 0.0, float("nan")])
+@pytest.mark.parametrize("k", [0, -1, 0.0, float("nan"), True, "5"])
 def test_acor_refuses_a_window_factor_that_is_not_positive(k):
     with pytest.raises(ValueError, match="k must be positive"):
         acor(np.random.default_rng(0).standard_normal(1000), k=k)

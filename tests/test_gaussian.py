@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnmh.gaussian import _LOG_2PI, PrecisionGaussian, _factor
+from gnmh.gaussian import _LOG_2PI, PrecisionGaussian, _factor, _solve_lower
 
 
 def _gaussian(mean, precision):
@@ -174,3 +174,12 @@ def test_factor_matches_numpy_cholesky_large_n(n):
 ])
 def test_factor_refuses_indefinite_and_nan(P):
     assert _factor(np.array(P)) is None
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("trans", [0, 1])
+def test_solve_lower_refuses_a_factor_with_a_zero_diagonal(order, trans):
+    # LAPACK reports the first zero on the diagonal (info 1) and solves nothing
+    chol = np.array([[0.0, 0.0], [1.0, 2.0]], order=order)
+    with pytest.raises(np.linalg.LinAlgError, match=r"dtrtrs info 1\)"):
+        _solve_lower(chol, np.ones(2), trans)

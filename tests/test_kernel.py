@@ -87,6 +87,21 @@ def test_policy_judges_its_factor_in_every_mode(mode, max_steps, factor):
     assert BackoffPolicy(mode=mode, max_steps=max_steps, factor=np.float64(0.25)).factor == 0.25
 
 
+@pytest.mark.parametrize("factor", [2.0, "x", math.nan, True, 0.0])
+def test_static_judges_its_factor_at_zero_steps(factor):
+    # zero steps is plain Metropolis, but a factor refused at any depth is refused here too
+    with pytest.raises(InvalidPolicy,
+                       match=f"factor must be a number in \\(0, 1\\), got {re.escape(repr(factor))}$"):
+        BackoffPolicy.static(0, factor)
+
+
+def test_zero_step_shortcuts_equal_none():
+    none = BackoffPolicy.none()
+    for zero in (0, np.int64(0)):
+        assert BackoffPolicy.static(zero, 0.3) == none == BackoffPolicy.dynamic(zero)
+    assert repr(BackoffPolicy.static(0, 0.3)) == repr(none) == repr(BackoffPolicy.dynamic(0))
+
+
 @pytest.mark.parametrize("build, refused", [
     (lambda k: BackoffPolicy.static(k, 0.1), 154),
     (lambda k: BackoffPolicy.static(k, 0.5), 512),

@@ -132,6 +132,32 @@ def test_exp_series_args_validation():
         ExpSeriesArgs(times=[0.0], data=[1.0], noise_sd=[0.0])
 
 
+@pytest.mark.parametrize("name", ["times", "data", "noise_sd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_exp_series_args_refuse_a_non_finite_entry_by_name(name, bad):
+    # the data is refused where it is given, not blamed on the model later
+    fields = dict(times=[0.0, 1.0], data=[1.0, 0.5], noise_sd=[0.1, 0.2])
+    fields[name] = [fields[name][0], bad]
+    with pytest.raises(ValueError, match=f"^{name} has a non-finite entry$"):
+        ExpSeriesArgs(**fields)
+
+
+@pytest.mark.parametrize("build", [quickstart_handle, simple2d_handle])
+@pytest.mark.parametrize("setting, value", [
+    ("sigma", 0.0), ("sigma", -1.0), ("sigma", np.nan), ("sigma", np.inf), ("sigma", "0.5"),
+    ("y", np.inf), ("y", -np.inf), ("y", np.nan), ("y", True),
+])
+def test_example_handles_refuse_a_setting_by_name(build, setting, value):
+    with pytest.raises(ValueError, match=f"^{setting} must be a finite"):
+        build(**{setting: value})
+
+
+@pytest.mark.parametrize("build", [quickstart_handle, simple2d_handle])
+def test_example_handles_keep_valid_settings(build):
+    assert build().args == {"y": 1.0, "sigma": 0.5}
+    assert build(y=-2, sigma=np.float64(1e-3)).args == {"y": -2, "sigma": 1e-3}
+
+
 @pytest.mark.parametrize("name", ["times", "data", "noise_sd", "neg_times", "inv_sd"])
 def test_exp_series_args_fields_cannot_be_assigned(name):
     args = ExpSeriesArgs(times=[0.0, 1.0], data=[1.0, 0.5], noise_sd=[0.1, 0.2])

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from gnmh.cli import exp_series_datagen
+from gnmh.diagnostics import error_bars
 from gnmh.errors import DimensionMismatch, NotPSD, UserFunctionFailure
 from gnmh.gaussian import PrecisionGaussian, _factor
 from gnmh.jtest import JtestDomain
@@ -37,11 +38,31 @@ def test_prior_validation():
             GaussianPrior.create([0.0, 0.0], [[1.0, 0.0], [0.0, bad]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_flat_prior_refuses_a_non_finite_mean_as_create_does(bad):
+    with pytest.raises(NotPSD, match="prior mean has a non-finite entry"):
+        GaussianPrior.flat([0.0, bad])
+    # the prior is blamed before the sampler evaluates its start point
+    h = quickstart_handle()
+    with pytest.raises(NotPSD, match="prior mean"):
+        Sampler([0.5], h, prior=GaussianPrior.flat([bad]))
+    assert h.call_count == 0
+
+
+def test_flat_prior_holds_the_same_arrays():
+    mean = np.array([0.5, -2.0])
+    prior = GaussianPrior.flat(mean)
+    assert np.shares_memory(prior.mean, mean) and prior.mean.tolist() == [0.5, -2.0]
+    assert prior.precision.dtype == float and np.array_equal(prior.precision, np.zeros((2, 2)))
+    assert GaussianPrior.flat(3.0).mean.tolist() == [3.0]
+
+
 @pytest.mark.parametrize("build", [
     lambda: GaussianPrior.create([0.0, 1.0], np.eye(2)),
     lambda: exp_series_datagen(14),
     lambda: JtestDomain.create([0.0, 0.0], [1.0, 2.0]),
-], ids=["GaussianPrior", "ExpSeriesArgs", "JtestDomain"])
+    lambda: error_bars(np.random.default_rng(0).normal(size=(500, 2)), 10, [-3, -3], [3, 3]),
+], ids=["GaussianPrior", "ExpSeriesArgs", "JtestDomain", "HistogramResult"])
 def test_frozen_array_records_compare_and_hash_by_identity(build):
     # a generated == would compare the arrays and raise on their truth value
     x = build()

@@ -507,6 +507,17 @@ def _fresh_checksum(change):
     return edit
 
 
+def test_checkpoint_document_without_header_refused(tmp_path):
+    # a version-4 state document saved as plain JSON, with no header, slots or rows
+    path = tmp_path / "state.json"
+    s = make_quickstart(seed=1)
+    s.run_sample(10)
+    s.save_checkpoint(path)
+    path.write_bytes(_newest_slot(path)[3])
+    with pytest.raises(CorruptCheckpoint, match="^checkpoint has no header$"):
+        Sampler.load_checkpoint(path, quickstart_handle())
+
+
 def test_checkpoint_wrong_version_rejected(tmp_path):
     path = tmp_path / "state.json"
     s = make_quickstart(seed=1)
@@ -639,6 +650,16 @@ def test_checkpoint_invalid_value_with_valid_checksum_refused(tmp_path, change):
     _edit_newest_document(path, _fresh_checksum(change))
     with pytest.raises(CorruptCheckpoint):
         Sampler.load_checkpoint(path, quickstart_handle())
+
+
+def test_set_static_judges_its_factor_at_zero_steps():
+    s = make_quickstart(seed=1)
+    s.set_static(1, 0.3)
+    with pytest.raises(InvalidPolicy, match="factor must be a number in \\(0, 1\\), got 2.0$"):
+        s.set_static(0, 2.0)
+    assert s.policy == BackoffPolicy.static(1, 0.3)
+    s.set_static(0, 0.3)
+    assert s.policy == BackoffPolicy.none()
 
 
 @pytest.mark.parametrize("mode, max_steps, factor", [("none", 0, "x"), ("dynamic", 2, float("nan"))],
