@@ -32,7 +32,7 @@ from .model import (
     exp_series_handle,
     exp_series_model,
     quickstart_model,
-    simple2d_handle,
+    simple2d_model,
 )
 from .posterior import GaussianPrior, log_posterior
 from .sampler import Sampler
@@ -90,14 +90,16 @@ def _badjac_model(x, args):
 
 def _make_example(args: argparse.Namespace) -> Tuple[int, Callable[[], ModelHandle]]:
     """The example's dimension and model handle builder, with ``--y``, ``--sigma`` and
-    ``--data-seed`` applied. An example setting ``args`` leaves at None takes the example's
-    value; one of another length, or a y, sigma or data seed the model refuses, is a usage error."""
+    ``--data-seed`` applied to the examples that read them. An example setting ``args``
+    leaves at None takes the example's value; one of another length, or a y, sigma or data
+    seed the model refuses, is a usage error."""
     name = args.example
-    y = args.y if args.y is not None else (4.0 if name == "well" else 1.0)
-    sigma = args.sigma if args.sigma is not None else 0.5
-    model_args = _flag_value("--sigma/--y", _example_args, y, sigma)
+    if name != "expseries":  # the ring and the double well read y and sigma
+        y = args.y if args.y is not None else (4.0 if name == "well" else 1.0)
+        sigma = args.sigma if args.sigma is not None else 0.5
+        model_args = _flag_value("--sigma/--y", _example_args, y, sigma)
     if name == "simple2d":
-        dim, build_handle = 2, lambda: simple2d_handle(y=y, sigma=sigma)
+        dim, build_handle = 2, lambda: ModelHandle(simple2d_model, model_args, dim_in=2)
         values = dict(x0=[1.0, 0.0], prior_mean=[0.0, 0.0], prior_precision=[1.0, 0.0, 0.0, 1.0],
                       range=[-2.0, 2.0], min=[-2.0, -2.0], max=[2.0, 2.0])
     elif name == "expseries":
@@ -136,9 +138,22 @@ _EXAMPLES = ("quickstart", "well", "simple2d", "expseries", "badjac")
 
 def _format_rows(rows: np.ndarray) -> str:
     """Each row of a 2-D float array as a line of its numbers at 17
-    significant digits, enough to round-trip a float64, comma-separated."""
-    template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    return "".join([template % tuple(row) for row in rows.tolist()])
+    significant digits, enough to round-trip a float64, comma-separated.
+
+    Each column's distinct numbers are formatted once, in one ``%`` call,
+    and the lines are joined from those strings. Numbers are told apart by
+    their bits, not by ``==``, so 0.0 and -0.0 keep their own strings.
+    """
+    n, k = rows.shape
+    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.int64)
+    cells = [""] * (n * k)
+    for j in range(k):
+        distinct, index = np.unique(bits[:, j], return_inverse=True)
+        # each string ends with its separator; "\0" splits them apart
+        template = ("%.17g,\0" if j < k - 1 else "%.17g\n\0") * len(distinct)
+        strings = (template % tuple(distinct.view(np.float64).tolist())).split("\0")
+        cells[j::k] = np.array(strings[:-1], dtype=object)[index].tolist()
+    return "".join(cells)
 
 
 def _write_csv(path: str, header: str, rows: np.ndarray) -> None:

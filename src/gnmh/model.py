@@ -166,9 +166,10 @@ class ExpSeriesArgs:
 
     ``times``, ``data`` and ``noise_sd`` all have length m and finite
     entries, or ``ValueError`` names the field; every noise standard
-    deviation must be positive. The fields are read once, at construction,
-    into read-only float64 copies, beside the column -t and 1/noise_sd that
-    every model call uses; the class is frozen, so none can go stale.
+    deviation must be positive, with a finite reciprocal. The fields are
+    read once, at construction, into read-only float64 copies, beside the
+    column -t and 1/noise_sd that every model call uses; the class is
+    frozen, so none can go stale.
     """
 
     times: np.ndarray
@@ -186,8 +187,12 @@ class ExpSeriesArgs:
             check_finite(name, value)
         if np.any(noise_sd <= 0.0):
             raise ValueError("noise_sd must be strictly positive")
+        with np.errstate(over="ignore"):  # refused below, under any warning filter
+            inv_sd = 1.0 / noise_sd
+        if not np.all(inv_sd < np.inf):
+            raise ValueError("noise_sd has an entry whose reciprocal overflows")
         for name, value in (("times", times), ("data", data), ("noise_sd", noise_sd),
-                            ("neg_times", -times[:, None]), ("inv_sd", 1.0 / noise_sd)):
+                            ("neg_times", -times[:, None]), ("inv_sd", inv_sd)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -214,9 +219,12 @@ def exp_series_model(x, args: ExpSeriesArgs):
 
 
 def _example_args(y, sigma) -> dict:
-    """The double-well and ring models' ``args``, once sigma > 0 and y are finite numbers."""
+    """The double-well and ring models' ``args``, once sigma > 0 and y are finite numbers
+    and 1 / sigma is finite; ``ValueError`` names the setting refused."""
     if not (is_real(sigma) and 0.0 < sigma < math.inf):
         raise ValueError(f"sigma must be a finite positive number, got {sigma!r}")
+    if 1.0 / float(sigma) == math.inf:  # a Python float overflows without a warning
+        raise ValueError(f"sigma must have a finite reciprocal, got {sigma!r}")
     if not (is_real(y) and abs(y) < math.inf):
         raise ValueError(f"y must be a finite number, got {y!r}")
     return {"y": y, "sigma": sigma}

@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gnmh.cli
+import gnmh.model
 from gnmh import diagnostics
-from gnmh.cli import exp_series_datagen, main, quadrature_1d
+from gnmh.cli import _format_rows, _write_csv, exp_series_datagen, main, quadrature_1d
 from gnmh.errors import NonFiniteDensity
-from gnmh.model import ModelHandle, quickstart_handle
+from gnmh.model import ModelHandle, _example_args, quickstart_handle
 from gnmh.posterior import GaussianPrior, log_posterior
 
 
@@ -86,6 +88,52 @@ def test_datagen_mean_at_zero_time():
     args = exp_series_datagen(seed=123)
     assert args.times[0] == 0.0
     assert args.data[0] == pytest.approx(3.5, abs=0.5)
+
+
+# ---------------------------------------------------------------------------
+# file emission
+# ---------------------------------------------------------------------------
+
+
+def _reference_format_rows(rows):
+    """One ``%`` per row, as the CLI formatted its files before it formatted
+    each distinct number once; the byte-for-byte reference."""
+    template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "".join([template % tuple(row) for row in rows.tolist()])
+
+
+def _format_cases():
+    rng = np.random.default_rng(3)
+    nan_bits = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+                        dtype=np.uint64).view(np.float64)  # nan, -nan, a signalling payload
+    runs = np.repeat(rng.standard_normal((1500, 3)), rng.integers(1, 6, 1500), axis=0)
+    return {
+        "signed-zeros": np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0]]),
+        "nan": np.column_stack([nan_bits, [1.0, 1.0, np.nan]]),
+        "inf": np.array([[np.inf, -np.inf], [-np.inf, np.inf], [np.inf, 0.0]]),
+        "subnormal": np.array([[5e-324, -5e-324], [2.2250738585072009e-308, 1e-310],
+                               [-1e-310, 5e-324]]),
+        "repeated-rows": np.repeat(rng.standard_normal((7, 2)), 3, axis=0),
+        "repeated-values": rng.integers(-3, 4, (50, 4)) * 0.1,
+        "one-row": np.array([[0.1, -2.5e-300, 1e300, 3.0]]),
+        "one-column": rng.standard_normal((9, 1)),
+        "distinct": rng.standard_normal((300, 2)),
+        "over-4096-rows": runs,
+    }
+
+
+@pytest.mark.parametrize("name", list(_format_cases()))
+def test_format_rows_equals_the_per_row_reference(name):
+    rows = _format_cases()[name]
+    assert _format_rows(rows) == _reference_format_rows(rows)
+
+
+def test_write_csv_equals_the_per_row_reference_across_chunks(tmp_path):
+    rows = _format_cases()["over-4096-rows"]
+    assert rows.shape[0] > 4096  # so the file is written in more than one chunk
+    _write_csv(str(tmp_path / "rows.csv"), "a,b,c", rows)
+    expected = "a,b,c\n" + _reference_format_rows(rows)
+    assert (tmp_path / "rows.csv").read_bytes() == expected.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +307,34 @@ def test_sample_expseries_bad_data_seed_usage_error(tmp_path, capsys):
     assert code == 2
     assert "error: --data-seed -1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("example, flags, judged", [
+    ("expseries", ("--sigma", "0"), 0),
+    ("expseries", ("--y", "inf", "--sigma", "nan"), 0),
+    ("simple2d", ("--sigma", "0.25"), 1),
+    ("quickstart", ("--y", "2"), 1),
+])
+def test_sample_judges_sigma_and_y_once_where_the_example_reads_them(tmp_path, monkeypatch,
+                                                                     example, flags, judged):
+    # the decay series reads neither, so no value of them is refused there
+    # and its files are those of a run without them
+    calls = []
+
+    def counting_example_args(y, sigma):
+        calls.append((y, sigma))
+        return _example_args(y, sigma)
+
+    monkeypatch.setattr(gnmh.cli, "_example_args", counting_example_args)
+    monkeypatch.setattr(gnmh.model, "_example_args", counting_example_args)
+    assert run_cli("sample", "--example", example, "--samples", "10",
+                   "--out-dir", str(tmp_path / "flags"), *flags) == 0
+    assert len(calls) == judged
+    if not judged:
+        assert run_cli("sample", "--example", example, "--samples", "10",
+                       "--out-dir", str(tmp_path / "plain")) == 0
+        for name in ("chain.csv", "histogram.csv", "summary.json"):
+            assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -152,6 +152,24 @@ def test_example_handles_refuse_a_setting_by_name(build, setting, value):
         build(**{setting: value})
 
 
+@pytest.mark.parametrize("action", ["error", "always"])
+@pytest.mark.parametrize("build, message", [
+    (lambda sd: ExpSeriesArgs(times=[0.0], data=[1.0], noise_sd=[sd]),
+     "noise_sd has an entry whose reciprocal overflows"),
+    (lambda sd: quickstart_handle(sigma=sd), "sigma must have a finite reciprocal, got 1e-310"),
+    (lambda sd: simple2d_handle(sigma=sd), "sigma must have a finite reciprocal, got 1e-310"),
+], ids=["noise_sd", "quickstart", "simple2d"])
+def test_a_scale_whose_reciprocal_overflows_is_refused_by_name(build, message, action):
+    # 1 / 1e-310 overflows: the scale is refused where it is given, with no
+    # warning, rather than making every residual inf or NaN
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(1e-310)
+        build(1e-300)  # a scale that small is kept, as its reciprocal is finite
+    assert caught == []
+
+
 @pytest.mark.parametrize("build", [quickstart_handle, simple2d_handle])
 def test_example_handles_keep_valid_settings(build):
     assert build().args == {"y": 1.0, "sigma": 0.5}
