@@ -160,6 +160,25 @@ def linear_model(x, args):
     return True, A @ x - b, A
 
 
+class _TermTiles(dict):
+    """The contiguous -t and 1/noise_sd tiles of one ``ExpSeriesArgs``, keyed
+    by the term count d: (m, d) and (m, 2d), read-only, built on first use."""
+
+    __slots__ = ("neg_times", "inv_sd")
+
+    def __init__(self, neg_times: np.ndarray, inv_sd: np.ndarray):
+        super().__init__()
+        self.neg_times = neg_times
+        self.inv_sd = inv_sd
+
+    def __missing__(self, d: int):
+        tiles = np.repeat(self.neg_times, d, axis=1), np.repeat(self.inv_sd[:, None], 2 * d, axis=1)
+        for tile in tiles:
+            tile.flags.writeable = False
+        self[d] = tiles
+        return tiles
+
+
 @dataclass(frozen=True, eq=False)
 class ExpSeriesArgs:
     """Data bundle for the exponential-decay time-series model.
@@ -169,7 +188,11 @@ class ExpSeriesArgs:
     deviation must be positive, with a finite reciprocal. The fields are
     read once, at construction, into read-only float64 copies, beside the
     column -t and 1/noise_sd that every model call uses; the class is
-    frozen, so none can go stale.
+    frozen, so none can go stale. For each term count d the model meets, an
+    (m, d) tile of -t and an (m, 2d) tile of 1/noise_sd are built once, on
+    the first call, and kept read-only in a private cache that is not a
+    field. Copies and pickles are rebuilt by the constructor from the three
+    inputs, so they hold read-only fields and a cache of their own.
     """
 
     times: np.ndarray
@@ -191,10 +214,15 @@ class ExpSeriesArgs:
             inv_sd = 1.0 / noise_sd
         if not np.all(inv_sd < np.inf):
             raise ValueError("noise_sd has an entry whose reciprocal overflows")
+        neg_times = -times[:, None]
         for name, value in (("times", times), ("data", data), ("noise_sd", noise_sd),
-                            ("neg_times", -times[:, None]), ("inv_sd", inv_sd)):
+                            ("neg_times", neg_times), ("inv_sd", inv_sd)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_tiles", _TermTiles(neg_times, inv_sd))
+
+    def __reduce__(self):
+        return type(self), (self.times, self.data, self.noise_sd)
 
 
 def exp_series_model(x, args: ExpSeriesArgs):
@@ -205,16 +233,22 @@ def exp_series_model(x, args: ExpSeriesArgs):
     (g(t_k) - data_k) / noise_sd_k; the Jacobian is analytic:
     d/dw_i = exp(-rate_i t_k) / sd_k and
     d/drate_i = -w_i t_k exp(-rate_i t_k) / sd_k.
-    -t and 1/sd are read from ``args``, which computed them once.
+    -t and 1/sd are read from ``args``, which built their (m, d) and (m, 2d)
+    tiles once for this d, so no call broadcasts a column. Each output entry
+    multiplies the same operands in the same order as that formula, so the
+    outputs equal it bit for bit.
     """
     d = x.shape[0] // 2
     w = x[:d]
-    decay = np.exp(args.neg_times * x[d:])  # (m, d)
-    f = (decay.dot(w) - args.data) * args.inv_sd
+    neg_t, inv_sd = args._tiles[d]
+    decay = np.exp(args.neg_times.dot(x[None, d:]))  # (m, d): the k = 1 product -t_k * rate_i
+    f = decay.dot(w)
+    f -= args.data
+    f *= args.inv_sd
     jac_rate = w * decay
-    jac_rate *= args.neg_times
+    jac_rate *= neg_t
     jac = np.concatenate((decay, jac_rate), axis=1)
-    jac *= args.inv_sd[:, None]
+    jac *= inv_sd
     return True, f, jac
 
 

@@ -94,6 +94,18 @@ def test_exp_series_passes_on_standard_box():
     assert jtest(h, dom, JtestOptions(N=200), rng=3) == 0.0
 
 
+@pytest.mark.parametrize("options, want, calls", [
+    (JtestOptions(), 0.0, 9296),
+    (JtestOptions(eps_max=1e-9), 33.955447114256685, 409),
+], ids=["default", "eps_max-1e-9"])
+def test_exp_series_pinned_on_the_bench_set_up(options, want, calls):
+    # the benchmark's decay-series set-up; the shrink stages make the call
+    # count move if any residual or Jacobian bit moves
+    h = exp_series_handle(exp_series_datagen(seed=14), n_terms=2)
+    assert jtest(h, JtestDomain.create([0.1] * 4, [5.0] * 4), options, rng=7) == want
+    assert h.call_count == calls
+
+
 def _perturbed_quickstart(x, args):
     inside, f, jac = quickstart_model(x, args)
     return inside, f, [[jac[0][0] + 0.01]]

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -125,6 +127,22 @@ def test_exp_series_bit_identical_to_reference_formula(d, m):
         assert jac.flags.c_contiguous
 
 
+def test_exp_series_args_serve_several_term_counts_in_turn():
+    # the per-term-count tiles are cached by d: one args serves 1, 2 and 3
+    # terms interleaved, and the cache is neither a field nor in the repr
+    rng = np.random.default_rng(61)
+    args = ExpSeriesArgs(times=rng.uniform(0.0, 8.0, 7), data=rng.normal(size=7),
+                         noise_sd=rng.uniform(0.05, 2.0, 7))
+    fields, text = dataclasses.fields(ExpSeriesArgs), repr(args)
+    assert [f.name for f in fields] == ["times", "data", "noise_sd", "neg_times", "inv_sd"]
+    for d in [1, 2, 3, 2, 1, 3, 3, 1, 2] * 10:
+        x = rng.normal(size=2 * d) * rng.uniform(0.1, 3.0)
+        for a, b in zip(exp_series_model(x, args), _reference_exp_series(x, args)):
+            np.testing.assert_array_equal(a, b)
+    assert sorted(args._tiles) == [1, 2, 3]
+    assert dataclasses.fields(ExpSeriesArgs) == fields and repr(args) == text
+
+
 def test_exp_series_args_validation():
     with pytest.raises(DimensionMismatch):
         ExpSeriesArgs(times=[0.0, 1.0], data=[1.0], noise_sd=[1.0, 1.0])
@@ -195,6 +213,26 @@ def test_exp_series_args_hold_read_only_copies():
     for name in ("times", "data", "noise_sd", "neg_times", "inv_sd"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(args, name)[0] = 1.0
+    for tile in args._tiles[2]:  # the -t and 1/noise_sd tiles the call built
+        with pytest.raises(ValueError, match="read-only"):
+            tile[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))],
+                         ids=["deepcopy", "pickle"])
+def test_exp_series_args_copies_are_rebuilt_read_only(duplicate):
+    # a copy with writeable times would leave its neg_times stale
+    args = ExpSeriesArgs(times=[0.0, 1.0], data=[1.0, 0.5], noise_sd=[0.1, 0.2])
+    x = np.array([1.0, 2.5, 0.5, 3.1])
+    want = exp_series_model(x, args)
+    dup = duplicate(args)
+    for name in ("times", "data", "noise_sd", "neg_times", "inv_sd"):
+        np.testing.assert_array_equal(getattr(dup, name), getattr(args, name))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(dup, name)[0] = 1.0
+    for a, b in zip(exp_series_model(x, dup), want):
+        np.testing.assert_array_equal(a, b)
+    assert dup._tiles is not args._tiles
 
 
 def test_exp_series_list_args_same_output_as_arrays():
