@@ -44,5 +44,6 @@ print("fractions accepted at each stage (dynamic(1) run shown; -1 = rejected):")
 sampler = gnmh.Sampler(prior_mean, gnmh.exp_series_handle(args), seed=3, prior=prior)
 sampler.set_dynamic(1)
 sampler.run_sample(20_000)
-for stage, frac in gnmh.step_percentages(sampler.step_count).items():
-    print(f"  stage {stage:>2}: {frac:.1%}")
+counts = sampler.step_count
+for stage, count in counts.items():
+    print(f"  stage {stage:>2}: {count / sum(counts.values()):.1%}")

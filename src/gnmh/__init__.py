@@ -14,7 +14,6 @@ from .diagnostics import (
     autocovariance,
     error_bars,
     error_bars_2d,
-    step_percentages,
 )
 from .gaussian import PrecisionGaussian
 from .jtest import JtestDomain, JtestOptions, jtest
@@ -52,5 +51,4 @@ __all__ = [
     "quickstart_handle",
     "quickstart_model",
     "simple2d_handle",
-    "step_percentages",
 ]

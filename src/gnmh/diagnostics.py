@@ -1,11 +1,10 @@
 """Post-run chain analysis: marginal histograms with Poisson error bars,
-integrated autocorrelation time, autocovariance curves, and per-stage
-acceptance fractions."""
+integrated autocorrelation time and autocovariance curves."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -204,14 +203,3 @@ def acor(series, k: int = 5) -> AcorResult:
     tau = max(float(taus[hits[0]]), 1.0)
     sigma = float(np.sqrt(tau * var / n))
     return AcorResult(tau=tau, mean=mean, sigma=sigma)
-
-
-def step_percentages(step_count: Dict[int, int]) -> Dict[int, float]:
-    """Fraction of transitions resolved at each stage (-1 is rejection).
-
-    Fractions sum to 1. An all-zero count map returns an empty dict.
-    """
-    total = sum(step_count.values())
-    if total == 0:
-        return {}
-    return {stage: count / total for stage, count in step_count.items()}

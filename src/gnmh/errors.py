@@ -24,8 +24,8 @@ class NotPSD(GnmhError):
 
 
 class SingularProposal(GnmhError):
-    """H + J'J is not positive definite where a ``Sampler`` starts or is given
-    a new prior; at any other point the proposal is None, and never accepted."""
+    """H + J'J is not positive definite where a ``Sampler`` starts; at any
+    other point the proposal is None, and never accepted."""
 
 
 class InitialGuessOutsideDomain(GnmhError):

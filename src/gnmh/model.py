@@ -149,17 +149,6 @@ def simple2d_model(x, args):
     return True, [f], [[2.0 * x0 / sigma, 2.0 * x1 / sigma]]
 
 
-def linear_model(x, args):
-    """Affine residual A x - b with constant Jacobian A.
-
-    The Gauss-Newton proposal is exact for this model (it equals the
-    posterior), which makes it the reference case for exactness tests.
-    """
-    A = args["A"]
-    b = args["b"]
-    return True, A @ x - b, A
-
-
 class _TermTiles(dict):
     """The contiguous -t and 1/noise_sd tiles of one ``ExpSeriesArgs``, keyed
     by the term count d: (m, d) and (m, 2d), read-only, built on first use."""
@@ -270,12 +259,6 @@ def quickstart_handle(y: float = 1.0, sigma: float = 0.5) -> ModelHandle:
 
 def simple2d_handle(y: float = 1.0, sigma: float = 0.5) -> ModelHandle:
     return ModelHandle(simple2d_model, _example_args(y, sigma), dim_in=2)
-
-
-def linear_handle(A, b) -> ModelHandle:
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    return ModelHandle(linear_model, {"A": A, "b": b}, dim_in=A.shape[1])
 
 
 def exp_series_handle(args: ExpSeriesArgs, n_terms: int = 2) -> ModelHandle:

@@ -171,17 +171,20 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval, hd: np.ndarray) -> tuple:
 
 
 @dataclass(slots=True)
-class PointState(ModelEval):
-    """Everything the sampler needs about one point, from one model call:
-    the evaluation's fields, the log target and the Gauss-Newton proposal
-    anchored here, in one record.
+class PointState:
+    """Everything the kernel reads about one point, from one model call:
+    ``x``, ``inside`` and ||f(x)||^2 from the evaluation, the log target and
+    the Gauss-Newton proposal anchored here, in one record.
 
     ``v``, ``chol``, ``log_norm`` and ``jtf`` are what :func:`gn_proposal`
-    returns, read directly by the kernel; all four are None outside the
-    domain, and all but ``jtf`` when the proposal precision was singular
-    (``proposal_failed``). ``log_post`` is -inf outside the domain.
+    returns; all four are None outside the domain, and all but ``jtf`` when
+    the proposal precision was singular (``proposal_failed``). ``log_post``
+    is -inf outside the domain.
     """
 
+    x: np.ndarray
+    inside: bool
+    residual_sq: float
     log_post: float
     v: Optional[np.ndarray]
     chol: Optional[np.ndarray]
@@ -206,11 +209,9 @@ def point_state_from_eval(prior: GaussianPrior, ev: ModelEval) -> PointState:
         infinite residual is not an error: it is zero density.
     """
     if not ev.inside:
-        return PointState(ev.x, False, None, None, ev.residual_sq, -np.inf,
-                          None, None, None, None)
+        return PointState(ev.x, False, ev.residual_sq, -np.inf, None, None, None, None)
     hd, lp = _log_target(prior, ev.x, ev.residual_sq)
-    return PointState(ev.x, True, ev.residual, ev.jacobian, ev.residual_sq, lp,
-                      *gn_proposal(prior, ev, hd))
+    return PointState(ev.x, True, ev.residual_sq, lp, *gn_proposal(prior, ev, hd))
 
 
 def point_state(prior: GaussianPrior, model: ModelHandle, x) -> PointState:

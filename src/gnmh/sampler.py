@@ -49,7 +49,7 @@ from .errors import (
 )
 from .gaussian import _solve_lower
 from .kernel import BackoffPolicy
-from .model import ModelEval, ModelHandle
+from .model import ModelHandle
 from .posterior import GaussianPrior, log_posterior, point_state_from_eval
 
 _CHECKPOINT_VERSION = 4
@@ -147,16 +147,20 @@ class Sampler:
         Seed for the internal generator. Chains are bit-reproducible given
         a seed, regardless of division layout or checkpoint interruptions.
     prior : GaussianPrior, optional
-        Defaults to flat (zero precision about ``x0``). A model with fewer
-        residuals than parameters needs an informative prior here, since
-        the flat-prior proposal precision J'J is rank deficient.
+        Defaults to flat (zero precision about ``x0``); fixed from then on.
+        A model with fewer residuals than parameters needs an informative
+        prior here, since the flat-prior proposal precision J'J is singular.
 
-    The back-off policy defaults to none; see :meth:`set_prior`,
-    :meth:`set_static`, :meth:`set_dynamic`, or assign a ``BackoffPolicy``
-    to ``policy``.
+    The back-off policy defaults to none; see :meth:`set_static`,
+    :meth:`set_dynamic`, or assign a ``BackoffPolicy`` to ``policy``.
+
+    ``call_count`` counts this sampler's own model calls (at ``x0``, in its
+    transitions and :meth:`posterior_at`), not others' through its handle.
 
     Raises
     ------
+    DimensionMismatch
+        If the prior's dimension is not the model's (before any model call).
     InitialGuessOutsideDomain
         If ``x0`` has a NaN or infinite entry (before any model call), the
         model indicator is 0 at ``x0``, or the Gauss-Newton mean there is
@@ -170,36 +174,11 @@ class Sampler:
     def __init__(self, x0, model: ModelHandle, seed: Optional[int] = None,
                  prior: Optional[GaussianPrior] = None):
         self.model = model
-        # call_count is the handle's count plus this offset
-        self._call_offset = -model.call_count
         x0 = np.array(x0, dtype=float).reshape(-1)
         check_finite(f"initial guess x0 = {x0.tolist()}", x0, InitialGuessOutsideDomain)
-        self._set_state(prior, x0)
-        self.policy = BackoffPolicy.none()
-        self.rng = np.random.default_rng(seed)
-        self._set_chain(np.empty((0, self.dim)))
-        self.burned = 0
-        self._step_count: Dict[int, int] = {-1: 0}
-        self.warnings: Dict[str, int] = {"singular_proposals": 0}
-
-    # -- configuration ------------------------------------------------
-
-    def set_prior(self, mean, precision) -> None:
-        """Replace the prior and refresh the cached state at the current
-        point (no model call is spent)."""
-        self._set_state(GaussianPrior.create(mean, precision), self.current)
-
-    def _set_state(self, prior: Optional[GaussianPrior], point) -> None:
-        """Make ``prior`` (flat about the point when None) the prior and
-        ``point`` the current point: either its ``ModelEval``, or a point at
-        which the model is called. The prior's dimension is checked before
-        any model call, and every check before the assignment, so a refused
-        prior or point leaves the sampler as it was."""
-        if prior is not None and prior.dim != self.model.dim_in:
-            raise DimensionMismatch(
-                f"prior dimension {prior.dim}, model expects {self.model.dim_in}"
-            )
-        ev = point if isinstance(point, ModelEval) else self.model.evaluate(point)
+        if prior is not None and prior.dim != model.dim_in:
+            raise DimensionMismatch(f"prior dimension {prior.dim}, model expects {model.dim_in}")
+        ev = model.evaluate(x0)
         if not ev.inside:
             raise InitialGuessOutsideDomain("model indicator is 0 at the initial guess")
         if prior is None:
@@ -221,6 +200,15 @@ class Sampler:
                 f"initial guess x0 = {ev.x.tolist()}"
             )
         self.prior, self.current = prior, state
+        self.policy = BackoffPolicy.none()
+        self.rng = np.random.default_rng(seed)
+        self._set_chain(np.empty((0, self.dim)))
+        self.burned = 0
+        self.call_count = 1  # the evaluation at x0
+        self._step_count: Dict[int, int] = {-1: 0}
+        self.warnings: Dict[str, int] = {"singular_proposals": 0}
+
+    # -- configuration ------------------------------------------------
 
     def set_static(self, max_steps: int, factor: float) -> None:
         """Back off up to ``max_steps`` times, dilating by ``factor`` each
@@ -256,10 +244,6 @@ class Sampler:
         # counters describe the whole run, including burned transitions
         attempts = self.n_samples + self.burned
         return self.n_accepted / attempts if attempts > 0 else 0.0
-
-    @property
-    def call_count(self) -> int:
-        return self.model.call_count + self._call_offset
 
     @property
     def step_count(self) -> Dict[int, int]:
@@ -298,6 +282,7 @@ class Sampler:
             size = base + (1 if i < rem else 0)
             n, current = self._n, self.current
             end = n + size
+            calls = model.call_count
             try:
                 while n < end:
                     nxt, stage = step(current, policy, prior, model, rng, counters)
@@ -309,6 +294,7 @@ class Sampler:
             finally:
                 # the transitions before a step that raised are kept
                 self._n, self.current = n, current
+                self.call_count += model.call_count - calls
             done += size
             if visual:
                 print(f"{100.0 * done / n_samples:.1f}% complete", flush=True)
@@ -334,7 +320,11 @@ class Sampler:
         UserFunctionFailure
             If the residual at ``x`` is NaN.
         """
-        return float(np.exp(log_posterior(self.prior, self.model.evaluate(x))))
+        calls = self.model.call_count
+        try:
+            return float(np.exp(log_posterior(self.prior, self.model.evaluate(x))))
+        finally:
+            self.call_count += self.model.call_count - calls
 
     # -- chain storage ------------------------------------------------------
 
@@ -567,7 +557,5 @@ class Sampler:
         sampler.burned = burned
         sampler._step_count = step_count
         sampler.warnings = warnings
-        # the reload evaluation recomputes a cached value; keep the counters
-        # identical to an uninterrupted run
-        sampler._call_offset = call_count - model.call_count
+        sampler.call_count = call_count
         return sampler

@@ -22,13 +22,14 @@ from gnmh.kernel import (
 from gnmh.model import (
     ModelHandle,
     exp_series_handle,
-    linear_handle,
     quickstart_handle,
     quickstart_model,
     simple2d_handle,
 )
 from gnmh.posterior import GaussianPrior, log_posterior, point_state
 from gnmh.sampler import Sampler
+
+from _oracle import linear_handle
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

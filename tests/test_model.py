@@ -14,11 +14,12 @@ from gnmh.model import (
     ModelHandle,
     exp_series_handle,
     exp_series_model,
-    linear_handle,
     quickstart_handle,
     quickstart_model,
     simple2d_handle,
 )
+
+from _oracle import linear_handle
 
 
 def positive_half_line(x, args):
@@ -356,10 +357,10 @@ def test_instrumented_call_count_equality(configure):
         return 1, [(x[0] ** 2 - 1.0) / 0.5], [[2.0 * x[0] / 0.5]]
 
     h = ModelHandle(counted, None, dim_in=1)
+    from gnmh.posterior import GaussianPrior
     from gnmh.sampler import Sampler
 
-    s = Sampler([0.5], h, seed=0)
-    s.set_prior([0.0], [[1.0]])
+    s = Sampler([0.5], h, seed=0, prior=GaussianPrior.create([0.0], [[1.0]]))
     configure(s)
     s.run_sample(500)
     assert h.call_count == tally["n"]

@@ -10,7 +10,7 @@ from gnmh.diagnostics import error_bars
 from gnmh.errors import DimensionMismatch, NotPSD, UserFunctionFailure
 from gnmh.gaussian import PrecisionGaussian, _factor
 from gnmh.jtest import JtestDomain
-from gnmh.model import ModelEval, ModelHandle, linear_handle, quickstart_handle
+from gnmh.model import ModelEval, ModelHandle, quickstart_handle
 from gnmh.posterior import (
     GaussianPrior,
     gn_proposal,
@@ -20,7 +20,7 @@ from gnmh.posterior import (
 )
 from gnmh.sampler import Sampler
 
-from _oracle import proposal
+from _oracle import linear_handle, proposal
 
 
 def test_prior_validation():
@@ -235,9 +235,9 @@ def test_point_state_computes_residual_norm_and_log_post_once_bit_identically():
     for _ in range(20):
         x = rng.normal(size=3)
         st = point_state(prior, h, x)
-        f = st.residual
-        assert st.residual_sq == float(f @ f)
-        assert st.log_post == log_posterior(prior, h.evaluate(x))
+        ev = h.evaluate(x)
+        assert st.residual_sq == float(ev.residual @ ev.residual)
+        assert st.log_post == log_posterior(prior, ev)
 
 
 def _reference_gn_proposal(prior, ev, x):
@@ -545,12 +545,12 @@ def test_overflowing_residual_norm_is_zero_density_under_any_warning_filter(acti
         assert sampler.posterior_at([0.5]) == 0.0
 
 
-_STATE_FIELDS = ("x", "residual", "jacobian", "residual_sq", "log_post",
-                 "v", "chol", "log_norm", "jtf")
+_STATE_FIELDS = ("x", "residual_sq", "log_post", "v", "chol", "log_norm", "jtf")
+_EVAL_FIELDS = ("x", "residual", "jacobian", "residual_sq")
 
 
-def _assert_same_state(got, ref):
-    for name in _STATE_FIELDS:
+def _assert_same_state(got, ref, fields=_STATE_FIELDS):
+    for name in fields:
         np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
         assert np.asarray(getattr(got, name)).dtype == np.float64, name
 
@@ -561,8 +561,9 @@ def _assert_same_state(got, ref):
     lambda f, J: (f.astype(np.float32), J.astype(np.float32)),
 ], ids=["lists", "ints", "float32"])
 def test_point_state_same_for_any_output_type(convert):
-    # whatever numbers the model returns, the record holds their float64
-    # values, bit for bit as if returned as float64 C-ordered arrays
+    # whatever numbers the model returns, the evaluation holds their float64
+    # values, bit for bit as if returned as float64 C-ordered arrays, and the
+    # record is built from them
     rng = np.random.default_rng(71)
     for n in (1, 2, 4):
         prior = GaussianPrior.create(rng.normal(size=n), _random_spd(rng, n))
@@ -571,9 +572,10 @@ def test_point_state_same_for_any_output_type(convert):
             f64 = np.ascontiguousarray(f, dtype=np.float64)
             J64 = np.ascontiguousarray(J, dtype=np.float64)
             x = rng.normal(size=n)
-            got = point_state(prior, ModelHandle(lambda x, a: (1, f, J), None, dim_in=n), x)
-            ref = point_state(prior, ModelHandle(lambda x, a: (1, f64, J64), None, dim_in=n), x)
-            _assert_same_state(got, ref)
+            got = ModelHandle(lambda x, a: (1, f, J), None, dim_in=n)
+            ref = ModelHandle(lambda x, a: (1, f64, J64), None, dim_in=n)
+            _assert_same_state(got.evaluate(x), ref.evaluate(x), _EVAL_FIELDS)
+            _assert_same_state(point_state(prior, got, x), point_state(prior, ref, x))
 
 
 @pytest.mark.parametrize("layout", ["F", "read-only"])
@@ -590,9 +592,11 @@ def test_point_state_keeps_the_models_layout(layout):
             else:
                 f.flags.writeable = J.flags.writeable = False
             x = rng.normal(size=n)
-            st = point_state(prior, ModelHandle(lambda x, a: (1, f, J), None, dim_in=n), x)
-            assert st.jacobian.flags.f_contiguous == (layout == "F" or n == 1)
-            assert st.residual is not f and st.jacobian is not J
+            h = ModelHandle(lambda x, a: (1, f, J), None, dim_in=n)
+            copied = h.evaluate(x)
+            assert copied.jacobian.flags.f_contiguous == (layout == "F" or n == 1)
+            assert copied.residual is not f and copied.jacobian is not J
+            st = point_state(prior, h, x)
             ev = ModelEval(x=x, inside=True, residual=f, jacobian=J, residual_sq=float(f.dot(f)))
             _assert_same_record(st, _reference_gn_proposal(prior, ev, x))
             assert st.log_post == log_posterior(prior, ev)

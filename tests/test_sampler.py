@@ -21,27 +21,27 @@ from gnmh.errors import (
     InitialGuessOutsideDomain,
     InvalidPolicy,
     IOFailure,
-    NotPSD,
     SingularProposal,
     UserFunctionFailure,
 )
 from gnmh.model import (
     ModelHandle,
     exp_series_handle,
-    linear_handle,
     quickstart_handle,
     simple2d_handle,
 )
 from gnmh.gaussian import PrecisionGaussian
+from gnmh.jtest import JtestDomain, JtestOptions, jtest
 from gnmh.kernel import BackoffPolicy
 from gnmh.posterior import GaussianPrior
 from gnmh.sampler import Sampler
 
+from _oracle import linear_handle
+
 
 def make_quickstart(seed=0):
-    s = Sampler([0.5], quickstart_handle(), seed=seed)
-    s.set_prior([0.0], [[1.0]])
-    return s
+    return Sampler([0.5], quickstart_handle(), seed=seed,
+                   prior=GaussianPrior.create([0.0], [[1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -101,34 +101,11 @@ def test_init_singular_flat_prior_at_zero_jacobian():
         Sampler([0.0], quickstart_handle(), seed=0)
 
 
-def test_set_prior_validation():
-    s = make_quickstart()
-    with pytest.raises(NotPSD):
-        s.set_prior([0.0], [[-0.1]])
-    with pytest.raises(DimensionMismatch):
-        s.set_prior([0.0, 0.0], np.eye(2))
-
-
-def test_refused_set_prior_leaves_sampler_unchanged():
-    # at x = 0 the quickstart Jacobian is 0, so a flat prior leaves no proposal
-    prior = GaussianPrior.create([0.0], [[1.0]])
-    a = Sampler([0.0], quickstart_handle(), seed=8, prior=prior)
-    b = Sampler([0.0], quickstart_handle(), seed=8, prior=prior)
-    with pytest.raises(SingularProposal):
-        a.set_prior([0.0], [[0.0]])
-    assert a.prior is prior
-    assert a.current == b.current
-    a.run_sample(10)
-    b.run_sample(10)
-    np.testing.assert_array_equal(a.chain, b.chain)
-    assert a.step_count == b.step_count and a.call_count == b.call_count
-
-
-def test_set_prior_costs_no_model_call():
-    s = make_quickstart()
-    before = s.call_count
-    s.set_prior([0.1], [[2.0]])
-    assert s.call_count == before
+def test_init_prior_of_another_dimension_refused_before_any_model_call():
+    h = quickstart_handle()
+    with pytest.raises(DimensionMismatch, match="prior dimension 2, model expects 1"):
+        Sampler([0.5], h, seed=0, prior=GaussianPrior.create([0.0, 0.0], np.eye(2)))
+    assert h.call_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +122,24 @@ def test_counter_identities_after_each_run():
         assert s.n_accepted == sum(v for k, v in counts.items() if k != -1)
         assert s.n_samples == s.n_accepted + counts[-1]
         assert s.accept_rate == pytest.approx(s.n_accepted / s.n_samples)
+
+
+def test_samplers_sharing_a_handle_count_only_their_own_calls(tmp_path):
+    # the handle counts every call made through it: both samplers' and
+    # jtest's; a sampler counts its start point, its transitions and
+    # posterior_at (no back-off, so one call per transition)
+    h = quickstart_handle()
+    prior = GaussianPrior.create([0.0], [[1.0]])
+    a = Sampler([0.5], h, seed=1, prior=prior)
+    b = Sampler([0.5], h, seed=2, prior=prior)
+    a.run_sample(100)
+    jtest(h, JtestDomain.create([-2.0], [2.0]), JtestOptions(N=5), rng=0)
+    b.run_sample(50)
+    a.posterior_at([0.3])
+    assert (a.call_count, b.call_count) == (102, 51)
+    assert h.call_count > a.call_count + b.call_count
+    b.save_checkpoint(tmp_path / "b.ckpt")
+    assert Sampler.load_checkpoint(tmp_path / "b.ckpt", h).call_count == 51
 
 
 @pytest.mark.parametrize("policy,configure", [
@@ -178,8 +173,8 @@ def test_chain_rows_always_inside_domain():
             return 0, None, None
         return 1, [(x[0] * x[0] - 1.0) / 0.5], [[2 * x[0] / 0.5]]
 
-    s = Sampler([1.0], ModelHandle(half, None, dim_in=1), seed=5)
-    s.set_prior([0.0], [[1.0]])
+    s = Sampler([1.0], ModelHandle(half, None, dim_in=1), seed=5,
+                prior=GaussianPrior.create([0.0], [[1.0]]))
     s.run_sample(2000)
     assert np.all(s.chain[:, 0] > 0)
 
@@ -403,8 +398,7 @@ def test_linear_model_chain_is_iid_from_posterior():
     b = np.array([0.5, -0.2, 0.1])
     H = np.array([[2.0, 0.4], [0.4, 1.5]])
     m = np.array([0.3, 0.1])
-    s = Sampler([0.0, 0.0], linear_handle(A, b), seed=2024)
-    s.set_prior(m, H)
+    s = Sampler([0.0, 0.0], linear_handle(A, b), seed=2024, prior=GaussianPrior.create(m, H))
     n = 100_000
     s.run_sample(n)
     assert s.accept_rate == 1.0
@@ -778,9 +772,9 @@ def test_checkpoint_numbers_have_17_significant_digits(tmp_path):
     # every float64 bit survives, as 17 significant digits would keep it:
     # the document holds each number in its shortest round-trip form
     path = tmp_path / "state.json"
-    s = make_quickstart(seed=2)
+    s = Sampler([0.5], quickstart_handle(), seed=2,
+                prior=GaussianPrior.create([0.1], [[1.0 / 3.0]]))
     s.set_static(1, 0.3)
-    s.set_prior([0.1], [[1.0 / 3.0]])
     s.run_sample(5)
     s.save_checkpoint(path)
     data, _, size, text = _newest_slot(path)
