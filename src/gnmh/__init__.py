@@ -8,13 +8,7 @@ fixed factor or one chosen by cubic line-search interpolation, under an
 acceptance rule that balances whole proposal trajectories.
 """
 
-from .diagnostics import (
-    HistogramResult,
-    acor,
-    autocovariance,
-    error_bars,
-    error_bars_2d,
-)
+from .diagnostics import acor, autocovariance, error_bars, error_bars_2d
 from .gaussian import PrecisionGaussian
 from .jtest import JtestDomain, JtestOptions, jtest
 from .kernel import BackoffPolicy
@@ -22,7 +16,6 @@ from .model import (
     ExpSeriesArgs,
     ModelHandle,
     exp_series_handle,
-    exp_series_model,
     quickstart_handle,
     quickstart_model,
     simple2d_handle,
@@ -36,7 +29,6 @@ __all__ = [
     "BackoffPolicy",
     "ExpSeriesArgs",
     "GaussianPrior",
-    "HistogramResult",
     "JtestDomain",
     "JtestOptions",
     "ModelHandle",
@@ -46,7 +38,6 @@ __all__ = [
     "error_bars",
     "error_bars_2d",
     "exp_series_handle",
-    "exp_series_model",
     "jtest",
     "quickstart_handle",
     "quickstart_model",

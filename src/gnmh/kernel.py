@@ -38,8 +38,8 @@ back-off stage's candidate against these two bounds on the reverse weight
 in turn, over a lower bound on the forward one: the looser first, which
 reads only the origin's reverse density, then the tighter. It computes
 the nested recursion only when neither can reject; the decisions are those
-of the full computation. Stage one is tested first against the looser
-bound too, which reads no density.
+of the full computation. Stage one is the plain Metropolis-Hastings test,
+which always computes its one reverse density.
 
 All ratio arithmetic is in log space; log 0 is -inf and propagates to an
 acceptance probability of 0.
@@ -354,27 +354,20 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
     proposal was singular (such a point is never accepted).
 
     Per stage the generator is consumed in a fixed order: the proposal's
-    standard normals first, then one uniform u for the accept test, drawn
-    before any reverse density is computed. Stage one is the plain
-    Metropolis-Hastings ratio of the two records; a ``_Transition`` table
-    of the points drawn so far, with their densities from ``_draw``, is
-    built only when stage one rejects and the policy has more stages, and
-    ``step`` reads it only through ``kernel``, ``density``, ``path`` and
-    ``log_accept``.
+    standard normals first, then one uniform u for the accept test. Stage
+    one is the plain Metropolis-Hastings ratio of the two records; a
+    ``_Transition`` table of the points drawn so far, with their densities
+    from ``_draw``, is built only when stage one rejects and the policy has
+    more stages, and ``step`` reads it only through ``kernel``,
+    ``density``, ``path`` and ``log_accept``.
 
-    Each stage is first tested against a bound. A never-accepted candidate
-    has A = 0 and is rejected whatever u. Otherwise, at stage one, the
-    reverse density of the origin, log_norm - q / 2 with q >= 0, is at
-    most its kernel's log_norm, so log A <= bound = log p(z) + log_norm -
-    log p(x) - log q(z | x), and log u >= bound + 1e-9 (1 + |log p(x) +
-    log q(z | x)|) rejects z without computing that density.
-
-    A back-off stage j is tested against a bound in two tiers. ``fwd_lo``
-    is a lower bound on the origin's forward weight: stage one's weight,
-    then per stage one log(1 - A) and one kernel density, with the exact A
-    of a stage decided exactly (``fwd_lo`` is then the exact weight) and
-    e^bound for a stage a bound rejected, stage one's included, whose A is
-    at most that. The reverse weight without its nested log(1 - A) terms,
+    A never-accepted candidate has A = 0 and is rejected whatever u. Any
+    other back-off stage j is first tested against a bound, in two tiers.
+    ``fwd_lo`` is a lower bound on the origin's forward weight: stage one's
+    weight, then per stage one log(1 - A) and one kernel density, with the
+    exact A of a stage decided exactly (``fwd_lo`` is then the exact
+    weight) and e^bound for a stage a bound rejected, whose A is at most
+    that. The reverse weight without its nested log(1 - A) terms,
     log p(y_j) plus y_j's j kernel densities (of ``pts[1..j-1]``, then of
     the origin) summed in the table's order, is at least the exact one,
     also after rounding, as float addition is monotone. The first
@@ -390,22 +383,14 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
     draws and the chain equal the full computation's.
     """
     z_state, log_q = _draw(current, 1.0, current.log_norm, prior, model, rng, counters)
-    u = rng.random()
-    log_fwd = current.log_post + log_q
-    if _never_accepted(z_state):
-        log_a = -math.inf
-    else:
-        # at least log A, as the reverse density is at most its log_norm
-        log_a = z_state.log_post + z_state.log_norm - log_fwd
-        if not (u > 0.0 and math.log(u) >= log_a + 1e-9 * (1.0 + abs(log_fwd))):
-            log_a = _log_ratio(log_fwd, z_state.log_post
-                               + _log_density(z_state, current.x, 1.0, z_state.log_norm))
-            if u < math.exp(log_a):
-                return z_state, 1
+    fwd_lo = current.log_post + log_q
+    log_a = (-math.inf if _never_accepted(z_state) else _log_ratio(
+        fwd_lo, z_state.log_post + _log_density(z_state, current.x, 1.0, z_state.log_norm)))
+    if rng.random() < math.exp(log_a):
+        return z_state, 1
     if policy.max_steps == 0:
         return current, -1
     table = _Transition(current, policy, (z_state,), (log_q,))
-    fwd_lo = log_fwd
     for j in range(2, policy.n_stages + 1):
         scale, log_norm = table.kernel(0, j - 1)
         z_state, log_q = _draw(current, scale, log_norm, prior, model, rng, counters)
@@ -413,9 +398,7 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
         table.drawn.append(log_q)
         u = rng.random()
         # log_a is the previous stage's log acceptance, or a bound above it
-        fwd_lo += _log1m_exp(log_a)
-        if fwd_lo != -math.inf:
-            fwd_lo += log_q
+        fwd_lo = fwd_lo + _log1m_exp(log_a) + log_q
         if _never_accepted(z_state):
             log_a = -math.inf
             continue

@@ -1071,56 +1071,19 @@ def test_step_bound_rejects_only_what_the_exact_test_rejects(name, policy, monke
 @pytest.mark.parametrize("policy", [BackoffPolicy.none(), BackoffPolicy.dynamic(2)],
                          ids=["none", "dynamic2"])
 @pytest.mark.parametrize("name", ["quickstart", "simple2d", "expseries"])
-def test_step_bound_rejects_stage_one_without_its_reverse_density(name, policy, monkeypatch):
-    # stage one's reverse density is log_norm - q / 2 <= log_norm, so a
-    # uniform above the bound that takes it at log_norm rejects the
-    # candidate before that density is computed. Every stage-one decision,
-    # early or not, must be the exact acceptance's, computed afterwards
-    (handle, prior, x0), _, _ = _affine_pair(name)
-    densities, drawn = [], []  # densities: (uniforms drawn so far, anchor)
-    log_density = gnmh.kernel._log_density
-
-    def counting_log_density(anchor, *args):
-        densities.append((rng.uniforms, anchor))
-        return log_density(anchor, *args)
-
-    def recording_point_state(prior_, model_, x):
-        drawn.append(point_state(prior_, model_, x))
-        return drawn[-1]
-
-    class CountingRng:
-        def __init__(self, rng):
-            self.rng, self.uniforms = rng, 0
-
-        def standard_normal(self, n):
-            return self.rng.standard_normal(n)
-
-        def random(self):
-            self.uniforms += 1
-            return self.rng.random()
-
-    monkeypatch.setattr(gnmh.kernel, "_log_density", counting_log_density)
-    monkeypatch.setattr(gnmh.kernel, "point_state", recording_point_state)
-    early = 0
+def test_step_decides_as_the_exact_table(name, policy):
+    # stage one is the plain Metropolis-Hastings test and a back-off stage's
+    # bound rejects only what the exact test rejects, so every transition
+    # equals one decided stage by stage by the exact table's acceptance
+    handle, prior, x0 = _affine_pair(name)[0]
     for seed in range(3):
-        rng = CountingRng(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
         cur = point_state(prior, handle, x0)
         for _ in range(300):
-            ref_rng = copy.deepcopy(rng.rng)
-            rng.uniforms = 0
-            densities.clear()
-            drawn.clear()
+            ref_rng = copy.deepcopy(rng)
             nxt, stage = step(cur, policy, prior, handle, rng)
-            z = drawn[0]
-            # before the second uniform, the one density stage one may read
-            stage_one_density = any(k <= 1 and anchor is z for k, anchor in densities)
-            ref_rng.standard_normal(cur.x.shape[0])
-            u = ref_rng.random()
-            log_a = _Transition(cur, policy, [z]).log_accept(0, 1)
-            assert (stage == 1) == (u < math.exp(log_a))
-            if stage != 1 and not stage_one_density and z.log_post > -np.inf and z.chol is not None:
-                assert log_a < math.log(u)
-                early += 1
+            ref_next, ref_stage = _reference_step(cur, policy, prior, handle, ref_rng)
+            assert stage == ref_stage
+            np.testing.assert_array_equal(nxt.x, ref_next.x)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
             cur = nxt
-    # the bound alone decides 73 (quickstart) to 435 (expseries) of these 900
-    assert early >= 50
