@@ -50,7 +50,7 @@ from .errors import (
 from .gaussian import _solve_lower
 from .kernel import BackoffPolicy
 from .model import ModelHandle
-from .posterior import GaussianPrior, log_posterior, point_state_from_eval
+from .posterior import GaussianPrior, point_state_from_eval
 
 _CHECKPOINT_VERSION = 4
 _CHECKSUM_KEY = b',"checksum":'
@@ -154,8 +154,8 @@ class Sampler:
     The back-off policy defaults to none; see :meth:`set_static`,
     :meth:`set_dynamic`, or assign a ``BackoffPolicy`` to ``policy``.
 
-    ``call_count`` counts this sampler's own model calls (at ``x0``, in its
-    transitions and :meth:`posterior_at`), not others' through its handle.
+    ``call_count`` counts this sampler's own model calls (at ``x0`` and in
+    its transitions), not others' through its handle.
 
     Raises
     ------
@@ -163,9 +163,11 @@ class Sampler:
         If the prior's dimension is not the model's (before any model call).
     InitialGuessOutsideDomain
         If ``x0`` has a NaN or infinite entry (before any model call), the
-        model indicator is 0 at ``x0``, or the Gauss-Newton mean there is
-        not finite (the residual has an infinite entry, or the prior term
-        H(m - x0) overflows).
+        model indicator is 0 at ``x0``, the Gauss-Newton mean there is not
+        finite (the residual has an infinite entry, the prior term
+        H(m - x0) overflows, or a subnormal J'J scales the step past the
+        float range), or the target density there is 0 (||f||^2 or the
+        prior term overflows).
     SingularProposal
         If the Gauss-Newton proposal cannot be built at ``x0`` under the
         (possibly flat) prior.
@@ -191,14 +193,18 @@ class Sampler:
                 raise SingularProposal(
                     f"Gauss-Newton proposal undefined at x = {ev.x.tolist()} under this prior"
                 )
-            # only a zero-density point keeps a proposal whose mean, x + L^-T v,
-            # may not be finite; no draw from it would be finite either
+            # a zero-density point, or one whose J'J is subnormal, may keep a
+            # proposal whose mean x + L^-T v is not finite; no draw from it
+            # would be finite either
             mean = state.x + _solve_lower(state.chol, state.v, trans=1)
         if not np.isfinite(mean).all():
             raise InitialGuessOutsideDomain(
                 f"Gauss-Newton mean {mean.tolist()} is not finite at the "
                 f"initial guess x0 = {ev.x.tolist()}"
             )
+        if state.log_post == -np.inf:
+            raise InitialGuessOutsideDomain(
+                f"target density is 0 at the initial guess x0 = {ev.x.tolist()}")
         self.prior, self.current = prior, state
         self.policy = BackoffPolicy.none()
         self.rng = np.random.default_rng(seed)
@@ -310,21 +316,6 @@ class Sampler:
             raise BurnTooLarge(f"cannot burn {n_burned} of {self.n_samples} samples")
         self._set_chain(self._buf[n_burned:self._n].copy())
         self.burned += n_burned
-
-    def posterior_at(self, x) -> float:
-        """Unnormalized posterior density at ``x`` (one fresh model call).
-        Returns 0 outside the domain or for an infinite residual.
-
-        Raises
-        ------
-        UserFunctionFailure
-            If the residual at ``x`` is NaN.
-        """
-        calls = self.model.call_count
-        try:
-            return float(np.exp(log_posterior(self.prior, self.model.evaluate(x))))
-        finally:
-            self.call_count += self.model.call_count - calls
 
     # -- chain storage ------------------------------------------------------
 

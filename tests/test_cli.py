@@ -379,7 +379,10 @@ def test_sample_refused_start_point_writes_nothing(tmp_path, capsys):
      "the residual differences around it are NaN or inf"),
     (["sample", "--example", "quickstart", "--x0", "1e200", "--samples", "10"],
      "non-finite model output at x = [1e+200]: J'J is not finite"),
-], ids=["jtest", "sample"])
+    # the residual is finite, its square is not: a start of zero density
+    (["sample", "--example", "quickstart", "--x0", "1e100", "--samples", "200"],
+     "target density is 0 at the initial guess x0 = [1e+100]"),
+], ids=["jtest", "sample", "sample-zero-density"])
 def test_overflowing_model_output_same_error_under_any_warning_filter(tmp_path, capsys, action,
                                                                       argv, message):
     if argv[0] == "sample":

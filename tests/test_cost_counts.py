@@ -1,0 +1,88 @@
+"""The exact work per transition: whole-run counts of model calls, point
+builds, kernel densities, dynamic dilation factors and exact back-off
+acceptances on the bundled examples under each kind of back-off policy.
+
+Each cell runs 1000 transitions at seed 1 and pins integer totals. While
+chains stay bit-identical these counts move only when the code does more or
+less work per transition, which wall time on a shared host cannot resolve.
+A change that moves a count re-pins its cell and says why, with the counts
+before and after; so does a rename of a counted name.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+import gnmh.kernel
+from gnmh.cli import exp_series_datagen
+from gnmh.model import ModelHandle, exp_series_handle, quickstart_handle, simple2d_handle
+from gnmh.posterior import GaussianPrior
+from gnmh.sampler import Sampler
+
+N_TRANSITIONS = 1000
+SEED = 1
+
+# The benchmark's examples (bench/worker.py's EXAMPLES and their handles),
+# copied so that the counts here and the bench's describe the same chains:
+# (handle builder, x0, prior mean, prior precision diagonal)
+EXAMPLES = {
+    "quickstart": (lambda: quickstart_handle(y=1.0, sigma=0.5), [0.5], [0.0], 1.0),
+    "simple2d": (lambda: simple2d_handle(y=1.0, sigma=0.5), [1.0, 0.0], [0.0, 0.0], 1.0),
+    "expseries": (lambda: exp_series_handle(exp_series_datagen(seed=14), n_terms=2),
+                  [1.0, 2.5, 0.5, 3.1], [4.0, 2.0, 0.5, 1.0], 0.5),
+}
+
+POLICIES = {
+    "none": lambda s: None,
+    "static(4, 0.5)": lambda s: s.set_static(4, 0.5),
+    "dynamic(4)": lambda s: s.set_dynamic(4),
+}
+
+COUNTED = ("model_calls", "point_builds", "log_density", "dynamic_gamma", "log_accept")
+
+# (example, policy): whole-run totals over the transitions, in COUNTED's order
+EXPECTED = {
+    ("quickstart", "none"): (1000, 1000, 1000, 0, 0),
+    ("quickstart", "static(4, 0.5)"): (1555, 1555, 4295, 0, 260),
+    ("quickstart", "dynamic(4)"): (1593, 1593, 4382, 1814, 270),
+    ("simple2d", "none"): (1000, 1000, 1000, 0, 0),
+    ("simple2d", "static(4, 0.5)"): (2322, 2322, 9534, 0, 532),
+    ("simple2d", "dynamic(4)"): (2343, 2343, 9141, 4154, 500),
+    ("expseries", "none"): (1000, 1000, 1000, 0, 0),
+    ("expseries", "static(4, 0.5)"): (2650, 2650, 6749, 0, 279),
+    ("expseries", "dynamic(4)"): (2732, 2732, 6235, 5850, 192),
+}
+
+
+@pytest.mark.parametrize("example,policy", sorted(EXPECTED))
+def test_work_per_run(example, policy, monkeypatch):
+    build, x0, mean, diag = EXAMPLES[example]
+    prior = GaussianPrior.create(mean, diag * np.eye(len(mean)))
+    sampler = Sampler(x0, build(), seed=SEED, prior=prior)
+    POLICIES[policy](sampler)
+    counts = dict.fromkeys(COUNTED, 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    step_code = gnmh.kernel.step.__code__
+    log_accept = gnmh.kernel._Transition.log_accept
+
+    def step_log_accept(table, a, h):
+        # step's own calls, not the recursion's or those through path
+        if sys._getframe(1).f_code is step_code:
+            counts["log_accept"] += 1
+        return log_accept(table, a, h)
+
+    monkeypatch.setattr(ModelHandle, "evaluate", counting("model_calls", ModelHandle.evaluate))
+    for name, attr in [("point_builds", "point_state"), ("log_density", "_log_density"),
+                       ("dynamic_gamma", "dynamic_gamma")]:
+        monkeypatch.setattr(gnmh.kernel, attr, counting(name, getattr(gnmh.kernel, attr)))
+    monkeypatch.setattr(gnmh.kernel._Transition, "log_accept", step_log_accept)
+    sampler.run_sample(N_TRANSITIONS)
+    assert tuple(counts[name] for name in COUNTED) == EXPECTED[example, policy]
+    assert sampler.call_count == 1 + counts["model_calls"]

@@ -7,7 +7,7 @@ from scipy.linalg import solve_triangular
 
 from gnmh.cli import exp_series_datagen
 from gnmh.diagnostics import error_bars
-from gnmh.errors import DimensionMismatch, NotPSD, UserFunctionFailure
+from gnmh.errors import DimensionMismatch, InitialGuessOutsideDomain, NotPSD, UserFunctionFailure
 from gnmh.gaussian import PrecisionGaussian, _factor
 from gnmh.jtest import JtestDomain
 from gnmh.model import ModelEval, ModelHandle, quickstart_handle
@@ -82,6 +82,14 @@ def test_log_posterior_quickstart_at_zero():
     h = quickstart_handle(y=1.0, sigma=0.5)
     prior = GaussianPrior.create([0.0], [[1.0]])
     assert log_posterior(prior, h.evaluate([0.0])) == pytest.approx(-2.0)
+
+
+def test_log_posterior_quickstart_matches_its_closed_form():
+    h = quickstart_handle(y=1.0, sigma=0.5)
+    prior = GaussianPrior.create([0.0], [[1.0]])
+    for x in (0.3, 0.8, -1.7):
+        lp = -0.5 * x**2 - 0.5 * ((x**2 - 1.0) / 0.5) ** 2
+        assert log_posterior(prior, h.evaluate([x])) == pytest.approx(lp)
 
 
 def test_flat_prior_zero_residual_gives_zero():
@@ -514,7 +522,9 @@ def test_log_posterior_nan_residual_raises_naming_x():
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_point_state_infinite_residual_is_zero_density(sign):
     h = ModelHandle(lambda x, a: (1, [sign * np.inf], [[1.0]]), None, dim_in=1)
-    st = point_state(GaussianPrior.create([0.0], [[1.0]]), h, [0.5])
+    prior = GaussianPrior.create([0.0], [[1.0]])
+    assert log_posterior(prior, h.evaluate([0.5])) == -np.inf
+    st = point_state(prior, h, [0.5])
     assert st.log_post == -np.inf
     assert proposal(st) is not None and np.isfinite(proposal(st).log_norm)
 
@@ -537,12 +547,14 @@ def test_overflowing_residual_norm_is_zero_density_under_any_warning_filter(acti
     prior = GaussianPrior.create([0.0], [[1.0]])
     with warnings.catch_warnings(record=True):
         warnings.simplefilter(action, RuntimeWarning)
-        sampler = Sampler([0.5], h, prior=prior)
-        assert sampler.current.residual_sq == np.inf
-        assert sampler.current.log_post == -np.inf
-        assert proposal(sampler.current) is not None
+        state = point_state(prior, h, [0.5])
+        assert state.residual_sq == np.inf
+        assert state.log_post == -np.inf
+        assert proposal(state) is not None
         assert log_posterior(prior, h.evaluate([0.5])) == -np.inf
-        assert sampler.posterior_at([0.5]) == 0.0
+        # a chain cannot start at zero density
+        with pytest.raises(InitialGuessOutsideDomain, match=r"target density is 0"):
+            Sampler([0.5], h, prior=prior)
 
 
 _STATE_FIELDS = ("x", "residual_sq", "log_post", "v", "chol", "log_norm", "jtf")

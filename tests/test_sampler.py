@@ -33,7 +33,7 @@ from gnmh.model import (
 from gnmh.gaussian import PrecisionGaussian
 from gnmh.jtest import JtestDomain, JtestOptions, jtest
 from gnmh.kernel import BackoffPolicy
-from gnmh.posterior import GaussianPrior
+from gnmh.posterior import GaussianPrior, log_posterior
 from gnmh.sampler import Sampler
 
 from _oracle import linear_handle
@@ -86,6 +86,26 @@ def test_init_non_finite_gauss_newton_mean_refused_under_any_warning_filter(acti
                 Sampler([0.5], h, seed=1, prior=prior)
 
 
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_init_zero_density_start_refused_under_any_warning_filter(action):
+    # ||f||^2 = 4e400 overflows at x0 = 1e100, while J'J, J'f and the
+    # Gauss-Newton mean are finite
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(InitialGuessOutsideDomain,
+                           match=r"^target density is 0 at the initial guess x0 = \[1e\+100\]$"):
+            Sampler([1e100], quickstart_handle(), prior=GaussianPrior.create([0.0], [[1.0]]))
+
+
+def test_init_finite_density_start_with_a_non_finite_mean_refused():
+    # J'J = 1e-322 is subnormal: the density and the step v are finite, but
+    # the mean x + L^-T v overflows
+    h = ModelHandle(lambda x, a: (1, [1e150], [[1e-161]]), None, dim_in=1)
+    assert np.isfinite(log_posterior(GaussianPrior.flat([0.5]), h.evaluate([0.5])))
+    with pytest.raises(InitialGuessOutsideDomain, match=r"Gauss-Newton mean \[-inf\] is not finite"):
+        Sampler([0.5], h)
+
+
 def test_init_keeps_its_own_copy_of_the_start_point():
     x0 = np.array([0.5])
     a = Sampler(x0, quickstart_handle(), seed=2, prior=GaussianPrior.create([0.0], [[1.0]]))
@@ -126,8 +146,8 @@ def test_counter_identities_after_each_run():
 
 def test_samplers_sharing_a_handle_count_only_their_own_calls(tmp_path):
     # the handle counts every call made through it: both samplers' and
-    # jtest's; a sampler counts its start point, its transitions and
-    # posterior_at (no back-off, so one call per transition)
+    # jtest's; a sampler counts its start point and its transitions (no
+    # back-off, so one call per transition)
     h = quickstart_handle()
     prior = GaussianPrior.create([0.0], [[1.0]])
     a = Sampler([0.5], h, seed=1, prior=prior)
@@ -135,8 +155,7 @@ def test_samplers_sharing_a_handle_count_only_their_own_calls(tmp_path):
     a.run_sample(100)
     jtest(h, JtestDomain.create([-2.0], [2.0]), JtestOptions(N=5), rng=0)
     b.run_sample(50)
-    a.posterior_at([0.3])
-    assert (a.call_count, b.call_count) == (102, 51)
+    assert (a.call_count, b.call_count) == (101, 51)
     assert h.call_count > a.call_count + b.call_count
     b.save_checkpoint(tmp_path / "b.ckpt")
     assert Sampler.load_checkpoint(tmp_path / "b.ckpt", h).call_count == 51
@@ -349,43 +368,6 @@ def test_burn_keeps_counters():
     assert s.step_count == counts
     # rate still refers to all 100 attempted transitions
     assert s.accept_rate == pytest.approx(accepted / 100)
-
-
-# ---------------------------------------------------------------------------
-# posterior_at
-# ---------------------------------------------------------------------------
-
-
-def test_posterior_at_values():
-    s = make_quickstart()
-    assert s.posterior_at([0.0]) == pytest.approx(np.exp(-2.0))
-    # consistency of ratios with the log posterior difference
-    r = s.posterior_at([0.3]) / s.posterior_at([0.8])
-    lp = lambda x: -0.5 * x**2 - 0.5 * ((x**2 - 1.0) / 0.5) ** 2
-    assert r == pytest.approx(np.exp(lp(0.3) - lp(0.8)))
-
-
-def test_posterior_at_outside_domain_is_zero():
-    h = ModelHandle(lambda x, a: (x[0] > 0, [x[0]], [[1.0]]), None, dim_in=1)
-    s = Sampler([1.0], h, seed=0)
-    assert s.posterior_at([-1.0]) == 0.0
-
-
-def test_posterior_at_nan_residual_raises_naming_x():
-    fn, _ = _bad_past_one(np.nan, 1.0)
-    s = Sampler([0.0], ModelHandle(fn, None, dim_in=1), seed=0)
-    assert s.posterior_at([0.5]) == pytest.approx(np.exp(-0.125))
-    with pytest.raises(UserFunctionFailure) as info:
-        s.posterior_at([2.0])
-    assert "x = [2.0]" in str(info.value)
-
-
-@pytest.mark.parametrize("bad_residual", [np.inf, -np.inf])
-def test_posterior_at_infinite_residual_is_zero(bad_residual):
-    fn, seen = _bad_past_one(bad_residual, 1.0)
-    s = Sampler([0.0], ModelHandle(fn, None, dim_in=1), seed=0)
-    assert s.posterior_at([2.0]) == 0.0
-    assert len(seen) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +739,11 @@ def test_checkpoint_load_rechecks_current_point(tmp_path):
     infinite_residual = ModelHandle(lambda x, a: (1, [np.inf], [[1.0]]), None, dim_in=1)
     with pytest.raises(InitialGuessOutsideDomain, match="Gauss-Newton mean"):
         Sampler.load_checkpoint(path, infinite_residual)
+    # ||f||^2 overflows: zero density (numpy's overflow text recorded, not printed)
+    overflowing_norm = ModelHandle(lambda x, a: (1, [1e200], [[1.0]]), None, dim_in=1)
+    with warnings.catch_warnings(record=True), \
+            pytest.raises(InitialGuessOutsideDomain, match="target density is 0"):
+        Sampler.load_checkpoint(path, overflowing_norm)
     # a document with a non-finite current point and a valid checksum
     saved = path.read_bytes()
     for bad in (float("inf"), float("nan")):
