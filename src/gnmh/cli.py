@@ -200,8 +200,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError("--burn must lie in [0, samples)")
     policy = _flag_value(f"--backoff {args.backoff}", {
         "none": BackoffPolicy.none,
-        "static": lambda: BackoffPolicy.static(args.max_steps, args.factor),
-        "dynamic": lambda: BackoffPolicy.dynamic(args.max_steps),
+        "static": lambda: BackoffPolicy.static(args.max_steps, args.factor, args.alpha),
+        "dynamic": lambda: BackoffPolicy.dynamic(args.max_steps, args.alpha),
     }[args.backoff])
     dim, build_handle = _make_example(args)
     check_finite(f"--x0: the start point {args.x0}", args.x0)
@@ -380,6 +380,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="how a rejected proposal is contracted")
     ps.add_argument("--max-steps", type=int, default=1, help="proposals after the first one")
     ps.add_argument("--factor", type=float, default=0.1, help="static back-off dilation factor")
+    ps.add_argument("--alpha", type=float, default=2.0,
+                    help="back-off mean exponent in [1, 2]: a kernel dilated by s moves its "
+                         "mean as s**alpha; 1 is the paper's kernel")
     ps.add_argument("--prior-mean", type=float, nargs="+")
     ps.add_argument("--prior-precision", nargs="+",
                     help="row-major entries, or the single word 'flat'")

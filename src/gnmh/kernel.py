@@ -15,11 +15,21 @@ recomputed there.
 Every kernel is read from its anchor's record (``posterior.PointState``):
 the point x, the proposal's factor L, whitened step v and log
 normalization. Dilated toward x by s, the kernel is
-N(x + s L^-T v, s^2 (L L')^-1), two floats: s and log_norm - n log s. One
-formula draws, y = x + s L^-T (v + xi) for standard normals xi, one scores,
-log_norm - n log s - |L'(y - x) / s - v|^2 / 2, and stage one is their
-s = 1 case. The drawing kernel's density of its draw is
+N(x + s^alpha L^-T v, s^2 (L L')^-1): its spread shrinks as s and its step
+as s^alpha, for the policy's mean exponent alpha in [1, 2]. It is three
+floats: s, log_norm - n log s and s^(alpha - 1). One formula draws,
+y = x + s L^-T (s^(alpha - 1) v + xi) for standard normals xi, one scores,
+log_norm - n log s - |L'(y - x) / s - s^(alpha - 1) v|^2 / 2, and stage one
+is their s = 1 case. The drawing kernel's density of its draw is
 log_norm - n log s - xi.xi / 2, kept with the drawn point.
+
+With alpha = 1 this is the paper's kernel, whose mean moves as s. As s -> 0
+its one-stage log acceptance tends to -2|v|^2 - 2 v.xi, so no back-off depth
+frees a point whose Gauss-Newton step is long. With alpha > 1 the step
+shrinks faster than the spread and the limit is 0. The
+trajectory-balanced ratio is exact for any kernel that the forward and
+reverse sides compute the same way, so every alpha keeps the target
+stationary.
 
 Stage one is the plain Metropolis-Hastings ratio of the two records. Only
 when it rejects and the policy has more stages does ``step`` build the
@@ -66,7 +76,10 @@ class BackoffPolicy:
     ``mode`` is "none", "static" or "dynamic". ``max_steps`` is the number of
     extra proposals after the first one (0 means plain Metropolis), an
     integer. ``factor`` is the per-stage dilation in static mode, a real
-    number in (0, 1) in every mode. The constants
+    number in (0, 1) in every mode. ``alpha`` is the mean exponent, a real
+    number in [1, 2] in every mode: a kernel dilated by s moves its mean as
+    s^alpha (see the module docstring). 2, the default, frees points with a
+    long Gauss-Newton step; 1 is the paper's kernel. The constants
     ``t_lo``/``t_hi`` clamp the dynamically chosen factor; their midpoint is
     the fallback when the cubic model has no interior minimum.
 
@@ -74,12 +87,14 @@ class BackoffPolicy:
     (static) or ``t_lo ** max_steps`` (dynamic), is below 2**-511 is refused
     with ``InvalidPolicy``: the scale's square would not be a normal float.
     So static(k, 0.1) allows k <= 153, static(k, 0.5) k <= 511 and
-    dynamic(k) k <= 118.
+    dynamic(k) k <= 118. Then s^(alpha - 1) >= s, and their product
+    s^alpha, for every alpha <= 2, are normal floats too.
     """
 
     mode: str = "none"
     max_steps: int = 0
     factor: float = 0.5
+    alpha: float = 2.0
     t_lo: ClassVar[float] = 0.05
     t_hi: ClassVar[float] = 0.95
 
@@ -92,6 +107,9 @@ class BackoffPolicy:
         if not (is_real(self.factor) and 0.0 < self.factor < 1.0):
             raise InvalidPolicy(f"dilation factor must be a number in (0, 1), "
                                 f"got {self.factor!r}")
+        if not (is_real(self.alpha) and 1.0 <= self.alpha <= 2.0):
+            raise InvalidPolicy(f"mean exponent alpha must be a number in [1, 2], "
+                                f"got {self.alpha!r}")
         if self.mode != "none":
             # the deepest kernel's scale s must keep s * s a normal float; a
             # dynamic factor is at least t_lo. 2**1000 stages take any factor
@@ -108,13 +126,14 @@ class BackoffPolicy:
         return cls(mode="none", max_steps=0)
 
     @classmethod
-    def static(cls, max_steps: int, factor: float) -> "BackoffPolicy":
-        policy = cls("static" if is_count(max_steps, 1) else "none", max_steps, factor)
+    def static(cls, max_steps: int, factor: float, alpha: float = 2.0) -> "BackoffPolicy":
+        policy = cls("static" if is_count(max_steps, 1) else "none", max_steps, factor, alpha)
         return policy if policy.max_steps else cls.none()
 
     @classmethod
-    def dynamic(cls, max_steps: int) -> "BackoffPolicy":
-        return cls("dynamic" if is_count(max_steps, 1) else "none", max_steps)
+    def dynamic(cls, max_steps: int, alpha: float = 2.0) -> "BackoffPolicy":
+        policy = cls("dynamic" if is_count(max_steps, 1) else "none", max_steps, alpha=alpha)
+        return policy if policy.max_steps else cls.none()
 
     @property
     def n_stages(self) -> int:
@@ -182,12 +201,14 @@ def _log1m_exp(log_a: float) -> float:
     return math.log1p(-math.exp(log_a))
 
 
-def _log_density(anchor: PointState, y: np.ndarray, scale: float, log_norm: float) -> float:
-    """log_norm - |L'(y - x) / scale - v|^2 / 2, the log density at ``y`` of
-    the kernel at ``anchor`` dilated by ``scale`` (a division by 1, exact,
-    is skipped)."""
+def _log_density(anchor: PointState, y: np.ndarray, scale: float, log_norm: float,
+                 shrink: float) -> float:
+    """log_norm - |L'(y - x) / scale - shrink v|^2 / 2, the log density at
+    ``y`` of the kernel at ``anchor`` dilated by ``scale``, whose step is
+    shrunk by ``shrink`` = scale^(alpha - 1) (a division or a product by 1,
+    exact, is skipped)."""
     w = (y - anchor.x).dot(anchor.chol)
-    r = (w if scale == 1.0 else w / scale) - anchor.v
+    r = (w if scale == 1.0 else w / scale) - (anchor.v if shrink == 1.0 else shrink * anchor.v)
     return log_norm - 0.5 * float(r.dot(r))
 
 
@@ -219,7 +240,8 @@ class _Transition:
     stage at a time and computed once:
 
     - kernels: ``kernels[g]`` is the proposal at ``pts[a]`` after
-      ``pts[1..g]`` were rejected, as the floats ``(scale, log_norm)``;
+      ``pts[1..g]`` were rejected, as the floats ``(scale, log_norm,
+      shrink)``;
     - weights: ``weights[h - 1]`` is the log weight of the path from
       ``pts[a]`` through ``pts[1..h]``;
     - accepts: ``accepts[h - 1]`` is the log acceptance of ``pts[h]``
@@ -240,12 +262,13 @@ class _Transition:
     def _row(self, a: int) -> tuple:
         row = self.rows.get(a)
         if row is None:
-            row = self.rows[a] = ([(1.0, self.pts[a].log_norm)], [], [])
+            row = self.rows[a] = ([(1.0, self.pts[a].log_norm, 1.0)], [], [])
         return row
 
     def kernel(self, a: int, g: int) -> tuple:
-        """Cumulative scale and log normalization of the kernel at ``pts[a]``
-        for the stage after ``pts[1..g]`` were rejected.
+        """Cumulative scale s, log normalization and step shrink
+        s^(alpha - 1) of the kernel at ``pts[a]`` for the stage after
+        ``pts[1..g]`` were rejected.
 
         With ``g = 0`` this is the undilated Gauss-Newton proposal at scale
         1. Each rejection multiplies the scale by the static factor, or by
@@ -255,15 +278,16 @@ class _Transition:
         kernels = self._row(a)[0]
         if g < len(kernels):
             return kernels[g]
-        anchor = self.pts[a]
+        anchor, policy = self.pts[a], self.policy
         n = anchor.x.shape[0]
         while len(kernels) <= g:
             scale = kernels[-1][0]
-            if self.policy.mode == "static":
-                scale *= self.policy.factor
+            if policy.mode == "static":
+                scale *= policy.factor
             else:
                 scale *= dynamic_gamma(anchor, self.pts[len(kernels)])
-            kernels.append((scale, anchor.log_norm - n * math.log(scale)))
+            kernels.append((scale, anchor.log_norm - n * math.log(scale),
+                            scale ** (policy.alpha - 1.0)))
         return kernels[g]
 
     def density(self, a: int, g: int, b: int) -> float:
@@ -271,8 +295,7 @@ class _Transition:
         where ``pts[b]`` was drawn from that kernel and it is kept."""
         if a == 0 and b == g + 1 and g < len(self.drawn):
             return self.drawn[g]
-        scale, log_norm = self.kernel(a, g)
-        return _log_density(self.pts[a], self.pts[b].x, scale, log_norm)
+        return _log_density(self.pts[a], self.pts[b].x, *self.kernel(a, g))
 
     def path(self, a: int, h: int, b: int) -> float:
         """log weight of the back-off path from ``pts[a]`` through
@@ -324,16 +347,18 @@ def accept_prob(origin: PointState, points: Sequence[PointState],
     return math.exp(_Transition(origin, policy, points).log_accept(0, len(points)))
 
 
-def _draw(anchor: PointState, scale: float, log_norm: float, prior: GaussianPrior,
-          model: ModelHandle, rng: np.random.Generator,
+def _draw(anchor: PointState, scale: float, log_norm: float, shrink: float,
+          prior: GaussianPrior, model: ModelHandle, rng: np.random.Generator,
           counters: Optional[dict]) -> Tuple[PointState, float]:
-    """Draw y = x + scale L^-T (v + xi) from the kernel at ``anchor``
-    dilated by ``scale`` (a product with 1, exact, is skipped), for fresh
+    """Draw y = x + scale L^-T (shrink v + xi) from the kernel at ``anchor``
+    dilated by ``scale``, whose step is shrunk by ``shrink`` =
+    scale^(alpha - 1) (a product with 1, exact, is skipped), for fresh
     standard normals xi; return y's record and its log density under that
     kernel, ``log_norm`` - xi.xi / 2. ``counters``, if given, counts a point
     whose proposal is singular under "singular_proposals"."""
     xi = rng.standard_normal(anchor.x.shape[0])
-    u = _solve_lower(anchor.chol, anchor.v + xi, trans=1)
+    u = _solve_lower(anchor.chol, (anchor.v if shrink == 1.0 else shrink * anchor.v) + xi,
+                     trans=1)
     z_state = point_state(prior, model, anchor.x + (u if scale == 1.0 else scale * u))
     if counters is not None and z_state.proposal_failed:
         counters["singular_proposals"] = counters.get("singular_proposals", 0) + 1
@@ -382,18 +407,17 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
     ``log_accept``. The densities are the table's, so the decisions, the
     draws and the chain equal the full computation's.
     """
-    z_state, log_q = _draw(current, 1.0, current.log_norm, prior, model, rng, counters)
+    z_state, log_q = _draw(current, 1.0, current.log_norm, 1.0, prior, model, rng, counters)
     fwd_lo = current.log_post + log_q
     log_a = (-math.inf if _never_accepted(z_state) else _log_ratio(
-        fwd_lo, z_state.log_post + _log_density(z_state, current.x, 1.0, z_state.log_norm)))
+        fwd_lo, z_state.log_post + _log_density(z_state, current.x, 1.0, z_state.log_norm, 1.0)))
     if rng.random() < math.exp(log_a):
         return z_state, 1
     if policy.max_steps == 0:
         return current, -1
     table = _Transition(current, policy, (z_state,), (log_q,))
     for j in range(2, policy.n_stages + 1):
-        scale, log_norm = table.kernel(0, j - 1)
-        z_state, log_q = _draw(current, scale, log_norm, prior, model, rng, counters)
+        z_state, log_q = _draw(current, *table.kernel(0, j - 1), prior, model, rng, counters)
         table.pts.append(z_state)
         table.drawn.append(log_q)
         u = rng.random()

@@ -52,7 +52,7 @@ from .kernel import BackoffPolicy
 from .model import ModelHandle
 from .posterior import GaussianPrior, point_state_from_eval
 
-_CHECKPOINT_VERSION = 4
+_CHECKPOINT_VERSION = 5
 _CHECKSUM_KEY = b',"checksum":'
 # the magic, the format version and the slot size
 _HEADER = struct.Struct("<8sII")
@@ -180,14 +180,15 @@ class Sampler:
         check_finite(f"initial guess x0 = {x0.tolist()}", x0, InitialGuessOutsideDomain)
         if prior is not None and prior.dim != model.dim_in:
             raise DimensionMismatch(f"prior dimension {prior.dim}, model expects {model.dim_in}")
-        ev = model.evaluate(x0)
-        if not ev.inside:
-            raise InitialGuessOutsideDomain("model indicator is 0 at the initial guess")
-        if prior is None:
-            prior = GaussianPrior.flat(ev.x)
-        # the build judges an overflow itself, under any warning filter; this
-        # keeps numpy's own text off stderr (once per start, not per transition)
+        # the evaluation and the build judge an overflow themselves, under any
+        # warning filter; this keeps numpy's own text off stderr (once per
+        # start, not per transition)
         with np.errstate(over="ignore", invalid="ignore"):
+            ev = model.evaluate(x0)
+            if not ev.inside:
+                raise InitialGuessOutsideDomain("model indicator is 0 at the initial guess")
+            if prior is None:
+                prior = GaussianPrior.flat(ev.x)
             state = point_state_from_eval(prior, ev)
             if state.chol is None:
                 raise SingularProposal(
@@ -216,15 +217,18 @@ class Sampler:
 
     # -- configuration ------------------------------------------------
 
-    def set_static(self, max_steps: int, factor: float) -> None:
+    def set_static(self, max_steps: int, factor: float, alpha: float = 2.0) -> None:
         """Back off up to ``max_steps`` times, dilating by ``factor`` each
-        time. ``max_steps=0`` disables back-off."""
-        self.policy = BackoffPolicy.static(max_steps, factor)
+        time, with the kernel mean moving as the scale to the power
+        ``alpha`` (1 is the paper's kernel). ``max_steps=0`` disables
+        back-off."""
+        self.policy = BackoffPolicy.static(max_steps, factor, alpha)
 
-    def set_dynamic(self, max_steps: int) -> None:
+    def set_dynamic(self, max_steps: int, alpha: float = 2.0) -> None:
         """Back off up to ``max_steps`` times with cubic-interpolation
-        dilation factors."""
-        self.policy = BackoffPolicy.dynamic(max_steps)
+        dilation factors and the mean exponent ``alpha``, as in
+        :meth:`set_static`."""
+        self.policy = BackoffPolicy.dynamic(max_steps, alpha)
 
     # -- outputs --------------------------------------------------------
 
@@ -357,6 +361,7 @@ class Sampler:
                 "mode": policy.mode,
                 "max_steps": int(policy.max_steps),
                 "factor": float(policy.factor),
+                "alpha": float(policy.alpha),
             },
             "prior": {
                 "mean": prior.mean.tolist(),
@@ -451,8 +456,8 @@ class Sampler:
 
         A slot whose text matches its CRC-32 but whose fields no sampler
         can have is refused, not skipped: another format version, named by
-        its number (this release reads only version 4, so checkpoints of
-        versions 1 to 3 do not load, nor a file without the header), a
+        its number (this release reads only version 5, so checkpoints of
+        versions 1 to 4 do not load, nor a file without the header), a
         negative counter or one that is not a JSON integer, a save number
         not in its slot, a string or boolean where a number belongs, a
         stage key of 0, warning counters other than exactly
@@ -511,7 +516,8 @@ class Sampler:
                 if sum(step_count.values()) != n_rows + burned:
                     raise ValueError("step counts disagree with the counters")
                 pol = doc["policy"]
-                policy = BackoffPolicy(pol["mode"], pol["max_steps"], pol["factor"])
+                policy = BackoffPolicy(pol["mode"], pol["max_steps"], pol["factor"],
+                                       pol["alpha"])
                 current_x = _numbers("current_x", doc["current_x"])
                 dim = current_x.size
                 prior = GaussianPrior.create(

@@ -6,6 +6,10 @@ Each entry pins the sha256 of ``chain.tobytes()``, ``call_count`` and
 that moves any chain by one bit, or spends one model call more or less,
 fails here; a change that alters chains on purpose must say why and
 re-record the table.
+
+A back-off policy named without ``alpha`` runs the paper's kernel, mean
+exponent 1, so those cells keep the chains recorded before the exponent
+existed; the ``alpha=2`` cells run the default kernel.
 """
 
 import hashlib
@@ -40,11 +44,16 @@ EXAMPLES = {"quickstart": _quickstart, "simple2d": _simple2d, "expseries": _exps
 
 POLICIES = {
     "none": lambda s: None,
-    "static(1, 0.5)": lambda s: s.set_static(1, 0.5),
-    "static(3, 0.5)": lambda s: s.set_static(3, 0.5),
-    "static(5, 0.5)": lambda s: s.set_static(5, 0.5),
-    "dynamic(2)": lambda s: s.set_dynamic(2),
-    "dynamic(4)": lambda s: s.set_dynamic(4),
+    "static(1, 0.5)": lambda s: s.set_static(1, 0.5, alpha=1),
+    "static(3, 0.5)": lambda s: s.set_static(3, 0.5, alpha=1),
+    "static(5, 0.5)": lambda s: s.set_static(5, 0.5, alpha=1),
+    "dynamic(2)": lambda s: s.set_dynamic(2, alpha=1),
+    "dynamic(4)": lambda s: s.set_dynamic(4, alpha=1),
+    "static(1, 0.5, alpha=2)": lambda s: s.set_static(1, 0.5),
+    "static(3, 0.5, alpha=2)": lambda s: s.set_static(3, 0.5),
+    "static(5, 0.5, alpha=2)": lambda s: s.set_static(5, 0.5),
+    "dynamic(2, alpha=2)": lambda s: s.set_dynamic(2),
+    "dynamic(4, alpha=2)": lambda s: s.set_dynamic(4),
 }
 
 # (example, policy, seed): (chain sha256, call_count, step_count)
@@ -157,6 +166,96 @@ EXPECTED = {
     ("expseries", "dynamic(4)", 2): (
         "dc227e1963b7476f21dc3a674457d44870842978ac26502d25ffdbc6b2bd5857",
         905, {-1: 131, 1: 129, 2: 17, 3: 11, 4: 7, 5: 5}),
+    ("quickstart", "static(1, 0.5, alpha=2)", 1): (
+        "91c5f91835fbb32ab79eac63f4aca8ba5a271b0f8c4f79b99ee36f15fdb40006",
+        362, {-1: 37, 1: 239, 2: 24}),
+    ("quickstart", "static(1, 0.5, alpha=2)", 2): (
+        "7010789d8854360ea097f57bf41e983f3f50982a181f74849024f2d17d779191",
+        384, {-1: 37, 1: 217, 2: 46}),
+    ("quickstart", "static(3, 0.5, alpha=2)", 1): (
+        "f07a70782b6a64dfb6fff6673cd456c50bbd47572b8d53d8340f1b52ebb1afbd",
+        387, {-1: 4, 1: 252, 2: 19, 3: 20, 4: 5}),
+    ("quickstart", "static(3, 0.5, alpha=2)", 2): (
+        "292c807b625444b528da00ce0399bdf3c42a0a729fac95f4f2c5e0065434c40c",
+        462, {-1: 5, 1: 206, 2: 47, 3: 27, 4: 15}),
+    ("quickstart", "static(5, 0.5, alpha=2)", 1): (
+        "d3c28bda20953adb9782b23d05e7f6548bde4c722ee4b0385b54165a2faa178a",
+        410, {-1: 0, 1: 242, 2: 22, 3: 26, 4: 6, 5: 3, 6: 1}),
+    ("quickstart", "static(5, 0.5, alpha=2)", 2): (
+        "3141d82c15f44f88fdd229b455d613e9d898095e7392eac91e10348f0b0cc326",
+        442, {-1: 0, 1: 216, 2: 48, 3: 19, 4: 14, 5: 2, 6: 1}),
+    ("quickstart", "dynamic(2, alpha=2)", 1): (
+        "033637c368575bd82fede619f035ba177f8fffb6b3f759f031664eac492f402c",
+        404, {-1: 17, 1: 235, 2: 27, 3: 21}),
+    ("quickstart", "dynamic(2, alpha=2)", 2): (
+        "a25e6e546d6b49627962c3a21fbb53a952231581692c3919e31e94f7d2fbcd16",
+        398, {-1: 12, 1: 233, 2: 37, 3: 18}),
+    ("quickstart", "dynamic(4, alpha=2)", 1): (
+        "9e871ff81d0aee6f35518367114d42ea3c73278dade59b89b3cac85bafe57593",
+        425, {-1: 4, 1: 237, 2: 26, 3: 22, 4: 6, 5: 5}),
+    ("quickstart", "dynamic(4, alpha=2)", 2): (
+        "bab02271dd607565b25a244c0796e1e1fe1487f01f2bbacd34261190bb2a079c",
+        441, {-1: 2, 1: 220, 2: 39, 3: 27, 4: 9, 5: 3}),
+    ("simple2d", "static(1, 0.5, alpha=2)", 1): (
+        "ce1b60090929b8c40ee60141bd3d839956fd9dae4bfbe0edf1cfb944c7ff2937",
+        435, {-1: 99, 1: 166, 2: 35}),
+    ("simple2d", "static(1, 0.5, alpha=2)", 2): (
+        "be3d9c74946d9b3921e679a11502f31c6d69b894d0f596b1e2fe7c45c3616bd5",
+        448, {-1: 99, 1: 153, 2: 48}),
+    ("simple2d", "static(3, 0.5, alpha=2)", 1): (
+        "70f9365be8fdedc91ac2ec01d1a272c91a46cb95f0a260df18b591494adf5c9c",
+        586, {-1: 17, 1: 150, 2: 61, 3: 43, 4: 29}),
+    ("simple2d", "static(3, 0.5, alpha=2)", 2): (
+        "47a393c8d7feb27bfc0e6498dc37a526df116d7ff8d3c5c136db374dade803d2",
+        624, {-1: 29, 1: 141, 2: 58, 3: 38, 4: 34}),
+    ("simple2d", "static(5, 0.5, alpha=2)", 1): (
+        "6d28f95255af0c102e0673f20b7b5d9e4bfad0a2127ee7c623806685283670ec",
+        634, {-1: 3, 1: 149, 2: 56, 3: 42, 4: 30, 5: 12, 6: 8}),
+    ("simple2d", "static(5, 0.5, alpha=2)", 2): (
+        "3c6eb90398594d8b78de3bf1a992665d241553dcd4a393e8c798686e2f3883fa",
+        657, {-1: 3, 1: 139, 2: 53, 3: 50, 4: 36, 5: 15, 6: 4}),
+    ("simple2d", "dynamic(2, alpha=2)", 1): (
+        "c3a9750b03035968b01e4b07ac540f4079b34328065080c67aa3d58fe1f3e16d",
+        550, {-1: 47, 1: 145, 2: 61, 3: 47}),
+    ("simple2d", "dynamic(2, alpha=2)", 2): (
+        "ab9baa42cab5513bd491a89c6135d40a4e8f4ada2c202d4b85f38f3458365a66",
+        540, {-1: 50, 1: 154, 2: 53, 3: 43}),
+    ("simple2d", "dynamic(4, alpha=2)", 1): (
+        "fb65d28db3a99d0e2a6096e0f4e0c07a1dcfb16acec2c20267541a30fe4cfab4",
+        602, {-1: 12, 1: 158, 2: 55, 3: 38, 4: 26, 5: 11}),
+    ("simple2d", "dynamic(4, alpha=2)", 2): (
+        "8acf5840f5d5e529047d47cff13cdcd4577f5dd59ed4f218a5006245e4f74201",
+        643, {-1: 15, 1: 149, 2: 51, 3: 40, 4: 29, 5: 16}),
+    ("expseries", "static(1, 0.5, alpha=2)", 1): (
+        "75719c5884d594cb2a01183d38f80b47d982ee0a31b8add99d8698ca5272ff6c",
+        464, {-1: 81, 1: 137, 2: 82}),
+    ("expseries", "static(1, 0.5, alpha=2)", 2): (
+        "1ee12c0af311030fd0b79a9dbc60cc7f6570894a8fad784be5519ba8bf8bab3b",
+        596, {-1: 290, 1: 5, 2: 5}),
+    ("expseries", "static(3, 0.5, alpha=2)", 1): (
+        "54674b38dfcb19ea54801d1e52a459d6ee63a55c799797d087f43c9ec3d501be",
+        590, {-1: 20, 1: 144, 2: 65, 3: 49, 4: 22}),
+    ("expseries", "static(3, 0.5, alpha=2)", 2): (
+        "dbc49e5177256efea74c18730c7cc852f8eb588db589fa671376b3339b9dd2a4",
+        631, {-1: 39, 1: 137, 2: 56, 3: 47, 4: 21}),
+    ("expseries", "static(5, 0.5, alpha=2)", 1): (
+        "4a54070e1de861533fda4bc27b4da351fa145e7bb905e1900b5cbeb03f79e291",
+        591, {-1: 2, 1: 151, 2: 74, 3: 38, 4: 17, 5: 11, 6: 7}),
+    ("expseries", "static(5, 0.5, alpha=2)", 2): (
+        "83a1ae6bf8478a7f2ca2f08383964532bec9c6fa8c8e5ee770cf777110941b42",
+        1127, {-1: 29, 1: 43, 2: 28, 3: 44, 4: 82, 5: 51, 6: 23}),
+    ("expseries", "dynamic(2, alpha=2)", 1): (
+        "073d32216b07f6912ba22b227c5a5b37865984cde9bd2c599a67dc08b4b30091",
+        548, {-1: 50, 1: 142, 2: 69, 3: 39}),
+    ("expseries", "dynamic(2, alpha=2)", 2): (
+        "a231ed987e87d0b84884c284e73e8b8a86d02bec335f21d7cab3ce201072d8e4",
+        569, {-1: 71, 1: 138, 2: 56, 3: 35}),
+    ("expseries", "dynamic(4, alpha=2)", 1): (
+        "54b0d37514eda0004ccc7926bcb44e038586deeff0dc6b6f5004594c65e8b659",
+        622, {-1: 17, 1: 151, 2: 57, 3: 43, 4: 18, 5: 14}),
+    ("expseries", "dynamic(4, alpha=2)", 2): (
+        "3d6ad6d8321eb7f9c38f2be0e1bc808cf82c60762442c3dc7e767b93a70a62ff",
+        683, {-1: 33, 1: 136, 2: 60, 3: 35, 4: 24, 5: 12}),
 }
 
 

@@ -401,12 +401,15 @@ def test_overflowing_start_point_prints_only_the_error(tmp_path, capfd, action):
     env = dict(os.environ, PYTHONWARNINGS=action)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "gnmh", "sample", "--example", "quickstart",
-                           "--x0", "1e200", "--samples", "10", "--out-dir", str(tmp_path / "out")],
-                          env=env, timeout=120)
-    assert done.returncode == 3
-    assert capfd.readouterr().err == "error: non-finite model output at x = [1e+200]: J'J is not finite\n"
-    assert list(tmp_path.iterdir()) == []
+    # at 1e100 the residual is finite and its square overflows
+    for x0, message in (("1e200", "non-finite model output at x = [1e+200]: J'J is not finite"),
+                        ("1e100", "target density is 0 at the initial guess x0 = [1e+100]")):
+        done = subprocess.run([sys.executable, "-m", "gnmh", "sample", "--example", "quickstart",
+                               "--x0", x0, "--samples", "10", "--out-dir", str(tmp_path / "out")],
+                              env=env, timeout=120)
+        assert done.returncode == 3
+        assert capfd.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_sample_well_negative_y_needs_x0(tmp_path, capsys):
@@ -433,7 +436,7 @@ def test_sample_checkpoint_flag_enables_safe_mode(tmp_path):
     # one save's document, an empty slot, then the rows
     data = ck.read_bytes()
     magic, version, size = struct.unpack_from("<8sII", data)
-    assert (magic, version) == (b"GNMHCKPT", 4)
+    assert (magic, version) == (b"GNMHCKPT", 5)
     doc = json.loads(data[16:16 + size].rstrip(b"\0"))
     assert doc["save"] == 0 and doc["chain_rows"] == 100
     assert data[16 + size:16 + 2 * size] == bytes(size)

@@ -502,7 +502,8 @@ def test_checkpoint_wrong_version_rejected(tmp_path):
     doc = json.loads(_newest_slot(path)[3])
     del doc["checksum"]
     # version 1 held the chain in the document; version 2 also held the
-    # dimension, n_samples and n_accepted; version 3 named a chain file
+    # dimension, n_samples and n_accepted; version 3 named a chain file;
+    # version 4 held no mean exponent
     v1 = {"format_version": 1, "dim": 1, "chain": s.chain.tolist()}
     v1.update((k, v) for k, v in doc.items()
               if k not in ("format_version", "save", "chain_rows", "chain_crc", "warnings"))
@@ -511,9 +512,11 @@ def test_checkpoint_wrong_version_rejected(tmp_path):
     v2["counters"] = dict(doc["counters"], n_samples=s.n_samples, n_accepted=s.n_accepted)
     v3 = {"format_version": 3, "chain_file": ".chain"}
     v3.update((k, v) for k, v in doc.items() if k not in ("format_version", "save"))
-    v5 = dict(doc, format_version=5)
+    v4 = dict(doc, format_version=4, policy={k: v for k, v in doc["policy"].items()
+                                               if k != "alpha"})
+    v6 = dict(doc, format_version=6)
     saved = path.read_bytes()
-    for version, content in ((1, v1), (2, v2), (3, v3), (5, v5)):
+    for version, content in ((1, v1), (2, v2), (3, v3), (4, v4), (6, v6)):
         # in a slot of this format, and as the whole file, as earlier versions wrote it
         path.write_bytes(saved)
         text = _with_checksum(_reference_serialize(content)).encode()
@@ -575,8 +578,8 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     # the rest keep every sum and identity between the counters
     lambda doc: doc["counters"].update(call_count=-5),
     lambda doc: doc["warnings"].update(singular_proposals=-3),
-    lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] + 1,
-                                          "3": doc["step_count"]["3"] - 1}),
+    lambda doc: doc["step_count"].update({"1": doc["step_count"]["1"] + doc["step_count"]["3"] + 1,
+                                          "3": -1}),
     lambda doc: (doc["counters"].update(burned=-1),
                  doc["step_count"].update({"1": doc["step_count"]["1"] - 1})),
     # stage -1 counts the rejections, and the stages are numbered from 1
@@ -608,6 +611,10 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     # every mode's factor is a real number in (0, 1)
     lambda doc: doc["policy"].update(mode="dynamic", factor=float("nan")),
     lambda doc: doc["policy"].update(mode="none", max_steps=0, factor=2.0),
+    # every mode's mean exponent is a real number in [1, 2], and format 5 names it
+    lambda doc: doc["policy"].update(alpha=2.5),
+    lambda doc: doc["policy"].update(alpha="2.0"),
+    lambda doc: doc["policy"].pop("alpha"),
 ], ids=["mode", "static-factor", "max-steps", "fractional-max-steps", "prior-precision",
         "step-count", "negative-call-count", "negative-warning", "negative-step-count",
         "negative-burned", "stage-zero", "stage-below-minus-one", "no-rejection-stage",
@@ -615,7 +622,8 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
         "fractional-call-count", "string-call-count", "boolean-burned", "float-chain-rows",
         "float-step-count", "fractional-warning", "boolean-warning", "boolean-max-steps",
         "too-deep-max-steps", "string-factor", "string-prior-mean",
-        "boolean-precision", "string-current-x", "nan-dynamic-factor", "none-factor-above-one"])
+        "boolean-precision", "string-current-x", "nan-dynamic-factor", "none-factor-above-one",
+        "alpha-above-two", "string-alpha", "no-alpha"])
 def test_checkpoint_invalid_value_with_valid_checksum_refused(tmp_path, change):
     # a document whose checksum holds but whose values no sampler can have
     path = tmp_path / "state.json"
@@ -677,23 +685,28 @@ def test_checkpoint_malformed_generator_state_refused(tmp_path, change):
 
 
 def test_checkpoint_without_zero_stage_counts_loads_and_runs(tmp_path):
-    # a stage that never accepted needs no entry to be counted later
+    # a stage that never accepted needs no entry to be counted later. The
+    # transitions ran under two back-offs, so stage 4 of the policy saved
+    # has ended none of them, whatever the kernel
     path = tmp_path / "state.json"
     s = make_quickstart(seed=1)
     s.set_static(2, 0.4)
     s.run_sample(10)
+    s.set_static(3, 0.4)
     s.save_checkpoint(path)
 
-    def drop_stage_3(doc):
-        assert doc["step_count"]["3"] == 0
-        del doc["step_count"]["3"]
+    def drop_zero_stages(doc):
+        zero = [k for k, v in doc["step_count"].items() if v == 0 and k != "-1"]
+        assert "4" in zero
+        for k in zero:
+            del doc["step_count"][k]
 
-    _edit_newest_document(path, _fresh_checksum(drop_stage_3))
+    _edit_newest_document(path, _fresh_checksum(drop_zero_stages))
     b = Sampler.load_checkpoint(path, quickstart_handle())
     assert b.step_count == s.step_count
     s.run_sample(300)
     b.run_sample(300)
-    assert b.step_count == s.step_count and b.step_count[3] > 0
+    assert b.step_count == s.step_count and b.step_count[4] > 0
 
 
 def test_checkpoint_dimension_mismatch(tmp_path):
@@ -767,11 +780,12 @@ def test_checkpoint_numbers_have_17_significant_digits(tmp_path):
     data, _, size, text = _newest_slot(path)
     text = text.decode("utf-8")
     doc = json.loads(text)
-    assert '"factor":0.3},' in text
+    assert '"factor":0.3,"alpha":2.0},' in text
     assert f'"current_x":[{float(s.current.x[0])!r}]' in text
     for stored, held in ((doc["current_x"], s.current.x), (doc["prior"]["mean"], s.prior.mean),
                          (doc["prior"]["precision"], s.prior.precision.ravel()),
-                         ([doc["policy"]["factor"]], [s.policy.factor])):
+                         ([doc["policy"]["factor"]], [s.policy.factor]),
+                         ([doc["policy"]["alpha"]], [s.policy.alpha])):
         assert np.array(stored).tobytes() == np.array(held, dtype=float).tobytes()
     # the chain rows are stored as their float64 bits, after the two slots
     rows = np.frombuffer(data[_HEADER.size + 2 * size:], dtype="<f8")
@@ -890,7 +904,7 @@ def _reference_document(s, save):
     over the full chain and the full text."""
     steps = s.step_count
     doc = {
-        "format_version": 4,
+        "format_version": 5,
         "save": save,
         "chain_rows": s.n_samples,
         "chain_crc": format(zlib.crc32(s.chain.astype("<f8").tobytes()), "08x"),
@@ -898,7 +912,7 @@ def _reference_document(s, save):
         "step_count": {str(k): steps[k] for k in [-1] + sorted(k for k in steps if k != -1)},
         "warnings": {"singular_proposals": s.warnings["singular_proposals"]},
         "policy": {"mode": s.policy.mode, "max_steps": s.policy.max_steps,
-                   "factor": float(s.policy.factor)},
+                   "factor": float(s.policy.factor), "alpha": float(s.policy.alpha)},
         "prior": {"mean": [float(v) for v in s.prior.mean],
                   "precision": [float(v) for v in s.prior.precision.ravel()]},
         "current_x": [float(v) for v in s.current.x],
@@ -940,7 +954,7 @@ def test_checkpoint_bytes_equal_full_serialization(tmp_path, monkeypatch, name, 
         else:
             file["save"] += 1
             file["slots"][file["save"] % 2] = _reference_document(self, file["save"])
-        expected = (_HEADER.pack(b"GNMHCKPT", 4, file["size"])
+        expected = (_HEADER.pack(b"GNMHCKPT", 5, file["size"])
                     + b"".join(doc.ljust(file["size"], b"\0") for doc in file["slots"])
                     + self.chain.astype("<f8").tobytes())
         assert p.read_bytes() == expected
