@@ -380,8 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="how a rejected proposal is contracted")
     ps.add_argument("--max-steps", type=int, default=1, help="proposals after the first one")
     ps.add_argument("--factor", type=float, default=0.1, help="static back-off dilation factor")
-    ps.add_argument("--alpha", type=float, default=2.0,
-                    help="back-off mean exponent in [1, 2]: a kernel dilated by s moves its "
+    ps.add_argument("--alpha", type=int, default=2,
+                    help="back-off mean exponent, 1 or 2: a kernel dilated by s moves its "
                          "mean as s**alpha; 1 is the paper's kernel")
     ps.add_argument("--prior-mean", type=float, nargs="+")
     ps.add_argument("--prior-precision", nargs="+",

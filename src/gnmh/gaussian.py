@@ -155,21 +155,18 @@ class PrecisionGaussian(NamedTuple):
         """
         return self.mean + _solve_lower(self.chol, std_normals, trans=1)
 
-    def dilate(self, center, gamma: float, alpha: float = 1.0) -> "PrecisionGaussian":
+    def dilate(self, center, gamma: float) -> "PrecisionGaussian":
         """Contract the distribution toward ``center`` by factor ``gamma``.
 
-        The mean moves to center + gamma^alpha (mean - center) and the
-        covariance shrinks by gamma^2 (precision grows by 1/gamma^2). With
-        ``alpha`` = 1 this is the paper's dilation; the sampler's back-off
-        uses its policy's mean exponent, 2 by default. gamma=1 is the
+        The mean moves to center + gamma*(mean - center) and the covariance
+        shrinks by gamma^2 (precision grows by 1/gamma^2). gamma=1 is the
         identity; the composition law
-        dilate(dilate(g, c, a), c, b) == dilate(g, c, a*b) holds up to
-        rounding.
+        dilate(dilate(g, c, a), c, b) == dilate(g, c, a*b) holds exactly.
         """
         # chol(P/g^2) = L/g and logdet(P/g^2) = logdet(P) - 2n*log(g), so no
         # fresh factorization is needed
         return PrecisionGaussian(
-            mean=center + gamma ** alpha * (self.mean - center),
+            mean=center + gamma * (self.mean - center),
             precision=self.precision / (gamma * gamma),
             chol=self.chol / gamma,
             log_norm=self.log_norm - len(self.mean) * np.log(gamma),

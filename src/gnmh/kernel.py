@@ -16,20 +16,20 @@ Every kernel is read from its anchor's record (``posterior.PointState``):
 the point x, the proposal's factor L, whitened step v and log
 normalization. Dilated toward x by s, the kernel is
 N(x + s^alpha L^-T v, s^2 (L L')^-1): its spread shrinks as s and its step
-as s^alpha, for the policy's mean exponent alpha in [1, 2]. It is three
-floats: s, log_norm - n log s and s^(alpha - 1). One formula draws,
-y = x + s L^-T (s^(alpha - 1) v + xi) for standard normals xi, one scores,
+as s^alpha, for the policy's mean exponent alpha, 1 or 2. It is three
+floats: s, log_norm - n log s and the step's shrink s^(alpha - 1), which is
+1 or s. One formula draws, y = x + s L^-T (s^(alpha - 1) v + xi) for
+standard normals xi, one scores,
 log_norm - n log s - |L'(y - x) / s - s^(alpha - 1) v|^2 / 2, and stage one
 is their s = 1 case. The drawing kernel's density of its draw is
 log_norm - n log s - xi.xi / 2, kept with the drawn point.
 
 With alpha = 1 this is the paper's kernel, whose mean moves as s. As s -> 0
 its one-stage log acceptance tends to -2|v|^2 - 2 v.xi, so no back-off depth
-frees a point whose Gauss-Newton step is long. With alpha > 1 the step
-shrinks faster than the spread and the limit is 0. The
+frees a point whose Gauss-Newton step is long. With alpha = 2, the default,
+the step shrinks faster than the spread and the limit is 0. The
 trajectory-balanced ratio is exact for any kernel that the forward and
-reverse sides compute the same way, so every alpha keeps the target
-stationary.
+reverse sides compute the same way, so both keep the target stationary.
 
 Stage one is the plain Metropolis-Hastings ratio of the two records. Only
 when it rejects and the policy has more stages does ``step`` build the
@@ -76,10 +76,10 @@ class BackoffPolicy:
     ``mode`` is "none", "static" or "dynamic". ``max_steps`` is the number of
     extra proposals after the first one (0 means plain Metropolis), an
     integer. ``factor`` is the per-stage dilation in static mode, a real
-    number in (0, 1) in every mode. ``alpha`` is the mean exponent, a real
-    number in [1, 2] in every mode: a kernel dilated by s moves its mean as
-    s^alpha (see the module docstring). 2, the default, frees points with a
-    long Gauss-Newton step; 1 is the paper's kernel. The constants
+    number in (0, 1) in every mode. ``alpha`` is the mean exponent, 1 or 2
+    in every mode: a kernel dilated by s moves its mean as s^alpha (see the
+    module docstring). 2, the default, frees points with a long Gauss-Newton
+    step; 1 is the paper's kernel. The constants
     ``t_lo``/``t_hi`` clamp the dynamically chosen factor; their midpoint is
     the fallback when the cubic model has no interior minimum.
 
@@ -87,14 +87,14 @@ class BackoffPolicy:
     (static) or ``t_lo ** max_steps`` (dynamic), is below 2**-511 is refused
     with ``InvalidPolicy``: the scale's square would not be a normal float.
     So static(k, 0.1) allows k <= 153, static(k, 0.5) k <= 511 and
-    dynamic(k) k <= 118. Then s^(alpha - 1) >= s, and their product
-    s^alpha, for every alpha <= 2, are normal floats too.
+    dynamic(k) k <= 118. Then the mean's shrink s^alpha is a normal float
+    too.
     """
 
     mode: str = "none"
     max_steps: int = 0
     factor: float = 0.5
-    alpha: float = 2.0
+    alpha: int = 2
     t_lo: ClassVar[float] = 0.05
     t_hi: ClassVar[float] = 0.95
 
@@ -107,9 +107,8 @@ class BackoffPolicy:
         if not (is_real(self.factor) and 0.0 < self.factor < 1.0):
             raise InvalidPolicy(f"dilation factor must be a number in (0, 1), "
                                 f"got {self.factor!r}")
-        if not (is_real(self.alpha) and 1.0 <= self.alpha <= 2.0):
-            raise InvalidPolicy(f"mean exponent alpha must be a number in [1, 2], "
-                                f"got {self.alpha!r}")
+        if not (is_real(self.alpha) and self.alpha in (1, 2)):
+            raise InvalidPolicy(f"mean exponent alpha must be 1 or 2, got {self.alpha!r}")
         if self.mode != "none":
             # the deepest kernel's scale s must keep s * s a normal float; a
             # dynamic factor is at least t_lo. 2**1000 stages take any factor
@@ -126,12 +125,12 @@ class BackoffPolicy:
         return cls(mode="none", max_steps=0)
 
     @classmethod
-    def static(cls, max_steps: int, factor: float, alpha: float = 2.0) -> "BackoffPolicy":
+    def static(cls, max_steps: int, factor: float, alpha: int = 2) -> "BackoffPolicy":
         policy = cls("static" if is_count(max_steps, 1) else "none", max_steps, factor, alpha)
         return policy if policy.max_steps else cls.none()
 
     @classmethod
-    def dynamic(cls, max_steps: int, alpha: float = 2.0) -> "BackoffPolicy":
+    def dynamic(cls, max_steps: int, alpha: int = 2) -> "BackoffPolicy":
         policy = cls("dynamic" if is_count(max_steps, 1) else "none", max_steps, alpha=alpha)
         return policy if policy.max_steps else cls.none()
 
@@ -205,7 +204,7 @@ def _log_density(anchor: PointState, y: np.ndarray, scale: float, log_norm: floa
                  shrink: float) -> float:
     """log_norm - |L'(y - x) / scale - shrink v|^2 / 2, the log density at
     ``y`` of the kernel at ``anchor`` dilated by ``scale``, whose step is
-    shrunk by ``shrink`` = scale^(alpha - 1) (a division or a product by 1,
+    shrunk by ``shrink``, 1 or ``scale`` (a division or a product by 1,
     exact, is skipped)."""
     w = (y - anchor.x).dot(anchor.chol)
     r = (w if scale == 1.0 else w / scale) - (anchor.v if shrink == 1.0 else shrink * anchor.v)
@@ -266,9 +265,9 @@ class _Transition:
         return row
 
     def kernel(self, a: int, g: int) -> tuple:
-        """Cumulative scale s, log normalization and step shrink
-        s^(alpha - 1) of the kernel at ``pts[a]`` for the stage after
-        ``pts[1..g]`` were rejected.
+        """Cumulative scale s, log normalization and step shrink (1 or s)
+        of the kernel at ``pts[a]`` for the stage after ``pts[1..g]`` were
+        rejected.
 
         With ``g = 0`` this is the undilated Gauss-Newton proposal at scale
         1. Each rejection multiplies the scale by the static factor, or by
@@ -287,7 +286,7 @@ class _Transition:
             else:
                 scale *= dynamic_gamma(anchor, self.pts[len(kernels)])
             kernels.append((scale, anchor.log_norm - n * math.log(scale),
-                            scale ** (policy.alpha - 1.0)))
+                            scale if policy.alpha == 2 else 1.0))
         return kernels[g]
 
     def density(self, a: int, g: int, b: int) -> float:
@@ -351,8 +350,8 @@ def _draw(anchor: PointState, scale: float, log_norm: float, shrink: float,
           prior: GaussianPrior, model: ModelHandle, rng: np.random.Generator,
           counters: Optional[dict]) -> Tuple[PointState, float]:
     """Draw y = x + scale L^-T (shrink v + xi) from the kernel at ``anchor``
-    dilated by ``scale``, whose step is shrunk by ``shrink`` =
-    scale^(alpha - 1) (a product with 1, exact, is skipped), for fresh
+    dilated by ``scale``, whose step is shrunk by ``shrink``, 1 or
+    ``scale`` (a product with 1, exact, is skipped), for fresh
     standard normals xi; return y's record and its log density under that
     kernel, ``log_norm`` - xi.xi / 2. ``counters``, if given, counts a point
     whose proposal is singular under "singular_proposals"."""

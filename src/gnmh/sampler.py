@@ -217,14 +217,14 @@ class Sampler:
 
     # -- configuration ------------------------------------------------
 
-    def set_static(self, max_steps: int, factor: float, alpha: float = 2.0) -> None:
+    def set_static(self, max_steps: int, factor: float, alpha: int = 2) -> None:
         """Back off up to ``max_steps`` times, dilating by ``factor`` each
         time, with the kernel mean moving as the scale to the power
-        ``alpha`` (1 is the paper's kernel). ``max_steps=0`` disables
+        ``alpha``, 1 (the paper's kernel) or 2. ``max_steps=0`` disables
         back-off."""
         self.policy = BackoffPolicy.static(max_steps, factor, alpha)
 
-    def set_dynamic(self, max_steps: int, alpha: float = 2.0) -> None:
+    def set_dynamic(self, max_steps: int, alpha: int = 2) -> None:
         """Back off up to ``max_steps`` times with cubic-interpolation
         dilation factors and the mean exponent ``alpha``, as in
         :meth:`set_static`."""
@@ -361,7 +361,7 @@ class Sampler:
                 "mode": policy.mode,
                 "max_steps": int(policy.max_steps),
                 "factor": float(policy.factor),
-                "alpha": float(policy.alpha),
+                "alpha": int(policy.alpha),
             },
             "prior": {
                 "mean": prior.mean.tolist(),

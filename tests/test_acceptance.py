@@ -336,6 +336,47 @@ def test_criterion_8_safe_mode_determinism(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the default kernel's quickstart chain vs quadrature, by batch means
+# ---------------------------------------------------------------------------
+
+
+def test_default_kernel_quickstart_vs_quadrature_by_batch_means():
+    # the default kernel (mean exponent 2) under dynamic(2). The posterior is
+    # symmetric and the chain's sign mixes slowly (tau about 110 transitions,
+    # against about 7 for |x|), so the histogram is of |x|: 15 bins of width
+    # 0.2, each bin's error from 40 batch means. A kernel that draws at
+    # exponent 2 but scores at 1 gives max |z| 6.2 to 11.9 here (seeds 1-6);
+    # this one gave 1.5 to 2.7
+    n_samples, n_burn, n_bins, n_batches, hi = 100_000, 2000, 15, 40, 3.0
+    prior = GaussianPrior.create([0.0], [[1.0]])
+    sampler = Sampler([0.5], quickstart_handle(y=1.0, sigma=0.5), seed=1, prior=prior)
+    sampler.set_dynamic(2)
+    sampler.run_sample(n_samples)
+    # the dilated kernels drew the candidate of many transitions
+    assert sampler.step_count[2] + sampler.step_count[3] >= 0.1 * n_samples
+    sampler.burn(n_burn)
+    folded = np.abs(sampler.chain[:, 0])
+
+    oracle = quickstart_handle(y=1.0, sigma=0.5)
+    grid, q = quadrature_1d(
+        lambda x: log_posterior(prior, oracle.evaluate([x])), -hi, hi, 20_001
+    )
+    edges = np.linspace(0.0, hi, n_bins + 1)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (q[1:] + q[:-1]) * np.diff(grid))])
+    q_mass = 2.0 * np.diff(np.interp(edges, grid, cdf))
+
+    size = folded.size // n_batches
+    batches = np.array([np.histogram(folded[i * size:(i + 1) * size], edges)[0] / size
+                        for i in range(n_batches)])
+    err = batches.std(axis=0, ddof=1) / np.sqrt(n_batches)
+    seen = err > 0.0
+    z = (batches.mean(axis=0)[seen] - q_mass[seen]) / err[seen]
+    # the bins that no batch reached hold almost no mass
+    assert q_mass[~seen].sum() < 1e-3
+    assert np.abs(z).max() < 4.0, np.round(z, 2)
+
+
+# ---------------------------------------------------------------------------
 # the default kernel frees a point with a long Gauss-Newton step
 # ---------------------------------------------------------------------------
 

@@ -264,6 +264,8 @@ def test_sample_zero_samples_usage_error(tmp_path):
     ("--backoff", "dynamic", "--max-steps", "-1"),
     ("--backoff", "static", "--max-steps", "154", "--factor", "0.1"),  # scale^2 not normal
     ("--backoff", "dynamic", "--max-steps", "119"),
+    ("--backoff", "dynamic", "--alpha", "3"),         # 1 or 2
+    ("--alpha", "1.5"),
     ("--bins", "0"),
     ("--marginal", "0", "5"),
     ("--range", "3", "-3"),

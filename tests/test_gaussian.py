@@ -99,15 +99,6 @@ def test_dilate_example_values():
     assert d.precision[0, 0] == pytest.approx(4.0)
 
 
-def test_dilate_moves_the_mean_as_gamma_to_the_power_alpha():
-    g = _gaussian([2.0], [[1.0]])
-    for gamma in (0.5, 0.1, 1e-6):
-        d = g.dilate([0.0], gamma, alpha=2)
-        assert d.mean[0] == pytest.approx(2.0 * gamma * gamma)
-        assert d.precision[0, 0] == pytest.approx(1.0 / (gamma * gamma))
-        assert d.log_norm == g.dilate([0.0], gamma).log_norm
-
-
 def test_dilate_composition_law():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(3, 3))

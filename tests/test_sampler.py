@@ -611,9 +611,10 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
     # every mode's factor is a real number in (0, 1)
     lambda doc: doc["policy"].update(mode="dynamic", factor=float("nan")),
     lambda doc: doc["policy"].update(mode="none", max_steps=0, factor=2.0),
-    # every mode's mean exponent is a real number in [1, 2], and format 5 names it
+    # every mode's mean exponent is 1 or 2, and format 5 names it
+    lambda doc: doc["policy"].update(alpha=1.5),
     lambda doc: doc["policy"].update(alpha=2.5),
-    lambda doc: doc["policy"].update(alpha="2.0"),
+    lambda doc: doc["policy"].update(alpha="2"),
     lambda doc: doc["policy"].pop("alpha"),
 ], ids=["mode", "static-factor", "max-steps", "fractional-max-steps", "prior-precision",
         "step-count", "negative-call-count", "negative-warning", "negative-step-count",
@@ -623,7 +624,7 @@ def test_checkpoint_one_digit_changed_in_document_detected(tmp_path):
         "float-step-count", "fractional-warning", "boolean-warning", "boolean-max-steps",
         "too-deep-max-steps", "string-factor", "string-prior-mean",
         "boolean-precision", "string-current-x", "nan-dynamic-factor", "none-factor-above-one",
-        "alpha-above-two", "string-alpha", "no-alpha"])
+        "alpha-between-one-and-two", "alpha-above-two", "string-alpha", "no-alpha"])
 def test_checkpoint_invalid_value_with_valid_checksum_refused(tmp_path, change):
     # a document whose checksum holds but whose values no sampler can have
     path = tmp_path / "state.json"
@@ -780,12 +781,11 @@ def test_checkpoint_numbers_have_17_significant_digits(tmp_path):
     data, _, size, text = _newest_slot(path)
     text = text.decode("utf-8")
     doc = json.loads(text)
-    assert '"factor":0.3,"alpha":2.0},' in text
+    assert '"factor":0.3,"alpha":2},' in text
     assert f'"current_x":[{float(s.current.x[0])!r}]' in text
     for stored, held in ((doc["current_x"], s.current.x), (doc["prior"]["mean"], s.prior.mean),
                          (doc["prior"]["precision"], s.prior.precision.ravel()),
-                         ([doc["policy"]["factor"]], [s.policy.factor]),
-                         ([doc["policy"]["alpha"]], [s.policy.alpha])):
+                         ([doc["policy"]["factor"]], [s.policy.factor])):
         assert np.array(stored).tobytes() == np.array(held, dtype=float).tobytes()
     # the chain rows are stored as their float64 bits, after the two slots
     rows = np.frombuffer(data[_HEADER.size + 2 * size:], dtype="<f8")
@@ -912,7 +912,7 @@ def _reference_document(s, save):
         "step_count": {str(k): steps[k] for k in [-1] + sorted(k for k in steps if k != -1)},
         "warnings": {"singular_proposals": s.warnings["singular_proposals"]},
         "policy": {"mode": s.policy.mode, "max_steps": s.policy.max_steps,
-                   "factor": float(s.policy.factor), "alpha": float(s.policy.alpha)},
+                   "factor": float(s.policy.factor), "alpha": s.policy.alpha},
         "prior": {"mean": [float(v) for v in s.prior.mean],
                   "precision": [float(v) for v in s.prior.precision.ravel()]},
         "current_x": [float(v) for v in s.current.x],
