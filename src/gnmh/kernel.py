@@ -33,13 +33,13 @@ reverse sides compute the same way, so both keep the target stationary.
 
 Stage one is the plain Metropolis-Hastings ratio of the two records. Only
 when it rejects and the policy has more stages does ``step`` build the
-back-off table ``_Transition``: the points ``[x, y1, y2, ...]``, their drawn
-densities and, per anchor point, three lists grown one stage at a time
-(kernels, path weights and acceptances). The table's stage one uses the
-same values and helpers, so it equals ``step``'s bit for bit. A later path
-weight is its prefix weight plus one log(1 - A) and one kernel density, so
-each dilated kernel and acceptance is computed once per transition; a
-density is computed where it is read.
+back-off table ``_Transition``: the points ``[x, y1, y2, ...]``, their
+kernel densities and, per anchor point, three lists grown one stage at a
+time (kernels, path weights and acceptances). ``step`` seeds it with stage
+one's drawn density, path weight and acceptance, which the table would
+compute bit for bit from the same values. A later path weight is its prefix
+weight plus one log(1 - A) and one kernel density, so each dilated kernel,
+acceptance and density is computed once per transition.
 
 Every log(1 - A) term is <= 0, so a path weight without them bounds it from
 above, and so does one with each intermediate kernel density replaced by
@@ -232,11 +232,12 @@ class _Transition:
     """Back-off table of one transition.
 
     ``pts`` is ``[origin, y1, y2, ...]``, the origin followed by the points
-    drawn so far; ``drawn[j - 1]``, where given, is ``pts[j]``'s density
-    under the kernel that drew it. The trajectory-balanced recursion reaches
-    each point ``pts[a]`` as the anchor of paths through ``pts[1], pts[2],
-    ...``, so ``rows[a]`` holds three lists for that anchor, each grown one
-    stage at a time and computed once:
+    drawn so far; ``dens[a, g, b]`` is ``density(a, g, b)``, kept once
+    computed, or stored by ``step`` for a drawn point (``a = 0``, ``b = g +
+    1``). The trajectory-balanced recursion reaches each point ``pts[a]``
+    as the anchor of paths through ``pts[1], pts[2], ...``, so ``rows[a]``
+    holds three lists for that anchor, each grown one stage at a time and
+    computed once:
 
     - kernels: ``kernels[g]`` is the proposal at ``pts[a]`` after
       ``pts[1..g]`` were rejected, as the floats ``(scale, log_norm,
@@ -246,17 +247,17 @@ class _Transition:
     - accepts: ``accepts[h - 1]`` is the log acceptance of ``pts[h]``
       reached from ``pts[a]`` after ``pts[1..h-1]`` were rejected.
 
-    Appending to ``pts`` (and to ``drawn``) leaves every row valid.
+    Appending to ``pts`` leaves every row and density valid.
     """
 
-    __slots__ = ("pts", "drawn", "policy", "rows")
+    __slots__ = ("pts", "policy", "rows", "dens")
 
     def __init__(self, origin: PointState, policy: BackoffPolicy,
-                 points: Sequence[PointState] = (), drawn: Sequence[float] = ()):
+                 points: Sequence[PointState] = ()):
         self.pts = [origin, *points]
-        self.drawn = list(drawn)
         self.policy = policy
         self.rows: dict = {}
+        self.dens: dict = {}
 
     def _row(self, a: int) -> tuple:
         row = self.rows.get(a)
@@ -290,11 +291,13 @@ class _Transition:
         return kernels[g]
 
     def density(self, a: int, g: int, b: int) -> float:
-        """log density of ``pts[b]`` under ``kernel(a, g)``: the drawn one
-        where ``pts[b]`` was drawn from that kernel and it is kept."""
-        if a == 0 and b == g + 1 and g < len(self.drawn):
-            return self.drawn[g]
-        return _log_density(self.pts[a], self.pts[b].x, *self.kernel(a, g))
+        """log density of ``pts[b]`` under ``kernel(a, g)``, read from
+        ``dens`` or computed and stored there."""
+        d = self.dens.get((a, g, b))
+        if d is None:
+            d = self.dens[a, g, b] = _log_density(self.pts[a], self.pts[b].x,
+                                                  *self.kernel(a, g))
+        return d
 
     def path(self, a: int, h: int, b: int) -> float:
         """log weight of the back-off path from ``pts[a]`` through
@@ -380,10 +383,10 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
     Per stage the generator is consumed in a fixed order: the proposal's
     standard normals first, then one uniform u for the accept test. Stage
     one is the plain Metropolis-Hastings ratio of the two records; a
-    ``_Transition`` table of the points drawn so far, with their densities
-    from ``_draw``, is built only when stage one rejects and the policy has
-    more stages, and ``step`` reads it only through ``kernel``,
-    ``density``, ``path`` and ``log_accept``.
+    ``_Transition`` table of the points drawn so far, seeded with stage
+    one's weight and acceptance and each draw's density, is built only when
+    stage one rejects and the policy has more stages, and ``step`` reads it
+    only through ``kernel``, ``density``, ``path`` and ``log_accept``.
 
     A never-accepted candidate has A = 0 and is rejected whatever u. Any
     other back-off stage j is first tested against a bound, in two tiers.
@@ -403,7 +406,8 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
     1e-9 (1 + |fwd_lo|) rejects y_j as the exact test would; the margin
     covers the rounding of log, exp and log(1 - e^a). Anything else (a
     tie, u = 0, a NaN, a forward bound of -inf) computes the exact
-    ``log_accept``. The densities are the table's, so the decisions, the
+    ``log_accept``. The tiers' densities are the table's, the ones the
+    exact test reads, so none is computed twice, and the decisions, the
     draws and the chain equal the full computation's.
     """
     z_state, log_q = _draw(current, 1.0, current.log_norm, 1.0, prior, model, rng, counters)
@@ -414,11 +418,13 @@ def step(current: PointState, policy: BackoffPolicy, prior: GaussianPrior,
         return z_state, 1
     if policy.max_steps == 0:
         return current, -1
-    table = _Transition(current, policy, (z_state,), (log_q,))
+    table = _Transition(current, policy, (z_state,))
+    table.dens[0, 0, 1] = log_q
+    table.rows[0] = ([(1.0, current.log_norm, 1.0)], [fwd_lo], [log_a])
     for j in range(2, policy.n_stages + 1):
         z_state, log_q = _draw(current, *table.kernel(0, j - 1), prior, model, rng, counters)
         table.pts.append(z_state)
-        table.drawn.append(log_q)
+        table.dens[0, j - 1, j] = log_q
         u = rng.random()
         # log_a is the previous stage's log acceptance, or a bound above it
         fwd_lo = fwd_lo + _log1m_exp(log_a) + log_q
