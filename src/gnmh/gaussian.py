@@ -9,14 +9,16 @@ from :func:`_factor`, and the whitened Gauss-Newton step v solved with
 :class:`PrecisionGaussian` is a proposal in precision form, as an object,
 for the tests and the benchmark's tracer.
 
-The two LAPACK routines used here, ``dpotrf`` and ``dtrtrs``, are scipy's
-f2py bindings in its extension module ``scipy.linalg._flapack``, the same
-objects ``scipy.linalg.lapack`` exports, so every result bit is scipy's.
-:func:`_load_flapack` loads that extension without importing the
-``scipy.linalg`` package, whose start-up (array-API, f2py, testing and
-masked-array modules) was more than half of importing gnmh. The extension is
-registered under its own name, so a later ``import scipy.linalg`` reuses it
-and ``scipy.linalg.lapack.dpotrf is dpotrf``.
+The three routines used here, LAPACK ``dpotrf`` and ``dtrtrs`` and BLAS
+``dsyrk``, are scipy's f2py bindings in its extension modules
+``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, the same objects
+``scipy.linalg.lapack`` and ``scipy.linalg.blas`` export, so every result
+bit is scipy's. :func:`_load_extension` loads each extension without
+importing the ``scipy.linalg`` package, whose start-up (array-API, f2py,
+testing and masked-array modules) was more than half of importing gnmh.
+Each extension is registered under its own name, so a later
+``import scipy.linalg`` reuses it and ``scipy.linalg.lapack.dpotrf is
+dpotrf``.
 """
 
 from __future__ import annotations
@@ -32,30 +34,30 @@ import numpy as np
 import scipy
 
 
-def _load_flapack():
-    """scipy's LAPACK extension module ``scipy.linalg._flapack``: the loaded
-    one if any, else loaded from scipy's ``linalg`` directory and registered
-    in ``sys.modules`` under that name."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
+def _load_extension(name: str):
+    """scipy's extension module ``scipy.linalg.<name>``: the loaded one if
+    any, else loaded from scipy's ``linalg`` directory and registered in
+    ``sys.modules`` under that name."""
+    full_name = f"scipy.linalg.{name}"
+    if full_name in sys.modules:
+        return sys.modules[full_name]
     dirs = [os.path.join(p, "linalg") for p in scipy.__path__]
-    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+    spec = importlib.machinery.PathFinder.find_spec(full_name, dirs)
     if spec is None:
         raise ImportError(
-            f"scipy's LAPACK extension _flapack not found in {dirs}; "
-            "gnmh requires scipy>=1.13",
-            name=name,
+            f"scipy's extension {name} not found in {dirs}; gnmh requires scipy>=1.13",
+            name=full_name,
         )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[name] = module
+    sys.modules[full_name] = module
     return module
 
 
-_flapack = _load_flapack()
+_flapack = _load_extension("_flapack")
 dpotrf = _flapack.dpotrf
 dtrtrs = _flapack.dtrtrs
+dsyrk = _load_extension("_fblas").dsyrk
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -67,14 +69,17 @@ def _factor(precision: np.ndarray):
     not finite (``dpotrf`` does not check for NaN or inf), so a returned
     log_norm is finite.
 
-    No validation: internal callers pass a square, exactly symmetric 2-D
-    float array, and only its lower triangle is read. The factor comes from
-    LAPACK ``dpotrf`` and is copied to C order, so :func:`_solve_lower`
-    takes the same ``dtrtrs`` branch as for numpy's factor; for n <= 4 it
-    equals ``np.linalg.cholesky`` bit for bit.
+    No validation: internal callers pass a square 2-D float array whose
+    lower triangle holds the symmetric matrix; the upper triangle is not
+    read. The argument is consumed: an F-ordered one (any 1x1 array is) is
+    factored in place, so a caller that reads its matrix again passes a
+    copy. The factor comes from LAPACK ``dpotrf`` and is copied to C order,
+    so :func:`_solve_lower` takes the same ``dtrtrs`` branch as for numpy's
+    factor; for n <= 4 it equals ``np.linalg.cholesky`` bit for bit.
     """
-    # positional flags (lower=1, clean=1): keywords cost f2py more than the call
-    chol, info = dpotrf(precision, 1, 1)
+    # positional flags (lower=1, clean=1, overwrite_a=1): keywords cost f2py
+    # more than the call
+    chol, info = dpotrf(precision, 1, 1, 1)
     if info != 0:
         return None
     chol = np.ascontiguousarray(chol)

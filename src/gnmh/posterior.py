@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, NotPSD, UserFunctionFailure, check_finite
-from .gaussian import _factor, _solve_lower
+from .gaussian import _factor, _solve_lower, dsyrk
 from .model import ModelEval, ModelHandle
 
 
@@ -31,7 +31,7 @@ class GaussianPrior:
     constructor stores (P + P^T)/2 of the matrix it is given, so
     (m - x)'H is H(m - x), the prior's term of the Gauss-Newton step in
     :func:`gn_proposal`. Only :meth:`create` checks that the given matrix
-    was symmetric to within 1e-10.
+    was symmetric to within 1e-10 and that (P + P^T)/2 is finite.
     """
 
     mean: np.ndarray
@@ -39,13 +39,15 @@ class GaussianPrior:
 
     def __post_init__(self):
         precision = self.precision
-        object.__setattr__(self, "precision", 0.5 * (precision + precision.T))
+        with np.errstate(over="ignore"):  # create refuses an overflow to inf
+            object.__setattr__(self, "precision", 0.5 * (precision + precision.T))
 
     @classmethod
     def create(cls, mean, precision) -> "GaussianPrior":
         """Validate finiteness, symmetry and positive semidefiniteness, then
-        build. A non-finite entry of ``mean`` or ``precision`` is refused
-        with ``NotPSD``, naming which."""
+        build. A non-finite entry of ``mean`` or ``precision``, or of the
+        symmetrized precision (P + P^T)/2 the prior stores (P + P^T can
+        overflow), is refused with ``NotPSD``, naming which."""
         mean = np.asarray(mean, dtype=float).reshape(-1)
         precision = np.asarray(precision, dtype=float)
         n = mean.shape[0]
@@ -56,10 +58,14 @@ class GaussianPrior:
         check_finite("prior mean", mean, NotPSD)
         check_finite("prior precision", precision, NotPSD)
         # the test of np.allclose(precision, precision.T, rtol=1e-10,
-        # atol=1e-10) on finite entries, without its Python overhead
-        if not (abs(precision - precision.T) <= 1e-10 + 1e-10 * abs(precision.T)).all():
+        # atol=1e-10) on finite entries, without its Python overhead; a
+        # difference that overflows to inf fails it
+        with np.errstate(over="ignore"):
+            symmetric = (abs(precision - precision.T) <= 1e-10 + 1e-10 * abs(precision.T)).all()
+        if not symmetric:
             raise NotPSD("prior precision is not symmetric")
         prior = cls(mean=mean, precision=precision)
+        check_finite("symmetrized prior precision (P + P^T)/2", prior.precision, NotPSD)
         if n > 0 and float(np.linalg.eigvalsh(prior.precision).min()) < -1e-10:
             raise NotPSD("prior precision has a negative eigenvalue")
         return prior
@@ -124,16 +130,20 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval, hd: np.ndarray) -> tuple:
     and log_norm are None where P is finite but not positive definite.
     Requires an in-domain evaluation.
 
-    This is the per-point hot path: one Cholesky factorization (LAPACK
-    ``dpotrf``) and one triangular solve, with no coercion; the prior, x
-    and the shapes of J and f were validated before. The factorization
-    refuses a NaN or infinite entry in H + J'J, so a proposal has a finite
-    ``log_norm``; only when it refuses is J'J itself judged. A finite step
-    is kept however large its entries; one that is not finite is the
-    model's error, unless an infinite residual entry or an overflowing
-    H(m - x) makes the point zero density. J'J stays on ``@``, as
-    ``ndarray.dot`` warns "invalid value" for an infinite J; the vector
-    products use ``ndarray.dot``, about half the cost of ``@`` here.
+    This is the per-point hot path: one BLAS ``dsyrk``, which writes the
+    lower triangle of H + J'J into a fresh Fortran-ordered copy of H, one
+    Cholesky factorization (LAPACK ``dpotrf``) of that copy in place, and
+    one triangular solve, with no coercion; the prior, x and the shapes of
+    J and f were validated before. The f2py routines raise no numpy
+    floating-point warning, so an overflow in J'J or in H + J'J ends the
+    same way under every warning filter. The factorization refuses a NaN
+    or infinite entry in H + J'J, so a proposal has a finite ``log_norm``;
+    only when it refuses is J'J itself formed and judged, so an overflow
+    of the sum alone is a singular proposal. A finite step is kept however
+    large its entries; one that is not finite is the model's error, unless
+    an infinite residual entry or an overflowing H(m - x) makes the point
+    zero density. The vector products use ``ndarray.dot``, about half the
+    cost of ``@`` here.
 
     Raises
     ------
@@ -144,13 +154,13 @@ def gn_proposal(prior: GaussianPrior, ev: ModelEval, hd: np.ndarray) -> tuple:
     """
     J = ev.jacobian
     Jt = J.T
-    try:
-        JtJ = Jt @ J
-    except RuntimeWarning:  # an overflow under an "error" warning filter
-        raise _non_finite_jtj(ev.x) from None
-    factor = _factor(prior.precision + JtJ)
-    if factor is None and not np.isfinite(JtJ).all():
-        raise _non_finite_jtj(ev.x)
+    # positional arguments (alpha, a, beta, c, trans=0, lower=1), as in
+    # _factor; dsyrk copies c, so the prior's precision is never written
+    factor = _factor(dsyrk(1.0, Jt, 1.0, prior.precision, 0, 1))
+    if factor is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(Jt @ J).all():
+                raise _non_finite_jtj(ev.x)
     try:
         jtf = Jt.dot(ev.residual)
         g = hd - jtf

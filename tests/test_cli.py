@@ -396,6 +396,18 @@ def test_overflowing_model_output_same_error_under_any_warning_filter(tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_prior_precision_overflowing_when_symmetrized_is_a_usage_error(tmp_path, capsys, action):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action, RuntimeWarning)
+        assert run_cli("sample", "--example", "quickstart", "--prior-precision", "1e308",
+                       "--samples", "10", "--out-dir", str(tmp_path / "out")) == 2
+    assert caught == []
+    assert capsys.readouterr().err == ("error: --prior-mean/--prior-precision: symmetrized "
+                                       "prior precision (P + P^T)/2 has a non-finite entry\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("action", ["default", "error::RuntimeWarning"])
 def test_overflowing_start_point_prints_only_the_error(tmp_path, capfd, action):
     # a fresh interpreter writing to this process's stderr, so that numpy's

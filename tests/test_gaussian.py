@@ -5,9 +5,11 @@ from gnmh.gaussian import _LOG_2PI, PrecisionGaussian, _factor, _solve_lower
 
 
 def _gaussian(mean, precision):
-    """N(mean, precision^-1) with its precision factored once."""
+    """N(mean, precision^-1) with its precision factored once; _factor
+    consumes its argument, so it gets a copy."""
     precision = np.asarray(precision, dtype=float)
-    return PrecisionGaussian(np.asarray(mean, dtype=float), precision, *_factor(precision))
+    return PrecisionGaussian(np.asarray(mean, dtype=float), precision,
+                             *_factor(precision.copy()))
 
 
 def test_log_norm_1d():
@@ -135,7 +137,7 @@ def _left_to_right_log_norm(chol):
 def test_factor_bit_identical_to_numpy_cholesky_small_n(n):
     rng = np.random.default_rng(500 + n)
     for P in _random_spd_matrices(rng, n, 500):
-        chol, log_norm = _factor(P)
+        chol, log_norm = _factor(P.copy())  # _factor consumes its argument
         assert chol.flags.c_contiguous
         np.testing.assert_array_equal(chol, np.linalg.cholesky(P))
         assert log_norm == _old_log_norm(chol)
@@ -147,7 +149,7 @@ def test_factor_matches_numpy_cholesky_large_n(n):
     # the last bits from n = 5 on
     rng = np.random.default_rng(500 + n)
     for P in _random_spd_matrices(rng, n, 500):
-        chol, log_norm = _factor(P)
+        chol, log_norm = _factor(P.copy())  # _factor consumes its argument
         assert chol.flags.c_contiguous
         L = np.linalg.cholesky(P)
         np.testing.assert_allclose(chol, L, rtol=1e-12, atol=1e-12 * np.abs(L).max())

@@ -4,10 +4,17 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dsyrk
 
 from gnmh.cli import exp_series_datagen
 from gnmh.diagnostics import error_bars
-from gnmh.errors import DimensionMismatch, InitialGuessOutsideDomain, NotPSD, UserFunctionFailure
+from gnmh.errors import (
+    DimensionMismatch,
+    InitialGuessOutsideDomain,
+    NotPSD,
+    SingularProposal,
+    UserFunctionFailure,
+)
 from gnmh.gaussian import PrecisionGaussian, _factor
 from gnmh.jtest import JtestDomain
 from gnmh.model import ModelEval, ModelHandle, quickstart_handle
@@ -248,12 +255,24 @@ def test_point_state_computes_residual_norm_and_log_post_once_bit_identically():
         assert st.log_post == log_posterior(prior, ev)
 
 
-def _reference_gn_proposal(prior, ev, x):
+def _syrk_precision(prior, J):
+    # H + J'J as BLAS dsyrk forms it, its lower triangle mirrored to a full
+    # symmetric matrix
+    low = np.tril(dsyrk(1.0, J.T, 1.0, prior.precision, 0, 1))
+    return low + np.tril(low, -1).T
+
+
+def _reference_gn_proposal(prior, ev, x, syrk=False):
     # the validated construction of the step form: a symmetrized P, its
-    # factor L, g = H(m - x) - J'f, and scipy's triangular solve L v = g
+    # factor L, g = H(m - x) - J'f, and scipy's triangular solve L v = g.
+    # P is H + J.T @ J, or with ``syrk`` the sum as dsyrk forms it, which
+    # for m > 12 may differ from it in the last bits
     J, f = ev.jacobian, ev.residual
-    P = prior.precision + J.T @ J
-    P = 0.5 * (P + P.T)
+    if syrk:
+        P = _syrk_precision(prior, J)
+    else:
+        P = prior.precision + J.T @ J
+        P = 0.5 * (P + P.T)
     chol, log_norm = _factor(P)
     jtf = J.T @ f
     v = solve_triangular(chol, (prior.mean - x) @ prior.precision - jtf, lower=True,
@@ -312,10 +331,11 @@ def _jacobian_in_layout(J, layout):
 def test_point_state_record_same_for_any_jacobian_layout():
     # the same numbers as a C-ordered, F-ordered or strided Jacobian give one
     # proposal record: a strided J is copied C-contiguous, so its record is
-    # the C one bit for bit, and J'J, hence L and log_norm, is the same for
-    # every layout. For an F-ordered J, BLAS sums J'f in another order, so
-    # J'f and v may differ in the last bits; they equal the validated
-    # construction on that layout
+    # the C one bit for bit, and H + J'J, hence L and log_norm, is the same
+    # for every layout. For an F-ordered J, BLAS sums J'f in another order,
+    # so J'f and v may differ in the last bits; they equal the validated
+    # construction on that layout, with H + J'J formed by dsyrk, as the
+    # m = 30 cases differ from H + J.T @ J in the last bit
     rng = np.random.default_rng(61)
     for n, m in [(n, m) for n in range(1, 13) for m in (n + 1, n + 4, 30)]:
         H = _random_spd(rng, n)
@@ -334,7 +354,8 @@ def test_point_state_record_same_for_any_jacobian_layout():
                     assert {"C": flags.c_contiguous, "F": flags.f_contiguous,
                             "strided": flags.c_contiguous}[layout]
                     records[layout] = point_state_from_eval(prior, ev)
-                    _assert_same_record(records[layout], _reference_gn_proposal(prior, ev, x))
+                    _assert_same_record(records[layout],
+                                        _reference_gn_proposal(prior, ev, x, syrk=True))
                 c, f_ordered, strided = records["C"], records["F"], records["strided"]
                 _assert_same_record(strided, (c.v, c.chol, c.log_norm, c.jtf))
                 np.testing.assert_array_equal(f_ordered.chol, c.chol)
@@ -343,9 +364,11 @@ def test_point_state_record_same_for_any_jacobian_layout():
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 def test_gn_proposal_precision_exactly_symmetric_for_any_jacobian_layout(layout, monkeypatch):
-    # gn_proposal does not symmetrize H + J'J: H is exactly symmetric and
-    # J.T @ J is too, so the precision it factors equals the symmetrized
-    # formula bit for bit, as _factor's contract asks
+    # gn_proposal does not symmetrize H + J'J: dsyrk writes the lower
+    # triangle of H + J'J over a copy of the exactly symmetric H, and
+    # dpotrf reads only that triangle, so the matrix it factors is symmetric
+    # by construction. That triangle equals the public dsyrk's bit for bit,
+    # and for m <= 12 the triangle of H + J.T @ J too
     factored = []
 
     def recording_factor(precision):
@@ -354,7 +377,6 @@ def test_gn_proposal_precision_exactly_symmetric_for_any_jacobian_layout(layout,
 
     monkeypatch.setattr("gnmh.posterior._factor", recording_factor)
     rng = np.random.default_rng({"C": 61, "F": 62, "strided": 63}[layout])
-    # J.T.dot(J) of a strided 16x12 or 30x12 J is not exactly symmetric
     for n, m in [(n, m) for n in range(1, 13) for m in (n + 1, n + 4, 30)]:
         H = _random_spd(rng, n)
         H[0, -1] += 1e-13  # a prior built with the constructor may be asymmetric
@@ -372,10 +394,12 @@ def test_gn_proposal_precision_exactly_symmetric_for_any_jacobian_layout(layout,
                 factored.clear()
                 st = point_state_from_eval(prior, ev)
                 (P,) = factored
-                np.testing.assert_array_equal(P, P.T)
-                ref = prior.precision + ev.jacobian.T @ ev.jacobian
-                np.testing.assert_array_equal(P, 0.5 * (ref + ref.T))
-                chol, log_norm = _factor(0.5 * (ref + ref.T))
+                ref = _syrk_precision(prior, ev.jacobian)
+                np.testing.assert_array_equal(np.tril(P), np.tril(ref))
+                if m <= 12:
+                    np.testing.assert_array_equal(
+                        np.tril(P), np.tril(prior.precision + ev.jacobian.T @ ev.jacobian))
+                chol, log_norm = _factor(ref)
                 np.testing.assert_array_equal(st.chol, chol)
                 assert st.log_norm == log_norm
 
@@ -407,6 +431,21 @@ def test_prior_symmetry_check_is_allclose_at_1e_10():
         else:
             with pytest.raises(NotPSD, match="not symmetric"):
                 GaussianPrior.create(np.zeros(n), P)
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_prior_precision_overflowing_when_symmetrized_refused_under_any_warning_filter(action):
+    # each entry is finite, but P + P^T overflows: the symmetrized matrix the
+    # prior would store is refused, and so is an asymmetric P whose P - P^T
+    # overflows, with no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(NotPSD, match=r"^symmetrized prior precision \(P \+ P\^T\)/2 "
+                                         r"has a non-finite entry$"):
+            GaussianPrior.create([0.0], [[1e308]])
+        with pytest.raises(NotPSD, match="^prior precision is not symmetric$"):
+            GaussianPrior.create([0.0, 0.0], [[1.0, 1e308], [-1e308, 1.0]])
+    assert caught == []
 
 
 def _nan_residual(x, a):
@@ -445,10 +484,8 @@ def test_point_state_non_finite_output_raises_naming_x(fn, n, informative):
         warnings.simplefilter("always")
         with pytest.raises(UserFunctionFailure, match=r"x = \[0\.625"):
             point_state(prior, h, x)
-    # J'J is formed once, so an overflowing one warns once; no other case warns
-    overflows = 1 if fn is _overflow_jacobian else 0
-    assert [(w.category, "overflow" in str(w.message)) for w in caught] == \
-        [(RuntimeWarning, True)] * overflows
+    # BLAS forms H + J'J, so not even an overflowing J'J warns
+    assert caught == []
 
 
 @pytest.mark.parametrize("fn,n", [(_nan_jacobian, 1), (_inf_jacobian, 1),
@@ -483,9 +520,9 @@ def test_overflow_same_outcome_under_any_warning_filter(action):
 
 @pytest.mark.parametrize("action", ["default", "error"])
 def test_mid_chain_jtj_overflow_same_outcome_under_any_warning_filter(action):
-    # the start point's build ignores numpy's overflow flags, a drawn point's
-    # does not: under the "error" filter J'J's overflow is a RuntimeWarning,
-    # under "default" an infinite J'J the factorization refuses
+    # a drawn point's J'J overflows inside BLAS, which raises no numpy
+    # warning, so under either filter the factorization refuses H + J'J and
+    # J'J is judged
     steep = ModelHandle(lambda x, a: (True, [x[0] - 3.0], [[1e200 if x[0] > 1 else 1.0]]),
                         None, dim_in=1)
     sampler = Sampler([0.0], steep, seed=0, prior=GaussianPrior.create([0.0], [[1.0]]))
@@ -495,6 +532,34 @@ def test_mid_chain_jtj_overflow_same_outcome_under_any_warning_filter(action):
                            match=r"^non-finite model output at x = \[1\.588904691935222\]: "
                                  r"J'J is not finite$"):
             sampler.run_sample(100)
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_overflowing_sum_of_prior_and_jtj_is_a_singular_proposal(action):
+    # J'J = 1e308 is finite, but H + J'J overflows: the factorization
+    # refuses it, J'J is judged finite, and the point has no proposal, with
+    # nothing printed under either filter
+    prior = GaussianPrior.create([0.0], [[8e307]])
+    h = ModelHandle(lambda x, a: (1, [0.0], [[1e154]]), None, dim_in=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action, RuntimeWarning)
+        st = point_state(prior, h, [0.0])
+        assert st.proposal_failed and st.log_post == 0.0
+        assert (st.v, st.chol, st.log_norm) == (None, None, None)
+        with pytest.raises(SingularProposal, match=r"x = \[0\.0\]"):
+            Sampler([0.0], h, prior=prior)
+    assert caught == []
+
+
+def test_sampling_leaves_the_prior_precision_unwritten():
+    # dsyrk writes H + J'J into a copy of H, which dpotrf then overwrites;
+    # a 1x1 H is both C- and F-ordered, so a missed copy would show here
+    prior = GaussianPrior.create([0.0], [[1.0]])
+    kept = prior.precision.copy()
+    sampler = Sampler([0.5], quickstart_handle(), seed=3, prior=prior)
+    sampler.run_sample(1000)
+    assert sampler.prior is prior
+    np.testing.assert_array_equal(prior.precision, kept)
 
 
 @pytest.mark.parametrize("action", ["default", "error"])

@@ -1,4 +1,5 @@
-"""gnmh binds scipy's LAPACK routines without importing ``scipy.linalg``.
+"""gnmh binds scipy's LAPACK and BLAS routines without importing
+``scipy.linalg``.
 
 Each test runs a fresh interpreter, because what a process has imported
 is global state that an earlier test in this process would already have set.
@@ -35,6 +36,7 @@ def test_sample_and_jtest_do_not_import_scipy_linalg(tmp_path):
                               "--out-dir", out]) == 0
         assert gnmh.cli.main(["jtest", "--example", "quickstart", "-N", "5"]) == 0
         assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
+        assert {{"scipy.linalg._flapack", "scipy.linalg._fblas"}} <= set(sys.modules)
     """)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "chain.csv").exists()
@@ -44,15 +46,18 @@ def test_sample_and_jtest_do_not_import_scipy_linalg(tmp_path):
 def test_lapack_routines_are_scipys_in_either_import_order(first):
     second = "scipy.linalg" if first == "gnmh" else "gnmh"
     done = _run(f"""
+        import sys
         import numpy as np
         import {first}
         import {second}
         import gnmh.gaussian
         import scipy.linalg
-        from scipy.linalg import lapack
+        from scipy.linalg import blas, lapack
 
         assert gnmh.gaussian.dpotrf is lapack.dpotrf
         assert gnmh.gaussian.dtrtrs is lapack.dtrtrs
+        assert gnmh.gaussian.dsyrk is blas.dsyrk
+        assert sys.modules["scipy.linalg._fblas"].dsyrk is blas.dsyrk
         a = np.array([[4.0, 2.0], [2.0, 3.0]])
         chol = scipy.linalg.cholesky(a, lower=True)
         assert np.allclose(chol @ chol.T, a)
@@ -60,6 +65,9 @@ def test_lapack_routines_are_scipys_in_either_import_order(first):
         assert np.allclose(chol @ u, [1.0, 2.0])
         (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (a,))
         assert potrf is lapack.dpotrf
+        (syrk,) = scipy.linalg.get_blas_funcs(("syrk",), (a,))
+        assert syrk is blas.dsyrk
+        assert np.array_equal(np.tril(blas.dsyrk(1.0, a, lower=1)), np.tril(a @ a.T))
     """)
     assert done.returncode == 0, done.stderr
 
@@ -72,6 +80,32 @@ def test_missing_lapack_extension_is_an_import_error_naming_the_directory(tmp_pa
             import gnmh
         except ImportError as exc:
             assert {str(tmp_path)!r} in str(exc), str(exc)
+            assert "scipy>=1.13" in str(exc), str(exc)
+        else:
+            raise AssertionError("import gnmh did not fail")
+    """)
+    assert done.returncode == 0, done.stderr
+
+
+def test_missing_blas_extension_is_an_import_error_naming_the_directory(tmp_path):
+    # the LAPACK extension already loaded, as gnmh's loader registers it,
+    # and a scipy directory without the BLAS one
+    done = _run(f"""
+        import importlib.machinery
+        import importlib.util
+        import os
+        import sys
+        import scipy
+        name = "scipy.linalg._flapack"
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(scipy.__path__[0], "linalg")])
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+        scipy.__path__ = [{str(tmp_path)!r}]
+        try:
+            import gnmh
+        except ImportError as exc:
+            assert "_fblas" in str(exc) and {str(tmp_path)!r} in str(exc), str(exc)
             assert "scipy>=1.13" in str(exc), str(exc)
         else:
             raise AssertionError("import gnmh did not fail")
