@@ -13,12 +13,15 @@ The three routines used here, LAPACK ``dpotrf`` and ``dtrtrs`` and BLAS
 ``dsyrk``, are scipy's f2py bindings in its extension modules
 ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, the same objects
 ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` export, so every result
-bit is scipy's. :func:`_load_extension` loads each extension without
-importing the ``scipy.linalg`` package, whose start-up (array-API, f2py,
-testing and masked-array modules) was more than half of importing gnmh.
-Each extension is registered under its own name, so a later
-``import scipy.linalg`` reuses it and ``scipy.linalg.lapack.dpotrf is
-dpotrf``.
+bit is scipy's. :func:`_load_extension` loads each extension from
+scipy's install directory without running scipy's package init or the
+``scipy.linalg`` package's: the latter's start-up (array-API, f2py, testing
+and masked-array modules) was more than half of importing gnmh, and the
+former imports scipy's build configuration, its numpy-range check and its
+test utilities, which import ``subprocess``. Each extension is registered
+under its own name, so a later ``import scipy.linalg`` reuses it and
+``scipy.linalg.lapack.dpotrf is dpotrf``. scipy's warning about an
+unsupported numpy release appears only when the caller imports scipy.
 """
 
 from __future__ import annotations
@@ -31,25 +34,48 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
-import scipy
+
+
+def _scipy_dirs() -> list[str]:
+    """scipy's package directories, without importing scipy: the imported
+    package's ``__path__`` if there is one, else where the import system
+    would find it."""
+    scipy = sys.modules.get("scipy")
+    if scipy is not None:
+        return list(scipy.__path__)
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy not found; gnmh requires scipy>=1.13", name="scipy")
+    return list(spec.submodule_search_locations)
 
 
 def _load_extension(name: str):
     """scipy's extension module ``scipy.linalg.<name>``: the loaded one if
     any, else loaded from scipy's ``linalg`` directory and registered in
-    ``sys.modules`` under that name."""
+    ``sys.modules`` under that name.
+
+    Neither scipy's package init nor ``scipy.linalg``'s runs, unless the
+    load fails while scipy is not imported: then scipy is imported, as its
+    init may put the libraries its wheel bundles on the loader's path (a wheel
+    repaired by delvewheel does), and the load is tried once more."""
     full_name = f"scipy.linalg.{name}"
     if full_name in sys.modules:
         return sys.modules[full_name]
-    dirs = [os.path.join(p, "linalg") for p in scipy.__path__]
+    dirs = [os.path.join(p, "linalg") for p in _scipy_dirs()]
     spec = importlib.machinery.PathFinder.find_spec(full_name, dirs)
     if spec is None:
         raise ImportError(
             f"scipy's extension {name} not found in {dirs}; gnmh requires scipy>=1.13",
             name=full_name,
         )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        if "scipy" in sys.modules:
+            raise
+        import scipy  # noqa: F401
+        return _load_extension(name)
     sys.modules[full_name] = module
     return module
 

@@ -1,4 +1,4 @@
-"""gnmh binds scipy's LAPACK and BLAS routines without importing
+"""gnmh binds scipy's LAPACK and BLAS routines without importing scipy or
 ``scipy.linalg``.
 
 Each test runs a fresh interpreter, because what a process has imported
@@ -27,6 +27,7 @@ def _run(code: str) -> subprocess.CompletedProcess:
 
 
 def test_sample_and_jtest_do_not_import_scipy_linalg(tmp_path):
+    # nor scipy itself, whose package init gnmh does not run
     done = _run(f"""
         import sys
         import gnmh, gnmh.cli
@@ -36,6 +37,7 @@ def test_sample_and_jtest_do_not_import_scipy_linalg(tmp_path):
                               "--out-dir", out]) == 0
         assert gnmh.cli.main(["jtest", "--example", "quickstart", "-N", "5"]) == 0
         assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
+        assert "scipy" not in sys.modules, "scipy was imported"
         assert {{"scipy.linalg._flapack", "scipy.linalg._fblas"}} <= set(sys.modules)
     """)
     assert done.returncode == 0, done.stderr
@@ -109,5 +111,52 @@ def test_missing_blas_extension_is_an_import_error_naming_the_directory(tmp_path
             assert "scipy>=1.13" in str(exc), str(exc)
         else:
             raise AssertionError("import gnmh did not fail")
+    """)
+    assert done.returncode == 0, done.stderr
+
+
+def test_missing_scipy_is_an_import_error_naming_the_floor():
+    done = _run("""
+        import sys
+        sys.modules["scipy"] = None
+        try:
+            import gnmh
+        except ImportError as exc:
+            assert "scipy>=1.13" in str(exc), str(exc)
+        else:
+            raise AssertionError("import gnmh did not fail")
+    """)
+    assert done.returncode == 0, done.stderr
+
+
+def test_extension_load_failing_before_scipy_init_is_retried_after_it():
+    # scipy's package init may put the libraries its wheel bundles on the
+    # loader's path, so a load that fails before it runs is tried again
+    # after it; here every extension load fails until scipy is imported
+    done = _run("""
+        import importlib.machinery
+        import sys
+        import numpy
+
+        loader = importlib.machinery.ExtensionFileLoader
+        exec_module = loader.exec_module
+        failed = []
+
+        def exec_unless_scipy_missing(self, module):
+            if "scipy" not in sys.modules:
+                failed.append(module.__name__)
+                raise ImportError(f"{module.__name__}: library not found")
+            return exec_module(self, module)
+
+        loader.exec_module = exec_unless_scipy_missing
+        import gnmh
+        import gnmh.gaussian
+        assert failed == ["scipy.linalg._flapack"], failed
+        assert "scipy" in sys.modules
+        import scipy.linalg
+        from scipy.linalg import blas, lapack
+        assert gnmh.gaussian.dpotrf is lapack.dpotrf
+        assert gnmh.gaussian.dtrtrs is lapack.dtrtrs
+        assert gnmh.gaussian.dsyrk is blas.dsyrk
     """)
     assert done.returncode == 0, done.stderr
