@@ -15,12 +15,13 @@ default one, whose mean moves as s^2 (alpha = 2).
 import numpy as np
 
 import gnmh
-from gnmh.cli import exp_series_datagen
+from gnmh.model import EXAMPLES
 from gnmh.posterior import GaussianPrior
 
-args = exp_series_datagen(seed=14)
-prior_mean = np.array([4.0, 2.0, 0.5, 1.0])
-prior = GaussianPrior.create(prior_mean, 0.5 * np.eye(4))
+# the bundled example as `gnmh sample --example expseries` sets it up
+example = EXAMPLES["expseries"]
+x0 = example["x0"]
+prior = GaussianPrior.create(example["prior_mean"], np.reshape(example["prior_precision"], (4, 4)))
 
 POLICIES = [("no back-off", lambda s: None)] + [
     (f"{name} a={alpha}", configure)
@@ -34,8 +35,7 @@ POLICIES = [("no back-off", lambda s: None)] + [
 
 print(f"{'policy':<20}{'accept':>8}{'calls':>9}{'tau(w1)':>9}{'ESS(w1)':>9}")
 for name, configure in POLICIES:
-    sampler = gnmh.Sampler(prior_mean, gnmh.exp_series_handle(args), seed=3,
-                           prior=prior)
+    sampler = gnmh.Sampler(x0, example["handle"](), seed=3, prior=prior)
     configure(sampler)
     sampler.run_sample(20_000)
     try:
@@ -48,7 +48,7 @@ for name, configure in POLICIES:
 
 print()
 print("fractions accepted at each stage (dynamic(1) run shown; -1 = rejected):")
-sampler = gnmh.Sampler(prior_mean, gnmh.exp_series_handle(args), seed=3, prior=prior)
+sampler = gnmh.Sampler(x0, example["handle"](), seed=3, prior=prior)
 sampler.set_dynamic(1)
 sampler.run_sample(20_000)
 counts = sampler.step_count

@@ -15,21 +15,21 @@ import time
 import numpy as np
 
 import gnmh
-from gnmh.cli import exp_series_datagen
+from gnmh.model import EXAMPLES
 from gnmh.posterior import GaussianPrior
 
 SEEDS = range(1, 6)
 BURN, TIMED = 200, 2000
 
-x0 = [4.0, 2.0, 0.5, 1.0]
-args = exp_series_datagen(seed=14)
-prior = GaussianPrior.create(x0, 0.5 * np.eye(4))
+example = EXAMPLES["expseries"]
+x0 = example["x0"]
+prior = GaussianPrior.create(example["prior_mean"], np.reshape(example["prior_precision"], (4, 4)))
 
 
 def overhead_us(k, seed):
     """(µs per transition outside model calls, model calls per transition,
     µs per drawn point outside model calls)."""
-    handle = gnmh.exp_series_handle(args, n_terms=2)
+    handle = example["handle"]()
     sampler = gnmh.Sampler(x0, handle, seed=seed, prior=prior)
     sampler.set_static(k, 0.5)
     sampler.run_sample(BURN)

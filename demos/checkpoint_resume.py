@@ -12,13 +12,16 @@ import tempfile
 import numpy as np
 
 import gnmh
+from gnmh.model import EXAMPLES
 from gnmh.posterior import GaussianPrior
 
-prior = GaussianPrior.create([0.0], [[1.0]])
+# the bundled example as `gnmh sample --example quickstart` sets it up
+example = EXAMPLES["quickstart"]
+prior = GaussianPrior.create(example["prior_mean"], [example["prior_precision"]])
 
 
 def fresh_sampler():
-    s = gnmh.Sampler([0.5], gnmh.quickstart_handle(), seed=99, prior=prior)
+    s = gnmh.Sampler(example["x0"], example["handle"](), seed=99, prior=prior)
     s.set_static(1, 0.3)
     return s
 
@@ -38,7 +41,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"crashed after {crashed.n_samples} samples; checkpoint on disk")
 
     # resume from the file and finish the remaining divisions
-    resumed = gnmh.Sampler.load_checkpoint(path, gnmh.quickstart_handle())
+    resumed = gnmh.Sampler.load_checkpoint(path, example["handle"]())
     print(f"loaded checkpoint: {resumed.n_samples} samples, "
           f"call_count={resumed.call_count}")
     resumed.run_sample(3500, divs=7, safe=path)

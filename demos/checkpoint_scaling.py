@@ -20,7 +20,11 @@ import tempfile
 import time
 
 import gnmh
+from gnmh.model import EXAMPLES
 from gnmh.posterior import GaussianPrior
+
+# the bundled example as `gnmh sample --example quickstart` sets it up
+example = EXAMPLES["quickstart"]
 
 REPEATS = 3
 
@@ -34,8 +38,9 @@ def ms(action) -> float:
 def measure(rows: int) -> tuple:
     """(bytes on disk, first save, save with no new rows, save after 1% more
     rows, load), times in ms."""
-    sampler = gnmh.Sampler([0.5], gnmh.quickstart_handle(), seed=rows,
-                           prior=GaussianPrior.create([0.0], [[1.0]]))
+    sampler = gnmh.Sampler(example["x0"], example["handle"](), seed=rows,
+                           prior=GaussianPrior.create(example["prior_mean"],
+                                                      [example["prior_precision"]]))
     sampler.run_sample(rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.ckpt")
@@ -45,13 +50,13 @@ def measure(rows: int) -> tuple:
             ms(lambda: sampler.save_checkpoint(path)) for _ in range(REPEATS))
         loads = []
         for _ in range(REPEATS):
-            handle = gnmh.quickstart_handle()
+            handle = example["handle"]()
             loads.append(ms(lambda: gnmh.Sampler.load_checkpoint(path, handle)))
         appends = []
         for _ in range(REPEATS):
             sampler.run_sample(max(1, rows // 100))
             appends.append(ms(lambda: sampler.save_checkpoint(path)))
-        loaded = gnmh.Sampler.load_checkpoint(path, gnmh.quickstart_handle())
+        loaded = gnmh.Sampler.load_checkpoint(path, example["handle"]())
         assert (loaded.chain == sampler.chain).all()
     return size, first, unchanged, statistics.median(appends), statistics.median(loads)
 

@@ -8,16 +8,17 @@ plus a 2D marginal grid for the (w1, r1) pair.
 import numpy as np
 
 import gnmh
-from gnmh.cli import exp_series_datagen
+from gnmh.model import EXAMPLES, exp_series_datagen
 from gnmh.posterior import GaussianPrior
 
-TRUE = [1.0, 2.5, 0.5, 3.1]  # (w1, w2, r1, r2)
+# the bundled example as `gnmh sample --example expseries` sets it up
+example = EXAMPLES["expseries"]
+TRUE = example["params"]  # (w1, w2, r1, r2)
 args = exp_series_datagen(seed=14)
 print("synthetic data:", np.round(args.data, 3))
 
-prior_mean = np.array([4.0, 2.0, 0.5, 1.0])
-sampler = gnmh.Sampler(prior_mean, gnmh.exp_series_handle(args), seed=3,
-                       prior=GaussianPrior.create(prior_mean, 0.5 * np.eye(4)))
+prior = GaussianPrior.create(example["prior_mean"], np.reshape(example["prior_precision"], (4, 4)))
+sampler = gnmh.Sampler(example["x0"], gnmh.exp_series_handle(args), seed=3, prior=prior)
 sampler.set_dynamic(2)
 sampler.run_sample(50_000, divs=5, visual=True)
 sampler.burn(2000)

@@ -8,14 +8,18 @@ two wells near +/- sqrt(y). A run of the sampler should reproduce that shape.
 import numpy as np
 
 import gnmh
-from gnmh.cli import quadrature_1d
+from gnmh.diagnostics import quadrature_1d
+from gnmh.model import EXAMPLES
 from gnmh.posterior import GaussianPrior, log_posterior
 
-# the model: one call returns the indicator, the residual, and the Jacobian
-handle = gnmh.quickstart_handle(y=1.0, sigma=0.5)
-prior = GaussianPrior.create([0.0], [[1.0]])
+# the bundled example as `gnmh sample --example quickstart` sets it up: the
+# model (one call returns the indicator, the residual, and the Jacobian), the
+# start and the prior
+example = EXAMPLES["quickstart"]
+handle = example["handle"]()
+prior = GaussianPrior.create(example["prior_mean"], [example["prior_precision"]])
 
-sampler = gnmh.Sampler([0.5], handle, seed=1, prior=prior)
+sampler = gnmh.Sampler(example["x0"], handle, seed=1, prior=prior)
 sampler.set_dynamic(2)  # back off twice with cubic step-size control
 sampler.run_sample(50_000)
 sampler.burn(1000)
@@ -28,7 +32,7 @@ print(f"stage counts    : {sampler.step_count}")
 hist = gnmh.error_bars(sampler.chain, 100, [-3.0], [3.0])
 
 # the 1D quadrature oracle for the same density
-oracle = gnmh.quickstart_handle(y=1.0, sigma=0.5)
+oracle = example["handle"]()
 
 
 def log_density(x):

@@ -3,7 +3,9 @@
 Two subcommands: ``sample`` runs a bundled example model and emits plot-ready
 data files (chain CSV, summary JSON, per-dimension histograms with error
 bars, optional 2D marginal grids, and a quadrature overlay for 1D problems);
-``jtest`` runs the Jacobian check on a bundled model over a box.
+``jtest`` runs the Jacobian check on a bundled model over a box. Examples
+come from the registry ``gnmh.model.EXAMPLES`` (the decay series' data set
+from ``model.exp_series_datagen``), the 1D quadrature from ``diagnostics``.
 
 Exit codes: 0 success, 1 analysis failure (Jacobian test failed), 2 usage
 error, 3 runtime error.
@@ -22,59 +24,15 @@ from typing import Callable, List, Optional, Tuple, TypeVar
 import numpy as np
 
 from . import diagnostics
-from .errors import GnmhError, NonFiniteDensity, check_count, check_finite, check_range
+from .errors import GnmhError, check_count, check_finite, check_range
 from .jtest import JtestDomain, JtestOptions, jtest
 from .kernel import BackoffPolicy
-from .model import (
-    ExpSeriesArgs,
-    ModelHandle,
-    _example_args,
-    exp_series_handle,
-    exp_series_model,
-    quickstart_model,
-    simple2d_model,
-)
+# the benchmark reads the data set as gnmh.cli.exp_series_datagen
+from .model import EXAMPLES, ModelHandle, exp_series_datagen  # noqa: F401
 from .posterior import GaussianPrior, log_posterior
 from .sampler import Sampler
 
 _T = TypeVar("_T")
-
-
-def quadrature_1d(log_density: Callable[[float], float], lo: float, hi: float,
-                  n_points: int = 2001) -> Tuple[np.ndarray, np.ndarray]:
-    """Trapezoid-rule density on a uniform grid, normalized over [lo, hi].
-
-    Returns the grid and the normalized density values. ``log_density`` may
-    return -inf (zero density); NaN or +inf raise NonFiniteDensity. The
-    interval needs finite ends with lo < hi and a finite width hi - lo, and
-    ``n_points`` is an integer of at least 101; ``ValueError`` refuses
-    either before ``log_density`` is called.
-    """
-    check_range("quadrature interval", lo, hi)
-    check_count("n_points", n_points, 101)
-    grid = np.linspace(lo, hi, n_points)
-    log_vals = np.array([log_density(float(x)) for x in grid])
-    if np.any(np.isnan(log_vals)) or np.any(log_vals == np.inf):
-        raise NonFiniteDensity("log density produced NaN or +inf")
-    shift = np.max(log_vals)
-    if shift == -np.inf:
-        raise NonFiniteDensity("density is identically zero on the interval")
-    vals = np.exp(log_vals - shift)
-    total = np.trapezoid(vals, grid)
-    return grid, vals / total
-
-
-def exp_series_datagen(seed: int = 14) -> ExpSeriesArgs:
-    """The bundled decay-series dataset: two decay terms with parameters
-    (w1, w2, r1, r2) = (1.0, 2.5, 0.5, 3.1), observed at ten evenly spaced
-    times on [0, 3], plus Gaussian noise of standard deviation 0.1 drawn
-    from ``seed``."""
-    times = np.linspace(0.0, 3.0, 10)
-    noise_sd = np.full(10, 0.1)
-    _, clean, _ = exp_series_model(np.array([1.0, 2.5, 0.5, 3.1]),
-                                   ExpSeriesArgs(times, np.zeros(10), np.ones(10)))
-    data = clean + noise_sd * np.random.default_rng(seed).standard_normal(10)
-    return ExpSeriesArgs(times=times, data=data, noise_sd=noise_sd)
 
 
 # ---------------------------------------------------------------------------
@@ -82,42 +40,25 @@ def exp_series_datagen(seed: int = 14) -> ExpSeriesArgs:
 # ---------------------------------------------------------------------------
 
 
-def _badjac_model(x, args):
-    """Quickstart with a deliberately wrong Jacobian (+0.01 offset)."""
-    inside, f, jac = quickstart_model(x, args)
-    return inside, f, [[jac[0][0] + 0.01]]
-
-
 def _make_example(args: argparse.Namespace) -> Tuple[int, Callable[[], ModelHandle]]:
-    """The example's dimension and model handle builder, with ``--y``, ``--sigma`` and
-    ``--data-seed`` applied to the examples that read them. An example setting ``args``
-    leaves at None takes the example's value; one of another length, or a y, sigma or data
-    seed the model refuses, is a usage error."""
+    """The example's dimension and a builder of model handles, each with a call count of its
+    own, with ``--y``, ``--sigma`` and ``--data-seed`` applied to the examples that read them.
+    An example setting ``args`` leaves at None takes the registry's value; one of another
+    length, or a y, sigma or data seed the model refuses, is a usage error."""
     name = args.example
-    if name != "expseries":  # the ring and the double well read y and sigma
-        y = args.y if args.y is not None else (4.0 if name == "well" else 1.0)
-        sigma = args.sigma if args.sigma is not None else 0.5
-        model_args = _flag_value("--sigma/--y", _example_args, y, sigma)
-    if name == "simple2d":
-        dim, build_handle = 2, lambda: ModelHandle(simple2d_model, model_args, dim_in=2)
-        values = dict(x0=[1.0, 0.0], prior_mean=[0.0, 0.0], prior_precision=[1.0, 0.0, 0.0, 1.0],
-                      range=[-2.0, 2.0], min=[-2.0, -2.0], max=[2.0, 2.0])
-    elif name == "expseries":
-        seed = args.data_seed if args.data_seed is not None else 14
-        data = _flag_value(f"--data-seed {seed}", lambda: exp_series_datagen(seed=seed))
-        dim, build_handle = 4, lambda: exp_series_handle(data, n_terms=2)
-        values = dict(x0=[4.0, 2.0, 0.5, 1.0], prior_mean=[4.0, 2.0, 0.5, 1.0],
-                      prior_precision=(0.5 * np.eye(4)).ravel().tolist(),
-                      range=[0.0, 5.0], min=[0.1] * 4, max=[5.0] * 4)
-    else:  # quickstart, well and badjac: the 1D double well
-        model = _badjac_model if name == "badjac" else quickstart_model
-        dim, build_handle = 1, lambda: ModelHandle(model, model_args, dim_in=1)
-        values = dict(x0=[0.5], prior_mean=[0.0], prior_precision=[1.0],
-                      range=[-3.0, 3.0], min=[-2.0], max=[2.0])
-        if name == "well" and "x0" in vars(args) and args.x0 is None:
-            if not y >= 0:
-                raise ValueError(f"--y {y}: the well starts at sqrt(y); give --x0 for y < 0")
-            values["x0"] = [math.sqrt(y)]
+    example = EXAMPLES[name]
+    if name == "expseries":  # the decay series reads its data seed, the others y and sigma
+        flag, overrides = f"--data-seed {args.data_seed}", {"seed": args.data_seed}
+    else:
+        flag, overrides = "--sigma/--y", {"y": args.y, "sigma": args.sigma}
+    handle = _flag_value(flag, example["handle"],
+                         **{key: value for key, value in overrides.items() if value is not None})
+    values = {key: example[key] for key in ("x0", "prior_mean", "prior_precision", "range",
+                                            "min", "max")}
+    if name == "well" and args.y is not None and "x0" in vars(args) and args.x0 is None:
+        if not args.y >= 0:
+            raise ValueError(f"--y {args.y}: the well starts at sqrt(y); give --x0 for y < 0")
+        values["x0"] = [math.sqrt(args.y)]
     for key, value in values.items():
         given = getattr(args, key, value)  # value itself for a setting of the other command
         if given is None:
@@ -125,10 +66,7 @@ def _make_example(args: argparse.Namespace) -> Tuple[int, Callable[[], ModelHand
         elif given != ["flat"] and len(given) != len(value):
             raise ValueError(f"--{key.replace('_', '-')}: the {name} example takes "
                              f"{len(value)} numbers, not {len(given)}")
-    return dim, build_handle
-
-
-_EXAMPLES = ("quickstart", "well", "simple2d", "expseries", "badjac")
+    return example["dim"], lambda: ModelHandle(handle.fn, handle.args, handle.dim_in)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +115,12 @@ def _write_histogram_csv(path: str, hist: diagnostics.HistogramResult) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _flag_value(flag: str, build: Callable[..., _T], *params) -> _T:
-    """The library object ``build(*params)`` that the value of ``flag``
-    describes. The library's refusal of the value, a ``GnmhError`` or a
-    ``ValueError``, is a usage error naming the flag."""
+def _flag_value(flag: str, build: Callable[..., _T], *params, **keywords) -> _T:
+    """The library object ``build(*params, **keywords)`` that the value of
+    ``flag`` describes. The library's refusal of the value, a ``GnmhError``
+    or a ``ValueError``, is a usage error naming the flag."""
     try:
-        return build(*params)
+        return build(*params, **keywords)
     except (GnmhError, ValueError) as exc:
         raise ValueError(f"{flag}: {exc}") from exc
 
@@ -221,7 +159,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     curve = None
     if dim == 1:
         oracle_handle = build_handle()  # separate call counter
-        curve = quadrature_1d(lambda x: log_posterior(prior, oracle_handle.evaluate([x])), lo, hi)
+        curve = diagnostics.quadrature_1d(
+            lambda x: log_posterior(prior, oracle_handle.evaluate([x])), lo, hi)
     os.makedirs(args.out_dir, exist_ok=True)
 
     for c in range(args.chains):
@@ -369,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sample", help="run a bundled example and emit data files",
                         description="Settings whose default is None take the example's value.",
                         formatter_class=defaults)
-    ps.add_argument("--example", choices=_EXAMPLES, default="quickstart", help="bundled model")
+    ps.add_argument("--example", choices=EXAMPLES, default="quickstart", help="bundled model")
     ps.add_argument("--samples", type=int, default=10000, help="transitions to run")
     ps.add_argument("--burn", type=int, default=0, help="leading rows dropped after the run")
     ps.add_argument("--divs", type=int, default=1, help="checkpoint and progress divisions")
@@ -402,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_sample)
 
     pj = sub.add_parser("jtest", help="check a bundled model's Jacobian", formatter_class=defaults)
-    pj.add_argument("--example", choices=_EXAMPLES, default="quickstart", help="bundled model")
+    pj.add_argument("--example", choices=EXAMPLES, default="quickstart", help="bundled model")
     pj.add_argument("--min", type=float, nargs="+")
     pj.add_argument("--max", type=float, nargs="+")
     pj.add_argument("--dx", type=float, default=JtestOptions.dx, help="first step / box width")

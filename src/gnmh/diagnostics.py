@@ -1,10 +1,12 @@
 """Post-run chain analysis: marginal histograms with Poisson error bars,
-integrated autocorrelation time and autocovariance curves."""
+integrated autocorrelation time and autocovariance curves, and
+``quadrature_1d``, the reference density that a 1D chain's histogram is
+checked against."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -13,6 +15,7 @@ from .errors import (
     EmptyChain,
     LagTooLarge,
     NonConvergentWindow,
+    NonFiniteDensity,
     SeriesTooShort,
     check_count,
     check_range,
@@ -103,6 +106,30 @@ def error_bars_2d(chain, i: int, j: int, n_bins: int, d_min, d_max
     pair = [i, j]
     (ci, cj), density, err = _binned(chain[:, pair], n_bins, d_min[pair], d_max[pair])
     return ci, cj, density, err
+
+
+def quadrature_1d(log_density: Callable[[float], float], lo: float, hi: float,
+                  n_points: int = 2001) -> Tuple[np.ndarray, np.ndarray]:
+    """Trapezoid-rule density on a uniform grid, normalized over [lo, hi].
+
+    Returns the grid and the normalized density values. ``log_density`` may
+    return -inf (zero density); NaN or +inf raise NonFiniteDensity. The
+    interval needs finite ends with lo < hi and a finite width hi - lo, and
+    ``n_points`` is an integer of at least 101; ``ValueError`` refuses
+    either before ``log_density`` is called.
+    """
+    check_range("quadrature interval", lo, hi)
+    check_count("n_points", n_points, 101)
+    grid = np.linspace(lo, hi, n_points)
+    log_vals = np.array([log_density(float(x)) for x in grid])
+    if np.any(np.isnan(log_vals)) or np.any(log_vals == np.inf):
+        raise NonFiniteDensity("log density produced NaN or +inf")
+    shift = np.max(log_vals)
+    if shift == -np.inf:
+        raise NonFiniteDensity("density is identically zero on the interval")
+    vals = np.exp(log_vals - shift)
+    total = np.trapezoid(vals, grid)
+    return grid, vals / total
 
 
 @dataclass(frozen=True)

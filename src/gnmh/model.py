@@ -15,6 +15,9 @@ whose ||f||^2 overflows, under any warning filter. ``ModelHandle.evaluate``
 itself checks shapes and types only (a transposed or flattened Jacobian is
 refused), and also names the point. It copies both outputs, so a model may
 fill and return the same buffers on every call.
+
+``EXAMPLES`` registers the bundled examples that the CLI runs, and
+``exp_series_datagen`` builds the decay series' data set.
 """
 
 from __future__ import annotations
@@ -263,3 +266,43 @@ def simple2d_handle(y: float = 1.0, sigma: float = 0.5) -> ModelHandle:
 
 def exp_series_handle(args: ExpSeriesArgs, n_terms: int = 2) -> ModelHandle:
     return ModelHandle(exp_series_model, args, dim_in=2 * check_count("n_terms", n_terms, 1))
+
+
+def exp_series_datagen(seed: int = 14) -> ExpSeriesArgs:
+    """The bundled decay-series dataset: two decay terms with the expseries
+    example's ``params`` (w1, w2, r1, r2), observed at ten evenly spaced
+    times on [0, 3], plus Gaussian noise of standard deviation 0.1 drawn
+    from ``seed``."""
+    times = np.linspace(0.0, 3.0, 10)
+    noise_sd = np.full(10, 0.1)
+    _, clean, _ = exp_series_model(np.array(EXAMPLES["expseries"]["params"]),
+                                   ExpSeriesArgs(times, np.zeros(10), np.ones(10)))
+    data = clean + noise_sd * np.random.default_rng(seed).standard_normal(10)
+    return ExpSeriesArgs(times=times, data=data, noise_sd=noise_sd)
+
+
+def _badjac_model(x, args):
+    """Quickstart with a deliberately wrong Jacobian (+0.01 offset)."""
+    inside, f, jac = quickstart_model(x, args)
+    return inside, f, [[jac[0][0] + 0.01]]
+
+
+# The bundled examples by CLI name. ``handle`` builds a model handle, from the keywords ``y``
+# and ``sigma`` or, for the decay series, the data ``seed``; ``x0`` is the CLI's start,
+# ``prior_mean`` and the row-major ``prior_precision`` its prior, ``range`` its histogram
+# range, ``min`` and ``max`` its jtest box, and ``params`` the decay series' true parameters.
+_WELL = dict(dim=1, x0=[0.5], prior_mean=[0.0], prior_precision=[1.0], range=[-3.0, 3.0],
+             min=[-2.0], max=[2.0])
+EXAMPLES = {
+    "quickstart": dict(_WELL, handle=quickstart_handle),
+    "well": dict(_WELL, handle=lambda y=4.0, sigma=0.5: quickstart_handle(y, sigma), x0=[2.0]),
+    "simple2d": dict(handle=simple2d_handle, dim=2, x0=[1.0, 0.0], prior_mean=[0.0, 0.0],
+                     prior_precision=[1.0, 0.0, 0.0, 1.0], range=[-2.0, 2.0],
+                     min=[-2.0, -2.0], max=[2.0, 2.0]),
+    "expseries": dict(handle=lambda seed=14: exp_series_handle(exp_series_datagen(seed)), dim=4,
+                      x0=[4.0, 2.0, 0.5, 1.0], prior_mean=[4.0, 2.0, 0.5, 1.0],
+                      prior_precision=(0.5 * np.eye(4)).ravel().tolist(), range=[0.0, 5.0],
+                      min=[0.1] * 4, max=[5.0] * 4, params=[1.0, 2.5, 0.5, 3.1]),
+    "badjac": dict(_WELL, handle=lambda y=1.0, sigma=0.5: ModelHandle(
+        _badjac_model, _example_args(y, sigma), dim_in=1)),
+}

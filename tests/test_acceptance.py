@@ -12,23 +12,18 @@ from scipy.signal import lfilter
 from scipy.stats import kstest
 
 import gnmh
-from gnmh.cli import exp_series_datagen, quadrature_1d
+from gnmh.diagnostics import quadrature_1d
 from gnmh.jtest import JtestDomain, JtestOptions, jtest
 from gnmh.kernel import (
     BackoffPolicy,
     _Transition,
     cubic_minimizer,
 )
-from gnmh.model import (
-    ModelHandle,
-    exp_series_handle,
-    quickstart_handle,
-    quickstart_model,
-    simple2d_handle,
-)
+from gnmh.model import EXAMPLES, quickstart_handle
 from gnmh.posterior import GaussianPrior, log_posterior, point_state
 from gnmh.sampler import Sampler
 
+from _examples import example_prior
 from _oracle import linear_handle
 
 
@@ -46,8 +41,8 @@ def test_criterion_1_quickstart_vs_quadrature():
     # carry no autocorrelation factor, and the default kernel's seed-1 chain
     # puts 67% of bins within them (TV 0.046)
     n_samples, n_burn, n_bins, lo, hi = 100_000, 2000, 100, -3.0, 3.0
-    sampler = Sampler([0.5], quickstart_handle(y=1.0, sigma=0.5), seed=1,
-                      prior=GaussianPrior.create([0.0], [[1.0]]))
+    quickstart, prior = EXAMPLES["quickstart"], example_prior("quickstart")
+    sampler = Sampler(quickstart["x0"], quickstart["handle"](), seed=1, prior=prior)
     sampler.set_dynamic(2, alpha=1)
     t0 = time.monotonic()
     sampler.run_sample(n_samples)
@@ -59,8 +54,7 @@ def test_criterion_1_quickstart_vs_quadrature():
     hist = gnmh.error_bars(chain, n_bins, [lo], [hi])
     width = (hi - lo) / n_bins
 
-    oracle = quickstart_handle(y=1.0, sigma=0.5)
-    prior = GaussianPrior.create([0.0], [[1.0]])
+    oracle = quickstart["handle"]()
     grid, q = quadrature_1d(
         lambda x: log_posterior(prior, oracle.evaluate([x])), lo, hi, 10_001
     )
@@ -125,12 +119,12 @@ def test_criterion_2_affine_exactness():
 
 
 def test_criterion_3_backoff_trends():
-    args = exp_series_datagen(seed=14)  # ten times, evenly spaced on [0, 3]
-    prior_mean = np.array([4.0, 2.0, 0.5, 1.0])
+    # the CLI's expseries set-up, whose data has ten times, evenly spaced on [0, 3]
+    example = EXAMPLES["expseries"]
 
     def rate(configure) -> float:
-        sampler = Sampler(prior_mean, exp_series_handle(args, n_terms=2), seed=3,
-                          prior=GaussianPrior.create(prior_mean, 0.5 * np.eye(4)))
+        sampler = Sampler(example["x0"], example["handle"](), seed=3,
+                          prior=example_prior("expseries"))
         configure(sampler)
         sampler.run_sample(20_000)
         return sampler.accept_rate
@@ -170,13 +164,13 @@ def _log_flow(origin, mids, cand, policy):
 def test_criterion_4_very_detailed_balance():
     problems = {
         "quickstart": (
-            quickstart_handle(),
-            GaussianPrior.create([0.0], [[1.0]]),
+            EXAMPLES["quickstart"]["handle"](),
+            example_prior("quickstart"),
             lambda rng: rng.uniform(-2.0, 2.0, 1),
         ),
         "exp-series": (
-            exp_series_handle(exp_series_datagen(seed=14), n_terms=2),
-            GaussianPrior.create([4.0, 2.0, 0.5, 1.0], 0.5 * np.eye(4)),
+            EXAMPLES["expseries"]["handle"](),
+            example_prior("expseries"),
             lambda rng: rng.uniform(0.3, 3.0, 4),
         ),
     }
@@ -205,28 +199,16 @@ def test_criterion_4_very_detailed_balance():
 
 
 def test_criterion_5_jtest():
-    models = {
-        "quickstart": (quickstart_handle(y=1.0, sigma=0.5), [-2.0], [2.0]),
-        "simple2d": (simple2d_handle(y=1.0, sigma=0.5), [-2.0] * 2, [2.0] * 2),
-        "linear": (
-            linear_handle(np.array([[2.0, 0.5], [-0.3, 1.5], [0.1, -0.7]]),
-                          np.array([0.4, -1.0, 0.2])),
-            [-3.0] * 2, [3.0] * 2,
-        ),
-        "exp-series": (exp_series_handle(exp_series_datagen(seed=14), n_terms=2),
-                       [0.1] * 4, [5.0] * 4),
-    }
+    # the bundled examples on their CLI boxes, and an affine model
+    models = {name: (EXAMPLES[name]["handle"](), EXAMPLES[name]["min"], EXAMPLES[name]["max"])
+              for name in ("quickstart", "simple2d", "expseries", "badjac")}
+    models["linear"] = (linear_handle(np.array([[2.0, 0.5], [-0.3, 1.5], [0.1, -0.7]]),
+                                      np.array([0.4, -1.0, 0.2])), [-3.0] * 2, [3.0] * 2)
     results = {}
     for name, (handle, x_min, x_max) in models.items():
         results[name] = jtest(handle, JtestDomain.create(x_min, x_max),
                               JtestOptions(), rng=0)
-
-    def perturbed(x, args):
-        inside, f, jac = quickstart_model(x, args)
-        return inside, f, [[jac[0][0] + 0.01]]
-
-    bad = ModelHandle(perturbed, {"y": 1.0, "sigma": 0.5}, dim_in=1)
-    bad_err = jtest(bad, JtestDomain.create([-2.0], [2.0]), JtestOptions(), rng=0)
+    bad_err = results.pop("badjac")  # the quickstart model, its derivative off by 0.01
 
     ok = all(v == 0.0 for v in results.values()) and bad_err >= 9e-3
     _report(5, ok, f"bundled errors={list(results.values())} (all 0), "
@@ -348,8 +330,8 @@ def test_default_kernel_quickstart_vs_quadrature_by_batch_means():
     # exponent 2 but scores at 1 gives max |z| 6.2 to 11.9 here (seeds 1-6);
     # this one gave 1.5 to 2.7
     n_samples, n_burn, n_bins, n_batches, hi = 100_000, 2000, 15, 40, 3.0
-    prior = GaussianPrior.create([0.0], [[1.0]])
-    sampler = Sampler([0.5], quickstart_handle(y=1.0, sigma=0.5), seed=1, prior=prior)
+    quickstart, prior = EXAMPLES["quickstart"], example_prior("quickstart")
+    sampler = Sampler(quickstart["x0"], quickstart["handle"](), seed=1, prior=prior)
     sampler.set_dynamic(2)
     sampler.run_sample(n_samples)
     # the dilated kernels drew the candidate of many transitions
@@ -357,7 +339,7 @@ def test_default_kernel_quickstart_vs_quadrature_by_batch_means():
     sampler.burn(n_burn)
     folded = np.abs(sampler.chain[:, 0])
 
-    oracle = quickstart_handle(y=1.0, sigma=0.5)
+    oracle = quickstart["handle"]()
     grid, q = quadrature_1d(
         lambda x: log_posterior(prior, oracle.evaluate([x])), -hi, hi, 20_001
     )
@@ -387,10 +369,9 @@ def test_default_kernel_leaves_a_long_step_point():
     # there its back-off acceptance tends to exp(-2|v|^2 - 2 v.xi) as the
     # scale shrinks, and it moved on 0, 32 and 0 of these transitions
     start = np.array([1.467, 1.883, 0.694, 5.684])
-    prior = GaussianPrior.create([4.0, 2.0, 0.5, 1.0], 0.5 * np.eye(4))
+    prior = example_prior("expseries")
     for seed in (1, 2, 3):
-        sampler = Sampler(start, exp_series_handle(exp_series_datagen(seed=14), n_terms=2),
-                          seed=seed, prior=prior)
+        sampler = Sampler(start, EXAMPLES["expseries"]["handle"](), seed=seed, prior=prior)
         sampler.set_dynamic(4)
         sampler.run_sample(300)
         rows = np.vstack([start, sampler.chain])

@@ -2,10 +2,11 @@
 on the bundled examples under every kind of back-off policy.
 
 Each entry pins the sha256 of ``chain.tobytes()``, ``call_count`` and
-``step_count`` after 300 transitions. A change to the sampler's arithmetic
-that moves any chain by one bit, or spends one model call more or less,
-fails here; a change that alters chains on purpose must say why and
-re-record the table.
+``step_count`` after 300 transitions from the CLI's start under the CLI's
+prior, both read from the registry ``gnmh.model.EXAMPLES``. A change to the
+sampler's arithmetic that moves any chain by one bit, or spends one model
+call more or less, fails here; a change that alters chains on purpose must
+say why and re-record the table.
 
 A back-off policy named without ``alpha`` runs the paper's kernel, mean
 exponent 1, so those cells keep the chains recorded before the exponent
@@ -14,33 +15,15 @@ existed; the ``alpha=2`` cells run the default kernel.
 
 import hashlib
 
-import numpy as np
 import pytest
 
 import gnmh
-from gnmh.cli import exp_series_datagen
-from gnmh.posterior import GaussianPrior
+from gnmh.model import EXAMPLES
+
+from _examples import example_prior
 
 N_TRANSITIONS = 300
-_EXPSERIES_X0 = [4.0, 2.0, 0.5, 1.0]
 
-
-def _quickstart():
-    return gnmh.quickstart_handle(), [0.5], GaussianPrior.create([0.0], [[1.0]])
-
-
-def _simple2d():
-    return (gnmh.simple2d_handle(), [1.0, 0.0],
-            GaussianPrior.create([0.0, 0.0], np.eye(2)))
-
-
-def _expseries():
-    handle = gnmh.exp_series_handle(exp_series_datagen(seed=14), n_terms=2)
-    return (handle, _EXPSERIES_X0,
-            GaussianPrior.create(_EXPSERIES_X0, 0.5 * np.eye(4)))
-
-
-EXAMPLES = {"quickstart": _quickstart, "simple2d": _simple2d, "expseries": _expseries}
 
 POLICIES = {
     "none": lambda s: None,
@@ -261,8 +244,8 @@ EXPECTED = {
 
 @pytest.mark.parametrize("example,policy,seed", sorted(EXPECTED))
 def test_chain_digest(example, policy, seed):
-    handle, x0, prior = EXAMPLES[example]()
-    sampler = gnmh.Sampler(x0, handle, seed=seed, prior=prior)
+    sampler = gnmh.Sampler(EXAMPLES[example]["x0"], EXAMPLES[example]["handle"](), seed=seed,
+                           prior=example_prior(example))
     POLICIES[policy](sampler)
     sampler.run_sample(N_TRANSITIONS)
     sha, calls, steps = EXPECTED[example, policy, seed]

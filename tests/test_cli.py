@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -12,9 +13,10 @@ import pytest
 import gnmh.cli
 import gnmh.model
 from gnmh import diagnostics
-from gnmh.cli import _format_rows, _write_csv, exp_series_datagen, main, quadrature_1d
+from gnmh.cli import _format_rows, _write_csv, main
+from gnmh.diagnostics import quadrature_1d
 from gnmh.errors import NonFiniteDensity
-from gnmh.model import ModelHandle, _example_args, quickstart_handle
+from gnmh.model import EXAMPLES, ModelHandle, _example_args, exp_series_datagen, quickstart_handle
 from gnmh.posterior import GaussianPrior, log_posterior
 
 
@@ -327,7 +329,6 @@ def test_sample_judges_sigma_and_y_once_where_the_example_reads_them(tmp_path, m
         calls.append((y, sigma))
         return _example_args(y, sigma)
 
-    monkeypatch.setattr(gnmh.cli, "_example_args", counting_example_args)
     monkeypatch.setattr(gnmh.model, "_example_args", counting_example_args)
     assert run_cli("sample", "--example", example, "--samples", "10",
                    "--out-dir", str(tmp_path / "flags"), *flags) == 0
@@ -577,6 +578,60 @@ def test_jtest_invalid_option_usage_error(capsys):
     assert run_cli("jtest", "--example", "quickstart", "--dx", "0") == 2
     err = capsys.readouterr().err
     assert "dx > 0" in err and "model output" not in err
+
+
+# ---------------------------------------------------------------------------
+# every bundled example's bytes
+# ---------------------------------------------------------------------------
+
+# The sha256 of each file that ``gnmh sample --example E --samples 300 --seed 1``
+# writes, with ``--marginal 0 1`` where E has two coordinates or more, and the
+# value ``gnmh jtest --example E -N 50`` prints
+EXAMPLE_BYTES = {
+    "quickstart": ({
+        "chain.csv": "d10e70c8cedb24d895aac6c0c796ec7c3fb7626bd4b37ebf40a47ee5f6cb05cb",
+        "histogram.csv": "feb4397e2a98bce4f7a84b38c8707991d9eea77321614fb0743deedadfccef10",
+        "quadrature.csv": "caa440143a2ece69a4a4cbb4bc4aaeaa220435649209ca8aceab501e42966c1d",
+        "summary.json": "5e9128a65deb209625b1c03820b7b67ce998a4be7861d3a4339503365bbe5d02",
+    }, "0"),
+    "well": ({
+        "chain.csv": "d58b8db1303ade7a0f00fc34374042a405d60a008c0bf1b8b193eda351663322",
+        "histogram.csv": "1866c5031b8d967379d99d366c3ebfdd996d1ef0001f4c856d3cfc5ad291d412",
+        "quadrature.csv": "c9f4458bb5187c71e6a4a061d5f5b5145b0323bf9e296e44dc1eb55cd137fa8c",
+        "summary.json": "c18f0f2ed6e3e2be6c6b0d08f9b775b7bfe3d55a2abc0b34c6847de5af59c3e7",
+    }, "0"),
+    "simple2d": ({
+        "chain.csv": "44c8b57f70f8063727773606c2155e056ca484d4bfe958c9e36965131618269a",
+        "histogram.csv": "a9406458cd436bf6e27ad84ed7155cee1eaf9f53978e4d35051930d585a8a73a",
+        "marginal_0_1.csv": "141b8a711f92b3404ad180c26bfd06fd1d45ea05e1366c25d0ad17bf49df9e4e",
+        "summary.json": "337832b69f15830526b854b768964306c68c2665e9993b1a041586414aa83a67",
+    }, "0"),
+    "expseries": ({
+        "chain.csv": "f3be0429adc3245931dd56dc2f6ee9988d31d0432066374e93f42aad48e1f337",
+        "histogram.csv": "9d51edfaec8d7d086682565a9a11867b3ad0828bda89c5289373463040454a5c",
+        "marginal_0_1.csv": "583d949adb22994c40995d83d73e3d1e624bb22e100562430f181c528d83b743",
+        "summary.json": "8ecd9a0963a12241c7373d03a59d97dde54a43d21979513753b240279a1e4297",
+    }, "0"),
+    "badjac": ({
+        "chain.csv": "dc49b0459f044b3b0358ef9e1ba3e8ab3c035a0bea59d6d88e607f090bb27fff",
+        "histogram.csv": "447649dcd6c5def8b727c13629ee343a28cd41a2d7b6eca29f2eced32c8119f9",
+        "quadrature.csv": "caa440143a2ece69a4a4cbb4bc4aaeaa220435649209ca8aceab501e42966c1d",
+        "summary.json": "94df25052f2f8821fa40f603181fcaa793784621d8b240d92ef8f238099639fe",
+    }, "2.2013869971432687"),
+}
+
+
+@pytest.mark.parametrize("example", list(EXAMPLES))
+def test_each_bundled_example_writes_its_pinned_bytes(tmp_path, capsys, example):
+    files, jtest_value = EXAMPLE_BYTES[example]
+    marginal = ["--marginal", "0", "1"] if EXAMPLES[example]["dim"] >= 2 else []
+    assert run_cli("sample", "--example", example, "--samples", "300", "--seed", "1",
+                   *marginal, "--out-dir", str(tmp_path)) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == files
+    capsys.readouterr()
+    assert run_cli("jtest", "--example", example, "-N", "50") == (jtest_value != "0")
+    assert capsys.readouterr().out == jtest_value + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 builds, kernel densities, dynamic dilation factors and exact back-off
 acceptances on the bundled examples under each kind of back-off policy.
 
-Each cell runs 1000 transitions at seed 1 and pins integer totals. While
+Each cell runs at seed 1 and pins integer totals. While
 chains stay bit-identical these counts move only when the code does more or
 less work per transition, which wall time on a shared host cannot resolve.
 A change that moves a count re-pins its cell and says why, with the counts
@@ -11,31 +11,34 @@ before and after; so does a rename of a counted name.
 A back-off policy named without ``alpha`` runs the paper's kernel, mean
 exponent 1; the ``alpha=2`` cells run the default kernel, whose deep stages
 accept more often, so a transition spends fewer model calls.
+
+The cells on the three examples run 1000 transitions. The deep cells run
+the decay series at back-off depth 8 and 16 for 300, or 100 from the stuck
+point. Those guard the bound tiers in ``kernel.step``: there every stage
+rejects, nearly always on the first tier's bound, so a transition costs
+about one table density per stage. Without that tier the table densities
+grow with the square of the depth (over 5x at depth 8); without the second
+tier, the bench-start ``static(16, 0.5)`` cell spends half again as many.
 """
 
 import sys
 
-import numpy as np
 import pytest
 
 import gnmh.kernel
-from gnmh.cli import exp_series_datagen
-from gnmh.model import ModelHandle, exp_series_handle, quickstart_handle, simple2d_handle
-from gnmh.posterior import GaussianPrior
+from gnmh.model import EXAMPLES, ModelHandle
 from gnmh.sampler import Sampler
+
+from _examples import example_prior
 
 N_TRANSITIONS = 1000
 SEED = 1
 
-# The benchmark's examples (bench/worker.py's EXAMPLES and their handles),
-# copied so that the counts here and the bench's describe the same chains:
-# (handle builder, x0, prior mean, prior precision diagonal)
-EXAMPLES = {
-    "quickstart": (lambda: quickstart_handle(y=1.0, sigma=0.5), [0.5], [0.0], 1.0),
-    "simple2d": (lambda: simple2d_handle(y=1.0, sigma=0.5), [1.0, 0.0], [0.0, 0.0], 1.0),
-    "expseries": (lambda: exp_series_handle(exp_series_datagen(seed=14), n_terms=2),
-                  [1.0, 2.5, 0.5, 3.1], [4.0, 2.0, 0.5, 1.0], 0.5),
-}
+# The benchmark's starts, so that the counts here and the bench's describe the
+# same chains: the CLI's, but the decay series starts at the parameters that
+# generated its data. Every example runs under the CLI's prior.
+STARTS = {name: EXAMPLES[name].get("params", EXAMPLES[name]["x0"])
+          for name in ("quickstart", "simple2d", "expseries")}
 
 POLICIES = {
     "none": lambda s: None,
@@ -66,18 +69,36 @@ EXPECTED = {
     ("expseries", "dynamic(4, alpha=2)"): (2109, 2109, 5721, 3222, 559),
 }
 
+# The decay series at back-off depth 8 and 16, from the point where a chain
+# of the paper's kernel stuck, where every stage rejects, and from the bench
+# start: (start, policy): (transitions, whole-run totals in COUNTED's order)
+DEEP_STARTS = {"stuck": [4.456, -0.992, 1.847, 1.270], "bench": STARTS["expseries"]}
+DEEP_POLICIES = {
+    "static(8, 0.5)": lambda s: s.set_static(8, 0.5, alpha=1),
+    "static(16, 0.5)": lambda s: s.set_static(16, 0.5, alpha=1),
+    "dynamic(8)": lambda s: s.set_dynamic(8, alpha=1),
+    "static(16, 0.5, alpha=2)": lambda s: s.set_static(16, 0.5),
+    "dynamic(8, alpha=2)": lambda s: s.set_dynamic(8),
+}
+DEEP_EXPECTED = {
+    ("stuck", "static(8, 0.5)"): (100, (900, 900, 910, 0, 0)),
+    ("stuck", "static(16, 0.5)"): (100, (1700, 1700, 1706, 0, 0)),
+    ("bench", "static(16, 0.5)"): (300, (1725, 1725, 13910, 0, 121)),
+    ("bench", "static(16, 0.5, alpha=2)"): (300, (610, 610, 1791, 0, 200)),
+    ("bench", "dynamic(8)"): (300, (1135, 1135, 3724, 4271, 97)),
+    ("bench", "dynamic(8, alpha=2)"): (300, (604, 604, 1775, 918, 178)),
+}
 
-def _sampler(example, policy):
-    build, x0, mean, diag = EXAMPLES[example]
-    prior = GaussianPrior.create(mean, diag * np.eye(len(mean)))
-    sampler = Sampler(x0, build(), seed=SEED, prior=prior)
-    POLICIES[policy](sampler)
+
+def _sampler(example, configure, x0=None):
+    sampler = Sampler(x0 or STARTS[example], EXAMPLES[example]["handle"](), seed=SEED,
+                      prior=example_prior(example))
+    configure(sampler)
     return sampler
 
 
-@pytest.mark.parametrize("example,policy", sorted(EXPECTED))
-def test_work_per_run(example, policy, monkeypatch):
-    sampler = _sampler(example, policy)
+def _count_work(sampler, n_transitions, monkeypatch):
+    """Run ``n_transitions`` and return the totals of the COUNTED names."""
     counts = dict.fromkeys(COUNTED, 0)
 
     def counting(name, fn):
@@ -100,18 +121,31 @@ def test_work_per_run(example, policy, monkeypatch):
                        ("dynamic_gamma", "dynamic_gamma")]:
         monkeypatch.setattr(gnmh.kernel, attr, counting(name, getattr(gnmh.kernel, attr)))
     monkeypatch.setattr(gnmh.kernel._Transition, "log_accept", step_log_accept)
-    sampler.run_sample(N_TRANSITIONS)
-    assert tuple(counts[name] for name in COUNTED) == EXPECTED[example, policy]
+    sampler.run_sample(n_transitions)
     assert sampler.call_count == 1 + counts["model_calls"]
+    return tuple(counts[name] for name in COUNTED)
+
+
+@pytest.mark.parametrize("example,policy", sorted(EXPECTED))
+def test_work_per_run(example, policy, monkeypatch):
+    sampler = _sampler(example, POLICIES[policy])
+    assert _count_work(sampler, N_TRANSITIONS, monkeypatch) == EXPECTED[example, policy]
+
+
+@pytest.mark.parametrize("start,policy", sorted(DEEP_EXPECTED))
+def test_work_per_run_at_depth(start, policy, monkeypatch):
+    n_transitions, expected = DEEP_EXPECTED[start, policy]
+    sampler = _sampler("expseries", DEEP_POLICIES[policy], DEEP_STARTS[start])
+    assert _count_work(sampler, n_transitions, monkeypatch) == expected
 
 
 @pytest.mark.parametrize("policy", [p for p in POLICIES if p != "none"])
-@pytest.mark.parametrize("example", sorted(EXAMPLES))
+@pytest.mark.parametrize("example", sorted(STARTS))
 def test_no_kernel_density_computed_twice_in_a_transition(example, policy, monkeypatch):
     # the back-off table keeps every kernel density it computes, and step
     # seeds it with stage one's, so within one transition no density of one
     # point under one kernel at one anchor is computed again
-    sampler = _sampler(example, policy)
+    sampler = _sampler(example, POLICIES[policy])
     seen, repeats = set(), []
     step, log_density = gnmh.kernel.step, gnmh.kernel._log_density
 

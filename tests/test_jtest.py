@@ -3,11 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from gnmh.cli import exp_series_datagen
 from gnmh.errors import DimensionMismatch, PointOutsideDomain, UserFunctionFailure
 from gnmh.jtest import JtestDomain, JtestOptions, jtest
 from gnmh.model import (
+    EXAMPLES,
     ModelHandle,
+    exp_series_datagen,
     exp_series_handle,
     quickstart_handle,
     quickstart_model,
@@ -102,8 +103,9 @@ def test_exp_series_passes_on_standard_box():
 def test_exp_series_pinned_on_the_bench_set_up(options, want, calls):
     # the benchmark's decay-series set-up; the shrink stages make the call
     # count move if any residual or Jacobian bit moves
-    h = exp_series_handle(exp_series_datagen(seed=14), n_terms=2)
-    assert jtest(h, JtestDomain.create([0.1] * 4, [5.0] * 4), options, rng=7) == want
+    example = EXAMPLES["expseries"]
+    h = example["handle"]()
+    assert jtest(h, JtestDomain.create(example["min"], example["max"]), options, rng=7) == want
     assert h.call_count == calls
 
 

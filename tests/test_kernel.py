@@ -11,7 +11,6 @@ import pytest
 from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
-from gnmh.cli import exp_series_datagen
 import gnmh.kernel
 from gnmh.kernel import (
     BackoffPolicy,
@@ -24,13 +23,15 @@ from gnmh.kernel import (
 )
 from gnmh.errors import InvalidPolicy
 from gnmh.model import (
+    EXAMPLES,
     ModelHandle,
+    exp_series_datagen,
     exp_series_handle,
     quickstart_handle,
-    simple2d_handle,
 )
 from gnmh.posterior import GaussianPrior, point_state
 
+from _examples import example_prior
 from _oracle import linear_handle, proposal
 
 
@@ -434,7 +435,7 @@ def test_flow_balance_two_stage_quickstart(policy):
 def test_flow_balance_two_stage_exp_series(policy):
     rng = np.random.default_rng(31)
     h = exp_series_handle(exp_series_datagen(seed=1), n_terms=2)
-    prior = GaussianPrior.create([4.0, 2.0, 0.5, 1.0], 0.5 * np.eye(4))
+    prior = example_prior("expseries")
     for _ in range(50):
         pts = [point_state(prior, h, rng.uniform(0.3, 3.0, 4)) for _ in range(3)]
         fwd = _log_flow(pts[0], [pts[1]], pts[2], policy)
@@ -445,12 +446,8 @@ def test_flow_balance_two_stage_exp_series(policy):
 
 
 def _problem(name):
-    """(handle, prior, x0) of a bundled example."""
-    if name == "quickstart":
-        return quickstart_handle(), GaussianPrior.create([0.0], [[1.0]]), [0.5]
-    x0 = [4.0, 2.0, 0.5, 1.0]
-    return (exp_series_handle(exp_series_datagen(seed=14), n_terms=2),
-            GaussianPrior.create(x0, 0.5 * np.eye(4)), x0)
+    """(handle, prior, x0) of a bundled example, the CLI's set-up."""
+    return EXAMPLES[name]["handle"](), example_prior(name), EXAMPLES[name]["x0"]
 
 
 def _trajectories(name, policy, n_stages, seed):
@@ -955,10 +952,7 @@ def _affine_pair(name):
     A^-1 (m - b) and precision A^T H A. Its diagonal is small, so distances
     in u are several times those in x.
     """
-    if name == "simple2d":
-        handle, prior, x0 = simple2d_handle(), GaussianPrior.create([0.0, 0.0], np.eye(2)), [1.0, 0.0]
-    else:
-        handle, prior, x0 = _problem(name)
+    handle, prior, x0 = _problem(name)
     n = len(x0)
     rng = np.random.default_rng(40 + n)
     A = np.triu(rng.uniform(-0.3, 0.3, (n, n)), 1) + np.diag(rng.uniform(0.1, 0.4, n))

@@ -6,12 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from gnmh.cli import exp_series_datagen
 from gnmh.errors import DimensionMismatch, UserFunctionFailure
 from gnmh.jtest import JtestDomain, jtest
 from gnmh.model import (
+    EXAMPLES,
     ExpSeriesArgs,
     ModelHandle,
+    exp_series_datagen,
     exp_series_handle,
     exp_series_model,
     quickstart_handle,
@@ -19,6 +20,7 @@ from gnmh.model import (
     simple2d_handle,
 )
 
+from _examples import example_prior
 from _oracle import linear_handle
 
 
@@ -418,20 +420,18 @@ def _buffer_reusing_exp_series():
 
 def test_buffer_reusing_model_passes_jtest():
     # the difference quotients keep residuals from earlier calls
-    box = JtestDomain.create([0.1] * 4, [5.0] * 4)
+    box = JtestDomain.create(EXAMPLES["expseries"]["min"], EXAMPLES["expseries"]["max"])
     assert jtest(_buffer_reusing_exp_series(), box, rng=1) == 0.0
 
 
 def test_buffer_reusing_model_gives_the_same_dynamic_chain():
     # dynamic back-off reads the residual and Jacobian of earlier points
-    from gnmh.posterior import GaussianPrior
     from gnmh.sampler import Sampler
 
     chains = []
-    for handle in (exp_series_handle(exp_series_datagen(seed=14), n_terms=2),
-                   _buffer_reusing_exp_series()):
-        s = Sampler([1.0, 2.5, 0.5, 3.1], handle, seed=1,
-                    prior=GaussianPrior.create([4.0, 2.0, 0.5, 1.0], 0.5 * np.eye(4)))
+    for handle in (EXAMPLES["expseries"]["handle"](), _buffer_reusing_exp_series()):
+        s = Sampler(EXAMPLES["expseries"]["params"], handle, seed=1,
+                    prior=example_prior("expseries"))
         s.set_dynamic(4)
         s.run_sample(300)
         chains.append((s.chain, s.call_count, s.step_count))

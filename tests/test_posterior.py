@@ -6,7 +6,6 @@ import pytest
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyrk
 
-from gnmh.cli import exp_series_datagen
 from gnmh.diagnostics import error_bars
 from gnmh.errors import (
     DimensionMismatch,
@@ -17,7 +16,7 @@ from gnmh.errors import (
 )
 from gnmh.gaussian import PrecisionGaussian, _factor
 from gnmh.jtest import JtestDomain
-from gnmh.model import ModelEval, ModelHandle, quickstart_handle
+from gnmh.model import ModelEval, ModelHandle, exp_series_datagen, quickstart_handle
 from gnmh.posterior import (
     GaussianPrior,
     gn_proposal,

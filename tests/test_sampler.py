@@ -12,7 +12,6 @@ from scipy.stats import kstest
 import gnmh.kernel
 import gnmh.posterior
 
-from gnmh.cli import exp_series_datagen
 from gnmh.errors import (
     BurnTooLarge,
     CheckpointWriteFailure,
@@ -24,18 +23,14 @@ from gnmh.errors import (
     SingularProposal,
     UserFunctionFailure,
 )
-from gnmh.model import (
-    ModelHandle,
-    exp_series_handle,
-    quickstart_handle,
-    simple2d_handle,
-)
+from gnmh.model import EXAMPLES, ModelHandle, quickstart_handle
 from gnmh.gaussian import PrecisionGaussian
 from gnmh.jtest import JtestDomain, JtestOptions, jtest
 from gnmh.kernel import BackoffPolicy
 from gnmh.posterior import GaussianPrior, log_posterior
 from gnmh.sampler import Sampler
 
+from _examples import example_prior
 from _oracle import linear_handle
 
 
@@ -922,13 +917,8 @@ def _reference_document(s, save):
 
 
 def _example(name):
-    if name == "quickstart":
-        return [0.5], quickstart_handle, GaussianPrior.create([0.0], [[1.0]])
-    if name == "simple2d":
-        return [1.0, 0.0], simple2d_handle, GaussianPrior.create([0.0, 0.0], np.eye(2))
-    args = exp_series_datagen(seed=14)
-    return ([4.0, 2.0, 0.5, 1.0], lambda: exp_series_handle(args, n_terms=2),
-            GaussianPrior.create([4.0, 2.0, 0.5, 1.0], 0.5 * np.eye(4)))
+    """(x0, handle builder, prior) of a bundled example, the CLI's set-up."""
+    return EXAMPLES[name]["x0"], EXAMPLES[name]["handle"], example_prior(name)
 
 
 @pytest.mark.parametrize("name,policy", [
