@@ -38,13 +38,14 @@ for name, configure in POLICIES:
     sampler = gnmh.Sampler(x0, example["handle"](), seed=3, prior=prior)
     configure(sampler)
     sampler.run_sample(20_000)
-    try:
-        tau = gnmh.acor(sampler.chain[:, 0]).tau
-        ess = sampler.n_samples / tau
+    # the run's report; tau and ESS are None where acor refuses the coordinate
+    # or it never moved
+    summary = sampler.summary()
+    tau, ess = summary["tau"][0], summary["ess"][0]
+    tau_s = ess_s = "        -"
+    if tau is not None:
         tau_s, ess_s = f"{tau:9.1f}", f"{ess:9.0f}"
-    except gnmh.errors.GnmhError:
-        tau_s = ess_s = "        -"
-    print(f"{name:<20}{sampler.accept_rate:8.3f}{sampler.call_count:9d}{tau_s}{ess_s}")
+    print(f"{name:<20}{summary['accept_rate']:8.3f}{summary['call_count']:9d}{tau_s}{ess_s}")
 
 print()
 print("fractions accepted at each stage (dynamic(1) run shown; -1 = rejected):")

@@ -5,7 +5,8 @@ data files (chain CSV, summary JSON, per-dimension histograms with error
 bars, optional 2D marginal grids, and a quadrature overlay for 1D problems);
 ``jtest`` runs the Jacobian check on a bundled model over a box. Examples
 come from the registry ``gnmh.model.EXAMPLES`` (the decay series' data set
-from ``model.exp_series_datagen``), the 1D quadrature from ``diagnostics``.
+from ``model.exp_series_datagen``), the 1D quadrature from ``diagnostics``,
+the summary from ``Sampler.summary``.
 
 Exit codes: 0 success, 1 analysis failure (Jacobian test failed), 2 usage
 error, 3 runtime error.
@@ -198,28 +199,7 @@ def _run_one_chain(args: argparse.Namespace, sampler: Sampler, seed: int,
         _write_csv(os.path.join(out_dir, f"quadrature{suffix}.csv"), "x,density",
                    np.column_stack(curve))
 
-    taus: List[Optional[float]] = []
-    ess: List[Optional[float]] = []
-    for j in range(dim):
-        try:
-            res = diagnostics.acor(chain[:, j])
-            taus.append(res.tau)
-            ess.append(chain.shape[0] / res.tau)
-        except GnmhError:
-            taus.append(None)
-            ess.append(None)
-    summary = {
-        "example": args.example,
-        "seed": seed,
-        "n_samples": sampler.n_samples,
-        "n_accepted": sampler.n_accepted,
-        "burned": sampler.burned,
-        "accept_rate": sampler.accept_rate,
-        "call_count": sampler.call_count,
-        "step_count": {str(k): v for k, v in sampler.step_count.items()},
-        "tau": taus,
-        "ess": ess,
-    }
+    summary = {"example": args.example, "seed": seed, **sampler.summary()}
     with open(os.path.join(out_dir, f"summary{suffix}.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

@@ -193,7 +193,7 @@ def acor(series, k: int = 5) -> AcorResult:
     """Autocorrelation time via a self-consistent truncation window.
 
     tau = 1 + 2 * sum_{t=1..T} rho(t) with T the smallest lag satisfying
-    T >= k * tau(T). A zero-variance series degenerates to tau 1, sigma 0.
+    T >= k * tau(T). A constant series degenerates to tau 1, sigma 0.
 
     Raises
     ------
@@ -214,9 +214,12 @@ def acor(series, k: int = 5) -> AcorResult:
         raise SeriesTooShort(f"need at least {100 * k} samples, got {n}")
     max_lag = n // 10
     cov = autocovariance(series, max_lag)
-    mean = float(series.mean())  # finite: autocovariance refuses an overflowing sum
+    # a constant's computed mean need not be its value, which leaves rounding
+    # noise with rho ~ 1 in place of a zero centered series
+    constant = (series == series[0]).all()
+    mean = float(series[0] if constant else series.mean())  # finite: no sum overflowed
     var = cov[0]
-    if var == 0.0:
+    if constant or var == 0.0:
         return AcorResult(tau=1.0, mean=mean, sigma=0.0)
     rho = cov / var
 

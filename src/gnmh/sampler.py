@@ -34,7 +34,7 @@ from typing import Dict, NamedTuple, Optional, Union
 
 import numpy as np
 
-from . import kernel
+from . import diagnostics, kernel
 from .errors import (
     BurnTooLarge,
     CheckpointWriteFailure,
@@ -263,6 +263,32 @@ class Sampler:
         counts = dict.fromkeys(range(1, self.policy.n_stages + 1), 0)
         counts.update(self._step_count)
         return dict(sorted(counts.items()))
+
+    def summary(self) -> dict:
+        """The run's report, which ``gnmh sample`` writes to ``summary.json``
+        after its ``example`` and ``seed``: the counters, which describe the
+        whole run, and per coordinate the kept rows' autocorrelation time
+        ``tau`` from :func:`diagnostics.acor` and effective sample size
+        ``ess`` = ``n_samples`` / tau. Both are None for a coordinate that
+        ``acor`` refuses (fewer than 500 rows, or no self-consistent window)
+        and for one whose kept rows are all equal, which did not move."""
+        taus = []
+        for column in self._buf[:self._n].T:  # views: the chain is not copied
+            try:
+                moved = not (column == column[:1]).all()
+                taus.append(diagnostics.acor(column).tau if moved else None)
+            except GnmhError:
+                taus.append(None)
+        return {
+            "n_samples": self.n_samples,
+            "n_accepted": self.n_accepted,
+            "burned": self.burned,
+            "accept_rate": self.accept_rate,
+            "call_count": self.call_count,
+            "step_count": {str(k): v for k, v in self.step_count.items()},
+            "tau": taus,
+            "ess": [None if tau is None else self.n_samples / tau for tau in taus],
+        }
 
     # -- sampling -------------------------------------------------------
 

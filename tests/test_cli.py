@@ -18,6 +18,9 @@ from gnmh.diagnostics import quadrature_1d
 from gnmh.errors import NonFiniteDensity
 from gnmh.model import EXAMPLES, ModelHandle, _example_args, exp_series_datagen, quickstart_handle
 from gnmh.posterior import GaussianPrior, log_posterior
+from gnmh.sampler import Sampler
+
+from _examples import example_prior
 
 
 def run_cli(*argv):
@@ -474,6 +477,20 @@ def test_sample_multiple_chains_suffixed(tmp_path):
     curve = (tmp_path / "one" / "quadrature.csv").read_bytes()
     assert (tmp_path / "quadrature_0.csv").read_bytes() == curve
     assert (tmp_path / "quadrature_1.csv").read_bytes() == curve
+
+
+@pytest.mark.parametrize("example", ["quickstart", "expseries"])
+def test_sample_summary_of_each_chain_is_the_library_summary(tmp_path, example):
+    assert run_cli("sample", "--example", example, "--chains", "2", "--burn", "100",
+                   "--samples", "1200", "--seed", "3", "--out-dir", str(tmp_path)) == 0
+    for c in range(2):
+        entry = EXAMPLES[example]
+        sampler = Sampler(entry["x0"], entry["handle"](), seed=3 + c, prior=example_prior(example))
+        sampler.run_sample(1200)
+        sampler.burn(100)
+        summary = {"example": example, "seed": 3 + c, **sampler.summary()}
+        expected = (json.dumps(summary, indent=2) + "\n").encode()
+        assert (tmp_path / f"summary_{c}.json").read_bytes() == expected
 
 
 def test_sample_config_file_with_flag_override(tmp_path):

@@ -169,8 +169,11 @@ def test_acor_ar1_tau_near_closed_form():
 
 
 def test_acor_constant_series_degenerates():
-    res = acor(np.ones(1000))
-    assert res.tau == 1.0 and res.sigma == 0.0 and res.mean == 1.0
+    # 0.1, 4.456 and -3.7 do not average to themselves in float64: the
+    # centered series is rounding noise, not zeros, unless acor sees the constant
+    for value in (1.0, 0.5, 0.0, 0.1, 4.456, -3.7, 1e-300):
+        res = acor(np.full(1000, value))
+        assert res.tau == 1.0 and res.sigma == 0.0 and res.mean == value, value
 
 
 def test_acor_sigma_identity():

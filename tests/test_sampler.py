@@ -139,6 +139,40 @@ def test_counter_identities_after_each_run():
         assert s.accept_rate == pytest.approx(s.n_accepted / s.n_samples)
 
 
+def test_summary_after_a_checkpoint_resume_equals_the_uninterrupted_run(tmp_path):
+    path = tmp_path / "state.ckpt"
+    example = EXAMPLES["expseries"]
+
+    def fresh():
+        s = Sampler(example["x0"], example["handle"](), seed=4, prior=example_prior("expseries"))
+        s.set_static(2, 0.5)
+        return s
+
+    reference = fresh()
+    reference.run_sample(800)
+    reference.burn(100)
+    crashed = fresh()
+    crashed.run_sample(300, divs=3, safe=path)
+    resumed = Sampler.load_checkpoint(path, example["handle"]())
+    resumed.run_sample(500, divs=5, safe=path)
+    resumed.burn(100)
+    summary = resumed.summary()
+    # 700 kept rows: acor answers on every coordinate
+    assert summary["n_samples"] == 700 and None not in summary["tau"]
+    assert summary == reference.summary()
+
+
+def test_summary_gives_no_tau_or_ess_for_a_coordinate_that_never_moved():
+    # inside the domain only at the start, so every candidate is rejected;
+    # acor of the stuck coordinate would answer tau = 1 and ESS = 600
+    handle = ModelHandle(lambda x, args: (x[0] == 0.5, [x[0] - 0.5], [[1.0]]), None, dim_in=1)
+    s = Sampler([0.5], handle, seed=0)
+    s.run_sample(600)
+    summary = s.summary()
+    assert summary["n_accepted"] == 0 and summary["n_samples"] == 600
+    assert summary["tau"] == [None] and summary["ess"] == [None]
+
+
 def test_samplers_sharing_a_handle_count_only_their_own_calls(tmp_path):
     # the handle counts every call made through it: both samplers' and
     # jtest's; a sampler counts its start point and its transitions (no
