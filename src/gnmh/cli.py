@@ -150,7 +150,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         if not all(0 <= k < dim for k in pair):
             raise ValueError(f"--marginal {pair[0]} {pair[1]}: indices must lie in [0, {dim})")
     prior = _flag_value("--prior-mean/--prior-precision", lambda: GaussianPrior.flat(
-        args.prior_mean) if args.prior_precision == ["flat"] else GaussianPrior.create(
+        args.prior_mean) if args.prior_precision == ["flat"] else GaussianPrior(
         args.prior_mean, np.asarray(args.prior_precision, dtype=float).reshape(dim, dim)))
 
     samplers = []
@@ -213,7 +213,7 @@ def _run_one_chain(args: argparse.Namespace, sampler: Sampler, seed: int,
 def _cmd_jtest(args: argparse.Namespace) -> int:
     check_count("--seed", args.seed, 0)
     _, build_handle = _make_example(args)
-    domain = _flag_value("--min/--max", JtestDomain.create, args.min, args.max)
+    domain = _flag_value("--min/--max", JtestDomain, args.min, args.max)
     options = JtestOptions(dx=args.dx, N=args.n_points, eps_max=args.eps_max,
                            p=args.p, l_max=args.l_max, r=args.r)
     error = jtest(build_handle(), domain, options, rng=args.seed)

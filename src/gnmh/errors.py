@@ -111,11 +111,11 @@ def check_finite(name: str, values, error=ValueError) -> None:
         raise error(f"{name} has a non-finite entry")
 
 
-def check_range(name: str, low, high, error=ValueError):
+def check_range(name: str, low, high):
     """``low`` and ``high`` as 1-D float arrays if they have equal lengths
     and, in every coordinate, a finite width high - low > 0, so finite ends
     with low < high. Unequal lengths raise ``DimensionMismatch``, any other
-    failure ``error``; both name ``name``."""
+    failure ``ValueError``; both name ``name``."""
     low = np.asarray(low, dtype=float).reshape(-1)
     high = np.asarray(high, dtype=float).reshape(-1)
     if low.shape != high.shape:
@@ -124,6 +124,6 @@ def check_range(name: str, low, high, error=ValueError):
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN width is refused below
         width = high - low
     if not ((width > 0.0) & np.isfinite(width)).all():
-        raise error(f"{name} {low.tolist()} to {high.tolist()}: need finite ends with "
-                    f"low < high and a finite width high - low in every coordinate")
+        raise ValueError(f"{name} {low.tolist()} to {high.tolist()}: need finite ends "
+                         f"with low < high and a finite width high - low in every coordinate")
     return low, high

@@ -73,18 +73,23 @@ class JtestOptions:
 class JtestDomain:
     """Open box {x : x_min < x < x_max} the test points are drawn from.
 
-    ``create`` refuses corners of unequal lengths (``DimensionMismatch``),
-    and, in any coordinate, a width x_max - x_min that is not finite and
-    positive, which a non-finite corner or x_min >= x_max gives
-    (``ValueError``)."""
+    The constructor stores the corners as 1-D float arrays. It refuses
+    corners of unequal lengths (``DimensionMismatch``), and, in any
+    coordinate, a width x_max - x_min that is not finite and positive, which
+    a non-finite corner or x_min >= x_max gives (``ValueError``)."""
 
     x_min: np.ndarray
     x_max: np.ndarray
 
+    def __post_init__(self):
+        x_min, x_max = check_range("box", self.x_min, self.x_max)
+        object.__setattr__(self, "x_min", x_min)
+        object.__setattr__(self, "x_max", x_max)
+
     @classmethod
     def create(cls, x_min, x_max) -> "JtestDomain":
-        x_min, x_max = check_range("box", x_min, x_max)
-        return cls(x_min=x_min, x_max=x_max)
+        """``cls(x_min, x_max)``, the constructor, which checks."""
+        return cls(x_min, x_max)
 
 
 class _OutsideDomain(Exception):

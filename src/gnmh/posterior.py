@@ -30,26 +30,18 @@ class GaussianPrior:
     ``precision`` is exactly symmetric however the prior is built: the
     constructor stores (P + P^T)/2 of the matrix it is given, so
     (m - x)'H is H(m - x), the prior's term of the Gauss-Newton step in
-    :func:`gn_proposal`. Only :meth:`create` checks that the given matrix
-    was symmetric to within 1e-10 and that (P + P^T)/2 is finite.
+    :func:`gn_proposal`. The constructor refuses mismatched shapes
+    (``DimensionMismatch``) and, with ``NotPSD`` naming which, a non-finite
+    entry of ``mean``, ``precision`` or (P + P^T)/2 (P + P^T can overflow),
+    asymmetry beyond 1e-10 and a negative eigenvalue.
     """
 
     mean: np.ndarray
     precision: np.ndarray
 
     def __post_init__(self):
-        precision = self.precision
-        with np.errstate(over="ignore"):  # create refuses an overflow to inf
-            object.__setattr__(self, "precision", 0.5 * (precision + precision.T))
-
-    @classmethod
-    def create(cls, mean, precision) -> "GaussianPrior":
-        """Validate finiteness, symmetry and positive semidefiniteness, then
-        build. A non-finite entry of ``mean`` or ``precision``, or of the
-        symmetrized precision (P + P^T)/2 the prior stores (P + P^T can
-        overflow), is refused with ``NotPSD``, naming which."""
-        mean = np.asarray(mean, dtype=float).reshape(-1)
-        precision = np.asarray(precision, dtype=float)
+        mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        precision = np.asarray(self.precision, dtype=float)
         n = mean.shape[0]
         if precision.shape != (n, n):
             raise DimensionMismatch(
@@ -59,21 +51,27 @@ class GaussianPrior:
         check_finite("prior precision", precision, NotPSD)
         # the test of np.allclose(precision, precision.T, rtol=1e-10,
         # atol=1e-10) on finite entries, without its Python overhead; a
-        # difference that overflows to inf fails it
+        # difference that overflows to inf fails it; an overflowing P + P^T is refused below
         with np.errstate(over="ignore"):
             symmetric = (abs(precision - precision.T) <= 1e-10 + 1e-10 * abs(precision.T)).all()
+            precision = 0.5 * (precision + precision.T)
         if not symmetric:
             raise NotPSD("prior precision is not symmetric")
-        prior = cls(mean=mean, precision=precision)
-        check_finite("symmetrized prior precision (P + P^T)/2", prior.precision, NotPSD)
-        if n > 0 and float(np.linalg.eigvalsh(prior.precision).min()) < -1e-10:
+        check_finite("symmetrized prior precision (P + P^T)/2", precision, NotPSD)
+        if n > 0 and float(np.linalg.eigvalsh(precision).min()) < -1e-10:
             raise NotPSD("prior precision has a negative eigenvalue")
-        return prior
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "precision", precision)
+
+    @classmethod
+    def create(cls, mean, precision) -> "GaussianPrior":
+        """``cls(mean, precision)``, the constructor, which checks."""
+        return cls(mean, precision)
 
     @classmethod
     def flat(cls, mean) -> "GaussianPrior":
-        """Flat prior: zero precision about ``mean``, built by :meth:`create`."""
-        return cls.create(mean, np.zeros((np.size(mean),) * 2))
+        """Flat prior: zero precision about ``mean``."""
+        return cls(mean, np.zeros((np.size(mean),) * 2))
 
     @property
     def dim(self) -> int:

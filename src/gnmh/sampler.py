@@ -546,7 +546,7 @@ class Sampler:
                                        pol["alpha"])
                 current_x = _numbers("current_x", doc["current_x"])
                 dim = current_x.size
-                prior = GaussianPrior.create(
+                prior = GaussianPrior(
                     _numbers("prior mean", doc["prior"]["mean"]),
                     _numbers("prior precision", doc["prior"]["precision"]).reshape(dim, dim),
                 )

@@ -9,12 +9,15 @@ The proposal is N(x + L^-T v, (L L')^-1). ``proposal`` rebuilds it as a
 independent of the kernel's arithmetic.
 
 ``linear_handle`` wraps the affine model for which that proposal is exact.
+``log_flow`` is the probability flow along one back-off trajectory, whose
+equality with the reversed trajectory's is very detailed balance.
 """
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from gnmh.gaussian import PrecisionGaussian
+from gnmh.kernel import _Transition
 from gnmh.model import ModelHandle
 
 
@@ -45,3 +48,10 @@ def proposal(record):
                                        check_finite=False)
     return PrecisionGaussian(mean=mean, precision=chol @ chol.T, chol=chol,
                              log_norm=record.log_norm)
+
+
+def log_flow(origin, mids, cand, policy):
+    """log of p(origin) K1(origin, z1)[1 - A] ... Kk(origin, cand) A(...)."""
+    h = len(mids) + 1
+    t = _Transition(origin, policy, (*mids, cand))
+    return t.path(0, h, h) + t.log_accept(0, h)

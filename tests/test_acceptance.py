@@ -14,17 +14,13 @@ from scipy.stats import kstest
 import gnmh
 from gnmh.diagnostics import quadrature_1d
 from gnmh.jtest import JtestDomain, JtestOptions, jtest
-from gnmh.kernel import (
-    BackoffPolicy,
-    _Transition,
-    cubic_minimizer,
-)
+from gnmh.kernel import BackoffPolicy, cubic_minimizer
 from gnmh.model import EXAMPLES, quickstart_handle
 from gnmh.posterior import GaussianPrior, log_posterior, point_state
 from gnmh.sampler import Sampler
 
 from _examples import example_prior
-from _oracle import linear_handle
+from _oracle import linear_handle, log_flow
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -155,12 +151,6 @@ def test_criterion_3_backoff_trends():
 # ---------------------------------------------------------------------------
 
 
-def _log_flow(origin, mids, cand, policy):
-    h = len(mids) + 1
-    t = _Transition(origin, policy, (*mids, cand))
-    return t.path(0, h, h) + t.log_accept(0, h)
-
-
 def test_criterion_4_very_detailed_balance():
     problems = {
         "quickstart": (
@@ -181,8 +171,8 @@ def test_criterion_4_very_detailed_balance():
             checked = 0
             while checked < 50:
                 pts = [point_state(prior, handle, draw(rng)) for _ in range(3)]
-                fwd = _log_flow(pts[0], [pts[1]], pts[2], policy)
-                rev = _log_flow(pts[2], [pts[1]], pts[0], policy)
+                fwd = log_flow(pts[0], [pts[1]], pts[2], policy)
+                rev = log_flow(pts[2], [pts[1]], pts[0], policy)
                 if fwd == -np.inf and rev == -np.inf:
                     checked += 1
                     continue

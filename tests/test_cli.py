@@ -250,13 +250,19 @@ def test_sample_summary_tau_and_ess_equal_acor_of_the_chain(tmp_path):
 
 
 def test_sample_expseries_with_backoff(tmp_path):
-    code = run_cli("sample", "--example", "expseries", "--samples", "300",
-                   "--seed", "3", "--backoff", "static", "--max-steps", "1",
-                   "--factor", "0.1", "--out-dir", str(tmp_path))
-    assert code == 0
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert set(summary["step_count"]) == {"-1", "1", "2"}
-    assert len(summary["tau"]) == 4
+    # each back-off mode, under both mean exponents, reaches its deepest stage
+    for k, flags in enumerate([("static", "--max-steps", "1", "--factor", "0.1"),
+                               ("dynamic", "--max-steps", "4"),
+                               ("static", "--max-steps", "3", "--factor", "0.3"),
+                               ("dynamic", "--max-steps", "4", "--alpha", "1")]):
+        out = tmp_path / str(k)
+        code = run_cli("sample", "--example", "expseries", "--samples", "300",
+                       "--seed", "3", "--backoff", *flags, "--out-dir", str(out))
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        stages = int(flags[2]) + 1
+        assert set(summary["step_count"]) == {"-1", *map(str, range(1, stages + 1))}
+        assert len(summary["tau"]) == 4
 
 
 def test_sample_zero_samples_usage_error(tmp_path):
@@ -592,9 +598,10 @@ def test_jtest_expseries(capsys):
 
 
 def test_jtest_invalid_option_usage_error(capsys):
-    assert run_cli("jtest", "--example", "quickstart", "--dx", "0") == 2
-    err = capsys.readouterr().err
-    assert "dx > 0" in err and "model output" not in err
+    for flags, rule in ((("--dx", "0"), "dx > 0"), (("-N", "0"), "N >= 1")):
+        assert run_cli("jtest", "--example", "quickstart", *flags) == 2
+        err = capsys.readouterr().err
+        assert rule in err and "model output" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -61,15 +61,21 @@ def test_options_take_numpy_reals_and_the_max_norm():
                                           ([-1e308], [1e308])],
                          ids=["inf", "minus-inf", "nan", "nan-2d", "overflowing-width"])
 def test_domain_refuses_a_box_without_a_finite_positive_width(x_min, x_max):
-    with pytest.raises(ValueError, match="box .*need finite ends with low < high"):
-        JtestDomain.create(x_min, x_max)
+    for build in (JtestDomain.create, JtestDomain):
+        with pytest.raises(ValueError, match="box .*need finite ends with low < high"):
+            build(x_min, x_max)
 
 
 def test_domain_validation():
-    with pytest.raises(ValueError):
-        JtestDomain.create([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(DimensionMismatch):
-        JtestDomain.create([0.0], [1.0, 2.0])
+    # the constructor checks, and create is the same call
+    for build in (JtestDomain.create, JtestDomain):
+        with pytest.raises(ValueError):
+            build([0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(DimensionMismatch):
+            build([0.0], [1.0, 2.0])
+        box = build([-2], [2])
+        assert type(box) is JtestDomain
+        assert (box.x_min.dtype, box.x_min.tolist(), box.x_max.tolist()) == (float, [-2.0], [2.0])
 
 
 def test_linear_model_passes_immediately():
@@ -81,7 +87,8 @@ def test_linear_model_passes_immediately():
 
 def test_quickstart_passes_on_standard_box():
     h = quickstart_handle(y=1.0, sigma=0.5)
-    assert jtest(h, JtestDomain.create([-2.0], [2.0]), rng=1) == 0.0
+    for build in (JtestDomain.create, JtestDomain):
+        assert jtest(h, build([-2.0], [2.0]), rng=1) == 0.0
 
 
 def test_simple2d_passes():

@@ -32,7 +32,7 @@ from gnmh.model import (
 from gnmh.posterior import GaussianPrior, point_state
 
 from _examples import example_prior
-from _oracle import linear_handle, proposal
+from _oracle import linear_handle, log_flow, proposal
 
 
 def hermite(c, t):
@@ -405,13 +405,6 @@ def test_detailed_balance_single_stage():
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def _log_flow(origin, mids, cand, policy):
-    """log of p(origin) K1(origin, z1)[1 - A] ... Kk(origin, cand) A(...)."""
-    h = len(mids) + 1
-    t = _Transition(origin, policy, (*mids, cand))
-    return t.path(0, h, h) + t.log_accept(0, h)
-
-
 # the paper's kernel, then the default one
 @pytest.mark.parametrize("policy", [BackoffPolicy.static(1, 0.3, alpha=1),
                                     BackoffPolicy.dynamic(1, alpha=1),
@@ -422,8 +415,8 @@ def test_flow_balance_two_stage_quickstart(policy):
     prior = GaussianPrior.create([0.0], [[1.0]])
     for _ in range(50):
         pts = [point_state(prior, h, rng.uniform(-2, 2, 1)) for _ in range(3)]
-        fwd = _log_flow(pts[0], [pts[1]], pts[2], policy)
-        rev = _log_flow(pts[2], [pts[1]], pts[0], policy)
+        fwd = log_flow(pts[0], [pts[1]], pts[2], policy)
+        rev = log_flow(pts[2], [pts[1]], pts[0], policy)
         if fwd == -np.inf and rev == -np.inf:
             continue
         assert fwd == pytest.approx(rev, abs=1e-10)
@@ -438,8 +431,8 @@ def test_flow_balance_two_stage_exp_series(policy):
     prior = example_prior("expseries")
     for _ in range(50):
         pts = [point_state(prior, h, rng.uniform(0.3, 3.0, 4)) for _ in range(3)]
-        fwd = _log_flow(pts[0], [pts[1]], pts[2], policy)
-        rev = _log_flow(pts[2], [pts[1]], pts[0], policy)
+        fwd = log_flow(pts[0], [pts[1]], pts[2], policy)
+        rev = log_flow(pts[2], [pts[1]], pts[0], policy)
         if fwd == -np.inf and rev == -np.inf:
             continue
         assert fwd == pytest.approx(rev, abs=1e-10)
@@ -500,8 +493,8 @@ def test_flow_balance_deep_backoff(name, policy, n_stages):
     for drawn, (origin, points) in enumerate(_trajectories(name, policy, n_stages, n_stages)):
         if drawn >= 600 or (drawn >= 60 and finite >= 10):
             break
-        fwd = _log_flow(origin, points[:-1], points[-1], policy)
-        rev = _log_flow(points[-1], points[:-1], origin, policy)
+        fwd = log_flow(origin, points[:-1], points[-1], policy)
+        rev = log_flow(points[-1], points[:-1], origin, policy)
         if fwd == -np.inf and rev == -np.inf:
             continue
         assert fwd == pytest.approx(rev, abs=1e-10)

@@ -30,18 +30,29 @@ from _oracle import linear_handle, proposal
 
 
 def test_prior_validation():
-    GaussianPrior.create([0.0, 0.0], np.zeros((2, 2)))  # flat is fine
-    with pytest.raises(NotPSD):
-        GaussianPrior.create([0.0], [[-0.1]])
-    with pytest.raises(NotPSD):
-        GaussianPrior.create([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(DimensionMismatch, match=r"shape \(1, 1\), expected \(2, 2\)"):
-        GaussianPrior.create([0, 0], [[1.0]])
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(NotPSD, match="prior mean has a non-finite entry"):
-            GaussianPrior.create([0.0, bad], np.eye(2))
-        with pytest.raises(NotPSD, match="prior precision has a non-finite entry"):
-            GaussianPrior.create([0.0, 0.0], [[1.0, 0.0], [0.0, bad]])
+    # the constructor checks, and create is the same call
+    for build in (GaussianPrior.create, GaussianPrior):
+        build([0.0, 0.0], np.zeros((2, 2)))  # flat is fine
+        with pytest.raises(NotPSD, match="negative eigenvalue"):
+            build([0.0], [[-0.1]])
+        with pytest.raises(NotPSD, match="negative eigenvalue"):
+            build(np.zeros(1), -np.eye(1))
+        with pytest.raises(NotPSD, match="not symmetric"):
+            build([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(DimensionMismatch, match=r"shape \(1, 1\), expected \(2, 2\)"):
+            build([0, 0], [[1.0]])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NotPSD, match="prior mean has a non-finite entry"):
+                build([0.0, bad], np.eye(2))
+            with pytest.raises(NotPSD, match="prior mean has a non-finite entry"):
+                build(np.array([bad]), np.eye(1))
+            with pytest.raises(NotPSD, match="prior precision has a non-finite entry"):
+                build([0.0, 0.0], [[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(NotPSD, match=r"symmetrized prior precision \(P \+ P\^T\)/2"):
+            build([0.0], [[1e308]])
+    prior = GaussianPrior.create([0.5], [[2.0]])
+    assert type(prior) is GaussianPrior
+    assert (prior.mean.tolist(), prior.precision.tolist()) == ([0.5], [[2.0]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
